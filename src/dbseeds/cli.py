@@ -1,6 +1,7 @@
 """Command-line surface: seed construction, mutation, verification sweeps.
 
-Exit codes: 0 success, 2 validation failure, 3 incompatible mutation step.
+Exit codes: 0 success, 1 a verification check failed, 2 validation failure,
+3 incompatible mutation step.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -32,7 +33,7 @@ def _parse_type(type_str: str, rank) :
     s = type_str.strip()
     if rank is not None:
         return cartan_init(s, int(rank))
-    if len(s) >= 2 and s[0].isalpha():
+    if len(s) >= 2 and s[0].isalpha() and s[1:].isdecimal():
         return cartan_init(s[0], int(s[1:]))
     raise ValidationFailure(f"cannot parse type {type_str!r}; give e.g. A2 or --type A --rank 2")
 
@@ -51,7 +52,12 @@ def _parse_sigma(text: str, n: int) -> tuple[int, ...]:
         return tuple(range(n))
     if text == "wN":
         return None  # resolved by caller with the double-word data
-    perm = tuple(int(x) - 1 for x in text.split(","))
+    try:
+        perm = tuple(int(x) - 1 for x in text.split(","))
+    except ValueError:
+        raise ValidationFailure(
+            f"bad permutation {text!r}; expected \"id\", \"wN\" or comma-separated positions"
+        ) from None
     if sorted(perm) != list(range(n)):
         raise ValidationFailure(f"{text!r} is not a permutation of 1..{n}")
     if not xi_is_member(perm):
@@ -128,6 +134,8 @@ def cmd_seed(args) -> int:
 def cmd_mutate(args) -> int:
     cartan, w, u, pres = _build_context(args)
     dwd = pres.dwd
+    if args.sigma == "all-xi":
+        raise ValidationFailure("mutate starts from one seed; --sigma all-xi is only for the seed command")
     sigma = _parse_sigma(args.sigma, dwd.size)
     if sigma is None:
         sigma = dbc.w0_permutation(dwd)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Literal, Sequence
+from functools import cached_property
+from typing import Callable, Literal, Sequence
 
 from . import linalg
 from .coxeter import (
@@ -39,6 +40,10 @@ class OracleError(ValueError):
     """The exchange-column linear system has no unique integer solution."""
 
 
+class FrameFormulaMismatch(ValueError):
+    """The chain congruence and the product formula give different frames."""
+
+
 @dataclass(frozen=True)
 class BowtiePresentation:
     """Scalar matrix, symmetrization data and degrees of the double-cell algebra."""
@@ -56,6 +61,11 @@ class BowtiePresentation:
 
     def nu_frame(self) -> FrameMatrix:
         return FrameMatrix(self.nu_exp)
+
+    @cached_property
+    def b_id(self) -> ExchangeMatrix:
+        """Exchange matrix of the identity-order seed, built once per presentation."""
+        return b_columns(self.dwd, bfz_matrix(self.dwd))
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -203,26 +213,49 @@ def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
     return ExchangeMatrix(n, ex, cols)
 
 
-def _unimodular_transport(z_target: linalg.Mat, z_source: linalg.Mat, v: Sequence[int]) -> tuple[int, ...]:
-    """Integer solution of z_target x = z_source v."""
-    rhs = linalg.mat_vec(z_source, v)
-    sol = linalg.solve_unique(z_target, rhs)
-    return linalg.as_int_vec(sol)
+def chain_transport(dwd: DoubleWordData, source: Perm, target: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The integer map v -> x with Z_target x = Z_source v, in closed form.
+
+    Z_sigma is `chain_matrix(dwd, sigma)`.  y = Z_source v adds v_k over the
+    chain of `source` at k.  Along one level, consecutive chain vectors of
+    `target` differ by a unit vector, ebar_k - ebar_prev(k) = e_target(k), so
+    x_k = y_target(k) - y_target(next(k)), where next(k) is the next position
+    of the same level (and the second term is 0 past the last one).
+    """
+    n = dwd.size
+    chains = [sigma_chain(dwd.eta, dwd.p, dwd.s, source, k)[2] for k in range(n)]
+    after: list[int | None] = [None] * n   # target(next(k))
+    last: dict[int, int] = {}
+    for k in reversed(range(n)):
+        level = dwd.eta[target[k]]
+        after[k] = last.get(level)
+        last[level] = target[k]
+
+    def transport(v: Sequence[int]) -> tuple[int, ...]:
+        y = [0] * n
+        for k, x in enumerate(v):
+            if x:
+                for i in chains[k]:
+                    y[i] += x
+        return tuple(
+            y[target[k]] - (0 if after[k] is None else y[after[k]]) for k in range(n)
+        )
+
+    return transport
 
 
 def b_columns(dwd: DoubleWordData, bfz: ExchangeMatrix) -> ExchangeMatrix:
     """Exchange matrix of the identity-order seed from the reversed-w one.
 
-    Columns are transported through the chain bases of the two orders and
-    combined per the position of the successor: a column of the reversed
-    order for u-block indices, a negated single column when the successor
-    stays in the w-block, and the full accumulated chain when it crosses
-    into the u-block.
+    Columns of the reversed order are combined per the position of the
+    successor: the column itself for u-block indices, a negated single
+    column when the successor stays in the w-block, and the full
+    accumulated chain when it crosses into the u-block.  Each combination
+    is carried from the reversed-w chain basis to the identity one by
+    `chain_transport`, a closed-form integer map built once per call.
     """
     n, nw = dwd.size, dwd.n_w
-    w0 = w0_permutation(dwd)
-    z_id = chain_matrix(dwd, tuple(range(n)))
-    z_w0 = chain_matrix(dwd, w0)
+    transport = chain_transport(dwd, w0_permutation(dwd), tuple(range(n)))
     ex = tuple(l for l in range(n) if dwd.s[l] is not POS_INF)
     cols = []
     for l in ex:
@@ -240,8 +273,7 @@ def b_columns(dwd: DoubleWordData, bfz: ExchangeMatrix) -> ExchangeMatrix:
                     combined[t] += x
                 j = dwd.p[j]
             sign = 1
-        vec = [sign * x for x in combined]
-        cols.append(_unimodular_transport(z_id, z_w0, vec))
+        cols.append(transport([sign * x for x in combined]))
     return ExchangeMatrix(n, ex, tuple(cols))
 
 
@@ -250,15 +282,15 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm, b_id: ExchangeMatrix) -> Exch
 
     For each exchangeable position l, the next position of the same level
     determines a successor or predecessor chain at the level of original
-    indices; the corresponding identity columns are summed and transported
-    through the chain bases.
+    indices; the corresponding identity columns are summed and carried from
+    the identity chain basis to that of sigma by `chain_transport`, a
+    closed-form integer map built once per call.
     """
     if not xi_is_member(sigma):
         raise NotIntervalPermutation(str(sigma))
     n = dwd.size
     eta, p, s = dwd.eta, dwd.p, dwd.s
-    z_id = chain_matrix(dwd, tuple(range(n)))
-    z_sigma = chain_matrix(dwd, sigma)
+    transport = chain_transport(dwd, tuple(range(n)), sigma)
     ex = ex_sigma(dwd, sigma)
     cols = []
     for l in ex:
@@ -292,8 +324,7 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm, b_id: ExchangeMatrix) -> Exch
                 for t, x in enumerate(b_id.column(j)):
                     summed[t] += x
             sign = -1
-        vec = [sign * x for x in summed]
-        cols.append(_unimodular_transport(z_sigma, z_id, vec))
+        cols.append(transport([sign * x for x in summed]))
     return ExchangeMatrix(n, ex, tuple(cols))
 
 
@@ -340,9 +371,6 @@ def solve_b_oracle(
 @dataclass(frozen=True)
 class SigmaSeedData:
     sigma: Perm
-    ebar: tuple[tuple[int, ...], ...]
-    z_id: tuple[tuple[int, ...], ...]
-    z_sigma: tuple[tuple[int, ...], ...]
     ex: tuple[int, ...]
     seed: QuantumSeed
 
@@ -353,15 +381,15 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm, columns: Literal["btau", "
     n = dwd.size
     frame = sigma_frame(pres, sigma)
     product = sigma_frame_product(pres, sigma)
-    assert frame.psi == product.psi, "chain congruence and product formula disagree"
+    if frame.psi != product.psi:
+        raise FrameFormulaMismatch(f"chain congruence and product formula disagree at sigma={tuple(sigma)}")
     degrees = sigma_degrees(pres, sigma)
     ex = ex_sigma(dwd, sigma)
     if columns == "oracle":
         cols = tuple(solve_b_oracle(pres, sigma, l, frame, degrees) for l in ex)
         b = ExchangeMatrix(n, ex, cols)
     else:
-        b_id = b_columns(dwd, bfz_matrix(dwd))
-        b = btau_columns(dwd, sigma, b_id)
+        b = btau_columns(dwd, sigma, pres.b_id)
     d_vec = tuple(pres.cartan.d[dwd.eta[sigma[k]] - 1] for k in range(n))
     seed = QuantumSeed(
         frame=frame,
@@ -370,9 +398,7 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm, columns: Literal["btau", "
         degrees=degrees,
         d=d_vec,
     )
-    z_id = tuple(tuple(int(x) for x in row) for row in chain_matrix(dwd, tuple(range(n))))
-    z_sig = tuple(tuple(int(x) for x in row) for row in chain_matrix(dwd, sigma))
-    return SigmaSeedData(tuple(sigma), ebar_vectors(dwd, sigma), z_id, z_sig, ex, seed)
+    return SigmaSeedData(tuple(sigma), ex, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Small exact linear algebra over Fraction.
 
 Everything here works on tuples of tuples (rows) of Fractions or ints.
-Matrices are tiny (a dozen rows at most), so plain Gaussian elimination
-with exact pivots is all we need.
+Matrices are small (a few dozen rows at most).  Gaussian elimination with
+exact pivots serves the solves that are genuinely linear systems (the
+exchange-column oracle, graded reduction, rank tests).  The hot paths avoid
+it: `bilinear` skips zero coordinates, since most of its vectors are basis
+vectors or sparse exchange columns, and the chain-basis changes of the seed
+constructors have a closed integer form (`dbc.chain_transport`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,14 @@ def dot(u: Sequence, v: Sequence) -> Q:
 
 
 def bilinear(u: Sequence, a: Mat, v: Sequence) -> Q:
-    """u^T a v with exact rationals."""
-    return sum(Q(u[i]) * a[i][j] * Q(v[j]) for i in range(len(a)) for j in range(len(a[0])))
+    """u^T a v with exact rationals; zero coordinates of u and v are skipped."""
+    v_nz = [(j, Q(y)) for j, y in enumerate(v) if y]
+    total = Q(0)
+    for i, x in enumerate(u):
+        if x:
+            row = a[i]
+            total += Q(x) * sum(row[j] * y for j, y in v_nz)
+    return total
 
 
 def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:

@@ -176,7 +176,7 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
 
     The frame transform is the basis change e_k -> -e_k + sum [b_ik]_+ e_i;
     the opposite sign choice gives the same frame for a compatible seed,
-    which is asserted.
+    and IncompatibleSeed is raised when it does not.
     """
     report = check_compatible(seed)
     if not report.ok:
@@ -192,7 +192,8 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     psi_minus = tuple(
         tuple(seed.frame.omega_exp(a, b) for b in minus) for a in minus
     )
-    assert psi_plus == psi_minus, "frame mutation must not depend on the sign choice"
+    if psi_plus != psi_minus:
+        raise IncompatibleSeed(f"frame mutation at {k} depends on the sign choice")
     new_frame = FrameMatrix(psi_plus)
 
     b = seed.exchange.column(k)

@@ -66,11 +66,10 @@ def btau_oracle_equivalence(cartan: CartanData, w, u) -> CheckResult:
     dwd = pres.dwd
     if dwd.size == 0:
         return CheckResult("btau-oracle", True)
-    b_id = dbc.b_columns(dwd, dbc.bfz_matrix(dwd))
     for sigma in xi_enumerate(dwd.size):
         frame = dbc.sigma_frame(pres, sigma)
         degrees = dbc.sigma_degrees(pres, sigma)
-        bt = dbc.btau_columns(dwd, sigma, b_id)
+        bt = dbc.btau_columns(dwd, sigma, pres.b_id)
         for l in bt.ex:
             want = dbc.solve_b_oracle(pres, sigma, l, frame, degrees)
             if bt.column(l) != want:

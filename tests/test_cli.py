@@ -60,6 +60,12 @@ def test_seed_rejects_bad_type(capsys):
     assert "error" in json.loads(err)
 
 
+def test_seed_rejects_unparsable_rank(capsys):
+    code, _, err = run(capsys, "seed", "--type", "Ax", "--w", "1", "--u", "")
+    assert code == 2
+    assert "cannot parse type" in json.loads(err)["error"]
+
+
 def test_seed_rejects_nonreduced(capsys):
     code, _, err = run(capsys, "seed", "--type", "A1", "--w", "1,1", "--u", "")
     assert code == 2
@@ -91,6 +97,18 @@ def test_mutate_single_step_swaps_sides(capsys):
 def test_mutate_rejects_frozen_index(capsys):
     code, _, _ = run(capsys, "mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "id", "--seq", "2")
     assert code == 3
+
+
+def test_mutate_rejects_all_xi(capsys):
+    code, _, err = run(capsys, "mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "all-xi", "--seq", "1")
+    assert code == 2
+    assert "all-xi" in json.loads(err)["error"]
+
+
+def test_mutate_rejects_non_integer_sigma(capsys):
+    code, _, err = run(capsys, "mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "1,a", "--seq", "1")
+    assert code == 2
+    assert "bad permutation" in json.loads(err)["error"]
 
 
 def test_verify_ok(capsys):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from dbseeds import dbc
 from dbseeds.coxeter import cartan_init, xi_enumerate
+from dbseeds.qtorus import FrameMatrix
 from dbseeds.seedcore import (
     antiiso_transform,
     check_compatible,
@@ -352,3 +354,68 @@ def test_connections_exchange_is_negated_reduction():
     dwd = dbc.bowtie_build(A2, (1, 2, 1), (1,)).dwd
     bar = dbc.bfz_matrix(dwd)
     assert reduced.exchange.negate() == bar
+
+
+@pytest.mark.parametrize(
+    "family, rank, w, u",
+    [
+        ("A", 3, (1, 2, 1, 3, 2), (2, 1, 3)),
+        ("B", 2, (1, 2, 1, 2), (2, 1)),
+        ("C", 3, (1, 2, 3, 2), (3, 2, 1)),
+        ("G", 2, (1, 2, 1), (2, 1, 2)),
+    ],
+)
+def test_chain_transport_matches_linear_solve(family, rank, w, u):
+    # the closed form against the Gaussian solve it replaced, on every sigma
+    from dbseeds import linalg
+
+    dwd = dbc.bowtie_build(cartan_init(family, rank), w, u).dwd
+    n = dwd.size
+    identity = tuple(range(n))
+    rng = random.Random(f"{family}{rank}")
+    for sigma in xi_enumerate(n):
+        for source, target in ((identity, sigma), (dbc.w0_permutation(dwd), sigma), (sigma, identity)):
+            transport = dbc.chain_transport(dwd, source, target)
+            z_target = dbc.chain_matrix(dwd, target)
+            z_source = dbc.chain_matrix(dwd, source)
+            for _ in range(2):
+                v = [rng.randint(-3, 3) for _ in range(n)]
+                want = linalg.solve_unique(z_target, linalg.mat_vec(z_source, v))
+                assert transport(v) == linalg.as_int_vec(want)
+
+
+def test_sigma_seed_raises_on_frame_formula_mismatch(monkeypatch):
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
+    honest = dbc.sigma_frame_product
+
+    def perturbed(pres, sigma):
+        psi = [list(row) for row in honest(pres, sigma).psi]
+        psi[0][1] += 1
+        psi[1][0] -= 1
+        return FrameMatrix(tuple(tuple(row) for row in psi))
+
+    monkeypatch.setattr(dbc, "sigma_frame_product", perturbed)
+    with pytest.raises(dbc.FrameFormulaMismatch):
+        dbc.sigma_seed(pres, tuple(range(pres.size)))
+
+
+def test_verify_pair_builds_identity_columns_once_per_presentation(monkeypatch):
+    from dbseeds import verify
+
+    calls = {"bowtie_build": 0, "b_columns": 0}
+
+    def counted(name):
+        original = getattr(dbc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dbc, name, counted(name))
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results)
+    assert calls["bowtie_build"] > 0
+    assert calls["b_columns"] <= calls["bowtie_build"]

@@ -1,5 +1,6 @@
 import pytest
 
+from dbseeds import seedcore
 from dbseeds.qtorus import FrameMatrix
 from dbseeds.seedcore import (
     ExchangeMatrix,
@@ -189,3 +190,17 @@ def test_graded_reduce_requires_integer_span():
     )
     with pytest.raises(ReductionError):
         graded_reduce(seed, 1)
+
+
+def test_mutate_raises_when_frame_depends_on_sign_choice(monkeypatch):
+    honest = seedcore._mutation_basis
+
+    def skewed(seed, k, sign):
+        basis = honest(seed, k, sign)
+        if sign < 0:
+            basis[-1] = tuple(2 * x for x in basis[-1])
+        return basis
+
+    monkeypatch.setattr(seedcore, "_mutation_basis", skewed)
+    with pytest.raises(IncompatibleSeed, match="sign choice"):
+        mutate_seed(sl2_seed(), 0)
