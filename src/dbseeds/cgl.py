@@ -26,6 +26,10 @@ class PresentationError(ValueError):
     pass
 
 
+class ExampleMismatch(ValueError):
+    """A step of the rank-one worked example does not reproduce."""
+
+
 class RewriteBudgetExceeded(RuntimeError):
     """A product exceeded the rewrite budget; the tails are suspect."""
 
@@ -127,7 +131,6 @@ class CGLPresentation:
     tails: dict[tuple[int, int], NFPoly]          # (k, j) with k > j; absent = 0
     eta: tuple[int, ...]
     degrees: tuple[tuple[int, ...], ...]
-    lambda_star_vexp: tuple[int, ...]
     rewrite_budget: int = 10**6
 
     def __post_init__(self):
@@ -448,7 +451,6 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         tails=new_tails,
         eta=pres.eta,
         degrees=pres.degrees,
-        lambda_star_vexp=pres.lambda_star_vexp,
         rewrite_budget=pres.rewrite_budget,
     )
     p, s = pres.pred_succ()
@@ -516,7 +518,6 @@ def sl2_presentation() -> tuple[CGLPresentation, CTable]:
         tails={(1, 0): NFPoly({(0, 0): one_minus_q2})},
         eta=(1, 1),
         degrees=((-1,), (1,)),
-        lambda_star_vexp=(4, 4),
     )
     c_table: CTable = {(0, 1): NFPoly.one(2)}
     return pres, c_table
@@ -546,7 +547,6 @@ def a2_presentation() -> tuple[CGLPresentation, CTable]:
         },
         eta=(1, 2, 1, 1),
         degrees=((0, -1), (-1, -1), (-1, 0), (1, 0)),
-        lambda_star_vexp=(4, 4, 4, 4),
     )
     c_table: CTable = {
         (0, 2): NFPoly({(0, 1, 0, 0): VLaurent.v_power(1)}),
@@ -563,6 +563,11 @@ def shipped_presentations() -> dict[str, tuple[CGLPresentation, CTable]]:
 # ---------------------------------------------------------------------------
 # The rank-one worked example
 # ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, step: str) -> None:
+    if not ok:
+        raise ExampleMismatch(f"rank-one example: {step} does not hold")
 
 
 def sl2_example() -> dict:
@@ -585,37 +590,40 @@ def sl2_example() -> dict:
     # defining relation
     q2 = VLaurent.q_power(2)
     rel = nf_mul(pres, x2, x1) - nf_mul(pres, x1, x2).scale(q2) - NFPoly({(0, 0): VLaurent({0: 1, 4: -1})})
-    assert rel.is_zero()
+    _require(rel.is_zero(), "defining relation x2 x1 = q^2 x1 x2 + (1 - q^2)")
 
     ys = y_elements(pres, c_table)
     y2 = ys[1]                                    # Y- Y+ - 1
     normalizer = scr(pres.nu_exp, (1, 1))         # the chain's symmetrization scalar, q
-    assert normalizer == VLaurent.q_power(1)
+    _require(normalizer == VLaurent.q_power(1), "chain normalizer is q")
     p_elem = y2.scale(normalizer)                 # q (Y- Y+ - 1), the frozen variable
-    assert p_elem == NFPoly({(1, 1): VLaurent.q_power(1), (0, 0): VLaurent.q_power(1).scale(-1)})
+    _require(
+        p_elem == NFPoly({(1, 1): VLaurent.q_power(1), (0, 0): VLaurent.q_power(1).scale(-1)}),
+        "frozen variable is q (Y- Y+ - 1)",
+    )
 
     # exchange relation Y+ Y- = q p + 1
     lhs = nf_mul(pres, x2, x1)
     rhs = p_elem.scale(VLaurent.q_power(1)) + NFPoly.one(2)
-    assert lhs == rhs
+    _require(lhs == rhs, "exchange relation Y+ Y- = q p + 1")
 
     # commutation p Y- = q^2 Y- p, the value the seed frame must reproduce
     z = quasi_commutation_scalar(pres, p_elem, x1)
-    assert z == VLaurent.q_power(2)
+    _require(z == VLaurent.q_power(2), "commutation p Y- = q^2 Y- p")
 
     cartan = cartan_init("A", 1)
     bow = dbc.bowtie_build(cartan, (1,), (1,))
     seed_id = dbc.sigma_seed(bow, (0, 1)).seed
     seed_swap = dbc.sigma_seed(bow, (1, 0)).seed
-    assert seed_id.frame.psi[1][0] == 2
-    assert seed_id.exchange.column(0) == (0, 1)
+    _require(seed_id.frame.psi[1][0] == 2, "identity seed frame exponent")
+    _require(seed_id.exchange.column(0) == (0, 1), "identity seed exchange column")
 
     # mutation at the first index exchanges the two cluster variables:
     # matrix level ...
     mutated = mutate_seed(seed_id, 0)
-    assert mutated.frame.psi == seed_swap.frame.psi
-    assert mutated.exchange == seed_swap.exchange
-    assert mutated.degrees == seed_swap.degrees
+    _require(mutated.frame.psi == seed_swap.frame.psi, "mutated frame equals the swapped seed's")
+    _require(mutated.exchange == seed_swap.exchange, "mutated exchange matrix equals the swapped seed's")
+    _require(mutated.degrees == seed_swap.degrees, "mutated degrees equal the swapped seed's")
     # ... and value level: the cleared form of M(-e1+e2) + M(-e1) = Y+ is
     # exactly the exchange relation checked above.
 

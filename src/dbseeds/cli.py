@@ -15,6 +15,7 @@ from . import dbc, jsonio, verify
 from .cgl import NFPoly, nf_mul, shipped_presentations
 from .coxeter import (
     InvalidCartanType,
+    LetterOutOfRange,
     NonReducedWordError,
     cartan_init,
     xi_enumerate,
@@ -86,6 +87,10 @@ def _build_context(args):
 
 
 def cmd_seed(args) -> int:
+    if args.sigma is not None and (args.bz or args.mbz or args.bfz):
+        raise ValidationFailure("--sigma selects a permutation seed; it cannot be combined with --bz, --mbz or --bfz")
+    if args.reduce and not (args.bz or args.mbz):
+        raise ValidationFailure("--reduce applies only to the minor-labelled seeds of --bz or --mbz")
     cartan, w, u, pres = _build_context(args)
     dwd = pres.dwd
     payload: dict = {
@@ -96,9 +101,7 @@ def cmd_seed(args) -> int:
     }
     if args.bz or args.mbz:
         variant = "modified" if args.mbz else "plain"
-        data = dbc.bz_seed(
-            cartan, u_word=u, w_word=w, variant=variant, convention=args.convention
-        )
+        data = dbc.bz_seed(cartan, w, u, variant=variant, convention=args.convention)
         if args.reduce:
             payload["seed"] = jsonio.encode_seed(graded_reduce(data.seed, cartan.rank))
             payload["reduced_from"] = jsonio.encode_bz(data)
@@ -113,14 +116,13 @@ def cmd_seed(args) -> int:
     else:
         if args.sigma == "all-xi":
             seeds = []
-            for sigma in xi_enumerate(max(dwd.size, 1)) if dwd.size else [()]:
-                data = dbc.sigma_seed(pres, sigma)
-                entry = jsonio.encode_seed(data.seed)
+            for sigma, seed in pres.seeds.items():
+                entry = jsonio.encode_seed(seed)
                 entry["sigma"] = [x + 1 for x in sigma]
                 seeds.append(entry)
             payload["seeds"] = seeds
         else:
-            sigma = _parse_sigma(args.sigma, dwd.size)
+            sigma = _parse_sigma("id" if args.sigma is None else args.sigma, dwd.size)
             if sigma is None:
                 sigma = dbc.w0_permutation(dwd)
             data = dbc.sigma_seed(pres, sigma)
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seed = sub.add_parser("seed", help="construct seeds")
     common(p_seed)
-    p_seed.add_argument("--sigma", default="id", help='permutation, "id", "wN", or "all-xi"')
+    p_seed.add_argument("--sigma", default=None, help='permutation, "id" (the default), "wN", or "all-xi"')
     p_seed.add_argument("--bz", action="store_true")
     p_seed.add_argument("--mbz", action="store_true")
     p_seed.add_argument("--bfz", action="store_true")
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)
         return 2
-    except (InvalidCartanType, NonReducedWordError) as exc:
+    except (InvalidCartanType, LetterOutOfRange, NonReducedWordError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 

@@ -29,6 +29,10 @@ class NonReducedWordError(ValueError):
     """A word required to be reduced is not."""
 
 
+class LetterOutOfRange(ValueError):
+    """A word has a letter that is not a node 1..rank of the Dynkin diagram."""
+
+
 class _Sentinel:
     """Totally ordered infinity used by predecessor/successor functions."""
 
@@ -96,19 +100,6 @@ class CartanData:
     def alpha_in_weights(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (0-based i)."""
         return tuple(self.cartan[j][i] for j in range(self.rank))
-
-    def weight_to_root(self, mu: Sequence[int]) -> tuple[Q, ...]:
-        """Simple-root coordinates of a weight (exact, possibly non-integer)."""
-        # mu_j = sum_i c_{ji} a_i, so the alpha-coordinates solve C a = mu
-        cinv = linalg.mat_inv(linalg.mat(self.cartan))
-        return linalg.mat_vec(cinv, mu)
-
-    def root_to_weight(self, a: Sequence[int]) -> Weight:
-        mu = [0] * self.rank
-        for i in range(self.rank):
-            for j in range(self.rank):
-                mu[j] += a[i] * self.cartan[j][i]
-        return tuple(mu)
 
 
 def _chain_edges(n: int) -> list[tuple[int, int]]:
@@ -178,7 +169,8 @@ def cartan_init(family: str, rank: int) -> CartanData:
     # symmetrizability d_i c_ij = d_j c_ji must hold by construction
     for i in range(n):
         for j in range(n):
-            assert d[i] * c[i][j] == d[j] * c[j][i]
+            if d[i] * c[i][j] != d[j] * c[j][i]:
+                raise InvalidCartanType(f"{fam}{n}: d does not symmetrize the Cartan matrix at ({i}, {j})")
 
     # <w_i, w_j> from C^{-T} D, where <alpha_i, w_j> = d_i delta_ij
     cmat = linalg.mat(c)
@@ -188,7 +180,8 @@ def cartan_init(family: str, rank: int) -> CartanData:
     )
     for i in range(n):
         for j in range(n):
-            assert pairing[i][j] == pairing[j][i]
+            if pairing[i][j] != pairing[j][i]:
+                raise InvalidCartanType(f"{fam}{n}: weight pairing is not symmetric at ({i}, {j})")
 
     return CartanData(fam, n, tuple(tuple(r) for r in c), tuple(d), pairing)
 
@@ -322,10 +315,6 @@ class DoubleWordData:
         return len(self.w_word)
 
     @property
-    def n_u(self) -> int:
-        return len(self.u_word)
-
-    @property
     def size(self) -> int:
         return len(self.eta)
 
@@ -340,15 +329,15 @@ class DoubleWordData:
         a = self.root_at(k)
         return tuple(-x for x in a) if k < self.n_w else a
 
-    def frozen_count(self) -> int:
-        return sum(1 for k in range(self.size) if self.s[k] is POS_INF)
-
 
 def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> DoubleWordData:
     """Level function and chain data for the double word of (w, u)."""
     w = tuple(w_word)
     u = tuple(u_word)
     for word, name in ((w, "w"), (u, "u")):
+        for letter in word:
+            if not 1 <= letter <= cartan.rank:
+                raise LetterOutOfRange(f"{name} word {word} has letter {letter} outside 1..{cartan.rank}")
         if not is_reduced(cartan, word):
             raise NonReducedWordError(f"{name} word {word} is not reduced")
     nw, nu = len(w), len(u)
@@ -420,22 +409,12 @@ def xi_enumerate(n: int) -> Iterator[Perm]:
         yield tuple(v - lo for v in vals)
 
 
-def gamma_subset(n: int) -> list[Perm]:
-    """The permutations [i+1..j, i, j+1..n, i-1..1] (1-based reading), deduplicated."""
-    out: list[Perm] = []
-    seen = set()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            seq = list(range(i + 1, j + 1)) + [i] + list(range(j + 1, n + 1)) + list(range(i - 1, 0, -1))
-            perm = tuple(x - 1 for x in seq)
-            if perm not in seen:
-                seen.add(perm)
-                out.append(perm)
-    return out
-
-
 class NotIntervalPermutation(ValueError):
     pass
+
+
+class ChainError(ValueError):
+    """The chain of a permuted position is not a contiguous run ending at that position."""
 
 
 def sigma_chain(eta: Sequence[int], p: Sequence, s: Sequence, sigma: Sequence[int], k: int):
@@ -454,12 +433,11 @@ def sigma_chain(eta: Sequence[int], p: Sequence, s: Sequence, sigma: Sequence[in
     # the intersection must be a contiguous run of the eta-class
     for a, b in itertools.pairwise(chain):
         if s[a] != b:
-            raise AssertionError("chain is not contiguous in its level class")
-    if sigma[0] <= sigma[k]:
-        assert chain[-1] == sigma[k]
-        return "pred", len(chain) - 1, tuple(chain)
-    assert chain[0] == sigma[k]
-    return "succ", len(chain) - 1, tuple(chain)
+            raise ChainError(f"chain {chain} at position {k} is not contiguous in its level class")
+    case = "pred" if sigma[0] <= sigma[k] else "succ"
+    if chain[-1 if case == "pred" else 0] != sigma[k]:
+        raise ChainError(f"{case} chain {chain} at position {k} does not end at {sigma[k]}")
+    return case, len(chain) - 1, tuple(chain)
 
 
 def ebar_vector(eta: Sequence[int], p: Sequence, s: Sequence, sigma: Sequence[int], k: int) -> tuple[int, ...]:

@@ -30,6 +30,7 @@ from .coxeter import (
     eta_machinery,
     pred_succ,
     sigma_chain,
+    xi_enumerate,
     xi_is_member,
 )
 from .qtorus import FrameMatrix, frame_restrict
@@ -52,7 +53,6 @@ class BowtiePresentation:
     dwd: DoubleWordData
     lambda_exp: tuple[tuple[int, ...], ...]   # v-exponents of lambda_{kj}
     nu_exp: tuple[tuple[Q, ...], ...]         # half of lambda_exp
-    lambda_star_vexp: tuple[int, ...]         # v-exponent of lambda*_k = q_{eta(k)}^2
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
 
     @property
@@ -66,6 +66,15 @@ class BowtiePresentation:
     def b_id(self) -> ExchangeMatrix:
         """Exchange matrix of the identity-order seed, built once per presentation."""
         return b_columns(self.dwd, bfz_matrix(self.dwd))
+
+    @cached_property
+    def seeds(self) -> dict[Perm, QuantumSeed]:
+        """Seed of every interval permutation, in `xi_enumerate` order, built once.
+
+        With no positions the only permutation is (), mapped to the empty seed.
+        """
+        perms = xi_enumerate(self.size) if self.size else [()]
+        return {sigma: sigma_seed(self, sigma).seed for sigma in perms}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -97,9 +106,8 @@ def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int
             lam[j][k] = -e
     lam_t = tuple(tuple(r) for r in lam)
     nu = tuple(tuple(Q(x, 2) for x in row) for row in lam_t)
-    star = tuple(4 * cartan.d[dwd.eta[k] - 1] for k in range(n))
     degrees = tuple(dwd.degree_at(k) for k in range(n))
-    return BowtiePresentation(cartan, dwd, lam_t, nu, star, degrees)
+    return BowtiePresentation(cartan, dwd, lam_t, nu, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +184,50 @@ def chain_matrix(dwd: DoubleWordData, sigma: Perm) -> linalg.Mat:
 # ---------------------------------------------------------------------------
 
 
+def double_word_matrix(
+    cartan: Sequence[Sequence[int]],
+    letters: Sequence[int],
+    eps: Sequence[int],
+    ex: Sequence[int],
+) -> ExchangeMatrix:
+    """Exchange matrix of a double word (Berenstein-Fomin-Zelevinsky, Cluster algebras III).
+
+    `letters` is the level of each position, `eps` its sign, and the columns
+    are those of `ex`.  With p, s the same-level predecessor and successor,
+    column k has -eps_k at p(k) and eps_{s(k)} at s(k).  For j < k the entry
+    is -eps_k c_{jk} when k < s(j) < s(k) with eps_k = eps_{s(j)}, or when
+    k < s(k) < s(j) with the crossing eps_k != eps_{s(k)}; for k < j it is
+    eps_j c_{jk} under the same conditions with j and k exchanged.  Every
+    other entry is 0.
+    """
+    n = len(letters)
+    p, s = pred_succ(letters)
+
+    def entry(j: int, k: int) -> int:
+        if p[k] is not NEG_INF and j == p[k]:
+            return -eps[k]
+        if s[k] is not POS_INF and j == s[k]:
+            return eps[j]
+        cjk = cartan[letters[j] - 1][letters[k] - 1]
+        sj, sk = s[j], s[k]
+        if j < k:
+            if (k < sj and sj < sk and eps[k] == eps[sj]) or (
+                k < sk and sk < sj and eps[k] != eps[sk]
+            ):
+                return -eps[k] * cjk
+        if k < j:
+            if (j < sk and sk < sj and eps[j] == eps[sk]) or (
+                j < sj and sj < sk and eps[j] != eps[sj]
+            ):
+                return eps[j] * cjk
+        return 0
+
+    cols = tuple(tuple(entry(j, k) for j in range(n)) for k in ex)
+    return ExchangeMatrix(n, tuple(ex), cols)
+
+
 def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
-    """Case-by-case exchange matrix of the double word, on the reversed-w order.
+    """Exchange matrix of the double word on the reversed-w order.
 
     Rows and columns are indexed by positions of the w-reversing seed; the
     level of position j is the j-th letter of the double word itself.
@@ -185,32 +235,9 @@ def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
     n = dwd.size
     w0 = w0_permutation(dwd)
     letters = tuple(dwd.eta[w0[j]] for j in range(n))
-    p1, s1 = pred_succ(letters)
-    eps = dwd.epsilon
-    c = dwd.cartan.cartan
+    _, s1 = pred_succ(letters)
     ex = tuple(l for l in range(n) if s1[l] is not POS_INF)
-
-    def entry(j: int, k: int) -> int:
-        if p1[k] is not NEG_INF and j == p1[k]:
-            return -eps[k]
-        if s1[k] is not POS_INF and j == s1[k]:
-            return eps[j]
-        cjk = c[letters[j] - 1][letters[k] - 1]
-        sj, sk = s1[j], s1[k]
-        if j < k:
-            if (k < sj and sj < sk and eps[k] == eps[sj]) or (
-                k < sk and sk < sj and eps[k] == -eps[sk]
-            ):
-                return -eps[k] * cjk
-        if k < j:
-            if (j < sk and sk < sj and eps[j] == eps[sk]) or (
-                j < sj and sj < sk and eps[j] == -eps[sj]
-            ):
-                return eps[j] * cjk
-        return 0
-
-    cols = tuple(tuple(entry(j, k) for j in range(n)) for k in ex)
-    return ExchangeMatrix(n, ex, cols)
+    return double_word_matrix(dwd.cartan.cartan, letters, dwd.epsilon, ex)
 
 
 def chain_transport(dwd: DoubleWordData, source: Perm, target: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -375,7 +402,7 @@ class SigmaSeedData:
     seed: QuantumSeed
 
 
-def sigma_seed(pres: BowtiePresentation, sigma: Perm, columns: Literal["btau", "oracle"] = "btau") -> SigmaSeedData:
+def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
     """Full seed (frame, exchange, degrees) attached to an interval permutation."""
     dwd = pres.dwd
     n = dwd.size
@@ -384,12 +411,7 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm, columns: Literal["btau", "
     if frame.psi != product.psi:
         raise FrameFormulaMismatch(f"chain congruence and product formula disagree at sigma={tuple(sigma)}")
     degrees = sigma_degrees(pres, sigma)
-    ex = ex_sigma(dwd, sigma)
-    if columns == "oracle":
-        cols = tuple(solve_b_oracle(pres, sigma, l, frame, degrees) for l in ex)
-        b = ExchangeMatrix(n, ex, cols)
-    else:
-        b = btau_columns(dwd, sigma, pres.b_id)
+    b = btau_columns(dwd, sigma, pres.b_id)
     d_vec = tuple(pres.cartan.d[dwd.eta[sigma[k]] - 1] for k in range(n))
     seed = QuantumSeed(
         frame=frame,
@@ -398,7 +420,7 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm, columns: Literal["btau", "
         degrees=degrees,
         d=d_vec,
     )
-    return SigmaSeedData(tuple(sigma), ex, seed)
+    return SigmaSeedData(tuple(sigma), b.ex, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +454,8 @@ class BZSeedData:
 
 def bz_seed(
     cartan: CartanData,
-    u_word: Sequence[int],
     w_word: Sequence[int],
+    u_word: Sequence[int],
     variant: Variant = "plain",
     convention: Convention = "bz-labels",
     u_label_mode: LabelMode = "prefix",
@@ -493,30 +515,8 @@ def bz_seed(
     eta = tuple(range(1, r + 1)) + w + u
     p, s = pred_succ(eta)
     eps = tuple(1 if k < r + nw else -1 for k in range(n))
-    c = cartan.cartan
     ex = tuple(k for k in range(r, n) if s[k] is not POS_INF)
-
-    def entry(j: int, k: int) -> int:
-        if p[k] is not NEG_INF and j == p[k]:
-            return -eps[k]
-        if s[k] is not POS_INF and j == s[k]:
-            return eps[j]
-        cjk = c[eta[j] - 1][eta[k] - 1]
-        sj, sk = s[j], s[k]
-        if j < k:
-            if (k < sj and sj < sk and eps[k] == eps[sj]) or (
-                k <= r + nw - 1 and r + nw - 1 < sk and sk < sj
-            ):
-                return -eps[k] * cjk
-        if k < j:
-            if (j < sk and sk < sj and eps[j] == eps[sk]) or (
-                j <= r + nw - 1 and r + nw - 1 < sj and sj < sk
-            ):
-                return eps[j] * cjk
-        return 0
-
-    cols = tuple(tuple(entry(j, k) for j in range(n)) for k in ex)
-    exchange = ExchangeMatrix(n, ex, cols)
+    exchange = double_word_matrix(cartan.cartan, eta, eps, ex)
 
     deg_first = tuple(tuple(-x for x in labels[k][0]) for k in range(n))
     deg_second = tuple(labels[k][1] for k in range(n))
@@ -580,8 +580,8 @@ def connections_check(
 
     mbz = bz_seed(
         cartan,
-        u_word=u_word,
-        w_word=w_word,
+        w_word,
+        u_word,
         variant="modified",
         convention=convention,
         u_label_mode=u_label_mode,

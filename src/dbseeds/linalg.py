@@ -26,29 +26,12 @@ def mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple(tuple(Q(0) for _ in range(m)) for _ in range(n))
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Q(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(sum(x * Q(y) for x, y in zip(row, v)) for row in a)
-
-
-def dot(u: Sequence, v: Sequence) -> Q:
-    return sum(Q(x) * Q(y) for x, y in zip(u, v))
 
 
 def bilinear(u: Sequence, a: Mat, v: Sequence) -> Q:

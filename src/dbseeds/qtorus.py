@@ -18,10 +18,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class FrameMismatch(ValueError):
-    """Arithmetic across two different frames is refused, never coerced."""
-
-
 class VLaurent:
     """Finite rational-coefficient sum of rational powers of v."""
 
@@ -194,79 +190,3 @@ def frame_restrict(frame: FrameMatrix, vectors: Sequence[Sequence]) -> FrameMatr
         tuple(tuple(frame.omega_exp(a, b) for b in vecs) for a in vecs)
     )
 
-
-class TorusElement:
-    """Finite sum of scaled basis monomials M(f) of a based quantum torus."""
-
-    __slots__ = ("frame", "_terms")
-
-    def __init__(self, frame: FrameMatrix, terms: Mapping | None = None):
-        self.frame = frame
-        clean: dict[tuple[int, ...], VLaurent] = {}
-        if terms:
-            for f, c in terms.items():
-                key = tuple(int(x) for x in f)
-                if len(key) != frame.size:
-                    raise DimensionMismatch("lattice vector length mismatch")
-                c = c if isinstance(c, VLaurent) else VLaurent({Q(0): Q(c)})
-                if key in clean:
-                    c = clean[key] + c
-                if not c.is_zero():
-                    clean[key] = c
-                elif key in clean:
-                    del clean[key]
-        self._terms = clean
-
-    @classmethod
-    def monomial(cls, frame: FrameMatrix, f: Sequence[int], coef: VLaurent | None = None) -> "TorusElement":
-        return cls(frame, {tuple(f): coef if coef is not None else VLaurent.one()})
-
-    @classmethod
-    def unit(cls, frame: FrameMatrix) -> "TorusElement":
-        return cls.monomial(frame, (0,) * frame.size)
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], VLaurent]:
-        return dict(self._terms)
-
-    def _check(self, other: "TorusElement"):
-        if self.frame is not other.frame and self.frame != other.frame:
-            raise FrameMismatch("elements live over different frames")
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        self._check(other)
-        out = dict(self._terms)
-        for f, c in other._terms.items():
-            out[f] = out[f] + c if f in out else c
-        return TorusElement(self.frame, out)
-
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.frame, {f: -c for f, c in self._terms.items()})
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorusElement)
-            and self.frame == other.frame
-            and self._terms == other._terms
-        )
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({c})*M{f}" for f, c in sorted(self._terms.items()))
-
-
-def torus_mul(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Bilinear extension of M(f) M(g) = Omega(f, g) M(f + g)."""
-    a._check(b)
-    frame = a.frame
-    out: dict[tuple[int, ...], VLaurent] = {}
-    for f, cf in a._terms.items():
-        for g, cg in b._terms.items():
-            h = tuple(x + y for x, y in zip(f, g))
-            c = cf * cg * bicharacter(frame, f, g)
-            out[h] = out[h] + c if h in out else c
-    return TorusElement(frame, out)

@@ -52,9 +52,6 @@ class ExchangeMatrix:
     def entry(self, j: int, k: int) -> int:
         return self.column(k)[j]
 
-    def principal_part(self) -> list[list[int]]:
-        return [[self.column(k)[j] for k in self.ex] for j in self.ex]
-
     def is_skew_symmetrizable(self, d: Sequence[int]) -> bool:
         for j in self.ex:
             for k in self.ex:

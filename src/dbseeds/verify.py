@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dbc
-from .coxeter import CartanData, xi_enumerate, xi_is_member
+from .coxeter import CartanData, xi_is_member
 from .qtorus import FrameMatrix
 from .seedcore import check_compatible, degree_balance, mutate_seed, reindex
 
@@ -21,10 +21,10 @@ def _basis(n, k):
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def compat_identity(cartan: CartanData, w, u, fault: bool = False) -> CheckResult:
+def compat_identity(pres: dbc.BowtiePresentation, fault: bool = False) -> CheckResult:
     """Frame pairing of every exchange column: 2 d_k on the diagonal, 0 off it."""
-    pres = dbc.bowtie_build(cartan, w, u)
     dwd = pres.dwd
+    w, u = dwd.w_word, dwd.u_word
     w0 = dbc.w0_permutation(dwd)
     frame = dbc.sigma_frame(pres, w0)
     if fault and frame.size >= 2:
@@ -34,7 +34,7 @@ def compat_identity(cartan: CartanData, w, u, fault: bool = False) -> CheckResul
         frame = FrameMatrix(tuple(tuple(r) for r in psi))
     b = dbc.bfz_matrix(dwd)
     n = dwd.size
-    d_vec = [cartan.d[dwd.eta[w0[k]] - 1] for k in range(n)]
+    d_vec = [pres.cartan.d[dwd.eta[w0[k]] - 1] for k in range(n)]
     for k in b.ex:
         col = b.column(k)
         for j in range(n):
@@ -48,11 +48,13 @@ def compat_identity(cartan: CartanData, w, u, fault: bool = False) -> CheckResul
     return CheckResult("compat-identity", True)
 
 
-def grading_identity(cartan: CartanData, w, u) -> CheckResult:
-    """Degree balance of every reversed-w exchange column."""
-    pres = dbc.bowtie_build(cartan, w, u)
-    w0 = dbc.w0_permutation(pres.dwd)
-    data = dbc.sigma_seed(pres, w0)
+def grading_identity(pres: dbc.BowtiePresentation) -> CheckResult:
+    """Degree balance of every reversed-w exchange column.
+
+    Builds only the reversed-w seed, not the whole `pres.seeds` sweep.
+    """
+    w, u = pres.dwd.w_word, pres.dwd.u_word
+    data = dbc.sigma_seed(pres, dbc.w0_permutation(pres.dwd))
     for k in data.seed.ex:
         bal = degree_balance(data.seed, k)
         if any(x != 0 for x in bal):
@@ -60,34 +62,26 @@ def grading_identity(cartan: CartanData, w, u) -> CheckResult:
     return CheckResult("grading-identity", True)
 
 
-def btau_oracle_equivalence(cartan: CartanData, w, u) -> CheckResult:
+def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     """Closed-form exchange columns against the linear-system oracle, all permutations."""
-    pres = dbc.bowtie_build(cartan, w, u)
-    dwd = pres.dwd
-    if dwd.size == 0:
-        return CheckResult("btau-oracle", True)
-    for sigma in xi_enumerate(dwd.size):
-        frame = dbc.sigma_frame(pres, sigma)
-        degrees = dbc.sigma_degrees(pres, sigma)
-        bt = dbc.btau_columns(dwd, sigma, pres.b_id)
-        for l in bt.ex:
-            want = dbc.solve_b_oracle(pres, sigma, l, frame, degrees)
-            if bt.column(l) != want:
+    w, u = pres.dwd.w_word, pres.dwd.u_word
+    for sigma, seed in pres.seeds.items():
+        for l in seed.ex:
+            got = seed.exchange.column(l)
+            want = dbc.solve_b_oracle(pres, sigma, l, seed.frame, seed.degrees)
+            if got != want:
                 return CheckResult(
                     "btau-oracle", False,
-                    f"w={w} u={u} sigma={sigma}: column {l} is {bt.column(l)}, oracle {want}",
+                    f"w={w} u={u} sigma={sigma}: column {l} is {got}, oracle {want}",
                 )
     return CheckResult("btau-oracle", True)
 
 
-def xi_linkage(cartan: CartanData, w, u) -> CheckResult:
+def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     """One-step linkage between seeds of adjacent interval permutations."""
-    pres = dbc.bowtie_build(cartan, w, u)
     dwd = pres.dwd
     n = dwd.size
-    if n < 2:
-        return CheckResult("xi-linkage", True)
-    seeds = {sigma: dbc.sigma_seed(pres, sigma).seed for sigma in xi_enumerate(n)}
+    seeds = pres.seeds
     for sigma, seed in seeds.items():
         for k in range(n - 1):
             tau = list(range(n))
@@ -110,28 +104,25 @@ def xi_linkage(cartan: CartanData, w, u) -> CheckResult:
             if not same:
                 return CheckResult(
                     "xi-linkage", False,
-                    f"w={w} u={u}: sigma={sigma}, k={k} does not link to {sigma2}",
+                    f"w={dwd.w_word} u={dwd.u_word}: sigma={sigma}, k={k} does not link to {sigma2}",
                 )
     return CheckResult("xi-linkage", True)
 
 
-def sigma_skew_symmetrizable(cartan: CartanData, w, u) -> CheckResult:
+def sigma_skew_symmetrizable(pres: dbc.BowtiePresentation) -> CheckResult:
     """Principal parts of all permuted exchange matrices are skew-symmetrizable."""
-    pres = dbc.bowtie_build(cartan, w, u)
-    dwd = pres.dwd
-    if dwd.size == 0:
-        return CheckResult("sigma-symmetrizable", True)
-    for sigma in xi_enumerate(dwd.size):
-        data = dbc.sigma_seed(pres, sigma)
-        if not data.seed.exchange.is_skew_symmetrizable(data.seed.d):
+    w, u = pres.dwd.w_word, pres.dwd.u_word
+    for sigma, seed in pres.seeds.items():
+        if not seed.exchange.is_skew_symmetrizable(seed.d):
             return CheckResult("sigma-symmetrizable", False, f"w={w} u={u} sigma={sigma}")
     return CheckResult("sigma-symmetrizable", True)
 
 
-def bz_compatibility(cartan: CartanData, w, u) -> CheckResult:
+def bz_compatibility(pres: dbc.BowtiePresentation) -> CheckResult:
     """The minor-labelled seed passes compatibility; frame exponents audited for integrality."""
+    w, u = pres.dwd.w_word, pres.dwd.u_word
     for variant in ("plain", "modified"):
-        data = dbc.bz_seed(cartan, u_word=u, w_word=w, variant=variant)
+        data = dbc.bz_seed(pres.cartan, w, u, variant=variant)
         report = check_compatible(data.seed)
         if not report.ok:
             return CheckResult("bz-compat", False, f"w={w} u={u} {variant}: {report}")
@@ -147,21 +138,15 @@ def bz_compatibility(cartan: CartanData, w, u) -> CheckResult:
     return CheckResult("bz-compat", True)
 
 
-def connections(cartan: CartanData, w, u) -> CheckResult:
-    rep = dbc.connections_check(cartan, w, u)
+def connections(pres: dbc.BowtiePresentation) -> CheckResult:
+    rep = dbc.connections_check(pres.cartan, pres.dwd.w_word, pres.dwd.u_word)
     return CheckResult("connections", rep.ok, rep.detail)
 
 
 def verify_pair(cartan: CartanData, w, u, all_xi: bool = False, fault: bool = False) -> list[CheckResult]:
-    """The named checks for one word pair, in a fixed order."""
-    out = [
-        compat_identity(cartan, w, u, fault=fault),
-        grading_identity(cartan, w, u),
-        sigma_skew_symmetrizable(cartan, w, u),
-        bz_compatibility(cartan, w, u),
-        connections(cartan, w, u),
-    ]
+    """The named checks for one word pair, in a fixed order, on one presentation."""
+    pres = dbc.bowtie_build(cartan, w, u)
+    out = [compat_identity(pres, fault=fault), grading_identity(pres)]
     if all_xi:
-        out.insert(2, btau_oracle_equivalence(cartan, w, u))
-        out.insert(3, xi_linkage(cartan, w, u))
-    return out
+        out += [btau_oracle_equivalence(pres), xi_linkage(pres)]
+    return out + [sigma_skew_symmetrizable(pres), bz_compatibility(pres), connections(pres)]

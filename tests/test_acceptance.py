@@ -52,7 +52,7 @@ def test_criterion_1_compat_identity():
     for family, rank in SWEEP_TYPES:
         cartan, pairs = word_pairs(family, rank, 6)
         for w, u in pairs:
-            res = verify.compat_identity(cartan, w, u)
+            res = verify.compat_identity(dbc.bowtie_build(cartan, w, u))
             if not res.ok:
                 _report(1, "compat-identity", False, res.detail)
             count += 1
@@ -66,7 +66,7 @@ def test_criterion_2_grading_identity():
     for family, rank in SWEEP_TYPES:
         cartan, pairs = word_pairs(family, rank, 6)
         for w, u in pairs:
-            res = verify.grading_identity(cartan, w, u)
+            res = verify.grading_identity(dbc.bowtie_build(cartan, w, u))
             if not res.ok:
                 _report(2, "grading-identity", False, res.detail)
             count += 1
@@ -79,7 +79,7 @@ def test_criterion_3_btau_oracle_equivalence():
     for family, rank in XI_TYPES:
         cartan, pairs = word_pairs(family, rank, 5)
         for w, u in pairs:
-            res = verify.btau_oracle_equivalence(cartan, w, u)
+            res = verify.btau_oracle_equivalence(dbc.bowtie_build(cartan, w, u))
             if not res.ok:
                 _report(3, "btau-oracle", False, res.detail)
             count += 1
@@ -93,7 +93,7 @@ def test_criterion_4_xi_family_linkage():
     for family, rank in XI_TYPES:
         cartan, pairs = word_pairs(family, rank, 5)
         for w, u in pairs:
-            res = verify.xi_linkage(cartan, w, u)
+            res = verify.xi_linkage(dbc.bowtie_build(cartan, w, u))
             if not res.ok:
                 _report(4, "xi-linkage", False, res.detail)
             count += 1

@@ -66,7 +66,6 @@ def test_rewrite_budget_guard(sl2):
         tails=pres.tails,
         eta=pres.eta,
         degrees=pres.degrees,
-        lambda_star_vexp=pres.lambda_star_vexp,
         rewrite_budget=1,
     )
     big = NFPoly.monomial((0, 3))
@@ -82,7 +81,6 @@ def test_presentation_rejects_bad_tail_support():
             tails={(1, 0): NFPoly({(1, 0): VLaurent.one()})},   # touches x_1
             eta=(1, 1),
             degrees=((-1,), (1,)),
-            lambda_star_vexp=(4, 4),
         )
 
 
@@ -94,7 +92,6 @@ def test_presentation_rejects_inhomogeneous_tail():
             tails={(2, 0): NFPoly({(0, 2, 0): VLaurent.one()})},
             eta=(1, 2, 1),
             degrees=((-1, 0), (0, -1), (1, 0)),
-            lambda_star_vexp=(4, 4, 4),
         )
 
 
@@ -138,7 +135,6 @@ def test_y_elements_trivial_when_no_chains():
         tails={},
         eta=(1, 2),
         degrees=((-1, 0), (0, -1)),
-        lambda_star_vexp=(4, 4),
     )
     ys = y_elements(pres, {})
     assert ys == [NFPoly.generator(2, 0), NFPoly.generator(2, 1)]
@@ -259,7 +255,6 @@ def test_a2_presentation_matches_cell_data(a2):
     assert pres.lambda_exp == bow.lambda_exp
     assert pres.eta == bow.dwd.eta
     assert pres.degrees == bow.degrees
-    assert pres.lambda_star_vexp == bow.lambda_star_vexp
 
 
 def test_sl2_example_bundle():
@@ -268,3 +263,9 @@ def test_sl2_example_bundle():
     lhs, rhs = bundle["exchange_relation"]
     assert lhs == rhs
     assert bundle["seed_id"].frame.psi[0][1] == -2
+
+
+def test_sl2_example_raises_on_mismatch(monkeypatch):
+    monkeypatch.setattr(cgl, "quasi_commutation_scalar", lambda pres, a, b: VLaurent.q_power(1))
+    with pytest.raises(cgl.ExampleMismatch, match="commutation"):
+        cgl.sl2_example()

@@ -168,3 +168,26 @@ def test_output_bytes_stable(capsys, tmp_path):
         code = main(["seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "all-xi", "--out", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--bz", "--mbz", "--bfz"])
+def test_seed_rejects_sigma_with_minor_or_bfz_seed(capsys, flag):
+    code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", flag, "--sigma", "9,9")
+    assert code == 2
+    assert out == ""
+    assert "--sigma" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--bfz"], ["--sigma", "wN"]])
+def test_seed_rejects_reduce_without_minor_seed(capsys, extra):
+    code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", "--reduce", *extra)
+    assert code == 2
+    assert out == ""
+    assert "--reduce" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("w, word", [("3", "(3,)"), ("3,1", "(3, 1)")])
+def test_seed_rejects_out_of_range_letter(capsys, w, word):
+    code, _, err = run(capsys, "seed", "--type", "A2", "--w", w, "--u", "")
+    assert code == 2
+    assert json.loads(err)["error"] == f"w word {word} has letter 3 outside 1..2"

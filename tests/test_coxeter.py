@@ -11,7 +11,6 @@ from dbseeds.coxeter import (
     cartan_init,
     enumerate_reduced_words,
     eta_machinery,
-    gamma_subset,
     is_reduced,
     reflect,
     sigma_chain,
@@ -175,7 +174,8 @@ def test_frozen_count_matches_level_count():
     for fam, rank, w, u in [("A", 2, (1, 2, 1), (1,)), ("B", 2, (1, 2, 1, 2), (1,)), ("G", 2, (1, 2), (2, 1))]:
         c = cartan_init(fam, rank)
         dwd = eta_machinery(c, w, u)
-        assert dwd.frozen_count() == len(set(dwd.eta))
+        # one frozen position (no later same-level position) per level
+        assert sum(1 for k in range(dwd.size) if dwd.s[k] is POS_INF) == len(set(dwd.eta))
 
 
 def test_root_sum_invariant():
@@ -193,8 +193,12 @@ def test_root_sum_invariant():
                         total = [a + b for a, b in zip(total, roots[k])]
                 wi = tuple(1 if t == i - 1 else 0 for t in range(rank))
                 delta = tuple(a - b for a, b in zip(wi, coxeter.act_word_on_weight(c, w, wi)))
-                in_roots = c.weight_to_root(delta)
-                assert tuple(total) == tuple(in_roots)
+                # the weight of sum_i total_i alpha_i
+                in_weights = [0] * rank
+                for i_root, coef in enumerate(total):
+                    for t, x in enumerate(c.alpha_in_weights(i_root)):
+                        in_weights[t] += coef * x
+                assert tuple(in_weights) == delta
 
 
 def test_xi_enumerate_sizes():
@@ -220,17 +224,6 @@ def test_xi_enumerate_matches_brute_force():
     for n in (2, 3, 4):
         brute = {s for s in itertools.permutations(range(n)) if xi_is_member(s)}
         assert set(xi_enumerate(n)) == brute
-
-
-def test_gamma_subset():
-    g2 = gamma_subset(2)
-    assert set(g2) == {(0, 1), (1, 0)}
-    for n in (2, 3, 4, 5):
-        gs = gamma_subset(n)
-        assert all(xi_is_member(s) for s in gs)
-        assert set(gs) <= set(xi_enumerate(n))
-        # last-column permutation is the cycle 2,3,...,n,1
-        assert tuple(x + 1 for x in gamma_subset(n)[n - 1]) == tuple(range(2, n + 1)) + (1,)
 
 
 def test_sigma_chain_cases():
@@ -263,3 +256,19 @@ def test_sigma_chain_rejects_non_interval():
     dwd = eta_machinery(c, (1, 2, 1), (1,))
     with pytest.raises(coxeter.NotIntervalPermutation):
         sigma_chain(dwd.eta, dwd.p, dwd.s, (0, 2, 1, 3), 1)
+
+
+@pytest.mark.parametrize("w", [(3,), (3, 1), (0,), (1, -1)])
+def test_eta_machinery_rejects_out_of_range_letter(w):
+    with pytest.raises(coxeter.LetterOutOfRange, match=r"letter -?\d outside 1\.\.2"):
+        eta_machinery(cartan_init("A", 2), w, ())
+    with pytest.raises(coxeter.LetterOutOfRange, match=r"u word"):
+        eta_machinery(cartan_init("A", 2), (), w)
+
+
+def test_sigma_chain_raises_on_inconsistent_successors():
+    # eta (1, 1, 1) with s skipping position 1: the chain {0, 1} is not contiguous
+    eta, p = (1, 1, 1), (NEG_INF, 0, 1)
+    s = (2, 2, POS_INF)
+    with pytest.raises(coxeter.ChainError):
+        sigma_chain(eta, p, s, (0, 1, 2), 1)

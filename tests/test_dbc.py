@@ -22,15 +22,7 @@ def test_bowtie_a1():
     pres = dbc.bowtie_build(A1, (1,), (1,))
     assert pres.lambda_exp == ((0, -4), (4, 0))
     assert pres.nu_exp[1][0] == 2
-    assert pres.lambda_star_vexp == (4, 4)
     assert pres.degrees == ((-1,), (1,))
-
-
-def test_bowtie_lambda_star_is_squared_level_scalar():
-    for cartan, w, u in [(A2, (1, 2, 1), (1,)), (B2, (1, 2, 1), (2, 1)), (cartan_init("G", 2), (1, 2), (2,))]:
-        pres = dbc.bowtie_build(cartan, w, u)
-        for k in range(pres.size):
-            assert pres.lambda_star_vexp[k] == 4 * cartan.d[pres.dwd.eta[k] - 1]
 
 
 def test_bowtie_a2_blocks():
@@ -201,10 +193,10 @@ def test_sigma_seed_compatible_everywhere():
 def test_sigma_seed_oracle_column_source():
     pres = dbc.bowtie_build(B2, (1, 2), (2, 1))
     for sigma in xi_enumerate(4):
-        a = dbc.sigma_seed(pres, sigma, columns="btau")
-        b = dbc.sigma_seed(pres, sigma, columns="oracle")
-        assert a.seed.exchange == b.seed.exchange
-        assert a.seed.frame.psi == b.seed.frame.psi
+        seed = dbc.sigma_seed(pres, sigma).seed
+        assert seed.ex == dbc.ex_sigma(pres.dwd, sigma)
+        for l in seed.ex:
+            assert seed.exchange.column(l) == dbc.solve_b_oracle(pres, sigma, l)
 
 
 def test_sigma_degrees_a1():
@@ -342,7 +334,7 @@ def test_connections_and_integrality_small_sweep():
                 if len(w) + len(u) > 4:
                     continue
                 assert dbc.connections_check(cartan, w, u).ok
-                assert verify.bz_compatibility(cartan, w, u).ok
+                assert verify.bz_compatibility(dbc.bowtie_build(cartan, w, u)).ok
 
 
 def test_connections_exchange_is_negated_reduction():
@@ -399,10 +391,9 @@ def test_sigma_seed_raises_on_frame_formula_mismatch(monkeypatch):
         dbc.sigma_seed(pres, tuple(range(pres.size)))
 
 
-def test_verify_pair_builds_identity_columns_once_per_presentation(monkeypatch):
-    from dbseeds import verify
-
-    calls = {"bowtie_build": 0, "b_columns": 0}
+def _count_calls(monkeypatch, *names):
+    """Wrap dbc functions so that each call is counted in the returned dict."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(dbc, name)
@@ -413,9 +404,56 @@ def test_verify_pair_builds_identity_columns_once_per_presentation(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(dbc, name, counted(name))
+    return calls
+
+
+def test_verify_pair_builds_identity_columns_once_per_presentation(monkeypatch):
+    from dbseeds import verify
+
+    calls = _count_calls(monkeypatch, "bowtie_build", "b_columns")
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results)
     assert calls["bowtie_build"] > 0
     assert calls["b_columns"] <= calls["bowtie_build"]
+
+
+def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
+    from dbseeds import verify
+
+    calls = _count_calls(monkeypatch, "bowtie_build", "sigma_seed")
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results)
+    # one presentation for the checks, one inside connections_check; the
+    # sweep builds every seed once, and grading_identity and
+    # connections_check each build the reversed-w seed of their own
+    assert calls["bowtie_build"] == 2
+    assert calls["sigma_seed"] == 2 ** (6 - 1) + 2
+
+
+def test_grading_identity_builds_one_sigma_seed(monkeypatch):
+    from dbseeds import verify
+
+    pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
+    calls = _count_calls(monkeypatch, "sigma_seed")
+    assert verify.grading_identity(pres).ok
+    assert calls["sigma_seed"] == 1
+
+
+def test_seeds_cover_every_interval_permutation():
+    pres = dbc.bowtie_build(A2, (1, 2), (1,))
+    assert list(pres.seeds) == list(xi_enumerate(3))
+    for sigma, seed in pres.seeds.items():
+        assert seed == dbc.sigma_seed(pres, sigma).seed
+    assert pres.seeds is pres.seeds
+    empty = dbc.bowtie_build(A2, (), ())
+    assert list(empty.seeds) == [()]
+    assert empty.seeds[()].size == 0
+
+
+def test_bz_seed_takes_w_then_u():
+    data = dbc.bz_seed(A2, (1, 2), (2, 1))
+    assert data.w_word == (1, 2)
+    assert data.u_word == (2, 1)
+    assert data == dbc.bz_seed(A2, w_word=(1, 2), u_word=(2, 1))

@@ -6,13 +6,10 @@ import pytest
 from dbseeds.qtorus import (
     DimensionMismatch,
     FrameMatrix,
-    FrameMismatch,
-    TorusElement,
     VLaurent,
     bicharacter,
     frame_restrict,
     scr,
-    torus_mul,
 )
 
 PSI = FrameMatrix.from_rows([[0, 2], [-2, 0]])
@@ -53,36 +50,9 @@ def test_bicharacter_dimension_mismatch():
         bicharacter(PSI, (1, 0, 0), (0, 1))
 
 
-def test_torus_unit_and_product():
-    m1 = TorusElement.monomial(PSI, (1, 0))
-    m2 = TorusElement.monomial(PSI, (0, 1))
-    assert torus_mul(m1, TorusElement.unit(PSI)) == m1
-    # with psi_12 = 2, skew-symmetry forces M(e_2) M(e_1) = q^{-1} M(e_1+e_2)
-    prod = torus_mul(m2, m1)
-    assert prod.terms == {(1, 1): VLaurent.q_power(-1)}
-    assert torus_mul(m1, m2).terms == {(1, 1): VLaurent.q_power(1)}
-
-
-def test_torus_square_of_sum():
-    m1 = TorusElement.monomial(PSI, (1, 0))
-    m2 = TorusElement.monomial(PSI, (0, 1))
-    s = m1 + m2
-    sq = torus_mul(s, s)
-    q = VLaurent.q_power(1)
-    assert sq.terms == {
-        (2, 0): VLaurent.one(),
-        (1, 1): q + q.inverse(),
-        (0, 2): VLaurent.one(),
-    }
-
-
-def test_torus_frame_mismatch():
-    other = FrameMatrix.from_rows([[0, 4], [-4, 0]])
-    with pytest.raises(FrameMismatch):
-        torus_mul(TorusElement.unit(PSI), TorusElement.unit(other))
-
-
-def test_torus_mul_associative_random():
+def test_bicharacter_cocycle_random():
+    # Omega(f, g) Omega(f + g, h) = Omega(g, h) Omega(f, g + h): the identity
+    # that makes M(f) M(g) = Omega(f, g) M(f + g) associative
     rng = random.Random(11)
     for n in (2, 3, 6):
         psi_rows = [[0] * n for _ in range(n)]
@@ -92,19 +62,12 @@ def test_torus_mul_associative_random():
                 psi_rows[i][j] = e
                 psi_rows[j][i] = -e
         frame = FrameMatrix.from_rows(psi_rows)
-
-        def rand_elem():
-            return TorusElement(
-                frame,
-                {
-                    tuple(rng.randint(-2, 2) for _ in range(n)): VLaurent.v_power(rng.randint(-2, 2))
-                    for _ in range(rng.randint(1, 4))
-                },
-            )
-
         for _ in range(30):
-            a, b, c = rand_elem(), rand_elem(), rand_elem()
-            assert torus_mul(torus_mul(a, b), c) == torus_mul(a, torus_mul(b, c))
+            f, g, h = (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3))
+            fg = tuple(x + y for x, y in zip(f, g))
+            gh = tuple(x + y for x, y in zip(g, h))
+            left = bicharacter(frame, f, g) * bicharacter(frame, fg, h)
+            assert left == bicharacter(frame, g, h) * bicharacter(frame, f, gh)
 
 
 def test_scr_examples():
