@@ -21,7 +21,7 @@ from .coxeter import (
     xi_enumerate,
     xi_is_member,
 )
-from .seedcore import NotExchangeable, IncompatibleSeed, graded_reduce, mutate_seed
+from .seedcore import NotExchangeable, check_compatible, graded_reduce, mutate_seed
 
 
 class ValidationFailure(Exception):
@@ -87,10 +87,14 @@ def _build_context(args):
 
 
 def cmd_seed(args) -> int:
+    if args.bz + args.mbz + args.bfz > 1:
+        raise ValidationFailure("--bz, --mbz and --bfz each select a seed; give at most one")
     if args.sigma is not None and (args.bz or args.mbz or args.bfz):
         raise ValidationFailure("--sigma selects a permutation seed; it cannot be combined with --bz, --mbz or --bfz")
     if args.reduce and not (args.bz or args.mbz):
         raise ValidationFailure("--reduce applies only to the minor-labelled seeds of --bz or --mbz")
+    if args.convention is not None and not (args.bz or args.mbz):
+        raise ValidationFailure("--convention applies only to the minor-labelled seeds of --bz or --mbz")
     cartan, w, u, pres = _build_context(args)
     dwd = pres.dwd
     payload: dict = {
@@ -101,7 +105,7 @@ def cmd_seed(args) -> int:
     }
     if args.bz or args.mbz:
         variant = "modified" if args.mbz else "plain"
-        data = dbc.bz_seed(cartan, w, u, variant=variant, convention=args.convention)
+        data = dbc.bz_seed(cartan, w, u, variant=variant, convention=args.convention or "bz-labels")
         if args.reduce:
             payload["seed"] = jsonio.encode_seed(graded_reduce(data.seed, cartan.rank))
             payload["reduced_from"] = jsonio.encode_bz(data)
@@ -125,9 +129,8 @@ def cmd_seed(args) -> int:
             sigma = _parse_sigma("id" if args.sigma is None else args.sigma, dwd.size)
             if sigma is None:
                 sigma = dbc.w0_permutation(dwd)
-            data = dbc.sigma_seed(pres, sigma)
-            entry = jsonio.encode_seed(data.seed)
-            entry["sigma"] = [x + 1 for x in data.sigma]
+            entry = jsonio.encode_seed(pres.seed(sigma))
+            entry["sigma"] = [x + 1 for x in sigma]
             payload["seed"] = entry
     _emit(payload, args.out)
     return 0
@@ -141,15 +144,22 @@ def cmd_mutate(args) -> int:
     sigma = _parse_sigma(args.sigma, dwd.size)
     if sigma is None:
         sigma = dbc.w0_permutation(dwd)
-    seed = dbc.sigma_seed(pres, sigma).seed
+    seed = pres.seed(sigma)
+    report = check_compatible(seed)
+    error = None if report.ok else f"mutation of an incompatible seed: {report}"
     steps = []
     for step in _parse_word(args.seq):
-        k = step - 1
-        try:
-            seed = mutate_seed(seed, k)
-        except (NotExchangeable, IncompatibleSeed) as exc:
-            steps.append({"k": step, "compatible": False, "error": str(exc)})
-            _emit({"steps": steps, "error": str(exc)}, args.out)
+        if error is None:
+            try:
+                seed = mutate_seed(seed, step - 1)
+            except NotExchangeable as exc:
+                error = str(exc)
+            else:
+                if not check_compatible(seed).ok:
+                    error = "mutation destroyed compatibility; construction bug"
+        if error is not None:
+            steps.append({"k": step, "compatible": False, "error": error})
+            _emit({"steps": steps, "error": error}, args.out)
             return 3
         steps.append({"k": step, "compatible": True})
     _emit({"seed": jsonio.encode_seed(seed), "steps": steps}, args.out)
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--mbz", action="store_true")
     p_seed.add_argument("--bfz", action="store_true")
     p_seed.add_argument("--reduce", action="store_true")
-    p_seed.add_argument("--convention", default="bz-labels", choices=["bz-labels", "mbz-labels"])
+    p_seed.add_argument("--convention", default=None, choices=["bz-labels", "mbz-labels"])
     p_seed.set_defaults(func=cmd_seed)
 
     p_mut = sub.add_parser("mutate", help="apply a mutation sequence")

@@ -12,7 +12,7 @@ check; see tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from typing import Callable, Literal, Sequence
@@ -34,15 +34,11 @@ from .coxeter import (
     xi_is_member,
 )
 from .qtorus import FrameMatrix, frame_restrict
-from .seedcore import ExchangeMatrix, QuantumSeed
+from .seedcore import ExchangeMatrix, QuantumSeed, ReductionError, antiiso_transform, graded_reduce
 
 
 class OracleError(ValueError):
     """The exchange-column linear system has no unique integer solution."""
-
-
-class FrameFormulaMismatch(ValueError):
-    """The chain congruence and the product formula give different frames."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +50,7 @@ class BowtiePresentation:
     lambda_exp: tuple[tuple[int, ...], ...]   # v-exponents of lambda_{kj}
     nu_exp: tuple[tuple[Q, ...], ...]         # half of lambda_exp
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
+    _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -67,14 +64,21 @@ class BowtiePresentation:
         """Exchange matrix of the identity-order seed, built once per presentation."""
         return b_columns(self.dwd, bfz_matrix(self.dwd))
 
+    def seed(self, sigma: Perm) -> QuantumSeed:
+        """Seed of one interval permutation, built on first use and kept."""
+        sigma = tuple(sigma)
+        if sigma not in self._seeds:
+            self._seeds[sigma] = sigma_seed(self, sigma).seed
+        return self._seeds[sigma]
+
     @cached_property
     def seeds(self) -> dict[Perm, QuantumSeed]:
-        """Seed of every interval permutation, in `xi_enumerate` order, built once.
+        """Seed of every interval permutation, in `xi_enumerate` order.
 
         With no positions the only permutation is (), mapped to the empty seed.
         """
         perms = xi_enumerate(self.size) if self.size else [()]
-        return {sigma: sigma_seed(self, sigma).seed for sigma in perms}
+        return {sigma: self.seed(sigma) for sigma in perms}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -397,30 +401,24 @@ def solve_b_oracle(
 
 @dataclass(frozen=True)
 class SigmaSeedData:
-    sigma: Perm
-    ex: tuple[int, ...]
     seed: QuantumSeed
 
 
 def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
-    """Full seed (frame, exchange, degrees) attached to an interval permutation."""
+    """Full seed (frame, exchange, degrees) attached to an interval permutation.
+
+    The frame is the chain congruence `sigma_frame`; `verify.sigma_skew_symmetrizable`
+    compares it with the product formula.
+    """
     dwd = pres.dwd
-    n = dwd.size
-    frame = sigma_frame(pres, sigma)
-    product = sigma_frame_product(pres, sigma)
-    if frame.psi != product.psi:
-        raise FrameFormulaMismatch(f"chain congruence and product formula disagree at sigma={tuple(sigma)}")
-    degrees = sigma_degrees(pres, sigma)
-    b = btau_columns(dwd, sigma, pres.b_id)
-    d_vec = tuple(pres.cartan.d[dwd.eta[sigma[k]] - 1] for k in range(n))
     seed = QuantumSeed(
-        frame=frame,
-        exchange=b,
+        frame=sigma_frame(pres, sigma),
+        exchange=btau_columns(dwd, sigma, pres.b_id),
         inv=frozenset(),
-        degrees=degrees,
-        d=d_vec,
+        degrees=sigma_degrees(pres, sigma),
+        d=tuple(pres.cartan.d[dwd.eta[i] - 1] for i in sigma),
     )
-    return SigmaSeedData(tuple(sigma), b.ex, seed)
+    return SigmaSeedData(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -547,62 +545,47 @@ def bz_seed(
 @dataclass(frozen=True)
 class ConnectionsReport:
     ok: bool
-    frame_match: bool
-    exchange_match: bool
-    ex_match: bool
     detail: str
 
 
 def connections_check(
-    cartan: CartanData,
-    w_word: Sequence[int],
-    u_word: Sequence[int],
+    pres: BowtiePresentation,
     convention: Convention = "bz-labels",
     u_label_mode: LabelMode = "prefix",
     degree_component: DegreeComponent = "first",
 ) -> ConnectionsReport:
-    """Cross-verification of the two seed pipelines for one pair (w, u).
+    """Cross-verification of the two seed pipelines for the pair (w, u) of `pres`.
 
-    Builds the reversed-w seed on the reduced cell and, independently, the
-    modified minor-labelled seed; reduces the latter by its first r frozen
-    variables, applies the antiisomorphism transform, shifts indices, and
-    compares frames and exchange matrices entrywise.
+    Takes the reversed-w seed of the reduced cell, `pres.seed(w0)`, and,
+    independently, builds the modified minor-labelled seed; reduces the
+    latter by its first r frozen variables, applies the antiisomorphism
+    transform, shifts indices, and compares frames and exchange matrices
+    entrywise.
     """
-    from .seedcore import antiiso_transform, graded_reduce
-
-    pres = bowtie_build(cartan, w_word, u_word)
     dwd = pres.dwd
-    w0 = w0_permutation(dwd)
-    bar = sigma_seed(pres, w0)
-    bar_b = bfz_matrix(dwd)
-    if bar.seed.exchange != bar_b:
-        return ConnectionsReport(False, False, False, False, "column pipeline does not reproduce the reversed-w matrix")
+    bar = pres.seed(w0_permutation(dwd))
+    if bar.exchange != bfz_matrix(dwd):
+        return ConnectionsReport(False, "column pipeline does not reproduce the reversed-w matrix")
 
     mbz = bz_seed(
-        cartan,
-        w_word,
-        u_word,
+        pres.cartan,
+        dwd.w_word,
+        dwd.u_word,
         variant="modified",
         convention=convention,
         u_label_mode=u_label_mode,
         degree_component=degree_component,
     )
-    from .seedcore import ReductionError, check_compatible
-
-    pre = check_compatible(mbz.seed)
-    if not pre.ok:
-        return ConnectionsReport(False, False, False, False, f"minor-labelled seed incompatible: {pre}")
     try:
-        reduced = graded_reduce(mbz.seed, cartan.rank)
+        reduced = graded_reduce(mbz.seed, pres.cartan.rank)
     except ReductionError as exc:
-        return ConnectionsReport(False, False, False, False, f"reduction failed: {exc}")
+        return ConnectionsReport(False, f"reduction failed: {exc}")
     transformed = antiiso_transform(reduced)
 
-    frame_match = transformed.frame.psi == bar.seed.frame.psi
-    ex_match = transformed.ex == bar.seed.ex
-    exchange_match = ex_match and all(
-        transformed.exchange.column(k) == bar.seed.exchange.column(k) for k in bar.seed.ex
+    frame_match = transformed.frame.psi == bar.frame.psi
+    exchange_match = transformed.ex == bar.ex and all(
+        transformed.exchange.column(k) == bar.exchange.column(k) for k in bar.ex
     )
     ok = frame_match and exchange_match
     detail = "" if ok else f"frame_match={frame_match} exchange_match={exchange_match}"
-    return ConnectionsReport(ok, frame_match, exchange_match, ex_match, detail)
+    return ConnectionsReport(ok, detail)

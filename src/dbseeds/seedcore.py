@@ -13,14 +13,10 @@ from fractions import Fraction as Q
 from typing import Sequence
 
 from . import linalg
-from .qtorus import FrameMatrix
+from .qtorus import FrameMatrix, frame_restrict
 
 
 class NotExchangeable(ValueError):
-    pass
-
-
-class IncompatibleSeed(ValueError):
     pass
 
 
@@ -151,7 +147,8 @@ def mutate_exchange(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(b.n, b.ex, tuple(new_cols))
 
 
-def _mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...]]:
+def mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...]]:
+    """Basis change of mutation at k: e_k -> -e_k + sum [sign b_ik]_+ e_i."""
     n = seed.size
     b = seed.exchange.column(k)
     basis = []
@@ -171,27 +168,14 @@ def _mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Seed mutation in direction k: frame, exchange matrix and degrees.
 
-    The frame transform is the basis change e_k -> -e_k + sum [b_ik]_+ e_i;
-    the opposite sign choice gives the same frame for a compatible seed,
-    and IncompatibleSeed is raised when it does not.
+    The frame is restricted along `mutation_basis(seed, k, +1)`; for a
+    compatible seed the opposite sign gives the same frame.  Nothing is
+    checked here: `verify.xi_linkage` compares the two signs, and callers
+    run `check_compatible`.
     """
-    report = check_compatible(seed)
-    if not report.ok:
-        raise IncompatibleSeed(f"mutation of an incompatible seed: {report}")
     if k not in seed.ex:
         raise NotExchangeable(f"index {k} is not exchangeable")
-
-    plus = _mutation_basis(seed, k, +1)
-    minus = _mutation_basis(seed, k, -1)
-    psi_plus = tuple(
-        tuple(seed.frame.omega_exp(a, b) for b in plus) for a in plus
-    )
-    psi_minus = tuple(
-        tuple(seed.frame.omega_exp(a, b) for b in minus) for a in minus
-    )
-    if psi_plus != psi_minus:
-        raise IncompatibleSeed(f"frame mutation at {k} depends on the sign choice")
-    new_frame = FrameMatrix(psi_plus)
+    new_frame = frame_restrict(seed.frame, mutation_basis(seed, k, +1))
 
     b = seed.exchange.column(k)
     width = len(seed.degrees[0]) if seed.degrees else 0
@@ -203,17 +187,13 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
                 mutated[t] += b[i] * seed.degrees[i][t]
     new_deg[k] = tuple(mutated)
 
-    out = QuantumSeed(
+    return QuantumSeed(
         frame=new_frame,
         exchange=mutate_exchange(seed.exchange, k),
         inv=seed.inv,
         degrees=tuple(new_deg),
         d=seed.d,
     )
-    after = check_compatible(out)
-    if not after.ok:
-        raise IncompatibleSeed("mutation destroyed compatibility; construction bug")
-    return out
 
 
 def reindex(seed: QuantumSeed, tau: Sequence[int]) -> QuantumSeed:
@@ -276,28 +256,21 @@ def graded_reduce(seed: QuantumSeed, n_reduce: int, degree_table: Sequence[Seque
 
     vectors = []
     for k in range(n_reduce, n):
-        g = [Q(0)] * n
-        g[k] = Q(1)
+        g = [0] * n
+        g[k] = 1
         for i, c in enumerate(shifts[k - n_reduce]):
             g[i] -= c
-        vectors.append(tuple(g))
-    new_psi = tuple(
-        tuple(seed.frame.omega_exp(a, b) for b in vectors) for a in vectors
-    )
+        vectors.append(g)
 
     new_ex = tuple(k - n_reduce for k in seed.ex)
     new_cols = tuple(
         tuple(seed.exchange.column(k)[j] for j in range(n_reduce, n)) for k in seed.ex
     )
     width = len(seed.degrees[0]) if seed.degrees else 0
-    out = QuantumSeed(
-        frame=FrameMatrix(new_psi),
+    return QuantumSeed(
+        frame=frame_restrict(seed.frame, vectors),
         exchange=ExchangeMatrix(n - n_reduce, new_ex, new_cols),
         inv=frozenset(k - n_reduce for k in seed.inv if k >= n_reduce),
         degrees=tuple((0,) * width for _ in range(n - n_reduce)),
         d=seed.d[n_reduce:],
     )
-    report = check_compatible(out)
-    if not report.ok:
-        raise ReductionError("reduction destroyed compatibility; construction bug")
-    return out

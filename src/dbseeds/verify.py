@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from . import dbc
 from .coxeter import CartanData, xi_is_member
-from .qtorus import FrameMatrix
-from .seedcore import check_compatible, degree_balance, mutate_seed, reindex
+from .qtorus import FrameMatrix, frame_restrict
+from .seedcore import check_compatible, degree_balance, mutate_seed, mutation_basis, reindex
 
 
 @dataclass
@@ -26,7 +26,7 @@ def compat_identity(pres: dbc.BowtiePresentation, fault: bool = False) -> CheckR
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     w0 = dbc.w0_permutation(dwd)
-    frame = dbc.sigma_frame(pres, w0)
+    frame = pres.seed(w0).frame
     if fault and frame.size >= 2:
         psi = [list(row) for row in frame.psi]
         psi[0][1] += 1
@@ -54,9 +54,9 @@ def grading_identity(pres: dbc.BowtiePresentation) -> CheckResult:
     Builds only the reversed-w seed, not the whole `pres.seeds` sweep.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
-    data = dbc.sigma_seed(pres, dbc.w0_permutation(pres.dwd))
-    for k in data.seed.ex:
-        bal = degree_balance(data.seed, k)
+    seed = pres.seed(dbc.w0_permutation(pres.dwd))
+    for k in seed.ex:
+        bal = degree_balance(seed, k)
         if any(x != 0 for x in bal):
             return CheckResult("grading-identity", False, f"w={w} u={u}: column {k} balance {bal}")
     return CheckResult("grading-identity", True)
@@ -78,8 +78,12 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
 
 
 def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
-    """One-step linkage between seeds of adjacent interval permutations."""
+    """One-step linkage between seeds of adjacent interval permutations.
+
+    A mutation step must give the same frame with either sign choice.
+    """
     dwd = pres.dwd
+    w, u = dwd.w_word, dwd.u_word
     n = dwd.size
     seeds = pres.seeds
     for sigma, seed in seeds.items():
@@ -89,13 +93,16 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
             sigma2 = tuple(sigma[t] for t in tau)
             if not xi_is_member(sigma2):
                 continue
+            other = seeds[sigma2]
             if dwd.eta[sigma[k]] != dwd.eta[sigma[k + 1]]:
                 moved = reindex(seed, tuple(tau))
             else:
                 # the mutated seed already sits in the adjacent order; no
                 # further reindexing (verified against the rank-one algebra)
                 moved = mutate_seed(seed, k)
-            other = seeds[sigma2]
+                if frame_restrict(seed.frame, mutation_basis(seed, k, -1)) != other.frame:
+                    detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+                    return CheckResult("xi-linkage", False, detail)
             same = (
                 moved.frame.psi == other.frame.psi
                 and moved.exchange == other.exchange
@@ -104,15 +111,22 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
             if not same:
                 return CheckResult(
                     "xi-linkage", False,
-                    f"w={dwd.w_word} u={dwd.u_word}: sigma={sigma}, k={k} does not link to {sigma2}",
+                    f"w={w} u={u}: sigma={sigma}, k={k} does not link to {sigma2}",
                 )
     return CheckResult("xi-linkage", True)
 
 
 def sigma_skew_symmetrizable(pres: dbc.BowtiePresentation) -> CheckResult:
-    """Principal parts of all permuted exchange matrices are skew-symmetrizable."""
+    """Principal parts of all permuted exchange matrices are skew-symmetrizable.
+
+    Each seed's frame, the chain congruence, is also compared with the
+    product formula `dbc.sigma_frame_product`.
+    """
     w, u = pres.dwd.w_word, pres.dwd.u_word
     for sigma, seed in pres.seeds.items():
+        if seed.frame != dbc.sigma_frame_product(pres, sigma):
+            detail = f"w={w} u={u} sigma={sigma}: chain congruence and product formula disagree"
+            return CheckResult("sigma-symmetrizable", False, detail)
         if not seed.exchange.is_skew_symmetrizable(seed.d):
             return CheckResult("sigma-symmetrizable", False, f"w={w} u={u} sigma={sigma}")
     return CheckResult("sigma-symmetrizable", True)
@@ -139,7 +153,7 @@ def bz_compatibility(pres: dbc.BowtiePresentation) -> CheckResult:
 
 
 def connections(pres: dbc.BowtiePresentation) -> CheckResult:
-    rep = dbc.connections_check(pres.cartan, pres.dwd.w_word, pres.dwd.u_word)
+    rep = dbc.connections_check(pres)
     return CheckResult("connections", rep.ok, rep.detail)
 
 

@@ -14,12 +14,13 @@ import pytest
 from dbseeds import cgl, dbc, verify
 from dbseeds.cgl import NFPoly, audit_presentation, cond_holds, rescale_scalar_identity, xcomm_check
 from dbseeds.coxeter import cartan_init, enumerate_reduced_words, xi_enumerate, xi_is_member
-from dbseeds.qtorus import VLaurent
+from dbseeds.qtorus import VLaurent, frame_restrict
 from dbseeds.seedcore import (
     antiiso_transform,
     check_compatible,
     graded_reduce,
     mutate_seed,
+    mutation_basis,
     reindex,
 )
 
@@ -66,9 +67,14 @@ def test_criterion_2_grading_identity():
     for family, rank in SWEEP_TYPES:
         cartan, pairs = word_pairs(family, rank, 6)
         for w, u in pairs:
-            res = verify.grading_identity(dbc.bowtie_build(cartan, w, u))
+            pres = dbc.bowtie_build(cartan, w, u)
+            res = verify.grading_identity(pres)
             if not res.ok:
                 _report(2, "grading-identity", False, res.detail)
+            # the graded seed's frame, by chain congruence, against the product formula
+            w0 = dbc.w0_permutation(pres.dwd)
+            if pres.seed(w0).frame != dbc.sigma_frame_product(pres, w0):
+                _report(2, "grading-identity", False, f"w={w} u={u}: frame formulas disagree")
             count += 1
     _report(2, "grading-identity", True, f"{count} word pairs, {time.time() - t0:.1f}s")
 
@@ -79,9 +85,12 @@ def test_criterion_3_btau_oracle_equivalence():
     for family, rank in XI_TYPES:
         cartan, pairs = word_pairs(family, rank, 5)
         for w, u in pairs:
-            res = verify.btau_oracle_equivalence(dbc.bowtie_build(cartan, w, u))
-            if not res.ok:
-                _report(3, "btau-oracle", False, res.detail)
+            pres = dbc.bowtie_build(cartan, w, u)
+            # the oracle columns certify compatibility of every seed; the
+            # symmetrizability check compares every frame with the product formula
+            for res in (verify.btau_oracle_equivalence(pres), verify.sigma_skew_symmetrizable(pres)):
+                if not res.ok:
+                    _report(3, "btau-oracle", False, res.detail)
             count += 1
     elapsed = time.time() - t0
     _report(3, "btau-oracle", elapsed < 120, f"{count} word pairs, all permutations, {elapsed:.1f}s")
@@ -131,7 +140,8 @@ def test_criterion_5_seed_calculus():
         assert check_compatible(reindex(seed, rotation)).ok
         assert check_compatible(antiiso_transform(seed)).ok
         for k in seed.ex:
-            out = mutate_seed(seed, k)        # sign-choice independence asserted inside
+            out = mutate_seed(seed, k)
+            assert frame_restrict(seed.frame, mutation_basis(seed, k, -1)) == out.frame
             assert check_compatible(out).ok
             back = mutate_seed(out, k)
             assert back.frame.psi == seed.frame.psi
@@ -147,6 +157,7 @@ def test_criterion_5_seed_calculus():
         for k in data.ex:
             a = graded_reduce(mutate_seed(data.seed, k), r)
             b = mutate_seed(graded_reduce(data.seed, r), k - r)
+            assert check_compatible(a).ok and check_compatible(b).ok
             assert a.frame.psi == b.frame.psi
             assert a.exchange.cols == b.exchange.cols
             commuted += 1
@@ -162,7 +173,7 @@ def test_criterion_6_bz_pipeline():
     ]
     for (family, rank), w, u in cases:
         cartan = cartan_init(family, rank)
-        rep = dbc.connections_check(cartan, w, u)
+        rep = dbc.connections_check(dbc.bowtie_build(cartan, w, u))
         if not rep.ok:
             _report(6, "bz-pipeline", False, f"{family}{rank} w={w} u={u}: {rep.detail}")
     _report(6, "bz-pipeline", True, f"{len(cases)} cases match entrywise")

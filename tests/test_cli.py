@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from dbseeds import cli
 from dbseeds.cli import main
+from dbseeds.qtorus import FrameMatrix
+from dbseeds.seedcore import ExchangeMatrix, QuantumSeed
 
 
 def run(capsys, *argv):
@@ -99,6 +102,23 @@ def test_mutate_rejects_frozen_index(capsys):
     assert code == 3
 
 
+def test_mutate_rejects_incompatible_step(capsys, monkeypatch):
+    # a step that yields a seed whose exchange column pairs to zero
+    incompatible = QuantumSeed(
+        frame=FrameMatrix.from_rows([[0, -2], [2, 0]]),
+        exchange=ExchangeMatrix(2, (0,), ((0, 0),)),
+        inv=frozenset(),
+        degrees=((0,), (0,)),
+        d=(1, 1),
+    )
+    monkeypatch.setattr(cli, "mutate_seed", lambda seed, k: incompatible)
+    code, out, _ = run(capsys, "mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "id", "--seq", "1,1")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["steps"] == [{"k": 1, "compatible": False, "error": payload["error"]}]
+    assert "compatibility" in payload["error"]
+
+
 def test_mutate_rejects_all_xi(capsys):
     code, _, err = run(capsys, "mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "all-xi", "--seq", "1")
     assert code == 2
@@ -191,3 +211,19 @@ def test_seed_rejects_out_of_range_letter(capsys, w, word):
     code, _, err = run(capsys, "seed", "--type", "A2", "--w", w, "--u", "")
     assert code == 2
     assert json.loads(err)["error"] == f"w word {word} has letter 3 outside 1..2"
+
+
+@pytest.mark.parametrize("flags", [["--bz", "--mbz"], ["--bz", "--bfz"], ["--mbz", "--bfz"]])
+def test_seed_rejects_two_seed_kinds(capsys, flags):
+    code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", *flags)
+    assert code == 2
+    assert out == ""
+    assert "at most one" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--bfz"], ["--sigma", "wN"]])
+def test_seed_rejects_convention_without_minor_seed(capsys, extra):
+    code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", "--convention", "mbz-labels", *extra)
+    assert code == 2
+    assert out == ""
+    assert "--convention" in json.loads(err)["error"]

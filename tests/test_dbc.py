@@ -3,19 +3,29 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dbseeds import dbc
+from dbseeds import dbc, seedcore, verify
 from dbseeds.coxeter import cartan_init, xi_enumerate
-from dbseeds.qtorus import FrameMatrix
+from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
     antiiso_transform,
     check_compatible,
     graded_reduce,
     mutate_seed,
+    mutation_basis,
 )
 
 A1 = cartan_init("A", 1)
 A2 = cartan_init("A", 2)
 B2 = cartan_init("B", 2)
+
+
+def _mutate_checked(seed, k):
+    """mutate_seed, asserting compatibility before and after and sign-choice independence."""
+    assert check_compatible(seed).ok
+    out = mutate_seed(seed, k)
+    assert frame_restrict(seed.frame, mutation_basis(seed, k, -1)) == out.frame
+    assert check_compatible(out).ok
+    return out
 
 
 def test_bowtie_a1():
@@ -262,8 +272,9 @@ def test_reduce_commutes_with_mutation_bz_a2():
     data = dbc.bz_seed(A2, u_word=(1, 2, 1), w_word=(1, 2, 1))
     r = A2.rank
     for k in data.ex:
-        a = graded_reduce(mutate_seed(data.seed, k), r)
-        b = mutate_seed(graded_reduce(data.seed, r), k - r)
+        a = graded_reduce(_mutate_checked(data.seed, k), r)
+        b = _mutate_checked(graded_reduce(data.seed, r), k - r)
+        assert check_compatible(a).ok
         assert a.frame.psi == b.frame.psi
         assert a.exchange.cols == b.exchange.cols
         assert tuple(x - r for x in mutate_seed(data.seed, k).exchange.ex) == b.exchange.ex
@@ -281,9 +292,10 @@ def test_reduce_commutes_along_mutation_walks():
         red = graded_reduce(full, r)
         for _ in range(6):
             k = rng.choice(full.ex)
-            full = mutate_seed(full, k)
-            red = mutate_seed(red, k - r)
+            full = _mutate_checked(full, k)
+            red = _mutate_checked(red, k - r)
             again = graded_reduce(full, r)
+            assert check_compatible(again).ok
             assert again.frame.psi == red.frame.psi
             assert again.exchange.cols == red.exchange.cols
 
@@ -302,9 +314,9 @@ def test_mutation_walks_stay_compatible():
             for _ in range(4):
                 k = rng.choice(seed.ex)
                 trail.append(k)
-                seed = mutate_seed(seed, k)      # compatibility asserted inside
+                seed = _mutate_checked(seed, k)
             for k in reversed(trail):
-                seed = mutate_seed(seed, k)
+                seed = _mutate_checked(seed, k)
             original = dbc.sigma_seed(pres, sigma).seed
             assert seed.frame.psi == original.frame.psi
             assert seed.exchange == original.exchange
@@ -312,19 +324,18 @@ def test_mutation_walks_stay_compatible():
 
 
 def test_connections_check_cases():
-    assert dbc.connections_check(A1, (1,), (1,)).ok
-    assert dbc.connections_check(A2, (1, 2, 1), (1, 2, 1)).ok
-    assert dbc.connections_check(A2, (1, 2), (2, 1)).ok
+    assert dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
+    assert dbc.connections_check(dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))).ok
+    assert dbc.connections_check(dbc.bowtie_build(A2, (1, 2), (2, 1))).ok
 
 
 def test_connections_check_rejects_wrong_conventions():
-    assert not dbc.connections_check(A1, (1,), (1,), convention="mbz-labels").ok
-    assert not dbc.connections_check(A2, (1, 2), (2, 1), u_label_mode="suffix").ok
+    assert not dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,)), convention="mbz-labels").ok
+    assert not dbc.connections_check(dbc.bowtie_build(A2, (1, 2), (2, 1)), u_label_mode="suffix").ok
 
 
 def test_connections_and_integrality_small_sweep():
     # every pair with combined length <= 4 over four types, empty words included
-    from dbseeds import verify
     from dbseeds.coxeter import enumerate_reduced_words
 
     for cartan in (cartan_init("A", 1), A2, B2, cartan_init("G", 2)):
@@ -333,8 +344,9 @@ def test_connections_and_integrality_small_sweep():
             for u in words:
                 if len(w) + len(u) > 4:
                     continue
-                assert dbc.connections_check(cartan, w, u).ok
-                assert verify.bz_compatibility(dbc.bowtie_build(cartan, w, u)).ok
+                pres = dbc.bowtie_build(cartan, w, u)
+                assert dbc.connections_check(pres).ok
+                assert verify.bz_compatibility(pres).ok
 
 
 def test_connections_exchange_is_negated_reduction():
@@ -376,7 +388,7 @@ def test_chain_transport_matches_linear_solve(family, rank, w, u):
                 assert transport(v) == linalg.as_int_vec(want)
 
 
-def test_sigma_seed_raises_on_frame_formula_mismatch(monkeypatch):
+def test_sigma_symmetrizable_fails_on_frame_formula_mismatch(monkeypatch):
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
     honest = dbc.sigma_frame_product
 
@@ -387,8 +399,41 @@ def test_sigma_seed_raises_on_frame_formula_mismatch(monkeypatch):
         return FrameMatrix(tuple(tuple(row) for row in psi))
 
     monkeypatch.setattr(dbc, "sigma_frame_product", perturbed)
-    with pytest.raises(dbc.FrameFormulaMismatch):
-        dbc.sigma_seed(pres, tuple(range(pres.size)))
+    res = verify.sigma_skew_symmetrizable(pres)
+    assert not res.ok
+    assert res.detail == "w=(1, 2, 1) u=(1,) sigma=(0, 1, 2, 3): chain congruence and product formula disagree"
+
+
+def test_xi_linkage_fails_when_frame_depends_on_sign_choice(monkeypatch):
+    honest = seedcore.mutation_basis
+
+    def skewed(seed, k, sign):
+        basis = honest(seed, k, sign)
+        if sign < 0:
+            basis[-1] = tuple(2 * x for x in basis[-1])
+        return basis
+
+    pres = dbc.bowtie_build(A1, (1,), (1,))
+    assert verify.xi_linkage(pres).ok
+    monkeypatch.setattr(verify, "mutation_basis", skewed)
+    res = verify.xi_linkage(pres)
+    assert not res.ok
+    assert "sign choice" in res.detail
+
+
+def test_mutate_and_reduce_run_no_compatibility_check(monkeypatch):
+    calls = []
+    honest = seedcore.check_compatible
+
+    def counted(seed):
+        calls.append(seed)
+        return honest(seed)
+
+    data = dbc.bz_seed(A2, (1, 2, 1), (1, 2, 1))
+    monkeypatch.setattr(seedcore, "check_compatible", counted)
+    for k in data.ex:
+        graded_reduce(mutate_seed(data.seed, k), A2.rank)
+    assert calls == []
 
 
 def _count_calls(monkeypatch, *names):
@@ -410,8 +455,6 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_verify_pair_builds_identity_columns_once_per_presentation(monkeypatch):
-    from dbseeds import verify
-
     calls = _count_calls(monkeypatch, "bowtie_build", "b_columns")
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results)
@@ -420,21 +463,17 @@ def test_verify_pair_builds_identity_columns_once_per_presentation(monkeypatch):
 
 
 def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
-    from dbseeds import verify
-
-    calls = _count_calls(monkeypatch, "bowtie_build", "sigma_seed")
+    calls = _count_calls(monkeypatch, "bowtie_build", "sigma_seed", "sigma_frame_product")
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results)
-    # one presentation for the checks, one inside connections_check; the
-    # sweep builds every seed once, and grading_identity and
-    # connections_check each build the reversed-w seed of their own
-    assert calls["bowtie_build"] == 2
-    assert calls["sigma_seed"] == 2 ** (6 - 1) + 2
+    # one presentation and one seed per interval permutation, the reversed-w
+    # seed included; the product formula checks each seed's frame once
+    assert calls["bowtie_build"] == 1
+    assert calls["sigma_seed"] == 2 ** (6 - 1)
+    assert calls["sigma_frame_product"] == 2 ** (6 - 1)
 
 
 def test_grading_identity_builds_one_sigma_seed(monkeypatch):
-    from dbseeds import verify
-
     pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
     calls = _count_calls(monkeypatch, "sigma_seed")
     assert verify.grading_identity(pres).ok
@@ -446,6 +485,7 @@ def test_seeds_cover_every_interval_permutation():
     assert list(pres.seeds) == list(xi_enumerate(3))
     for sigma, seed in pres.seeds.items():
         assert seed == dbc.sigma_seed(pres, sigma).seed
+        assert seed is pres.seed(sigma)
     assert pres.seeds is pres.seeds
     empty = dbc.bowtie_build(A2, (), ())
     assert list(empty.seeds) == [()]
