@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
-from .coxeter import NEG_INF, POS_INF, order_functions, pred_succ
+from .coxeter import order_functions, pred_succ
 from .qtorus import VLaurent, scr
 
 
@@ -290,7 +290,7 @@ def interval_y(pres: CGLPresentation, i: int, m: int, c_table: CTable) -> NFPoly
     j = i
     for _ in range(m):
         j = s[j]
-        if j is POS_INF:
+        if j is None:
             raise PresentationError(f"chain out of range: s^{m}({i}) does not exist")
         chain.append(j)
         c = c_table.get((i, j))
@@ -321,7 +321,7 @@ def y_elements(pres: CGLPresentation, c_table, check_normality: bool = True) -> 
     o_minus, _ = order_functions(p, s)
 
     def root_of(k: int) -> int:
-        while p[k] is not NEG_INF:
+        while p[k] is not None:
             k = p[k]
         return k
 
@@ -349,7 +349,7 @@ def interval_exponent(pres: CGLPresentation, i: int, m: int) -> tuple[int, ...]:
     out[j] = 1
     for _ in range(m):
         j = s[j]
-        if j is POS_INF:
+        if j is None:
             raise PresentationError("chain out of range")
         out[j] += 1
     return tuple(out)
@@ -366,7 +366,7 @@ def u_element(pres: CGLPresentation, c_table: CTable, i: int, m: int) -> NFPoly:
     """
     _, s = pres.pred_succ()
     si = s[i]
-    if si is POS_INF:
+    if si is None:
         raise PresentationError(f"index {i} has no successor")
     y_left = interval_y(pres, i, m - 1, c_table)
     y_right = interval_y(pres, si, m - 1, c_table)
@@ -420,6 +420,14 @@ class RescaleReport:
     u_scalars: dict[tuple[int, int], VLaurent]
 
 
+def _monomial_factor(t: Sequence[VLaurent], f: Sequence[int]) -> VLaurent:
+    """prod_i t_i^(-f_i): the scalar by which x^f changes under x_i -> t_i x_i."""
+    out = VLaurent.one()
+    for ti, mi in zip(t, f):
+        out = out * ti ** (-mi)
+    return out
+
+
 def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentation, RescaleReport]:
     """Presentation on the rescaled generators t_j x_j, with induced scalars.
 
@@ -434,16 +442,10 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         if c == 0:
             raise PresentationError("rescaling units must be nonzero monomials")
 
-    def monomial_factor(f: Sequence[int]) -> VLaurent:
-        out = VLaurent.one()
-        for ti, mi in zip(t, f):
-            out = out * ti ** (-mi)
-        return out
-
     new_tails = {}
     for (k, j), tail in pres.tails.items():
         new_tails[(k, j)] = NFPoly(
-            {f: c * t[k] * t[j] * monomial_factor(f) for f, c in tail.terms.items()}
+            {f: c * t[k] * t[j] * _monomial_factor(t, f) for f, c in tail.terms.items()}
         )
     new_pres = CGLPresentation(
         n=pres.n,
@@ -461,7 +463,7 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         j = k
         while True:
             z = z * t[j]
-            if p[j] is NEG_INF:
+            if p[j] is None:
                 break
             j = p[j]
         y_scalars.append(z)
@@ -491,16 +493,10 @@ def rescale_c_table(pres: CGLPresentation, c_table: CTable, t: Sequence[VLaurent
             z = z * t[j]
         return z
 
-    def monomial_factor(f: Sequence[int]) -> VLaurent:
-        out = VLaurent.one()
-        for ti, mi in zip(t, f):
-            out = out * ti ** (-mi)
-        return out
-
     out: CTable = {}
     for (i, end), c in c_table.items():
         z = chain_product(i, end)
-        out[(i, end)] = NFPoly({f: coef * z * monomial_factor(f) for f, coef in c.terms.items()})
+        out[(i, end)] = NFPoly({f: coef * z * _monomial_factor(t, f) for f, coef in c.terms.items()})
     return out
 
 

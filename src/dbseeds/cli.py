@@ -75,15 +75,14 @@ def _emit(payload: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _build_context(args):
+def _parse_pair(args):
     cartan = _parse_type(args.type, getattr(args, "rank", None))
-    w = _parse_word(args.w)
-    u = _parse_word(args.u)
-    try:
-        pres = dbc.bowtie_build(cartan, w, u)
-    except NonReducedWordError as exc:
-        raise ValidationFailure(str(exc)) from None
-    return cartan, w, u, pres
+    return cartan, _parse_word(args.w), _parse_word(args.u)
+
+
+def _build_context(args):
+    cartan, w, u = _parse_pair(args)
+    return cartan, w, u, dbc.bowtie_build(cartan, w, u)
 
 
 def cmd_seed(args) -> int:
@@ -167,7 +166,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cartan, w, u, _ = _build_context(args)
+    cartan, w, u = _parse_pair(args)
     results = verify.verify_pair(cartan, w, u, all_xi=args.all_xi, fault=args.self_test_fault)
     payload = {
         "cartan": jsonio.encode_cartan(cartan),

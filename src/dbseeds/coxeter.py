@@ -33,37 +33,6 @@ class LetterOutOfRange(ValueError):
     """A word has a letter that is not a node 1..rank of the Dynkin diagram."""
 
 
-class _Sentinel:
-    """Totally ordered infinity used by predecessor/successor functions."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __lt__(self, other):
-        if other is self:
-            return False
-        return self._sign < 0
-
-    def __gt__(self, other):
-        if other is self:
-            return False
-        return self._sign > 0
-
-    def __le__(self, other):
-        return self is other or self < other
-
-    def __ge__(self, other):
-        return self is other or self > other
-
-    def __repr__(self):
-        return "-inf" if self._sign < 0 else "+inf"
-
-
-NEG_INF = _Sentinel(-1)
-POS_INF = _Sentinel(+1)
-
 Weight = tuple[int, ...]
 Root = tuple[int, ...]
 Word = tuple[int, ...]
@@ -173,8 +142,7 @@ def cartan_init(family: str, rank: int) -> CartanData:
                 raise InvalidCartanType(f"{fam}{n}: d does not symmetrize the Cartan matrix at ({i}, {j})")
 
     # <w_i, w_j> from C^{-T} D, where <alpha_i, w_j> = d_i delta_ij
-    cmat = linalg.mat(c)
-    cinv_t = linalg.transpose(linalg.mat_inv(cmat))
+    cinv_t = linalg.transpose(linalg.mat_inv(c))
     pairing = tuple(
         tuple(cinv_t[i][j] * d[j] for j in range(n)) for i in range(n)
     )
@@ -254,10 +222,14 @@ def enumerate_reduced_words(cartan: CartanData, max_len: int) -> list[Word]:
 
 
 def pred_succ(eta: Sequence[int]):
-    """Predecessor/successor maps of a level function on 0-based positions."""
+    """Predecessor/successor maps of a level function on 0-based positions.
+
+    A position with no earlier (later) position of its level has predecessor
+    (successor) None.
+    """
     n = len(eta)
-    p: list = [NEG_INF] * n
-    s: list = [POS_INF] * n
+    p: list[int | None] = [None] * n
+    s: list[int | None] = [None] * n
     last: dict[int, int] = {}
     for k in range(n):
         if eta[k] in last:
@@ -275,13 +247,13 @@ def order_functions(p: Sequence, s: Sequence):
     for k in range(n):
         m = 0
         j = k
-        while p[j] is not NEG_INF:
+        while p[j] is not None:
             j = p[j]
             m += 1
         o_minus.append(m)
         m = 0
         j = k
-        while s[j] is not POS_INF:
+        while s[j] is not None:
             j = s[j]
             m += 1
         o_plus.append(m)

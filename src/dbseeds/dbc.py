@@ -1,7 +1,7 @@
 """Seed constructors for the double-cell algebras of a pair (w, u).
 
 Everything is exact: scalar matrices are stored through their v-exponents
-(v = sqrt(q)), frames as skew-symmetric rational exponent matrices, and
+(v = sqrt(q)), frames as skew-symmetric integer exponent matrices, and
 exchange matrices over the integers.
 
 Sign conventions for the generator scalar matrix are fixed by the iterated
@@ -13,14 +13,11 @@ check; see tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from functools import cached_property
 from typing import Callable, Literal, Sequence
 
 from . import linalg
 from .coxeter import (
-    NEG_INF,
-    POS_INF,
     CartanData,
     DoubleWordData,
     NotIntervalPermutation,
@@ -48,7 +45,7 @@ class BowtiePresentation:
     cartan: CartanData
     dwd: DoubleWordData
     lambda_exp: tuple[tuple[int, ...], ...]   # v-exponents of lambda_{kj}
-    nu_exp: tuple[tuple[Q, ...], ...]         # half of lambda_exp
+    nu_exp: tuple[tuple[int, ...], ...]       # half of lambda_exp
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
     _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -92,6 +89,7 @@ def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int
         +2<beta'_|k|, beta_|j|>   on the mixed block,
 
     which is what the h(beta)/h(-beta') action of the presentation gives.
+    Every entry is even, so nu_exp = lambda_exp / 2 is an integer matrix.
     """
     dwd = eta_machinery(cartan, w_word, u_word)
     n = dwd.size
@@ -109,7 +107,7 @@ def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int
             lam[k][j] = e
             lam[j][k] = -e
     lam_t = tuple(tuple(r) for r in lam)
-    nu = tuple(tuple(Q(x, 2) for x in row) for row in lam_t)
+    nu = tuple(tuple(x // 2 for x in row) for row in lam_t)
     degrees = tuple(dwd.degree_at(k) for k in range(n))
     return BowtiePresentation(cartan, dwd, lam_t, nu, degrees)
 
@@ -153,7 +151,7 @@ def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
         raise NotIntervalPermutation(str(sigma))
     dwd = pres.dwd
     n = dwd.size
-    psi = [[Q(0)] * n for _ in range(n)]
+    psi = [[0] * n for _ in range(n)]
     for k in range(n):
         support_k = [i for i in sigma[: k + 1] if dwd.eta[i] == dwd.eta[sigma[k]]]
         for j in range(n):
@@ -176,11 +174,11 @@ def sigma_degrees(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...
     return tuple(out)
 
 
-def chain_matrix(dwd: DoubleWordData, sigma: Perm) -> linalg.Mat:
+def chain_matrix(dwd: DoubleWordData, sigma: Perm) -> tuple[tuple[int, ...], ...]:
     """Columns are the chain indicator vectors of sigma (unimodular)."""
     cols = ebar_vectors(dwd, sigma)
     n = dwd.size
-    return tuple(tuple(Q(cols[k][j]) for k in range(n)) for j in range(n))
+    return tuple(tuple(cols[k][j] for k in range(n)) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +199,18 @@ def double_word_matrix(
     column k has -eps_k at p(k) and eps_{s(k)} at s(k).  For j < k the entry
     is -eps_k c_{jk} when k < s(j) < s(k) with eps_k = eps_{s(j)}, or when
     k < s(k) < s(j) with the crossing eps_k != eps_{s(k)}; for k < j it is
-    eps_j c_{jk} under the same conditions with j and k exchanged.  Every
-    other entry is 0.
+    eps_j c_{jk} under the same conditions with j and k exchanged.  A
+    missing successor reads as n, past every position.  Every other entry
+    is 0.
     """
     n = len(letters)
     p, s = pred_succ(letters)
+    s = tuple(n if x is None else x for x in s)
 
     def entry(j: int, k: int) -> int:
-        if p[k] is not NEG_INF and j == p[k]:
+        if j == p[k]:
             return -eps[k]
-        if s[k] is not POS_INF and j == s[k]:
+        if j == s[k]:
             return eps[j]
         cjk = cartan[letters[j] - 1][letters[k] - 1]
         sj, sk = s[j], s[k]
@@ -240,7 +240,7 @@ def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
     w0 = w0_permutation(dwd)
     letters = tuple(dwd.eta[w0[j]] for j in range(n))
     _, s1 = pred_succ(letters)
-    ex = tuple(l for l in range(n) if s1[l] is not POS_INF)
+    ex = tuple(l for l in range(n) if s1[l] is not None)
     return double_word_matrix(dwd.cartan.cartan, letters, dwd.epsilon, ex)
 
 
@@ -287,7 +287,7 @@ def b_columns(dwd: DoubleWordData, bfz: ExchangeMatrix) -> ExchangeMatrix:
     """
     n, nw = dwd.size, dwd.n_w
     transport = chain_transport(dwd, w0_permutation(dwd), tuple(range(n)))
-    ex = tuple(l for l in range(n) if dwd.s[l] is not POS_INF)
+    ex = tuple(l for l in range(n) if dwd.s[l] is not None)
     cols = []
     for l in ex:
         if l >= nw:
@@ -299,7 +299,7 @@ def b_columns(dwd: DoubleWordData, bfz: ExchangeMatrix) -> ExchangeMatrix:
         else:
             combined = [0] * n
             j = l
-            while j is not NEG_INF:
+            while j is not None:
                 for t, x in enumerate(bfz.column(nw - 1 - j)):
                     combined[t] += x
                 j = dwd.p[j]
@@ -330,7 +330,7 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm, b_id: ExchangeMatrix) -> Exch
         # walk the successor orbit first, else the predecessor orbit
         route = []
         j, hops = start, 0
-        while j is not POS_INF and j != target:
+        while j is not None and j != target:
             j = s[j]
             hops += 1
         if j == target:
@@ -343,7 +343,7 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm, b_id: ExchangeMatrix) -> Exch
             sign = 1
         else:
             j, hops = start, 0
-            while j is not NEG_INF and j != target:
+            while j is not None and j != target:
                 j = p[j]
                 hops += 1
             if j != target:
@@ -381,14 +381,14 @@ def solve_b_oracle(
     degs = degrees if degrees is not None else sigma_degrees(pres, sigma)
     d_val = pres.cartan.d[dwd.eta[sigma[l]] - 1]
 
-    rows = [list(fr.psi[j]) for j in range(n)]
-    rhs = [Q(-2 * d_val) if j == l else Q(0) for j in range(n)]
+    rows = list(fr.psi)
+    rhs = [-2 * d_val if j == l else 0 for j in range(n)]
     width = pres.cartan.rank
     for t in range(width):
-        rows.append([Q(degs[j][t]) for j in range(n)])
-        rhs.append(Q(0))
+        rows.append([degs[j][t] for j in range(n)])
+        rhs.append(0)
     try:
-        sol = linalg.solve_unique(linalg.mat(rows), rhs)
+        sol = linalg.solve_unique(rows, rhs)
         return linalg.as_int_vec(sol)
     except (linalg.LinearSolveError, ValueError) as exc:
         raise OracleError(f"no unique integer exchange column at {l}: {exc}") from None
@@ -444,9 +444,6 @@ class BZSeedData:
     p: tuple
     s: tuple
     ex: tuple[int, ...]
-    inv: frozenset[int]
-    degrees_first: tuple[tuple[int, ...], ...]    # -gamma_k in weight coords
-    degrees_second: tuple[tuple[int, ...], ...]   # +delta_k in weight coords
     seed: QuantumSeed
 
 
@@ -500,7 +497,7 @@ def bz_seed(
     labels = plain if variant == "plain" else tuple((d, g) for g, d in plain)
 
     frame_source = plain if convention == "bz-labels" else tuple((d, g) for g, d in plain)
-    psi = [[Q(0)] * n for _ in range(n)]
+    psi = [[0] * n for _ in range(n)]
     for j in range(n):
         for k in range(j):
             gj, dj = frame_source[j]
@@ -508,12 +505,12 @@ def bz_seed(
             mu_jk = cartan.pair_weight(gj, gk) - cartan.pair_weight(dj, dk)
             psi[j][k] = mu_jk
             psi[k][j] = -mu_jk
-    frame = FrameMatrix(tuple(tuple(row) for row in psi))
+    frame = FrameMatrix.from_rows(psi)
 
     eta = tuple(range(1, r + 1)) + w + u
     p, s = pred_succ(eta)
     eps = tuple(1 if k < r + nw else -1 for k in range(n))
-    ex = tuple(k for k in range(r, n) if s[k] is not POS_INF)
+    ex = tuple(k for k in range(r, n) if s[k] is not None)
     exchange = double_word_matrix(cartan.cartan, eta, eps, ex)
 
     deg_first = tuple(tuple(-x for x in labels[k][0]) for k in range(n))
@@ -535,9 +532,6 @@ def bz_seed(
         p=p,
         s=s,
         ex=ex,
-        inv=seed.inv,
-        degrees_first=deg_first,
-        degrees_second=deg_second,
         seed=seed,
     )
 

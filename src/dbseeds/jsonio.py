@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .coxeter import NEG_INF, POS_INF, CartanData, DoubleWordData
+from .coxeter import CartanData, DoubleWordData
 from .cgl import NFPoly
 from .dbc import BZSeedData
 from .qtorus import FrameMatrix, VLaurent
@@ -28,10 +28,8 @@ def encode_cartan(cartan: CartanData) -> dict:
     return {"family": cartan.family, "rank": cartan.rank}
 
 
-def _sentinel_or_index(x) -> int | None:
-    if x is NEG_INF or x is POS_INF:
-        return None
-    return x + 1
+def _sentinel_or_index(x: int | None) -> int | None:
+    return None if x is None else x + 1
 
 
 def encode_double_word(dwd: DoubleWordData) -> dict:

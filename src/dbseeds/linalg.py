@@ -1,12 +1,14 @@
-"""Small exact linear algebra over Fraction.
+"""Small exact linear algebra on tuples of tuples (rows).
 
-Everything here works on tuples of tuples (rows) of Fractions or ints.
-Matrices are small (a few dozen rows at most).  Gaussian elimination with
-exact pivots serves the solves that are genuinely linear systems (the
-exchange-column oracle, graded reduction, rank tests).  The hot paths avoid
-it: `bilinear` skips zero coordinates, since most of its vectors are basis
-vectors or sparse exchange columns, and the chain-basis changes of the seed
-constructors have a closed integer form (`dbc.chain_transport`).
+Matrices are small (a few dozen rows at most).  `bilinear` computes in the
+type of its inputs: integer frames and vectors give an `int`, and a
+`Fraction` matrix or coordinate gives a `Fraction`.  It skips zero
+coordinates, since most of its vectors are basis vectors or sparse exchange
+columns.  The
+eliminations convert their input to `Fraction` and pivot exactly; they serve
+the solves that are genuinely linear systems (the exchange-column oracle,
+graded reduction, rank tests).  The chain-basis changes of the seed
+constructors have a closed integer form instead (`dbc.chain_transport`).
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
 
 
-def vec(xs: Sequence) -> Vec:
-    return tuple(Q(x) for x in xs)
-
-
-def mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
@@ -34,14 +28,19 @@ def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(sum(x * Q(y) for x, y in zip(row, v)) for row in a)
 
 
-def bilinear(u: Sequence, a: Mat, v: Sequence) -> Q:
-    """u^T a v with exact rationals; zero coordinates of u and v are skipped."""
-    v_nz = [(j, Q(y)) for j, y in enumerate(v) if y]
-    total = Q(0)
+def bilinear(u: Sequence, a: Sequence[Sequence], v: Sequence):
+    """u^T a v in the type of the inputs; zero coordinates of u and v are skipped.
+
+    The sum starts from the zero of the matrix's entry type, so an int matrix
+    with int vectors gives an int, and a Fraction matrix, or a Fraction
+    coordinate that enters a product, gives a Fraction.
+    """
+    v_nz = [(j, y) for j, y in enumerate(v) if y]
+    total = 0 * a[0][0] if a else 0
     for i, x in enumerate(u):
         if x:
             row = a[i]
-            total += Q(x) * sum(row[j] * y for j, y in v_nz)
+            total += x * sum(row[j] * y for j, y in v_nz)
     return total
 
 

@@ -1,7 +1,7 @@
 """Exact quantum-torus arithmetic over a formal unit v = sqrt(q).
 
 Scalars live in the Laurent ring Q[v^e : e rational]; frames record the
-exponent matrix psi of a multiplicatively skew-symmetric matrix via
+integer exponent matrix psi of a multiplicatively skew-symmetric matrix via
 r_{kj} = v^{psi_{kj}}.
 """
 
@@ -16,6 +16,10 @@ from . import linalg
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class NonIntegralFrame(ValueError):
+    """A frame exponent is not an integer."""
 
 
 class VLaurent:
@@ -33,10 +37,6 @@ class VLaurent:
         self._terms = {e: c for e, c in clean.items() if c != 0}
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls) -> "VLaurent":
-        return cls()
-
     @classmethod
     def one(cls) -> "VLaurent":
         return cls({Q(0): Q(1)})
@@ -119,15 +119,18 @@ class VLaurent:
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Exponent matrix psi of a multiplicatively skew-symmetric matrix."""
+    """Integer exponent matrix psi of a multiplicatively skew-symmetric matrix."""
 
-    psi: tuple[tuple[Q, ...], ...]
+    psi: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = len(self.psi)
         for i in range(n):
             if len(self.psi[i]) != n:
                 raise DimensionMismatch("psi must be square")
+            for x in self.psi[i]:
+                if type(x) is not int:
+                    raise NonIntegralFrame(f"frame exponent {x!r} is not an int")
             if self.psi[i][i] != 0:
                 raise ValueError("psi must vanish on the diagonal")
             for j in range(i):
@@ -136,13 +139,18 @@ class FrameMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "FrameMatrix":
-        return cls(tuple(tuple(Q(x) for x in r) for r in rows))
+        """Frame from integral entries of any exact type; a fractional one raises."""
+        exact = [[Q(x) for x in r] for r in rows]
+        bad = next((q for r in exact for q in r if q.denominator != 1), None)
+        if bad is not None:
+            raise NonIntegralFrame(f"fractional frame exponent {bad}")
+        return cls(tuple(tuple(q.numerator for q in r) for r in exact))
 
     @property
     def size(self) -> int:
         return len(self.psi)
 
-    def omega_exp(self, f: Sequence, g: Sequence) -> Q:
+    def omega_exp(self, f: Sequence, g: Sequence) -> int:
         """v-exponent of the bicharacter at (f, g), i.e. f^T psi g."""
         if len(f) != self.size or len(g) != self.size:
             raise DimensionMismatch("vector length does not match frame size")
@@ -182,8 +190,8 @@ def scr(exp_matrix: Sequence[Sequence], f: Sequence) -> VLaurent:
 
 
 def frame_restrict(frame: FrameMatrix, vectors: Sequence[Sequence]) -> FrameMatrix:
-    """Frame of the sublattice spanned by the given independent vectors."""
-    vecs = [tuple(Q(x) for x in v) for v in vectors]
+    """Frame of the sublattice spanned by the given independent integer vectors."""
+    vecs = [tuple(v) for v in vectors]
     if linalg.rank(tuple(vecs)) != len(vecs):
         raise ValueError("restriction vectors are linearly dependent")
     return FrameMatrix(

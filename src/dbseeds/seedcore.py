@@ -9,7 +9,6 @@ Cluster-variable values never appear at this level.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction as Q
 from typing import Sequence
 
 from . import linalg
@@ -82,7 +81,7 @@ class QuantumSeed:
 class CompatReport:
     ok: bool
     orthogonality_failures: tuple[tuple[int, int], ...]   # (k, j) with psi(b^k, e_j) != 0
-    value_exponents: dict[int, Q]                         # psi(b^k, e_k) per k in ex
+    value_exponents: dict[int, int]                       # psi(b^k, e_k) per k in ex
     degenerate: tuple[int, ...]                           # k with psi(b^k, e_k) == 0
     degree_failures: tuple[int, ...]                      # k with nonzero degree balance
 
@@ -107,7 +106,7 @@ def check_compatible(seed: QuantumSeed) -> CompatReport:
     """Frame/exchange compatibility and degree balance, reported per column."""
     n = seed.size
     orth = []
-    values: dict[int, Q] = {}
+    values: dict[int, int] = {}
     degenerate = []
     bad_degrees = []
     for k in seed.ex:
@@ -243,7 +242,7 @@ def graded_reduce(seed: QuantumSeed, n_reduce: int, degree_table: Sequence[Seque
     if not head <= seed.inv:
         raise ReductionError("reduced indices must be invertible")
 
-    phi = linalg.mat([table[i] for i in range(n_reduce)])
+    phi = table[:n_reduce]
     shifts: list[tuple[int, ...]] = []
     for k in range(n_reduce, n):
         try:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dbseeds import cli
+from dbseeds import cli, dbc
 from dbseeds.cli import main
 from dbseeds.qtorus import FrameMatrix
 from dbseeds.seedcore import ExchangeMatrix, QuantumSeed
@@ -137,6 +137,26 @@ def test_verify_ok(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_verify_builds_one_presentation(capsys, monkeypatch):
+    calls = []
+    honest = dbc.bowtie_build
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(dbc, "bowtie_build", counted)
+    code, _, _ = run(capsys, "verify", "--type", "A2", "--w", "1,2", "--u", "2,1")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_verify_rejects_nonreduced(capsys):
+    code, out, err = run(capsys, "verify", "--type", "A1", "--w", "1,1", "--u", "")
+    assert code == 2 and out == ""
+    assert err == '{"error": "w word (1, 1) is not reduced"}\n'
 
 
 def test_verify_fault_injection(capsys):

@@ -4,8 +4,6 @@ import pytest
 
 from dbseeds import coxeter
 from dbseeds.coxeter import (
-    NEG_INF,
-    POS_INF,
     InvalidCartanType,
     NonReducedWordError,
     cartan_init,
@@ -117,8 +115,8 @@ def test_eta_machinery_a1():
     c = cartan_init("A", 1)
     dwd = eta_machinery(c, (1,), (1,))
     assert dwd.eta == (1, 1)
-    assert dwd.p == (NEG_INF, 0)
-    assert dwd.s == (1, POS_INF)
+    assert dwd.p == (None, 0)
+    assert dwd.s == (1, None)
     assert dwd.epsilon == (-1, 1)
     assert dwd.degree_at(0) == (-1,)
     assert dwd.degree_at(1) == (1,)
@@ -138,8 +136,8 @@ def test_eta_machinery_a2():
 def test_eta_machinery_injective_levels():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2), ())
-    assert all(x is NEG_INF for x in dwd.p)
-    assert all(x is POS_INF for x in dwd.s)
+    assert all(x is None for x in dwd.p)
+    assert all(x is None for x in dwd.s)
 
 
 def test_eta_machinery_rejects_nonreduced():
@@ -152,11 +150,11 @@ def test_p_s_mutually_inverse():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (2, 1))
     for k in range(dwd.size):
-        if dwd.s[k] is not POS_INF:
+        if dwd.s[k] is not None:
             assert dwd.p[dwd.s[k]] == k
-        if dwd.p[k] is not NEG_INF:
+        if dwd.p[k] is not None:
             assert dwd.s[dwd.p[k]] == k
-        assert dwd.eta[k] == dwd.eta[dwd.p[k]] if dwd.p[k] is not NEG_INF else True
+        assert dwd.eta[k] == dwd.eta[dwd.p[k]] if dwd.p[k] is not None else True
 
 
 def test_order_functions_count_independently():
@@ -175,7 +173,7 @@ def test_frozen_count_matches_level_count():
         c = cartan_init(fam, rank)
         dwd = eta_machinery(c, w, u)
         # one frozen position (no later same-level position) per level
-        assert sum(1 for k in range(dwd.size) if dwd.s[k] is POS_INF) == len(set(dwd.eta))
+        assert sum(1 for k in range(dwd.size) if dwd.s[k] is None) == len(set(dwd.eta))
 
 
 def test_root_sum_invariant():
@@ -268,7 +266,7 @@ def test_eta_machinery_rejects_out_of_range_letter(w):
 
 def test_sigma_chain_raises_on_inconsistent_successors():
     # eta (1, 1, 1) with s skipping position 1: the chain {0, 1} is not contiguous
-    eta, p = (1, 1, 1), (NEG_INF, 0, 1)
-    s = (2, 2, POS_INF)
+    eta, p = (1, 1, 1), (None, 0, 1)
+    s = (2, 2, None)
     with pytest.raises(coxeter.ChainError):
         sigma_chain(eta, p, s, (0, 1, 2), 1)

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from dbseeds import dbc, seedcore, verify
-from dbseeds.coxeter import cartan_init, xi_enumerate
+from dbseeds.coxeter import CartanData, cartan_init, xi_enumerate
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
     antiiso_transform,
@@ -105,11 +106,11 @@ def test_bfz_predecessor_entry_sign():
         b = dbc.bfz_matrix(dwd)
         w0 = dbc.w0_permutation(dwd)
         letters = tuple(dwd.eta[w0[j]] for j in range(dwd.size))
-        from dbseeds.coxeter import pred_succ, NEG_INF
+        from dbseeds.coxeter import pred_succ
 
         p1, _ = pred_succ(letters)
         for k in b.ex:
-            if p1[k] is not NEG_INF:
+            if p1[k] is not None:
                 assert b.column(k)[p1[k]] == -dwd.epsilon[k]
 
 
@@ -183,7 +184,7 @@ def test_oracle_rejects_perturbed_system():
     rows.append([Q(degrees[j][0]) for j in range(2)])
     rhs = [Q(-2), Q(0), Q(1)]   # degree row made inconsistent
     with pytest.raises(linalg.LinearSolveError):
-        linalg.solve_unique(linalg.mat(rows), rhs)
+        linalg.solve_unique(rows, rhs)
 
 
 def test_oracle_rejects_frozen_position():
@@ -347,6 +348,21 @@ def test_connections_and_integrality_small_sweep():
                 pres = dbc.bowtie_build(cartan, w, u)
                 assert dbc.connections_check(pres).ok
                 assert verify.bz_compatibility(pres).ok
+
+
+def test_bz_integrality_fails_on_fractional_pairing(monkeypatch):
+    # every other pairing is off by 1/2, so each frame exponent is fractional
+    honest = CartanData.pair_weight
+    calls = itertools.count()
+
+    def skewed(self, mu, nu):
+        return honest(self, mu, nu) + Q(next(calls) % 2, 2)
+
+    monkeypatch.setattr(CartanData, "pair_weight", skewed)
+    result = verify.bz_compatibility(dbc.bowtie_build(A2, (1, 2), (2, 1)))
+    assert result.name == "bz-integrality"
+    assert result.ok is False
+    assert "plain: fractional frame exponent" in result.detail
 
 
 def test_connections_exchange_is_negated_reduction():

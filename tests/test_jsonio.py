@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
 
+import pytest
+
 from dbseeds import dbc, jsonio
 from dbseeds.cgl import NFPoly
 from dbseeds.coxeter import cartan_init, eta_machinery
-from dbseeds.qtorus import FrameMatrix, VLaurent
+from dbseeds.qtorus import FrameMatrix, NonIntegralFrame, VLaurent
 
 
 def test_qstr():
@@ -21,8 +23,11 @@ def test_encode_vlaurent_sorted():
 
 
 def test_encode_frame():
-    f = FrameMatrix.from_rows([[0, Q(1, 2)], [Q(-1, 2), 0]])
-    assert jsonio.encode_frame(f) == [["0", "1/2"], ["-1/2", "0"]]
+    f = FrameMatrix.from_rows([[0, Q(4, 2)], [-2, 0]])
+    assert all(type(x) is int for row in f.psi for x in row)
+    assert jsonio.encode_frame(f) == [["0", "2"], ["-2", "0"]]
+    with pytest.raises(NonIntegralFrame):
+        FrameMatrix.from_rows([[0, Q(1, 2)], [Q(-1, 2), 0]])
 
 
 def test_encode_double_word_sentinels():

@@ -15,3 +15,20 @@ def test_library_has_no_assert():
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def test_seed_modules_do_not_import_fractions():
+    # frames are integer matrices; rationals stay inside FrameMatrix.from_rows and linalg
+    found = []
+    for name in ("seedcore.py", "dbc.py", "verify.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "fractions" or m.startswith("fractions.") for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
