@@ -1,7 +1,10 @@
 """Command-line surface: seed construction, mutation, verification sweeps.
 
 Exit codes: 0 success, 1 a verification check failed, 2 validation failure,
-3 incompatible mutation step.
+3 incompatible mutation step, 141 (128 + SIGPIPE) the reader closed stdout
+before the output was written; nothing is printed then.
+`xi-list --n` is bounded by XI_LIST_MAX_N, since it prints all 2^(n-1)
+interval permutations.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dbc, jsonio, verify
@@ -22,6 +26,10 @@ from .coxeter import (
     xi_is_member,
 )
 from .seedcore import NotExchangeable, check_compatible, graded_reduce, mutate_seed
+
+
+EXIT_BROKEN_PIPE = 141
+XI_LIST_MAX_N = 16   # 32768 permutations, a few MB of JSON
 
 
 class ValidationFailure(Exception):
@@ -183,6 +191,8 @@ def cmd_xi_list(args) -> int:
     n = args.n
     if n < 1:
         raise ValidationFailure("n must be at least 1")
+    if n > XI_LIST_MAX_N:
+        raise ValidationFailure(f"n must be at most {XI_LIST_MAX_N}; xi-list prints all 2^(n-1) permutations")
     perms = [[x + 1 for x in sigma] for sigma in xi_enumerate(n)]
     _emit({"n": n, "count": len(perms), "permutations": perms}, args.out)
     return 0
@@ -245,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_xi = sub.add_parser("xi-list", help="enumerate interval permutations")
-    p_xi.add_argument("--n", type=int, required=True)
+    p_xi.add_argument("--n", type=int, required=True, help=f"permutation size, 1..{XI_LIST_MAX_N}")
     p_xi.add_argument("--out", default=None)
     p_xi.set_defaults(func=cmd_xi_list)
 
@@ -262,7 +272,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ValidationFailure as exc:
         print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)
         return 2

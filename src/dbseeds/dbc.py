@@ -359,6 +359,32 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm, b_id: ExchangeMatrix) -> Exch
     return ExchangeMatrix(n, ex, tuple(cols))
 
 
+def oracle_system(
+    pres: BowtiePresentation,
+    sigma: Perm,
+    frame: FrameMatrix | None = None,
+    degrees: Sequence[Sequence[int]] | None = None,
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
+    """Defining linear system of the exchange columns of sigma.
+
+    Returns the integer rows [psi; degrees] and, for each exchangeable
+    position l, the right-hand side [-2 d e_l; 0]: the column at l is the
+    vector b with frame-exponent <b, e_j> = 2 d delta_{jl} and vanishing
+    degree pairing.
+    """
+    dwd = pres.dwd
+    n = dwd.size
+    fr = frame if frame is not None else sigma_frame(pres, sigma)
+    degs = degrees if degrees is not None else sigma_degrees(pres, sigma)
+    width = pres.cartan.rank
+    rows = fr.psi + tuple(tuple(degs[j][t] for j in range(n)) for t in range(width))
+    rhs = {}
+    for l in ex_sigma(dwd, sigma):
+        d_val = pres.cartan.d[dwd.eta[sigma[l]] - 1]
+        rhs[l] = tuple(-2 * d_val if j == l else 0 for j in range(n)) + (0,) * width
+    return rows, rhs
+
+
 def solve_b_oracle(
     pres: BowtiePresentation,
     sigma: Perm,
@@ -368,29 +394,16 @@ def solve_b_oracle(
 ) -> tuple[int, ...]:
     """Exchange column at position l from its defining linear system.
 
-    Solves, exactly over the rationals, for the unique vector b with
-    frame-exponent <b, e_j> = 2 d delta_{jl} and vanishing degree pairing,
-    then certifies integrality.  Used as the independent oracle against the
-    closed-form column constructions.
+    Solves `oracle_system` by fraction-free integer elimination for its
+    unique solution, which must be an integer vector.  Used as the
+    independent oracle against the closed-form column constructions.
     """
-    dwd = pres.dwd
-    n = dwd.size
-    if l not in ex_sigma(dwd, sigma):
+    rows, rhs = oracle_system(pres, sigma, frame, degrees)
+    if l not in rhs:
         raise OracleError(f"position {l} is not exchangeable for this permutation")
-    fr = frame if frame is not None else sigma_frame(pres, sigma)
-    degs = degrees if degrees is not None else sigma_degrees(pres, sigma)
-    d_val = pres.cartan.d[dwd.eta[sigma[l]] - 1]
-
-    rows = list(fr.psi)
-    rhs = [-2 * d_val if j == l else 0 for j in range(n)]
-    width = pres.cartan.rank
-    for t in range(width):
-        rows.append([degs[j][t] for j in range(n)])
-        rhs.append(0)
     try:
-        sol = linalg.solve_unique(rows, rhs)
-        return linalg.as_int_vec(sol)
-    except (linalg.LinearSolveError, ValueError) as exc:
+        return linalg.solve_unique(rows, rhs[l])
+    except linalg.LinearSolveError as exc:
         raise OracleError(f"no unique integer exchange column at {l}: {exc}") from None
 
 

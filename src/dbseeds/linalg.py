@@ -4,16 +4,19 @@ Matrices are small (a few dozen rows at most).  `bilinear` computes in the
 type of its inputs: integer frames and vectors give an `int`, and a
 `Fraction` matrix or coordinate gives a `Fraction`.  It skips zero
 coordinates, since most of its vectors are basis vectors or sparse exchange
-columns.  The
-eliminations convert their input to `Fraction` and pivot exactly; they serve
-the solves that are genuinely linear systems (the exchange-column oracle,
-graded reduction, rank tests).  The chain-basis changes of the seed
-constructors have a closed integer form instead (`dbc.chain_transport`).
+columns.  The eliminations take integer matrices (an integral `Fraction`
+entry is accepted) and share one fraction-free routine, `_bareiss`, so
+`rank` and `solve_unique` compute with and return `int`s; only `mat_inv`
+divides, by the determinant, at the end.  They serve the genuine linear
+systems: the exchange-column oracle, graded reduction, independence tests.
+The chain-basis changes of the seed constructors have a closed integer form
+instead (`dbc.chain_transport`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd
 from typing import Sequence
 
 Vec = tuple[Q, ...]
@@ -44,78 +47,98 @@ def bilinear(u: Sequence, a: Sequence[Sequence], v: Sequence):
     return total
 
 
-def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _int(x) -> int:
+    if type(x) is int:
+        return x
+    if x.denominator != 1:
+        raise TypeError(f"matrix entry {x} is not an integer")
+    return int(x)
+
+
+def _int_row(row: Sequence) -> list[int]:
+    return [x if type(x) is int else _int(x) for x in row]
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Returns (rows, pivot columns, d).  Row r ends with d in column
+    pivots[r] and 0 in every other pivot column; the rows past the pivots
+    are zero.  A step replaces each other row by (p * row - f * pivot row)
+    over the previous pivot (Bareiss, 1968).  Every entry stays an integer
+    minor of the input, so the division is exact.
+    """
     n = len(rows)
     m = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == n:
             break
-    return rows, pivots
+    return rows, pivots, prev
 
 
-def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    rows = [[Q(x) for x in row] for row in a]
-    _, pivots = _echelon(rows)
-    return len(pivots)
+def rank(a: Sequence[Sequence]) -> int:
+    return len(_bareiss([_int_row(row) for row in a])[1])
 
 
-def mat_inv(a: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
+def mat_inv(a: Sequence[Sequence]) -> Mat:
+    """Exact rational inverse of a square integer matrix; raises ValueError if singular."""
     n = len(a)
-    rows = [[Q(x) for x in row] + [Q(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots = _echelon(rows)
+    rows = [_int_row(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots, d = _bareiss(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(Q(x, d) for x in row[n:]) for row in rows)
 
 
 class LinearSolveError(ValueError):
-    """Stacked linear system is inconsistent or does not pin a unique solution."""
+    """Stacked linear system is inconsistent, does not pin a unique solution, or pins a non-integer one."""
 
 
-def solve_unique(a: Mat, b: Sequence) -> Vec:
-    """Solve a x = b where a may be rectangular; the solution must be unique.
+def _ratio_text(num: int, den: int) -> str:
+    """A non-integral num/den in lowest terms with a positive denominator, as `str(Fraction)` prints it."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return f"{num // g}/{den // g}"
 
-    Raises LinearSolveError when the system is inconsistent (no solution)
-    or underdetermined (free variables remain).
+
+def solve_unique(a: Sequence[Sequence], b: Sequence) -> tuple[int, ...]:
+    """The unique integer solution of a x = b, where a may be rectangular.
+
+    Raises LinearSolveError when the system is inconsistent (no solution),
+    underdetermined (free variables remain), or its unique solution has a
+    non-integer entry (the first one is named).
     """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    rows = [[Q(x) for x in row] + [Q(b[i])] for i, row in enumerate(a)]
-    rows, pivots = _echelon(rows)
+    m = len(a[0]) if a else 0
+    rows = [_int_row(row) + [_int(b[i])] for i, row in enumerate(a)]
+    rows, pivots, d = _bareiss(rows)
     if m in pivots:
         raise LinearSolveError("inconsistent system")
     if len(pivots) < m:
         raise LinearSolveError("underdetermined system")
-    sol = [Q(0)] * m
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][m]
+    sol = []
+    for row in rows[:m]:   # the pivots are the columns 0..m-1, in order
+        x, rem = divmod(row[m], d)
+        if rem:
+            raise LinearSolveError(f"non-integer entry {_ratio_text(row[m], d)}")
+        sol.append(x)
     return tuple(sol)
-
-
-def as_int_vec(v: Sequence[Q]) -> tuple[int, ...]:
-    """Cast an exact rational vector to integers; raises ValueError otherwise."""
-    out = []
-    for x in v:
-        q = Q(x)
-        if q.denominator != 1:
-            raise ValueError(f"non-integer entry {q}")
-        out.append(int(q))
-    return tuple(out)

@@ -246,9 +246,8 @@ def graded_reduce(seed: QuantumSeed, n_reduce: int, degree_table: Sequence[Seque
     shifts: list[tuple[int, ...]] = []
     for k in range(n_reduce, n):
         try:
-            c = linalg.solve_unique(linalg.transpose(phi), table[k])
-            shifts.append(linalg.as_int_vec(c))
-        except (linalg.LinearSolveError, ValueError) as exc:
+            shifts.append(linalg.solve_unique(linalg.transpose(phi), table[k]))
+        except linalg.LinearSolveError as exc:
             raise ReductionError(
                 f"degree of index {k} is not an integer combination of the leading degrees: {exc}"
             ) from None

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -247,3 +249,37 @@ def test_seed_rejects_convention_without_minor_seed(capsys, extra):
     assert code == 2
     assert out == ""
     assert "--convention" in json.loads(err)["error"]
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["xi-list", "--n", "4"])
+    finally:
+        os.close(fd)
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_xi_list_bounds_n_without_enumerating(capsys, monkeypatch):
+    def refuse(n):
+        pytest.fail("xi_enumerate ran past the bound")
+
+    monkeypatch.setattr(cli, "xi_enumerate", refuse)
+    code, out, err = run(capsys, "xi-list", "--n", str(cli.XI_LIST_MAX_N + 1))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "n must be at most 16; xi-list prints all 2^(n-1) permutations"}

@@ -8,6 +8,7 @@ from dbseeds import dbc, seedcore, verify
 from dbseeds.coxeter import CartanData, cartan_init, xi_enumerate
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
+    ExchangeMatrix,
     antiiso_transform,
     check_compatible,
     graded_reduce,
@@ -80,8 +81,7 @@ def test_chain_matrices_unimodular():
     for sigma in xi_enumerate(pres.size):
         z = dbc.chain_matrix(pres.dwd, sigma)
         inverse = linalg.mat_inv(z)
-        for row in inverse:
-            linalg.as_int_vec(row)
+        assert all(x.denominator == 1 for row in inverse for x in row)
 
 
 def test_bfz_a1():
@@ -401,7 +401,7 @@ def test_chain_transport_matches_linear_solve(family, rank, w, u):
             for _ in range(2):
                 v = [rng.randint(-3, 3) for _ in range(n)]
                 want = linalg.solve_unique(z_target, linalg.mat_vec(z_source, v))
-                assert transport(v) == linalg.as_int_vec(want)
+                assert transport(v) == want and all(type(x) is int for x in want)
 
 
 def test_sigma_symmetrizable_fails_on_frame_formula_mismatch(monkeypatch):
@@ -435,6 +435,69 @@ def test_xi_linkage_fails_when_frame_depends_on_sign_choice(monkeypatch):
     res = verify.xi_linkage(pres)
     assert not res.ok
     assert "sign choice" in res.detail
+
+
+def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
+    honest = dbc.btau_columns
+
+    def corrupted(dwd, sigma, b_id):
+        b = honest(dwd, sigma, b_id)
+        if sigma != tuple(range(dwd.size)):
+            return b
+        first = b.cols[0][:-1] + (b.cols[0][-1] + 1,)
+        return ExchangeMatrix(b.n, b.ex, (first,) + b.cols[1:])
+
+    monkeypatch.setattr(dbc, "btau_columns", corrupted)
+    res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1,)))
+    assert not res.ok
+    assert res.detail == "w=(1, 2, 1) u=(1,) sigma=(0, 1, 2, 3): column 0 is (0, -1, 1, 1), oracle (0, -1, 1, 0)"
+
+
+def test_btau_oracle_fails_on_rank_deficient_system(monkeypatch):
+    # zero degrees leave the odd-sized skew frame alone, which is singular;
+    # every closed-form column still solves the system, so only the rank fails
+    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, sigma: ((0,) * pres.cartan.rank,) * pres.size)
+    res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1, 2)))
+    assert not res.ok
+    assert res.detail == "w=(1, 2, 1) u=(1, 2) sigma=(0, 1, 2, 3, 4): oracle system has rank 4, not 5"
+
+
+def test_btau_oracle_fails_when_the_solver_finds_no_column(monkeypatch):
+    # all-one degrees make some degree row inconsistent with the frame rows
+    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, sigma: ((1,) * pres.cartan.rank,) * pres.size)
+    res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1,)))
+    assert not res.ok
+    assert res.detail == (
+        "w=(1, 2, 1) u=(1,) sigma=(1, 2, 3, 0): column 1 is (0, 0, 1, 0), "
+        "oracle fails: no unique integer exchange column at 1: inconsistent system"
+    )
+
+
+def test_btau_oracle_certifies_with_one_rank_per_sigma(monkeypatch):
+    from dbseeds import linalg
+
+    calls = _count_calls(monkeypatch, "solve_b_oracle")
+    ranks, in_check = [], []
+    honest_rank, honest_check = linalg.rank, verify.btau_oracle_equivalence
+
+    def counted_rank(a):
+        ranks.append(bool(in_check))
+        return honest_rank(a)
+
+    def marked_check(pres):
+        pres.seeds   # build the seeds, whose frames take ranks of their own, before counting
+        in_check.append(True)
+        try:
+            return honest_check(pres)
+        finally:
+            in_check.pop()
+
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    monkeypatch.setattr(verify, "btau_oracle_equivalence", marked_check)
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results) and "btau-oracle" in [r.name for r in results]
+    assert calls["solve_b_oracle"] == 0
+    assert ranks.count(True) == 2 ** (6 - 1)
 
 
 def test_mutate_and_reduce_run_no_compatibility_check(monkeypatch):

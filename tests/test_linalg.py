@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from dbseeds import linalg
 
 
@@ -46,3 +51,72 @@ def test_bilinear_type_follows_inputs_for_zero_vectors():
     assert got == Q(3, 2) and type(got) is Q
     got = linalg.bilinear((Q(2), 0), int_a, (0, 3))
     assert got == 6 and type(got) is Q
+
+
+@st.composite
+def int_systems(draw):
+    """A small integer matrix, half the time of rank at most k, and a right-hand side."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.integers(-4, 4)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):   # an n x k times a k x m product has rank at most k
+        k = draw(st.integers(0, min(n, m)))
+        left, right = matrix(n, k), matrix(k, m)
+        a = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+    else:
+        a = matrix(n, m)
+    return a, draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+
+
+def _sympy_solve_text(a, b):
+    """The integer solution of a x = b by sympy, or the error text solve_unique must raise."""
+    s, rhs = sympy.Matrix(a), sympy.Matrix(b)
+    if s.row_join(rhs).rank() > s.rank():
+        return "inconsistent system"
+    if s.rank() < s.cols:
+        return "underdetermined system"
+    x = (s.T * s).LUsolve(s.T * rhs)
+    for q in x:
+        if not q.is_integer:
+            return f"non-integer entry {Q(int(q.p), int(q.q))}"
+    return tuple(int(q) for q in x)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(int_systems())
+@example(([[2, 1], [1, 1]], [3, 2]))                  # square, invertible, integer solution
+@example(([[1, 0], [0, 1], [1, 1]], [1, 2, 3]))       # rectangular, consistent
+@example(([[1, 2], [2, 4]], [1, 2]))                  # rank-deficient
+@example(([[1, 0], [0, 1], [1, 1]], [1, 2, 4]))       # inconsistent
+@example(([[2, 0], [0, 3]], [1, 3]))                  # unique but non-integral
+@example(([[0, 0, 0]], [0]))                          # zero matrix
+def test_eliminations_match_sympy(system):
+    a, b = system
+    r = linalg.rank(a)
+    assert type(r) is int and r == sympy.Matrix(a).rank()
+    want = _sympy_solve_text(a, b)
+    if isinstance(want, tuple):
+        got = linalg.solve_unique(a, b)
+        assert got == want and all(type(x) is int for x in got)
+    else:
+        with pytest.raises(linalg.LinearSolveError) as info:
+            linalg.solve_unique(a, b)
+        assert str(info.value) == want
+    if len(a[0]) >= len(a):
+        square = [row[: len(a)] for row in a]
+        s = sympy.Matrix(square)
+        if s.det() == 0:
+            with pytest.raises(ValueError):
+                linalg.mat_inv(square)
+        else:
+            assert sympy.Matrix(linalg.mat_inv(square)) == s.inv()
+
+
+def test_eliminations_take_integral_fractions_only():
+    assert linalg.solve_unique([[Q(2), Q(0)], [Q(0), Q(1)]], [Q(4), 3]) == (2, 3)
+    assert linalg.rank([[Q(1), 2], [Q(2), 4]]) == 1
+    with pytest.raises(TypeError):
+        linalg.rank([[Q(1, 2)]])
