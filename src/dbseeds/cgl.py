@@ -311,7 +311,7 @@ def interval_y(pres: CGLPresentation, i: int, m: int, c_table: CTable) -> NFPoly
     return y
 
 
-def y_elements(pres: CGLPresentation, c_table, check_normality: bool = True) -> list[NFPoly]:
+def y_elements(pres: CGLPresentation, c_table) -> list[NFPoly]:
     """The full prime-element chain y_0, ..., y_{n-1} of the presentation.
 
     Chain inputs may be keyed either by (start, end) pairs or simply by the
@@ -333,10 +333,9 @@ def y_elements(pres: CGLPresentation, c_table, check_normality: bool = True) -> 
     for k in range(pres.n):
         root = root_of(k)
         y = interval_y(pres, root, o_minus[k], table)
-        if check_normality:
-            for j in range(k + 1):
-                if quasi_commutation_scalar(pres, y, NFPoly.generator(pres.n, j)) is None:
-                    raise PresentationError(f"y_{k} does not normalize x_{j}")
+        for j in range(k + 1):
+            if quasi_commutation_scalar(pres, y, NFPoly.generator(pres.n, j)) is None:
+                raise PresentationError(f"y_{k} does not normalize x_{j}")
         out.append(y)
     return out
 

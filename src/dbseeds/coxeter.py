@@ -411,12 +411,3 @@ def sigma_chain(eta: Sequence[int], p: Sequence, s: Sequence, sigma: Sequence[in
         raise ChainError(f"{case} chain {chain} at position {k} does not end at {sigma[k]}")
     return case, len(chain) - 1, tuple(chain)
 
-
-def ebar_vector(eta: Sequence[int], p: Sequence, s: Sequence, sigma: Sequence[int], k: int) -> tuple[int, ...]:
-    """0/1 indicator vector of the chain of sigma at position k."""
-    _, _, chain = sigma_chain(eta, p, s, sigma, k)
-    n = len(eta)
-    out = [0] * n
-    for i in chain:
-        out[i] = 1
-    return tuple(out)

@@ -23,7 +23,6 @@ from .coxeter import (
     NotIntervalPermutation,
     Perm,
     act_word_on_weight,
-    ebar_vector,
     eta_machinery,
     pred_succ,
     sigma_chain,
@@ -44,22 +43,33 @@ class BowtiePresentation:
 
     cartan: CartanData
     dwd: DoubleWordData
-    lambda_exp: tuple[tuple[int, ...], ...]   # v-exponents of lambda_{kj}
-    nu_exp: tuple[tuple[int, ...], ...]       # half of lambda_exp
+    nu: FrameMatrix                           # v-exponents of lambda, halved
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.dwd.size
 
-    def nu_frame(self) -> FrameMatrix:
-        return FrameMatrix(self.nu_exp)
-
     @cached_property
     def b_id(self) -> ExchangeMatrix:
         """Exchange matrix of the identity-order seed, built once per presentation."""
-        return b_columns(self.dwd, bfz_matrix(self.dwd))
+        return b_columns(self, bfz_matrix(self.dwd))
+
+    def chains(self, sigma: Perm) -> tuple[tuple[int, ...], ...]:
+        """Chain of sigma at every position, computed on first use and kept.
+
+        The chain at k lists, in increasing order, the indices of sigma(k)'s
+        level among sigma(0..k); `sigma_chain` validates it.
+        """
+        sigma = tuple(sigma)
+        if sigma not in self._chains:
+            dwd = self.dwd
+            self._chains[sigma] = tuple(
+                sigma_chain(dwd.eta, dwd.p, dwd.s, sigma, k)[2] for k in range(self.size)
+            )
+        return self._chains[sigma]
 
     def seed(self, sigma: Perm) -> QuantumSeed:
         """Seed of one interval permutation, built on first use and kept."""
@@ -82,34 +92,26 @@ def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int
     """Exponent matrix and degrees of the presentation attached to (w, u).
 
     With positions k ordered as in the double word (w reversed, then u),
-    the v-exponent of lambda_{kj} for j < k is
+    lambda_{kj} = v^(2 nu_{kj}), where for j < k
 
-        -2<beta_|k|, beta_|j|>    on the w-block,
-        -2<beta'_|k|, beta'_|j|>  on the u-block,
-        +2<beta'_|k|, beta_|j|>   on the mixed block,
+        nu_{kj} = -<beta_|k|, beta_|j|>    on the w-block,
+                  -<beta'_|k|, beta'_|j|>  on the u-block,
+                  +<beta'_|k|, beta_|j|>   on the mixed block,
 
     which is what the h(beta)/h(-beta') action of the presentation gives.
-    Every entry is even, so nu_exp = lambda_exp / 2 is an integer matrix.
     """
     dwd = eta_machinery(cartan, w_word, u_word)
     n = dwd.size
     nw = dwd.n_w
-    lam = [[0] * n for _ in range(n)]
+    nu = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k):
             pairing = cartan.pair_alpha(dwd.root_at(k), dwd.root_at(j))
-            if k < nw:
-                e = -2 * pairing
-            elif j >= nw:
-                e = -2 * pairing
-            else:
-                e = 2 * pairing
-            lam[k][j] = e
-            lam[j][k] = -e
-    lam_t = tuple(tuple(r) for r in lam)
-    nu = tuple(tuple(x // 2 for x in row) for row in lam_t)
+            e = pairing if j < nw <= k else -pairing
+            nu[k][j] = e
+            nu[j][k] = -e
     degrees = tuple(dwd.degree_at(k) for k in range(n))
-    return BowtiePresentation(cartan, dwd, lam_t, nu, degrees)
+    return BowtiePresentation(cartan, dwd, FrameMatrix(tuple(tuple(r) for r in nu)), degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -123,62 +125,58 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
     return tuple(range(nw - 1, -1, -1)) + tuple(range(nw, n))
 
 
+def next_same_level(dwd: DoubleWordData, sigma: Perm) -> tuple[int | None, ...]:
+    """Per position k, the next position of sigma(k)'s level in sigma order, or None."""
+    return pred_succ(tuple(dwd.eta[i] for i in sigma))[1]
+
+
 def ex_sigma(dwd: DoubleWordData, sigma: Perm) -> tuple[int, ...]:
     """Positions with a later position of the same level."""
-    eta = dwd.eta
-    n = dwd.size
-    return tuple(
-        l for l in range(n)
-        if any(eta[sigma[k]] == eta[sigma[l]] for k in range(l + 1, n))
-    )
+    return tuple(l for l, a in enumerate(next_same_level(dwd, sigma)) if a is not None)
 
 
-def ebar_vectors(dwd: DoubleWordData, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-    return tuple(ebar_vector(dwd.eta, dwd.p, dwd.s, sigma, k) for k in range(dwd.size))
+def chain_matrix(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:
+    """Columns are the chain indicator vectors of sigma (unimodular)."""
+    chains = pres.chains(sigma)
+    return tuple(tuple(int(j in chain) for chain in chains) for j in range(pres.size))
 
 
 def sigma_frame(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
     """Frame of the seed attached to sigma, by congruence along the chain vectors."""
-    ebars = ebar_vectors(pres.dwd, sigma)
-    if not ebars:
+    if not pres.size:
         return FrameMatrix(())
-    return frame_restrict(pres.nu_frame(), ebars)
+    return frame_restrict(pres.nu, linalg.transpose(chain_matrix(pres, sigma)))
 
 
 def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
-    """Same frame through the raw double-product formula, as an independent path."""
+    """Same frame through the raw double-product formula, as an independent path.
+
+    The supports are rebuilt here from eta and sigma, not read from `pres.chains`.
+    """
     if not xi_is_member(sigma):
         raise NotIntervalPermutation(str(sigma))
     dwd = pres.dwd
     n = dwd.size
+    nu = pres.nu.psi
     psi = [[0] * n for _ in range(n)]
     for k in range(n):
         support_k = [i for i in sigma[: k + 1] if dwd.eta[i] == dwd.eta[sigma[k]]]
         for j in range(n):
             support_j = [l for l in sigma[: j + 1] if dwd.eta[l] == dwd.eta[sigma[j]]]
-            psi[k][j] = sum(pres.nu_exp[i][l] for i in support_k for l in support_j)
+            psi[k][j] = sum(nu[i][l] for i in support_k for l in support_j)
     return FrameMatrix(tuple(tuple(row) for row in psi))
 
 
 def sigma_degrees(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:
     """Root-lattice degree of each permuted cluster variable (chain sums)."""
-    dwd = pres.dwd
     out = []
-    for k in range(dwd.size):
-        _, _, chain = sigma_chain(dwd.eta, dwd.p, dwd.s, sigma, k)
+    for chain in pres.chains(sigma):
         deg = [0] * pres.cartan.rank
         for i in chain:
-            for t, x in enumerate(dwd.degree_at(i)):
+            for t, x in enumerate(pres.degrees[i]):
                 deg[t] += x
         out.append(tuple(deg))
     return tuple(out)
-
-
-def chain_matrix(dwd: DoubleWordData, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-    """Columns are the chain indicator vectors of sigma (unimodular)."""
-    cols = ebar_vectors(dwd, sigma)
-    n = dwd.size
-    return tuple(tuple(cols[k][j] for k in range(n)) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +242,18 @@ def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
     return double_word_matrix(dwd.cartan.cartan, letters, dwd.epsilon, ex)
 
 
-def chain_transport(dwd: DoubleWordData, source: Perm, target: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def chain_transport(pres: BowtiePresentation, source: Perm, target: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The integer map v -> x with Z_target x = Z_source v, in closed form.
 
-    Z_sigma is `chain_matrix(dwd, sigma)`.  y = Z_source v adds v_k over the
+    Z_sigma is `chain_matrix(pres, sigma)`.  y = Z_source v adds v_k over the
     chain of `source` at k.  Along one level, consecutive chain vectors of
     `target` differ by a unit vector, ebar_k - ebar_prev(k) = e_target(k), so
     x_k = y_target(k) - y_target(next(k)), where next(k) is the next position
     of the same level (and the second term is 0 past the last one).
     """
-    n = dwd.size
-    chains = [sigma_chain(dwd.eta, dwd.p, dwd.s, source, k)[2] for k in range(n)]
-    after: list[int | None] = [None] * n   # target(next(k))
-    last: dict[int, int] = {}
-    for k in reversed(range(n)):
-        level = dwd.eta[target[k]]
-        after[k] = last.get(level)
-        last[level] = target[k]
+    n = pres.size
+    chains = pres.chains(source)
+    nxt = next_same_level(pres.dwd, target)
 
     def transport(v: Sequence[int]) -> tuple[int, ...]:
         y = [0] * n
@@ -269,115 +262,88 @@ def chain_transport(dwd: DoubleWordData, source: Perm, target: Perm) -> Callable
                 for i in chains[k]:
                     y[i] += x
         return tuple(
-            y[target[k]] - (0 if after[k] is None else y[after[k]]) for k in range(n)
+            y[target[k]] - (0 if nxt[k] is None else y[target[nxt[k]]]) for k in range(n)
         )
 
     return transport
 
 
-def b_columns(dwd: DoubleWordData, bfz: ExchangeMatrix) -> ExchangeMatrix:
+def _column_sum(b: ExchangeMatrix, keys, sign: int = 1) -> list[int]:
+    """sign times the sum of the columns of b at keys."""
+    out = [0] * b.n
+    for k in keys:
+        for t, x in enumerate(b.column(k)):
+            out[t] += sign * x
+    return out
+
+
+def b_columns(pres: BowtiePresentation, bfz: ExchangeMatrix) -> ExchangeMatrix:
     """Exchange matrix of the identity-order seed from the reversed-w one.
 
     Columns of the reversed order are combined per the position of the
     successor: the column itself for u-block indices, a negated single
-    column when the successor stays in the w-block, and the full
-    accumulated chain when it crosses into the u-block.  Each combination
-    is carried from the reversed-w chain basis to the identity one by
-    `chain_transport`, a closed-form integer map built once per call.
+    column when the successor stays in the w-block, and the columns over
+    the identity chain at l when it crosses into the u-block.  Each
+    combination is carried from the reversed-w chain basis to the identity
+    one by `chain_transport`, a closed-form integer map built once per call.
     """
+    dwd = pres.dwd
     n, nw = dwd.size, dwd.n_w
-    transport = chain_transport(dwd, w0_permutation(dwd), tuple(range(n)))
+    identity = tuple(range(n))
+    transport = chain_transport(pres, w0_permutation(dwd), identity)
+    chains = pres.chains(identity)
     ex = tuple(l for l in range(n) if dwd.s[l] is not None)
     cols = []
     for l in ex:
         if l >= nw:
-            combined = list(bfz.column(l))
-            sign = 1
+            combined = _column_sum(bfz, [l])
         elif dwd.s[l] < nw:
-            combined = list(bfz.column(nw - 1 - dwd.s[l]))
-            sign = -1
+            combined = _column_sum(bfz, [nw - 1 - dwd.s[l]], -1)
         else:
-            combined = [0] * n
-            j = l
-            while j is not None:
-                for t, x in enumerate(bfz.column(nw - 1 - j)):
-                    combined[t] += x
-                j = dwd.p[j]
-            sign = 1
-        cols.append(transport([sign * x for x in combined]))
+            combined = _column_sum(bfz, [nw - 1 - j for j in chains[l]])
+        cols.append(transport(combined))
     return ExchangeMatrix(n, ex, tuple(cols))
 
 
-def btau_columns(dwd: DoubleWordData, sigma: Perm, b_id: ExchangeMatrix) -> ExchangeMatrix:
+def btau_columns(pres: BowtiePresentation, sigma: Perm, b_id: ExchangeMatrix) -> ExchangeMatrix:
     """Exchange matrix of the sigma-seed from the identity-order columns.
 
-    For each exchangeable position l, the next position of the same level
-    determines a successor or predecessor chain at the level of original
-    indices; the corresponding identity columns are summed and carried from
-    the identity chain basis to that of sigma by `chain_transport`, a
-    closed-form integer map built once per call.
+    For each exchangeable position l with next same-level position a, the
+    column is the signed sum of the identity columns at the indices j of
+    the chain of sigma at a with min(sigma(l), sigma(a)) <= j < max(sigma(l),
+    sigma(a)), positive when sigma(a) > sigma(l), carried from the identity
+    chain basis to that of sigma by `chain_transport`, a closed-form integer
+    map built once per call.
     """
-    if not xi_is_member(sigma):
-        raise NotIntervalPermutation(str(sigma))
-    n = dwd.size
-    eta, p, s = dwd.eta, dwd.p, dwd.s
-    transport = chain_transport(dwd, tuple(range(n)), sigma)
-    ex = ex_sigma(dwd, sigma)
+    n = pres.size
+    chains = pres.chains(sigma)
+    transport = chain_transport(pres, tuple(range(n)), sigma)
+    nxt = next_same_level(pres.dwd, sigma)
+    ex = ex_sigma(pres.dwd, sigma)
     cols = []
     for l in ex:
-        k = next(j for j in range(l + 1, n) if eta[sigma[j]] == eta[sigma[l]])
-        start, target = sigma[l], sigma[k]
-        # walk the successor orbit first, else the predecessor orbit
-        route = []
-        j, hops = start, 0
-        while j is not None and j != target:
-            j = s[j]
-            hops += 1
-        if j == target:
-            summed = [0] * n
-            j = start
-            for _ in range(hops):
-                for t, x in enumerate(b_id.column(j)):
-                    summed[t] += x
-                j = s[j]
-            sign = 1
-        else:
-            j, hops = start, 0
-            while j is not None and j != target:
-                j = p[j]
-                hops += 1
-            if j != target:
-                raise OracleError("next same-level index is in neither chain orbit")
-            summed = [0] * n
-            j = start
-            for _ in range(hops):
-                j = p[j]
-                for t, x in enumerate(b_id.column(j)):
-                    summed[t] += x
-            sign = -1
-        cols.append(transport([sign * x for x in summed]))
+        a = nxt[l]
+        lo, hi = sorted((sigma[l], sigma[a]))
+        sign = 1 if sigma[a] > sigma[l] else -1
+        cols.append(transport(_column_sum(b_id, [j for j in chains[a] if lo <= j < hi], sign)))
     return ExchangeMatrix(n, ex, tuple(cols))
 
 
 def oracle_system(
-    pres: BowtiePresentation,
-    sigma: Perm,
-    frame: FrameMatrix | None = None,
-    degrees: Sequence[Sequence[int]] | None = None,
+    pres: BowtiePresentation, sigma: Perm
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
     """Defining linear system of the exchange columns of sigma.
 
-    Returns the integer rows [psi; degrees] and, for each exchangeable
-    position l, the right-hand side [-2 d e_l; 0]: the column at l is the
-    vector b with frame-exponent <b, e_j> = 2 d delta_{jl} and vanishing
-    degree pairing.
+    Returns the integer rows [psi; degrees] of `pres.seed(sigma)` and, for
+    each exchangeable position l, the right-hand side [-2 d e_l; 0]: the
+    column at l is the vector b with frame-exponent <b, e_j> = 2 d delta_{jl}
+    and vanishing degree pairing.
     """
     dwd = pres.dwd
     n = dwd.size
-    fr = frame if frame is not None else sigma_frame(pres, sigma)
-    degs = degrees if degrees is not None else sigma_degrees(pres, sigma)
+    seed = pres.seed(sigma)
     width = pres.cartan.rank
-    rows = fr.psi + tuple(tuple(degs[j][t] for j in range(n)) for t in range(width))
+    rows = seed.frame.psi + tuple(tuple(seed.degrees[j][t] for j in range(n)) for t in range(width))
     rhs = {}
     for l in ex_sigma(dwd, sigma):
         d_val = pres.cartan.d[dwd.eta[sigma[l]] - 1]
@@ -385,20 +351,14 @@ def oracle_system(
     return rows, rhs
 
 
-def solve_b_oracle(
-    pres: BowtiePresentation,
-    sigma: Perm,
-    l: int,
-    frame: FrameMatrix | None = None,
-    degrees: Sequence[Sequence[int]] | None = None,
-) -> tuple[int, ...]:
+def solve_b_oracle(pres: BowtiePresentation, sigma: Perm, l: int) -> tuple[int, ...]:
     """Exchange column at position l from its defining linear system.
 
     Solves `oracle_system` by fraction-free integer elimination for its
     unique solution, which must be an integer vector.  Used as the
     independent oracle against the closed-form column constructions.
     """
-    rows, rhs = oracle_system(pres, sigma, frame, degrees)
+    rows, rhs = oracle_system(pres, sigma)
     if l not in rhs:
         raise OracleError(f"position {l} is not exchangeable for this permutation")
     try:
@@ -426,7 +386,7 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
     dwd = pres.dwd
     seed = QuantumSeed(
         frame=sigma_frame(pres, sigma),
-        exchange=btau_columns(dwd, sigma, pres.b_id),
+        exchange=btau_columns(pres, sigma, pres.b_id),
         inv=frozenset(),
         degrees=sigma_degrees(pres, sigma),
         d=tuple(pres.cartan.d[dwd.eta[i] - 1] for i in sigma),
@@ -448,15 +408,9 @@ DegreeComponent = Literal["first", "second"]
 class BZSeedData:
     """Quantum-minor seed on [0, r+N+M): labels, frame, exchange, degrees."""
 
-    cartan: CartanData
-    w_word: tuple[int, ...]
-    u_word: tuple[int, ...]
     variant: Variant
     labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]   # (gamma_k, delta_k)
     eta: tuple[int, ...]
-    p: tuple
-    s: tuple
-    ex: tuple[int, ...]
     seed: QuantumSeed
 
 
@@ -521,7 +475,7 @@ def bz_seed(
     frame = FrameMatrix.from_rows(psi)
 
     eta = tuple(range(1, r + 1)) + w + u
-    p, s = pred_succ(eta)
+    _, s = pred_succ(eta)
     eps = tuple(1 if k < r + nw else -1 for k in range(n))
     ex = tuple(k for k in range(r, n) if s[k] is not None)
     exchange = double_word_matrix(cartan.cartan, eta, eps, ex)
@@ -535,18 +489,7 @@ def bz_seed(
         degrees=deg_first if degree_component == "first" else deg_second,
         d=tuple(cartan.d[eta[k] - 1] for k in range(n)),
     )
-    return BZSeedData(
-        cartan=cartan,
-        w_word=w,
-        u_word=u,
-        variant=variant,
-        labels=labels,
-        eta=eta,
-        p=p,
-        s=s,
-        ex=ex,
-        seed=seed,
-    )
+    return BZSeedData(variant=variant, labels=labels, eta=eta, seed=seed)
 
 
 @dataclass(frozen=True)

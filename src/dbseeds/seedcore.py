@@ -102,17 +102,20 @@ def degree_balance(seed: QuantumSeed, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def exchange_pairings(frame: FrameMatrix, exchange: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
+    """Rows of B^T psi: row i holds psi(b^k, e_j) for k = exchange.ex[i] and every j."""
+    n = frame.size
+    return tuple(tuple(frame.omega_exp(b, _basis(n, j)) for j in range(n)) for b in exchange.cols)
+
+
 def check_compatible(seed: QuantumSeed) -> CompatReport:
     """Frame/exchange compatibility and degree balance, reported per column."""
-    n = seed.size
     orth = []
     values: dict[int, int] = {}
     degenerate = []
     bad_degrees = []
-    for k in seed.ex:
-        b = seed.exchange.column(k)
-        for j in range(n):
-            e = seed.frame.omega_exp(b, _basis(n, j))
+    for k, row in zip(seed.ex, exchange_pairings(seed.frame, seed.exchange)):
+        for j, e in enumerate(row):
             if j == k:
                 values[k] = e
                 if e == 0:
@@ -222,19 +225,17 @@ def antiiso_transform(seed: QuantumSeed) -> QuantumSeed:
     return replace(seed, frame=seed.frame.negate(), exchange=seed.exchange.negate())
 
 
-def graded_reduce(seed: QuantumSeed, n_reduce: int, degree_table: Sequence[Sequence[int]] | None = None) -> QuantumSeed:
+def graded_reduce(seed: QuantumSeed, n_reduce: int) -> QuantumSeed:
     """Quotient a graded seed by its first n_reduce frozen, invertible indices.
 
-    degree_table[k] is the grading degree of cluster variable k; the degrees
-    of the first n_reduce variables must span every degree with integer
-    coordinates.  The result lives on the remaining indices, with all
-    degrees zero.
+    The degrees of the first n_reduce variables must span every degree of
+    the seed with integer coordinates.  The result lives on the remaining
+    indices, with all degrees zero.
     """
     if n_reduce == 0:
         return seed
     n = seed.size
-    table = seed.degrees if degree_table is None else tuple(tuple(v) for v in degree_table)
-    if len(table) != n:
+    if len(seed.degrees) != n:
         raise ReductionError("degree table must cover every index")
     head = set(range(n_reduce))
     if head & set(seed.ex):
@@ -242,11 +243,11 @@ def graded_reduce(seed: QuantumSeed, n_reduce: int, degree_table: Sequence[Seque
     if not head <= seed.inv:
         raise ReductionError("reduced indices must be invertible")
 
-    phi = table[:n_reduce]
+    phi = linalg.transpose(seed.degrees[:n_reduce])
     shifts: list[tuple[int, ...]] = []
     for k in range(n_reduce, n):
         try:
-            shifts.append(linalg.solve_unique(linalg.transpose(phi), table[k]))
+            shifts.append(linalg.solve_unique(phi, seed.degrees[k]))
         except linalg.LinearSolveError as exc:
             raise ReductionError(
                 f"degree of index {k} is not an integer combination of the leading degrees: {exc}"

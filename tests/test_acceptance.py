@@ -154,7 +154,7 @@ def test_criterion_5_seed_calculus():
         cartan = cartan_init("A", max(max(w), max(u)))
         data = dbc.bz_seed(cartan, u_word=u, w_word=w)
         r = cartan.rank
-        for k in data.ex:
+        for k in data.seed.ex:
             a = graded_reduce(mutate_seed(data.seed, k), r)
             b = mutate_seed(graded_reduce(data.seed, r), k - r)
             assert check_compatible(a).ok and check_compatible(b).ok

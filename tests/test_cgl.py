@@ -252,7 +252,7 @@ def test_a2_presentation_matches_cell_data(a2):
 
     pres, _ = a2
     bow = dbc.bowtie_build(cartan_init("A", 2), (1, 2, 1), (1,))
-    assert pres.lambda_exp == bow.lambda_exp
+    assert pres.lambda_exp == tuple(tuple(2 * x for x in row) for row in bow.nu.psi)
     assert pres.eta == bow.dwd.eta
     assert pres.degrees == bow.degrees
 

@@ -30,16 +30,20 @@ def _mutate_checked(seed, k):
     return out
 
 
+def _lambda_exp(pres):
+    return tuple(tuple(2 * x for x in row) for row in pres.nu.psi)
+
+
 def test_bowtie_a1():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    assert pres.lambda_exp == ((0, -4), (4, 0))
-    assert pres.nu_exp[1][0] == 2
+    assert _lambda_exp(pres) == ((0, -4), (4, 0))
+    assert pres.nu.psi[1][0] == 2
     assert pres.degrees == ((-1,), (1,))
 
 
 def test_bowtie_a2_blocks():
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
-    assert pres.lambda_exp == (
+    assert _lambda_exp(pres) == (
         (0, 2, -2, 2),
         (-2, 0, 2, -2),
         (2, -2, 0, -4),
@@ -64,13 +68,14 @@ def test_sigma_frame_product_formula_agreement():
 
 def test_ebar_identity_collects_chains():
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
-    ebars = dbc.ebar_vectors(pres.dwd, tuple(range(4)))
+    assert pres.chains(tuple(range(4))) == ((0,), (1,), (0, 2), (0, 2, 3))
+    ebars = tuple(zip(*dbc.chain_matrix(pres, tuple(range(4)))))
     assert ebars == ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1))
 
 
 def test_chain_matrix_a1():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    z = dbc.chain_matrix(pres.dwd, (0, 1))
+    z = dbc.chain_matrix(pres, (0, 1))
     assert z == ((Q(1), Q(1)), (Q(0), Q(1)))
 
 
@@ -79,7 +84,7 @@ def test_chain_matrices_unimodular():
 
     pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
     for sigma in xi_enumerate(pres.size):
-        z = dbc.chain_matrix(pres.dwd, sigma)
+        z = dbc.chain_matrix(pres, sigma)
         inverse = linalg.mat_inv(z)
         assert all(x.denominator == 1 for row in inverse for x in row)
 
@@ -124,15 +129,15 @@ def test_bfz_symmetrizable():
 
 
 def test_b_columns_a1():
-    dwd = dbc.bowtie_build(A1, (1,), (1,)).dwd
-    b = dbc.b_columns(dwd, dbc.bfz_matrix(dwd))
+    pres = dbc.bowtie_build(A1, (1,), (1,))
+    b = dbc.b_columns(pres, dbc.bfz_matrix(pres.dwd))
     assert b.ex == (0,)
     assert b.column(0) == (0, 1)
 
 
 def test_b_columns_a2_against_oracle():
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
-    b = dbc.b_columns(pres.dwd, dbc.bfz_matrix(pres.dwd))
+    b = dbc.b_columns(pres, dbc.bfz_matrix(pres.dwd))
     ident = tuple(range(4))
     for l in b.ex:
         assert b.column(l) == dbc.solve_b_oracle(pres, ident, l)
@@ -143,16 +148,17 @@ def test_b_columns_a2_against_oracle():
 def test_btau_identity_is_b_columns():
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     dwd = pres.dwd
-    b_id = dbc.b_columns(dwd, dbc.bfz_matrix(dwd))
-    bt = dbc.btau_columns(dwd, tuple(range(dwd.size)), b_id)
+    b_id = dbc.b_columns(pres, dbc.bfz_matrix(dwd))
+    bt = dbc.btau_columns(pres, tuple(range(dwd.size)), b_id)
     assert bt == b_id
 
 
 def test_btau_reversal_recovers_bfz():
     for cartan, w, u in [(A1, (1,), (1,)), (A2, (1, 2, 1), (1,)), (B2, (1, 2), (1, 2))]:
-        dwd = dbc.bowtie_build(cartan, w, u).dwd
-        b_id = dbc.b_columns(dwd, dbc.bfz_matrix(dwd))
-        bt = dbc.btau_columns(dwd, dbc.w0_permutation(dwd), b_id)
+        pres = dbc.bowtie_build(cartan, w, u)
+        dwd = pres.dwd
+        b_id = dbc.b_columns(pres, dbc.bfz_matrix(dwd))
+        bt = dbc.btau_columns(pres, dbc.w0_permutation(dwd), b_id)
         assert bt == dbc.bfz_matrix(dwd)
 
 
@@ -166,9 +172,8 @@ def test_oracle_value_exponent():
     dwd = pres.dwd
     for sigma in xi_enumerate(dwd.size):
         frame = dbc.sigma_frame(pres, sigma)
-        degrees = dbc.sigma_degrees(pres, sigma)
         for l in dbc.ex_sigma(dwd, sigma):
-            b = dbc.solve_b_oracle(pres, sigma, l, frame, degrees)
+            b = dbc.solve_b_oracle(pres, sigma, l)
             n = dwd.size
             e_l = tuple(1 if t == l else 0 for t in range(n))
             assert frame.omega_exp(b, e_l) == 2 * pres.cartan.d[dwd.eta[sigma[l]] - 1]
@@ -219,7 +224,7 @@ def test_sigma_degrees_a1():
 def test_bz_seed_a1():
     data = dbc.bz_seed(A1, u_word=(1,), w_word=(1,))
     assert data.eta == (1, 1, 1)
-    assert data.ex == (1,)
+    assert data.seed.ex == (1,)
     assert data.seed.exchange.column(1) == (-1, 0, -1)
     # leading labels: (w_i, w^{-1} w_i)
     gamma, delta = data.labels[0]
@@ -272,7 +277,7 @@ def test_graded_reduce_bz_a1_matches_up_to_sign():
 def test_reduce_commutes_with_mutation_bz_a2():
     data = dbc.bz_seed(A2, u_word=(1, 2, 1), w_word=(1, 2, 1))
     r = A2.rank
-    for k in data.ex:
+    for k in data.seed.ex:
         a = graded_reduce(_mutate_checked(data.seed, k), r)
         b = _mutate_checked(graded_reduce(data.seed, r), k - r)
         assert check_compatible(a).ok
@@ -389,15 +394,16 @@ def test_chain_transport_matches_linear_solve(family, rank, w, u):
     # the closed form against the Gaussian solve it replaced, on every sigma
     from dbseeds import linalg
 
-    dwd = dbc.bowtie_build(cartan_init(family, rank), w, u).dwd
+    pres = dbc.bowtie_build(cartan_init(family, rank), w, u)
+    dwd = pres.dwd
     n = dwd.size
     identity = tuple(range(n))
     rng = random.Random(f"{family}{rank}")
     for sigma in xi_enumerate(n):
         for source, target in ((identity, sigma), (dbc.w0_permutation(dwd), sigma), (sigma, identity)):
-            transport = dbc.chain_transport(dwd, source, target)
-            z_target = dbc.chain_matrix(dwd, target)
-            z_source = dbc.chain_matrix(dwd, source)
+            transport = dbc.chain_transport(pres, source, target)
+            z_target = dbc.chain_matrix(pres, target)
+            z_source = dbc.chain_matrix(pres, source)
             for _ in range(2):
                 v = [rng.randint(-3, 3) for _ in range(n)]
                 want = linalg.solve_unique(z_target, linalg.mat_vec(z_source, v))
@@ -440,9 +446,9 @@ def test_xi_linkage_fails_when_frame_depends_on_sign_choice(monkeypatch):
 def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
     honest = dbc.btau_columns
 
-    def corrupted(dwd, sigma, b_id):
-        b = honest(dwd, sigma, b_id)
-        if sigma != tuple(range(dwd.size)):
+    def corrupted(pres, sigma, b_id):
+        b = honest(pres, sigma, b_id)
+        if sigma != tuple(range(pres.size)):
             return b
         first = b.cols[0][:-1] + (b.cols[0][-1] + 1,)
         return ExchangeMatrix(b.n, b.ex, (first,) + b.cols[1:])
@@ -510,7 +516,7 @@ def test_mutate_and_reduce_run_no_compatibility_check(monkeypatch):
 
     data = dbc.bz_seed(A2, (1, 2, 1), (1, 2, 1))
     monkeypatch.setattr(seedcore, "check_compatible", counted)
-    for k in data.ex:
+    for k in data.seed.ex:
         graded_reduce(mutate_seed(data.seed, k), A2.rank)
     assert calls == []
 
@@ -552,6 +558,22 @@ def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
     assert calls["sigma_frame_product"] == 2 ** (6 - 1)
 
 
+def test_sigma_chain_runs_once_per_position_and_sigma(monkeypatch):
+    sigmas = []
+    honest = dbc.sigma_chain
+
+    def counted(eta, p, s, sigma, k):
+        sigmas.append(tuple(sigma))
+        return honest(eta, p, s, sigma, k)
+
+    monkeypatch.setattr(dbc, "sigma_chain", counted)
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results)
+    n = 6
+    assert sorted(set(sigmas)) == sorted(xi_enumerate(n))
+    assert all(sigmas.count(sigma) == n for sigma in set(sigmas))
+
+
 def test_grading_identity_builds_one_sigma_seed(monkeypatch):
     pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
     calls = _count_calls(monkeypatch, "sigma_seed")
@@ -573,6 +595,5 @@ def test_seeds_cover_every_interval_permutation():
 
 def test_bz_seed_takes_w_then_u():
     data = dbc.bz_seed(A2, (1, 2), (2, 1))
-    assert data.w_word == (1, 2)
-    assert data.u_word == (2, 1)
+    assert data.eta == (1, 2) + (1, 2) + (2, 1)
     assert data == dbc.bz_seed(A2, w_word=(1, 2), u_word=(2, 1))

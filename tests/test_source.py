@@ -32,3 +32,16 @@ def test_seed_modules_do_not_import_fractions():
             if any(m == "fractions" or m.startswith("fractions.") for m in modules):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_sigma_chain_has_one_caller():
+    # every chain is read from BowtiePresentation.chains, which keeps it per sigma
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sigma_chain":
+                        callers.append(f"{path.name}:{fn.name}")
+    assert callers == ["dbc.py:chains"]
