@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterator, Sequence
@@ -40,13 +41,19 @@ Word = tuple[int, ...]
 
 @dataclass(frozen=True)
 class CartanData:
-    """Cartan matrix, symmetrizers and exact weight pairings of a finite type."""
+    """Cartan matrix, symmetrizers and exact weight pairings of a finite type.
+
+    The weight pairing is kept as one integer form over one denominator:
+    <w_i, w_j> = weight_form[i][j] / weight_den, where weight_den is the
+    least common denominator of C^{-T} D and weight_form is weight_den C^{-T} D.
+    """
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]      # c[i][j] = <alpha_i^vee, alpha_j>, 0-based
     d: tuple[int, ...]                       # d_i = |alpha_i|^2 / 2
-    pairing_ww: tuple[tuple[Q, ...], ...]    # <w_i, w_j>, exact rationals
+    weight_form: tuple[tuple[int, ...], ...]  # weight_den * <w_i, w_j>
+    weight_den: int
 
     def pair_alpha(self, a: Sequence[int], b: Sequence[int]) -> int:
         """<x, y> for root-lattice vectors in simple-root coordinates."""
@@ -58,13 +65,13 @@ class CartanData:
                 total += a[i] * b[j] * self.d[i] * self.cartan[i][j]
         return total
 
+    def weight_image(self, mu: Sequence[int]) -> tuple[int, ...]:
+        """The integer vector weight_form . mu: weight_den <nu, mu> = nu . weight_image(mu)."""
+        return tuple(sum(f * m for f, m in zip(row, mu)) for row in self.weight_form)
+
     def pair_weight(self, mu: Sequence[int], nu: Sequence[int]) -> Q:
-        """<mu, nu> for weights in fundamental-weight coordinates."""
-        return sum(
-            Q(mu[i]) * Q(nu[j]) * self.pairing_ww[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        """<mu, nu> for weights in fundamental-weight coordinates, exactly."""
+        return Q(sum(m * x for m, x in zip(mu, self.weight_image(nu))), self.weight_den)
 
     def alpha_in_weights(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (0-based i)."""
@@ -143,15 +150,15 @@ def cartan_init(family: str, rank: int) -> CartanData:
 
     # <w_i, w_j> from C^{-T} D, where <alpha_i, w_j> = d_i delta_ij
     cinv_t = linalg.transpose(linalg.mat_inv(c))
-    pairing = tuple(
-        tuple(cinv_t[i][j] * d[j] for j in range(n)) for i in range(n)
-    )
+    pairing = [[cinv_t[i][j] * d[j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if pairing[i][j] != pairing[j][i]:
                 raise InvalidCartanType(f"{fam}{n}: weight pairing is not symmetric at ({i}, {j})")
+    den = math.lcm(*(x.denominator for row in pairing for x in row))
+    form = tuple(tuple(int(x * den) for x in row) for row in pairing)
 
-    return CartanData(fam, n, tuple(tuple(r) for r in c), tuple(d), pairing)
+    return CartanData(fam, n, tuple(tuple(r) for r in c), tuple(d), form, den)
 
 
 def reflect(cartan: CartanData, i: int, mu: Sequence[int]) -> Weight:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Callable, Literal, Sequence
 
 from . import linalg
@@ -425,7 +426,10 @@ def bz_seed(
 ) -> BZSeedData:
     """Seed with quantum-minor labels for the double word 1..r, w, u.
 
-    The frame exponents are the pairing differences of the weight labels;
+    The frame exponents are the pairing differences of the weight labels,
+    <gamma_j, gamma_k> - <delta_j, delta_k>, taken as integer numerators over
+    the weight form's denominator from each label's `weight_image`;
+    `FrameMatrix.from_rows` divides them out and raises on a fractional one.
     `convention` selects which variant's labels feed that formula (the two
     choices differ by a global sign).  `u_label_mode` selects between the
     prefix subwords u_{<=k} and the reversed-suffix reading for the u-block
@@ -464,15 +468,16 @@ def bz_seed(
     labels = plain if variant == "plain" else tuple((d, g) for g, d in plain)
 
     frame_source = plain if convention == "bz-labels" else tuple((d, g) for g, d in plain)
+    gamma_img = [cartan.weight_image(g) for g, _ in frame_source]
+    delta_img = [cartan.weight_image(d) for _, d in frame_source]
     psi = [[0] * n for _ in range(n)]
     for j in range(n):
+        gj, dj = frame_source[j]
         for k in range(j):
-            gj, dj = frame_source[j]
-            gk, dk = frame_source[k]
-            mu_jk = cartan.pair_weight(gj, gk) - cartan.pair_weight(dj, dk)
-            psi[j][k] = mu_jk
-            psi[k][j] = -mu_jk
-    frame = FrameMatrix.from_rows(psi)
+            num = sum(map(mul, gj, gamma_img[k])) - sum(map(mul, dj, delta_img[k]))
+            psi[j][k] = num
+            psi[k][j] = -num
+    frame = FrameMatrix.from_rows(psi, cartan.weight_den)
 
     eta = tuple(range(1, r + 1)) + w + u
     _, s = pred_succ(eta)

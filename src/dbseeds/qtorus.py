@@ -138,13 +138,18 @@ class FrameMatrix:
                     raise ValueError("psi must be skew-symmetric")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "FrameMatrix":
-        """Frame from integral entries of any exact type; a fractional one raises."""
-        exact = [[Q(x) for x in r] for r in rows]
-        bad = next((q for r in exact for q in r if q.denominator != 1), None)
+    def from_rows(cls, rows: Sequence[Sequence], den: int = 1) -> "FrameMatrix":
+        """Frame with exponents rows[i][j] / den; this is the one integrality gate.
+
+        Entries are ints or any exact rational type.  The first fractional
+        quotient in row-major order raises NonIntegralFrame naming it in
+        lowest terms.
+        """
+        exact = [[x // den if type(x) is int and x % den == 0 else Q(x, den) for x in r] for r in rows]
+        bad = next((q for r in exact for q in r if type(q) is not int and q.denominator != 1), None)
         if bad is not None:
             raise NonIntegralFrame(f"fractional frame exponent {bad}")
-        return cls(tuple(tuple(q.numerator for q in r) for r in exact))
+        return cls(tuple(tuple(int(q) for q in r) for r in exact))
 
     @property
     def size(self) -> int:

@@ -22,8 +22,8 @@ def test_cartan_a2():
     c = cartan_init("A", 2)
     assert c.cartan == ((2, -1), (-1, 2))
     assert c.d == (1, 1)
-    assert c.pairing_ww[0][0] == Q(2, 3)
-    assert c.pairing_ww[0][1] == Q(1, 3)
+    assert c.pair_weight((1, 0), (1, 0)) == Q(2, 3)
+    assert c.pair_weight((1, 0), (0, 1)) == Q(1, 3)
 
 
 def test_cartan_g2():

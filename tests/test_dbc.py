@@ -356,18 +356,38 @@ def test_connections_and_integrality_small_sweep():
 
 
 def test_bz_integrality_fails_on_fractional_pairing(monkeypatch):
-    # every other pairing is off by 1/2, so each frame exponent is fractional
-    honest = CartanData.pair_weight
+    # every other label image is off by one in its first coordinate, which
+    # the A2 denominator 3 does not divide, so frame exponents turn fractional
+    honest = CartanData.weight_image
     calls = itertools.count()
 
-    def skewed(self, mu, nu):
-        return honest(self, mu, nu) + Q(next(calls) % 2, 2)
+    def skewed(self, mu):
+        image = honest(self, mu)
+        return image if next(calls) % 2 == 0 else (image[0] + 1,) + image[1:]
 
-    monkeypatch.setattr(CartanData, "pair_weight", skewed)
+    monkeypatch.setattr(CartanData, "weight_image", skewed)
     result = verify.bz_compatibility(dbc.bowtie_build(A2, (1, 2), (2, 1)))
     assert result.name == "bz-integrality"
     assert result.ok is False
-    assert "plain: fractional frame exponent" in result.detail
+    assert result.detail == "w=(1, 2) u=(2, 1) plain: fractional frame exponent -1/3"
+
+
+def test_bz_seed_takes_label_images_not_pairings(monkeypatch):
+    # one integer image per gamma and per delta label, and no rational pairing
+    cartan = cartan_init("A", 3)
+    calls = {"weight_image": 0, "pair_weight": 0}
+    for name in calls:
+        honest = getattr(CartanData, name)
+
+        def counted(self, *args, _name=name, _honest=honest):
+            calls[_name] += 1
+            return _honest(self, *args)
+
+        monkeypatch.setattr(CartanData, name, counted)
+    w, u = (1, 2, 1, 3), (2, 3)
+    dbc.bz_seed(cartan, w, u)
+    n = cartan.rank + len(w) + len(u)
+    assert calls == {"weight_image": 2 * n, "pair_weight": 0}
 
 
 def test_connections_exchange_is_negated_reduction():

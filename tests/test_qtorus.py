@@ -6,6 +6,7 @@ import pytest
 from dbseeds.qtorus import (
     DimensionMismatch,
     FrameMatrix,
+    NonIntegralFrame,
     VLaurent,
     bicharacter,
     frame_restrict,
@@ -97,3 +98,15 @@ def test_frame_validation():
         FrameMatrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         FrameMatrix.from_rows([[1, 0], [0, 1]])
+
+
+def test_from_rows_numerators_and_rationals_raise_alike():
+    # the first fractional entry in row-major order is named, in lowest terms
+    numerators = [[0, 3, 2], [-3, 0, 4], [-2, -4, 0]]
+    rationals = [[Q(x, 6) for x in row] for row in numerators]
+    for args in ((numerators, 6), (rationals,)):
+        with pytest.raises(NonIntegralFrame) as exc:
+            FrameMatrix.from_rows(*args)
+        assert str(exc.value) == "fractional frame exponent 1/2"
+    whole = [[0, 6, -12], [-6, 0, 18], [12, -18, 0]]
+    assert FrameMatrix.from_rows(whole, 6).psi == ((0, 1, -2), (-1, 0, 3), (2, -3, 0))
