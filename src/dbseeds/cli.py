@@ -111,15 +111,15 @@ def cmd_seed(args) -> int:
         "double_word": jsonio.encode_double_word(dwd),
     }
     if args.bz or args.mbz:
-        variant = "modified" if args.mbz else "plain"
-        data = dbc.bz_seed(cartan, w, u, variant=variant, convention=args.convention or "bz-labels")
+        seeds = dbc.bz_seed(pres, args.convention) if args.convention else pres.bz
+        data = seeds["modified" if args.mbz else "plain"]
         if args.reduce:
             payload["seed"] = jsonio.encode_seed(graded_reduce(data.seed, cartan.rank))
             payload["reduced_from"] = jsonio.encode_bz(data)
         else:
             payload["seed"] = jsonio.encode_bz(data)
     elif args.bfz:
-        b = dbc.bfz_matrix(dwd)
+        b = pres.bfz
         payload["seed"] = {
             "B": [[b.column(k)[j] for k in b.ex] for j in range(dwd.size)],
             "ex": [k + 1 for k in b.ex],

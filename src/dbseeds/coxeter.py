@@ -13,7 +13,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -396,25 +395,31 @@ class ChainError(ValueError):
     """The chain of a permuted position is not a contiguous run ending at that position."""
 
 
-def sigma_chain(eta: Sequence[int], p: Sequence, s: Sequence, sigma: Sequence[int], k: int):
-    """Chain of the permuted presentation at position k.
+def sigma_chain(eta: Sequence[int], s: Sequence, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Chain table of the permuted presentation, in one left-to-right pass.
 
-    Returns (case, n, chain): case is "pred" when sigma(0) <= sigma(k) (the
-    chain is a predecessor chain ending at sigma(k)) and "succ" otherwise,
-    n is the number of chain steps, and chain lists the original indices in
-    increasing order.
+    The chain at position k lists, in increasing order, the indices of
+    sigma(k)'s level among sigma(0..k).  As sigma(0..k) is an interval,
+    sigma(k) extends it at the top or at the bottom, so the chain is the
+    previous chain of its level with sigma(k) appended or prepended.  Each
+    chain must be a contiguous run of its level class: consecutive indices
+    are same-level successors under s.
     """
     if not xi_is_member(sigma):
-        raise NotIntervalPermutation(f"{sigma} fails the interval test")
-    head = set(sigma[: k + 1])
-    target = eta[sigma[k]]
-    chain = sorted(i for i in head if eta[i] == target)
-    # the intersection must be a contiguous run of the eta-class
-    for a, b in itertools.pairwise(chain):
-        if s[a] != b:
+        raise NotIntervalPermutation(f"{tuple(sigma)} fails the interval test")
+    last: dict[int, tuple[int, ...]] = {}
+    table = []
+    for k, x in enumerate(sigma):
+        prev = last.get(eta[x], ())
+        if prev and x > sigma[0]:
+            chain, linked = prev + (x,), s[prev[-1]] == x
+        elif prev:
+            chain, linked = (x,) + prev, s[x] == prev[0]
+        else:
+            chain, linked = (x,), True
+        if not linked:
             raise ChainError(f"chain {chain} at position {k} is not contiguous in its level class")
-    case = "pred" if sigma[0] <= sigma[k] else "succ"
-    if chain[-1 if case == "pred" else 0] != sigma[k]:
-        raise ChainError(f"{case} chain {chain} at position {k} does not end at {sigma[k]}")
-    return case, len(chain) - 1, tuple(chain)
+        last[eta[x]] = chain
+        table.append(chain)
+    return tuple(table)
 

@@ -30,7 +30,7 @@ from .coxeter import (
     xi_enumerate,
     xi_is_member,
 )
-from .qtorus import FrameMatrix, frame_restrict
+from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
 from .seedcore import ExchangeMatrix, QuantumSeed, ReductionError, antiiso_transform, graded_reduce
 
 
@@ -54,22 +54,25 @@ class BowtiePresentation:
         return self.dwd.size
 
     @cached_property
+    def bfz(self) -> ExchangeMatrix:
+        """Exchange matrix of the reversed-w seed, built once per presentation."""
+        return bfz_matrix(self.dwd)
+
+    @cached_property
     def b_id(self) -> ExchangeMatrix:
         """Exchange matrix of the identity-order seed, built once per presentation."""
-        return b_columns(self, bfz_matrix(self.dwd))
+        return b_columns(self, self.bfz)
+
+    @cached_property
+    def bz(self) -> dict[Variant, BZSeedData]:
+        """Plain and modified minor-labelled seeds, built once per presentation."""
+        return bz_seed(self)
 
     def chains(self, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-        """Chain of sigma at every position, computed on first use and kept.
-
-        The chain at k lists, in increasing order, the indices of sigma(k)'s
-        level among sigma(0..k); `sigma_chain` validates it.
-        """
+        """Chain table of sigma (see `sigma_chain`), computed on first use and kept."""
         sigma = tuple(sigma)
         if sigma not in self._chains:
-            dwd = self.dwd
-            self._chains[sigma] = tuple(
-                sigma_chain(dwd.eta, dwd.p, dwd.s, sigma, k)[2] for k in range(self.size)
-            )
+            self._chains[sigma] = sigma_chain(self.dwd.eta, self.dwd.s, sigma)
         return self._chains[sigma]
 
     def seed(self, sigma: Perm) -> QuantumSeed:
@@ -401,8 +404,6 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
 
 Variant = Literal["plain", "modified"]
 Convention = Literal["bz-labels", "mbz-labels"]
-LabelMode = Literal["prefix", "suffix"]
-DegreeComponent = Literal["first", "second"]
 
 
 @dataclass(frozen=True)
@@ -415,33 +416,25 @@ class BZSeedData:
     seed: QuantumSeed
 
 
-def bz_seed(
-    cartan: CartanData,
-    w_word: Sequence[int],
-    u_word: Sequence[int],
-    variant: Variant = "plain",
-    convention: Convention = "bz-labels",
-    u_label_mode: LabelMode = "prefix",
-    degree_component: DegreeComponent = "first",
-) -> BZSeedData:
-    """Seed with quantum-minor labels for the double word 1..r, w, u.
+def bz_seed(pres: BowtiePresentation, convention: Convention = "bz-labels") -> dict[Variant, BZSeedData]:
+    """Plain and modified seeds with quantum-minor labels for the double word 1..r, w, u.
 
-    The frame exponents are the pairing differences of the weight labels,
-    <gamma_j, gamma_k> - <delta_j, delta_k>, taken as integer numerators over
-    the weight form's denominator from each label's `weight_image`;
-    `FrameMatrix.from_rows` divides them out and raises on a fractional one.
-    `convention` selects which variant's labels feed that formula (the two
-    choices differ by a global sign).  `u_label_mode` selects between the
-    prefix subwords u_{<=k} and the reversed-suffix reading for the u-block
-    labels; the cross-check against the reversed-w seed arbitrates both
-    flags, and the shipped defaults are the ones that pass it.
+    The modified labels are the plain ones with gamma and delta swapped.  Both
+    variants share one frame and one exchange matrix; their degrees are minus
+    the first label of each pair.  The frame exponents are the pairing
+    differences of the weight labels, <gamma_j, gamma_k> - <delta_j, delta_k>,
+    taken as integer numerators over the weight form's denominator from each
+    label's `weight_image`; `FrameMatrix.from_rows` divides them out and
+    raises on a fractional one.  `convention` selects which variant's labels
+    feed that formula (the two choices differ by a global sign); the
+    cross-check against the reversed-w seed arbitrates it, and the default
+    is the one that passes.  `pres.bz` keeps the default-convention result.
     """
-    w = tuple(w_word)
-    u = tuple(u_word)
-    dwd = eta_machinery(cartan, w, u)   # validates reducedness
+    cartan, dwd = pres.cartan, pres.dwd
+    w, u = dwd.w_word, dwd.u_word
     r = cartan.rank
-    nw, nu = len(w), len(u)
-    n = r + nw + nu
+    nw = len(w)
+    n = r + pres.size
     w_inv = tuple(reversed(w))
 
     def fundamental(i: int) -> tuple[int, ...]:
@@ -458,16 +451,12 @@ def bz_seed(
             return mu, act_word_on_weight(cartan, prefix, mu)
         idx = k - r - nw
         mu = fundamental(u[idx])
-        if u_label_mode == "prefix":
-            word = u[: idx + 1]
-        else:
-            word = u[idx:]
-        return act_word_on_weight(cartan, word, mu), mu
+        return act_word_on_weight(cartan, u[: idx + 1], mu), mu
 
     plain = tuple(plain_label(k) for k in range(n))
-    labels = plain if variant == "plain" else tuple((d, g) for g, d in plain)
+    modified = tuple((d, g) for g, d in plain)
 
-    frame_source = plain if convention == "bz-labels" else tuple((d, g) for g, d in plain)
+    frame_source = plain if convention == "bz-labels" else modified
     gamma_img = [cartan.weight_image(g) for g, _ in frame_source]
     delta_img = [cartan.weight_image(d) for _, d in frame_source]
     psi = [[0] * n for _ in range(n)]
@@ -484,17 +473,14 @@ def bz_seed(
     eps = tuple(1 if k < r + nw else -1 for k in range(n))
     ex = tuple(k for k in range(r, n) if s[k] is not None)
     exchange = double_word_matrix(cartan.cartan, eta, eps, ex)
+    inv = frozenset(set(range(n)) - set(ex))
+    d = tuple(cartan.d[eta[k] - 1] for k in range(n))
 
-    deg_first = tuple(tuple(-x for x in labels[k][0]) for k in range(n))
-    deg_second = tuple(labels[k][1] for k in range(n))
-    seed = QuantumSeed(
-        frame=frame,
-        exchange=exchange,
-        inv=frozenset(set(range(n)) - set(ex)),
-        degrees=deg_first if degree_component == "first" else deg_second,
-        d=tuple(cartan.d[eta[k] - 1] for k in range(n)),
-    )
-    return BZSeedData(variant=variant, labels=labels, eta=eta, seed=seed)
+    def data(variant: Variant, labels) -> BZSeedData:
+        degrees = tuple(tuple(-x for x in g) for g, _ in labels)
+        return BZSeedData(variant, labels, eta, QuantumSeed(frame, exchange, inv, degrees, d))
+
+    return {"plain": data("plain", plain), "modified": data("modified", modified)}
 
 
 @dataclass(frozen=True)
@@ -503,34 +489,22 @@ class ConnectionsReport:
     detail: str
 
 
-def connections_check(
-    pres: BowtiePresentation,
-    convention: Convention = "bz-labels",
-    u_label_mode: LabelMode = "prefix",
-    degree_component: DegreeComponent = "first",
-) -> ConnectionsReport:
+def connections_check(pres: BowtiePresentation) -> ConnectionsReport:
     """Cross-verification of the two seed pipelines for the pair (w, u) of `pres`.
 
-    Takes the reversed-w seed of the reduced cell, `pres.seed(w0)`, and,
-    independently, builds the modified minor-labelled seed; reduces the
-    latter by its first r frozen variables, applies the antiisomorphism
-    transform, shifts indices, and compares frames and exchange matrices
-    entrywise.
+    Takes the reversed-w seed of the reduced cell, `pres.seed(w0)`, and the
+    modified minor-labelled seed, `pres.bz["modified"]`, built independently
+    of it; reduces the latter by its first r frozen variables, applies the
+    antiisomorphism transform, shifts indices, and compares frames and
+    exchange matrices entrywise.  A fractional minor-labelled frame fails.
     """
-    dwd = pres.dwd
-    bar = pres.seed(w0_permutation(dwd))
-    if bar.exchange != bfz_matrix(dwd):
+    bar = pres.seed(w0_permutation(pres.dwd))
+    if bar.exchange != pres.bfz:
         return ConnectionsReport(False, "column pipeline does not reproduce the reversed-w matrix")
-
-    mbz = bz_seed(
-        pres.cartan,
-        dwd.w_word,
-        dwd.u_word,
-        variant="modified",
-        convention=convention,
-        u_label_mode=u_label_mode,
-        degree_component=degree_component,
-    )
+    try:
+        mbz = pres.bz["modified"]
+    except NonIntegralFrame as exc:
+        return ConnectionsReport(False, f"minor-labelled frame: {exc}")
     try:
         reduced = graded_reduce(mbz.seed, pres.cartan.rank)
     except ReductionError as exc:

@@ -28,7 +28,7 @@ def compat_identity(pres: dbc.BowtiePresentation, fault: bool = False) -> CheckR
         psi[0][1] += 1
         psi[1][0] -= 1
         frame = FrameMatrix(tuple(tuple(r) for r in psi))
-    b = dbc.bfz_matrix(dwd)
+    b = pres.bfz
     for k, row in zip(b.ex, exchange_pairings(frame, b)):
         for j, got in enumerate(row):
             want = 2 * pres.cartan.d[dwd.eta[w0[k]] - 1] if j == k else 0
@@ -141,13 +141,16 @@ def sigma_skew_symmetrizable(pres: dbc.BowtiePresentation) -> CheckResult:
 
 
 def bz_compatibility(pres: dbc.BowtiePresentation) -> CheckResult:
-    """The minor-labelled seed passes compatibility; a fractional frame exponent fails integrality."""
+    """The minor-labelled seeds pass compatibility; a fractional frame exponent fails integrality.
+
+    Both variants share the frame, which the plain labels give.
+    """
     w, u = pres.dwd.w_word, pres.dwd.u_word
-    for variant in ("plain", "modified"):
-        try:
-            data = dbc.bz_seed(pres.cartan, w, u, variant=variant)
-        except NonIntegralFrame as exc:
-            return CheckResult("bz-integrality", False, f"w={w} u={u} {variant}: {exc}")
+    try:
+        seeds = pres.bz
+    except NonIntegralFrame as exc:
+        return CheckResult("bz-integrality", False, f"w={w} u={u} plain: {exc}")
+    for variant, data in seeds.items():
         report = check_compatible(data.seed)
         if not report.ok:
             return CheckResult("bz-compat", False, f"w={w} u={u} {variant}: {report}")

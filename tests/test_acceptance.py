@@ -125,7 +125,7 @@ def _constructed_seeds():
             seeds.append(dbc.sigma_seed(pres, sigma).seed)
     for w, u in [((1,), (1,)), ((1, 2, 1), (1, 2, 1))]:
         cartan = cartan_init("A", max(max(w), max(u)))
-        seeds.append(dbc.bz_seed(cartan, u_word=u, w_word=w).seed)
+        seeds.append(dbc.bowtie_build(cartan, w, u).bz["plain"].seed)
     return seeds
 
 
@@ -152,7 +152,7 @@ def test_criterion_5_seed_calculus():
     commuted = 0
     for w, u in [((1,), (1,)), ((1, 2, 1), (1, 2, 1)), ((1, 2), (2, 1))]:
         cartan = cartan_init("A", max(max(w), max(u)))
-        data = dbc.bz_seed(cartan, u_word=u, w_word=w)
+        data = dbc.bowtie_build(cartan, w, u).bz["plain"]
         r = cartan.rank
         for k in data.seed.ex:
             a = graded_reduce(mutate_seed(data.seed, k), r)

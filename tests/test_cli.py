@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from dbseeds import cli, dbc
 from dbseeds.cli import main
+from dbseeds.coxeter import InvalidCartanType, cartan_init, enumerate_reduced_words
 from dbseeds.qtorus import FrameMatrix
 from dbseeds.seedcore import ExchangeMatrix, QuantumSeed
 
@@ -283,3 +285,94 @@ def test_xi_list_bounds_n_without_enumerating(capsys, monkeypatch):
     code, out, err = run(capsys, "xi-list", "--n", str(cli.XI_LIST_MAX_N + 1))
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "n must be at most 16; xi-list prints all 2^(n-1) permutations"}
+
+
+def test_verify_reports_a_fractional_frame_as_json(capsys, skewed_weight_images):
+    code, out, err = run(capsys, "verify", "--type", "A2", "--w", "1,2", "--u", "2,1")
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["bz-integrality"]["ok"] is False
+    assert checks["connections"] == {
+        "name": "connections", "ok": False, "detail": "minor-labelled frame: fractional frame exponent -1/3",
+    }
+
+
+FUZZ_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "E6", "F4", "G2", "A0", "X2", "A", "2A"]
+
+
+@functools.cache
+def _reduced_words(name):
+    """Reduced words of at most 3 letters of a valid type, else none."""
+    try:
+        cartan = cartan_init(name[0], int(name[1:]))
+    except (ValueError, InvalidCartanType):
+        return []
+    return enumerate_reduced_words(cartan, 3)
+
+
+def _fuzz_word(rng, rank, reduced=()):
+    if reduced and rng.random() < 0.7:
+        return ",".join(map(str, rng.choice(reduced)))
+    if rng.random() < 0.1:
+        return rng.choice(["1,,2", "a", "1;2", "-1", ","])
+    return ",".join(str(rng.randint(0, rank + 1)) for _ in range(rng.randint(0, 3)))
+
+
+def _fuzz_sigma(rng, n):
+    if rng.random() < 0.5:
+        return rng.choice(["id", "wN", "all-xi", "x", "1,1"])
+    positions = list(range(1, max(1, n + rng.choice([-1, 0, 0, 0, 1])) + 1))
+    if rng.random() < 0.5:
+        rng.shuffle(positions)
+    return ",".join(map(str, positions))
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(["seed", "mutate", "verify", "xi-list", "cgl-nf"])
+    if command == "xi-list":
+        return [command, "--n", str(rng.choice([-1, 0, 1, 2, 3, 6, cli.XI_LIST_MAX_N + 1]))]
+    if command == "cgl-nf":
+        return [command, "--preset", rng.choice(["sl2", "a2", "nope"]), "--word", _fuzz_word(rng, 4)]
+    name = rng.choice(FUZZ_TYPES)
+    rank = int(name[1:]) if name[1:].isdecimal() else 2
+    reduced = _reduced_words(name)
+    w, u = _fuzz_word(rng, rank, reduced), _fuzz_word(rng, rank, reduced)
+    argv = [command, "--type", name, "--w", w, "--u", u]
+    if name == "A":
+        argv += ["--rank", str(rng.randint(0, 3))]
+    n = len(w.split(",")) + len(u.split(","))
+    if command == "seed":
+        argv += rng.sample(["--bz", "--mbz", "--bfz", "--reduce"], rng.randint(0, 2))
+        if rng.random() < 0.3:
+            argv += ["--convention", rng.choice(["bz-labels", "mbz-labels"])]
+        if rng.random() < 0.4:
+            argv += ["--sigma", _fuzz_sigma(rng, n)]
+    elif command == "mutate":
+        argv += ["--sigma", _fuzz_sigma(rng, n), "--seq", _fuzz_word(rng, n)]
+    else:
+        argv += rng.sample(["--all-xi", "--self-test-fault"], rng.randint(0, 2))
+    return argv
+
+
+def test_fuzz_every_exit_is_documented_and_json(capsys):
+    # words of at most 3 letters keep n <= 6, so --all-xi visits at most 32 permutations
+    import random
+
+    rng = random.Random(2016)
+    codes = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # an argparse usage error
+            assert exc.code == 2, argv
+            capsys.readouterr()
+            continue
+        out, err = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 1, 2, 3, cli.EXIT_BROKEN_PIPE), argv
+        if code == 2:
+            assert out == "" and "error" in json.loads(err), argv
+        elif code != cli.EXIT_BROKEN_PIPE:
+            assert err == "" and isinstance(json.loads(out), dict), argv
+    assert codes == {0, 1, 2, 3}

@@ -227,33 +227,32 @@ def test_xi_enumerate_matches_brute_force():
 def test_sigma_chain_cases():
     c = cartan_init("A", 1)
     dwd = eta_machinery(c, (1,), (1,))
-    case, steps, chain = sigma_chain(dwd.eta, dwd.p, dwd.s, (0, 1), 1)
-    assert case == "pred" and steps == 1 and chain == (0, 1)
-    case, steps, chain = sigma_chain(dwd.eta, dwd.p, dwd.s, (1, 0), 1)
-    assert case == "succ" and steps == 1 and chain == (0, 1)
+    assert sigma_chain(dwd.eta, dwd.s, (0, 1)) == ((0,), (0, 1))
+    assert sigma_chain(dwd.eta, dwd.s, (1, 0)) == ((1,), (0, 1))
 
 
 def test_sigma_chain_identity_and_reversal():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (1,))
     ident = tuple(range(4))
+    chains = sigma_chain(dwd.eta, dwd.s, ident)
     for k in range(4):
-        case, steps, chain = sigma_chain(dwd.eta, dwd.p, dwd.s, ident, k)
-        assert case == "pred"
-        assert steps == len(chain) - 1
-        assert chain[-1] == k
+        # a predecessor chain ending at k, rebuilt from the whole head
+        assert chains[k] == tuple(i for i in range(k + 1) if dwd.eta[i] == dwd.eta[k])
+        assert chains[k][-1] == k
     rev = (3, 2, 1, 0)
-    for k in range(1, 4):
-        case, _, chain = sigma_chain(dwd.eta, dwd.p, dwd.s, rev, k)
-        assert case == "succ"
-        assert chain[0] == rev[k]
+    chains = sigma_chain(dwd.eta, dwd.s, rev)
+    for k in range(4):
+        # a successor chain starting at rev[k]
+        assert chains[k] == tuple(i for i in range(rev[k], 4) if dwd.eta[i] == dwd.eta[rev[k]])
+        assert chains[k][0] == rev[k]
 
 
 def test_sigma_chain_rejects_non_interval():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (1,))
     with pytest.raises(coxeter.NotIntervalPermutation):
-        sigma_chain(dwd.eta, dwd.p, dwd.s, (0, 2, 1, 3), 1)
+        sigma_chain(dwd.eta, dwd.s, (0, 2, 1, 3))
 
 
 @pytest.mark.parametrize("w", [(3,), (3, 1), (0,), (1, -1)])
@@ -266,7 +265,9 @@ def test_eta_machinery_rejects_out_of_range_letter(w):
 
 def test_sigma_chain_raises_on_inconsistent_successors():
     # eta (1, 1, 1) with s skipping position 1: the chain {0, 1} is not contiguous
-    eta, p = (1, 1, 1), (None, 0, 1)
-    s = (2, 2, None)
+    eta, s = (1, 1, 1), (2, 2, None)
     with pytest.raises(coxeter.ChainError):
-        sigma_chain(eta, p, s, (0, 1, 2), 1)
+        sigma_chain(eta, s, (0, 1, 2))
+    # read downward, the chain {0, 1, 2} breaks where 0 is prepended
+    with pytest.raises(coxeter.ChainError, match="position 2"):
+        sigma_chain(eta, s, (2, 1, 0))

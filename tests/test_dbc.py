@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -19,6 +19,11 @@ from dbseeds.seedcore import (
 A1 = cartan_init("A", 1)
 A2 = cartan_init("A", 2)
 B2 = cartan_init("B", 2)
+
+
+def _bz(cartan, w, u, variant="plain"):
+    """The minor-labelled seed data of one variant, as its presentation keeps it."""
+    return dbc.bowtie_build(cartan, w, u).bz[variant]
 
 
 def _mutate_checked(seed, k):
@@ -222,7 +227,7 @@ def test_sigma_degrees_a1():
 
 
 def test_bz_seed_a1():
-    data = dbc.bz_seed(A1, u_word=(1,), w_word=(1,))
+    data = _bz(A1, (1,), (1,))
     assert data.eta == (1, 1, 1)
     assert data.seed.ex == (1,)
     assert data.seed.exchange.column(1) == (-1, 0, -1)
@@ -234,7 +239,7 @@ def test_bz_seed_a1():
 
 
 def test_bz_seed_frame_a1():
-    data = dbc.bz_seed(A1, u_word=(1,), w_word=(1,))
+    data = _bz(A1, (1,), (1,))
     psi = data.seed.frame.psi
     assert psi[1][0] == 1
     assert psi[2][0] == 0
@@ -242,8 +247,9 @@ def test_bz_seed_frame_a1():
 
 
 def test_bz_modified_labels_transpose_plain():
-    plain = dbc.bz_seed(A2, u_word=(2, 1), w_word=(1, 2), variant="plain")
-    modified = dbc.bz_seed(A2, u_word=(2, 1), w_word=(1, 2), variant="modified")
+    seeds = dbc.bowtie_build(A2, (1, 2), (2, 1)).bz
+    plain, modified = seeds["plain"], seeds["modified"]
+    assert (plain.variant, modified.variant) == ("plain", "modified")
     assert modified.labels == tuple((d, g) for g, d in plain.labels)
     # same frame and exchange data for both variants
     assert plain.seed.frame.psi == modified.seed.frame.psi
@@ -251,21 +257,23 @@ def test_bz_modified_labels_transpose_plain():
 
 
 def test_bz_degree_balance_both_components():
-    for variant in ("plain", "modified"):
-        for comp in ("first", "second"):
-            data = dbc.bz_seed(A2, u_word=(1, 2, 1), w_word=(1, 2, 1), variant=variant, degree_component=comp)
-            assert check_compatible(data.seed).ok
+    # the shipped degrees are minus the first label; the second label balances too
+    for data in dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1)).bz.values():
+        assert data.seed.degrees == tuple(tuple(-x for x in g) for g, _ in data.labels)
+        assert check_compatible(data.seed).ok
+        second = dataclasses.replace(data.seed, degrees=tuple(d for _, d in data.labels))
+        assert check_compatible(second).ok
 
 
 def test_bz_rejects_nonreduced():
     from dbseeds.coxeter import NonReducedWordError
 
     with pytest.raises(NonReducedWordError):
-        dbc.bz_seed(A2, u_word=(1, 1), w_word=(1,))
+        dbc.bowtie_build(A2, (1,), (1, 1)).bz
 
 
 def test_graded_reduce_bz_a1_matches_up_to_sign():
-    data = dbc.bz_seed(A1, u_word=(1,), w_word=(1,), variant="plain", degree_component="first")
+    data = _bz(A1, (1,), (1,))
     reduced = graded_reduce(data.seed, 1)
     pres = dbc.bowtie_build(A1, (1,), (1,))
     small = dbc.sigma_seed(pres, (0, 1)).seed
@@ -275,7 +283,7 @@ def test_graded_reduce_bz_a1_matches_up_to_sign():
 
 
 def test_reduce_commutes_with_mutation_bz_a2():
-    data = dbc.bz_seed(A2, u_word=(1, 2, 1), w_word=(1, 2, 1))
+    data = _bz(A2, (1, 2, 1), (1, 2, 1))
     r = A2.rank
     for k in data.seed.ex:
         a = graded_reduce(_mutate_checked(data.seed, k), r)
@@ -292,7 +300,7 @@ def test_reduce_commutes_along_mutation_walks():
 
     rng = random.Random(23)
     for w, u in [((1, 2, 1), (1, 2, 1)), ((1, 2), (2, 1))]:
-        data = dbc.bz_seed(A2, u_word=u, w_word=w)
+        data = _bz(A2, w, u)
         r = A2.rank
         full = data.seed
         red = graded_reduce(full, r)
@@ -335,9 +343,12 @@ def test_connections_check_cases():
     assert dbc.connections_check(dbc.bowtie_build(A2, (1, 2), (2, 1))).ok
 
 
-def test_connections_check_rejects_wrong_conventions():
-    assert not dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,)), convention="mbz-labels").ok
-    assert not dbc.connections_check(dbc.bowtie_build(A2, (1, 2), (2, 1)), u_label_mode="suffix").ok
+def test_connections_check_rejects_wrong_conventions(monkeypatch):
+    # the presentation keeps minor-labelled seeds built under the other convention
+    honest = dbc.bz_seed
+    assert dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
+    monkeypatch.setattr(dbc, "bz_seed", lambda pres: honest(pres, "mbz-labels"))
+    assert not dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
 
 
 def test_connections_and_integrality_small_sweep():
@@ -355,21 +366,18 @@ def test_connections_and_integrality_small_sweep():
                 assert verify.bz_compatibility(pres).ok
 
 
-def test_bz_integrality_fails_on_fractional_pairing(monkeypatch):
-    # every other label image is off by one in its first coordinate, which
-    # the A2 denominator 3 does not divide, so frame exponents turn fractional
-    honest = CartanData.weight_image
-    calls = itertools.count()
-
-    def skewed(self, mu):
-        image = honest(self, mu)
-        return image if next(calls) % 2 == 0 else (image[0] + 1,) + image[1:]
-
-    monkeypatch.setattr(CartanData, "weight_image", skewed)
+def test_bz_integrality_fails_on_fractional_pairing(skewed_weight_images):
     result = verify.bz_compatibility(dbc.bowtie_build(A2, (1, 2), (2, 1)))
     assert result.name == "bz-integrality"
     assert result.ok is False
     assert result.detail == "w=(1, 2) u=(2, 1) plain: fractional frame exponent -1/3"
+
+
+def test_verify_pair_reports_a_fractional_frame_from_connections(skewed_weight_images):
+    results = {r.name: r for r in verify.verify_pair(A2, (1, 2), (2, 1))}
+    assert results["bz-integrality"].detail == "w=(1, 2) u=(2, 1) plain: fractional frame exponent -1/3"
+    assert results["connections"].ok is False
+    assert results["connections"].detail == "minor-labelled frame: fractional frame exponent -1/3"
 
 
 def test_bz_seed_takes_label_images_not_pairings(monkeypatch):
@@ -385,7 +393,7 @@ def test_bz_seed_takes_label_images_not_pairings(monkeypatch):
 
         monkeypatch.setattr(CartanData, name, counted)
     w, u = (1, 2, 1, 3), (2, 3)
-    dbc.bz_seed(cartan, w, u)
+    dbc.bz_seed(dbc.bowtie_build(cartan, w, u))
     n = cartan.rank + len(w) + len(u)
     assert calls == {"weight_image": 2 * n, "pair_weight": 0}
 
@@ -393,12 +401,9 @@ def test_bz_seed_takes_label_images_not_pairings(monkeypatch):
 def test_connections_exchange_is_negated_reduction():
     # the reduced minor-labelled exchange matrix is the negative of the
     # reversed-w one after the index shift
-    data = dbc.bz_seed(A2, u_word=(1,), w_word=(1, 2, 1), variant="modified")
-    r = A2.rank
-    reduced = graded_reduce(data.seed, r)
-    dwd = dbc.bowtie_build(A2, (1, 2, 1), (1,)).dwd
-    bar = dbc.bfz_matrix(dwd)
-    assert reduced.exchange.negate() == bar
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
+    reduced = graded_reduce(pres.bz["modified"].seed, A2.rank)
+    assert reduced.exchange.negate() == pres.bfz
 
 
 @pytest.mark.parametrize(
@@ -534,7 +539,7 @@ def test_mutate_and_reduce_run_no_compatibility_check(monkeypatch):
         calls.append(seed)
         return honest(seed)
 
-    data = dbc.bz_seed(A2, (1, 2, 1), (1, 2, 1))
+    data = _bz(A2, (1, 2, 1), (1, 2, 1))
     monkeypatch.setattr(seedcore, "check_compatible", counted)
     for k in data.seed.ex:
         graded_reduce(mutate_seed(data.seed, k), A2.rank)
@@ -578,20 +583,37 @@ def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
     assert calls["sigma_frame_product"] == 2 ** (6 - 1)
 
 
-def test_sigma_chain_runs_once_per_position_and_sigma(monkeypatch):
+def test_sigma_chain_runs_once_per_sigma(monkeypatch):
     sigmas = []
     honest = dbc.sigma_chain
 
-    def counted(eta, p, s, sigma, k):
+    def counted(eta, s, sigma):
         sigmas.append(tuple(sigma))
-        return honest(eta, p, s, sigma, k)
+        return honest(eta, s, sigma)
 
     monkeypatch.setattr(dbc, "sigma_chain", counted)
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results)
-    n = 6
-    assert sorted(set(sigmas)) == sorted(xi_enumerate(n))
-    assert all(sigmas.count(sigma) == n for sigma in set(sigmas))
+    assert sorted(sigmas) == sorted(xi_enumerate(6))
+
+
+def test_verify_pair_builds_each_pair_level_seed_once(monkeypatch):
+    # one word validation, one reversed-w matrix and one minor-labelled frame per pair
+    from dbseeds import coxeter
+
+    calls = _count_calls(monkeypatch, "eta_machinery", "bz_seed", "bfz_matrix")
+    calls.update(is_reduced=0, weight_image=0)
+    for owner, name in ((coxeter, "is_reduced"), (CartanData, "weight_image")):
+        def counted(*args, _name=name, _honest=getattr(owner, name)):
+            calls[_name] += 1
+            return _honest(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    cartan, w, u = cartan_init("A", 3), (1, 2, 1, 3), (2, 3)
+    results = verify.verify_pair(cartan, w, u)
+    assert all(r.ok for r in results)
+    n = cartan.rank + len(w) + len(u)
+    assert calls == {"eta_machinery": 1, "bz_seed": 1, "bfz_matrix": 1, "is_reduced": 2, "weight_image": 2 * n}
 
 
 def test_grading_identity_builds_one_sigma_seed(monkeypatch):
@@ -614,6 +636,7 @@ def test_seeds_cover_every_interval_permutation():
 
 
 def test_bz_seed_takes_w_then_u():
-    data = dbc.bz_seed(A2, (1, 2), (2, 1))
-    assert data.eta == (1, 2) + (1, 2) + (2, 1)
-    assert data == dbc.bz_seed(A2, w_word=(1, 2), u_word=(2, 1))
+    pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
+    assert pres.bz["plain"].eta == (1, 2) + (1, 2) + (2, 1)
+    assert pres.bz == dbc.bz_seed(dbc.bowtie_build(A2, w_word=(1, 2), u_word=(2, 1)))
+    assert pres.bz is pres.bz

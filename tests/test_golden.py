@@ -43,6 +43,8 @@ def cases() -> dict[str, list[str]]:
         out[f"{name}-seed-wN"] = ["seed", *pair, "--sigma", "wN"]
         out[f"{name}-seed-bz"] = ["seed", *pair, "--bz"]
         out[f"{name}-seed-mbz-reduce"] = ["seed", *pair, "--mbz", "--reduce"]
+        out[f"{name}-seed-bz-mbz-labels"] = ["seed", *pair, "--bz", "--convention", "mbz-labels"]
+        out[f"{name}-seed-mbz-bz-labels"] = ["seed", *pair, "--mbz", "--convention", "bz-labels"]
         out[f"{name}-verify-all-xi"] = ["verify", *pair, "--all-xi"]
         out[f"{name}-verify-fault"] = ["verify", *pair, "--self-test-fault"]
         out[f"{name}-mutate"] = ["mutate", *pair, "--sigma", "wN", "--seq", seq]

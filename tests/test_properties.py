@@ -54,8 +54,8 @@ def test_frames_are_integer_and_pairs_verify(name, data):
         assert _all_int(seed.frame)
         if seed.ex:
             assert _all_int(mutate_seed(seed, seed.ex[0]).frame)
-    for variant in ("plain", "modified"):
-        assert _all_int(dbc.bz_seed(cartan, w, u, variant=variant).seed.frame)
+    for data in pres.bz.values():
+        assert _all_int(data.seed.frame)
     results = verify.verify_pair(cartan, w, u, all_xi=True)
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
 
@@ -96,8 +96,8 @@ def test_weight_form_matches_sympy_and_fraction_frames(name, data):
         for j in range(cartan.rank):
             assert cartan.pair_weight(unit[i], unit[j]) == table[i][j]
     w, u = data.draw(word_pairs(cartan, max_size=8))
-    plain = dbc.bz_seed(cartan, w, u)
-    modified = dbc.bz_seed(cartan, w, u, variant="modified")
+    seeds = dbc.bowtie_build(cartan, w, u).bz
+    plain, modified = seeds["plain"], seeds["modified"]
     # the frame formula reads the plain labels under either variant
     assert modified.labels == tuple((d, g) for g, d in plain.labels)
     want = _fraction_frame(table, plain.labels)

@@ -34,14 +34,25 @@ def test_seed_modules_do_not_import_fractions():
     assert found == []
 
 
-def test_sigma_chain_has_one_caller():
-    # every chain is read from BowtiePresentation.chains, which keeps it per sigma
+def _callers(name: str) -> list[str]:
+    """`module:function` of every function in the library that calls `name` directly."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sigma_chain":
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
                         callers.append(f"{path.name}:{fn.name}")
-    assert callers == ["dbc.py:chains"]
+    return callers
+
+
+def test_sigma_chain_has_one_caller():
+    # every chain is read from BowtiePresentation.chains, which keeps it per sigma
+    assert _callers("sigma_chain") == ["dbc.py:chains"]
+
+
+def test_eta_machinery_has_one_caller():
+    # the words are validated once, when the presentation is built; every
+    # seed of the pair reads the presentation's double-word data
+    assert _callers("eta_machinery") == ["dbc.py:bowtie_build"]
