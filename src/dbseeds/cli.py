@@ -56,11 +56,12 @@ def _parse_word(text: str | None) -> tuple[int, ...]:
         raise ValidationFailure(f"bad word {text!r}; expected comma-separated letters") from None
 
 
-def _parse_sigma(text: str, n: int) -> tuple[int, ...]:
+def _parse_sigma(text: str, dwd) -> tuple[int, ...]:
+    n = dwd.size
     if text == "id":
         return tuple(range(n))
     if text == "wN":
-        return None  # resolved by caller with the double-word data
+        return dbc.w0_permutation(dwd)
     try:
         perm = tuple(int(x) - 1 for x in text.split(","))
     except ValueError:
@@ -119,7 +120,7 @@ def cmd_seed(args) -> int:
         else:
             payload["seed"] = jsonio.encode_bz(data)
     elif args.bfz:
-        b = pres.bfz
+        b = dbc.bfz_matrix(dwd)
         payload["seed"] = {
             "B": [[b.column(k)[j] for k in b.ex] for j in range(dwd.size)],
             "ex": [k + 1 for k in b.ex],
@@ -133,9 +134,7 @@ def cmd_seed(args) -> int:
                 seeds.append(entry)
             payload["seeds"] = seeds
         else:
-            sigma = _parse_sigma("id" if args.sigma is None else args.sigma, dwd.size)
-            if sigma is None:
-                sigma = dbc.w0_permutation(dwd)
+            sigma = _parse_sigma("id" if args.sigma is None else args.sigma, dwd)
             entry = jsonio.encode_seed(pres.seed(sigma))
             entry["sigma"] = [x + 1 for x in sigma]
             payload["seed"] = entry
@@ -145,13 +144,9 @@ def cmd_seed(args) -> int:
 
 def cmd_mutate(args) -> int:
     cartan, w, u, pres = _build_context(args)
-    dwd = pres.dwd
     if args.sigma == "all-xi":
         raise ValidationFailure("mutate starts from one seed; --sigma all-xi is only for the seed command")
-    sigma = _parse_sigma(args.sigma, dwd.size)
-    if sigma is None:
-        sigma = dbc.w0_permutation(dwd)
-    seed = pres.seed(sigma)
+    seed = pres.seed(_parse_sigma(args.sigma, pres.dwd))
     report = check_compatible(seed)
     error = None if report.ok else f"mutation of an incompatible seed: {report}"
     steps = []

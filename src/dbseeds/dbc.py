@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 from . import linalg
 from .coxeter import (
@@ -52,16 +52,6 @@ class BowtiePresentation:
     @property
     def size(self) -> int:
         return self.dwd.size
-
-    @cached_property
-    def bfz(self) -> ExchangeMatrix:
-        """Exchange matrix of the reversed-w seed, built once per presentation."""
-        return bfz_matrix(self.dwd)
-
-    @cached_property
-    def b_id(self) -> ExchangeMatrix:
-        """Exchange matrix of the identity-order seed, built once per presentation."""
-        return b_columns(self, self.bfz)
 
     @cached_property
     def bz(self) -> dict[Variant, BZSeedData]:
@@ -129,14 +119,10 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
     return tuple(range(nw - 1, -1, -1)) + tuple(range(nw, n))
 
 
-def next_same_level(dwd: DoubleWordData, sigma: Perm) -> tuple[int | None, ...]:
-    """Per position k, the next position of sigma(k)'s level in sigma order, or None."""
-    return pred_succ(tuple(dwd.eta[i] for i in sigma))[1]
-
-
 def ex_sigma(dwd: DoubleWordData, sigma: Perm) -> tuple[int, ...]:
-    """Positions with a later position of the same level."""
-    return tuple(l for l, a in enumerate(next_same_level(dwd, sigma)) if a is not None)
+    """Positions with a later position of the same level, in sigma order."""
+    _, s = pred_succ(tuple(dwd.eta[i] for i in sigma))
+    return tuple(l for l, a in enumerate(s) if a is not None)
 
 
 def chain_matrix(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:
@@ -232,105 +218,27 @@ def double_word_matrix(
     return ExchangeMatrix(n, tuple(ex), cols)
 
 
+def btau_columns(dwd: DoubleWordData, sigma: Perm) -> ExchangeMatrix:
+    """Exchange matrix of the sigma-seed: the matrix of the double word sigma spells.
+
+    Position k of the word has the level of sigma(k), and sign +1 when
+    sigma(k) extends the interval sigma(0..k-1) upward, -1 when downward;
+    the columns are `ex_sigma`.  Position 0 extends nothing, and its sign
+    never enters `double_word_matrix`.
+    """
+    letters = tuple(dwd.eta[i] for i in sigma)
+    eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
+    return double_word_matrix(dwd.cartan.cartan, letters, eps, ex_sigma(dwd, sigma))
+
+
 def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
-    """Exchange matrix of the double word on the reversed-w order.
-
-    Rows and columns are indexed by positions of the w-reversing seed; the
-    level of position j is the j-th letter of the double word itself.
-    """
-    n = dwd.size
-    w0 = w0_permutation(dwd)
-    letters = tuple(dwd.eta[w0[j]] for j in range(n))
-    _, s1 = pred_succ(letters)
-    ex = tuple(l for l in range(n) if s1[l] is not None)
-    return double_word_matrix(dwd.cartan.cartan, letters, dwd.epsilon, ex)
+    """Exchange matrix of the reversed-w seed, the double word itself."""
+    return btau_columns(dwd, w0_permutation(dwd))
 
 
-def chain_transport(pres: BowtiePresentation, source: Perm, target: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The integer map v -> x with Z_target x = Z_source v, in closed form.
-
-    Z_sigma is `chain_matrix(pres, sigma)`.  y = Z_source v adds v_k over the
-    chain of `source` at k.  Along one level, consecutive chain vectors of
-    `target` differ by a unit vector, ebar_k - ebar_prev(k) = e_target(k), so
-    x_k = y_target(k) - y_target(next(k)), where next(k) is the next position
-    of the same level (and the second term is 0 past the last one).
-    """
-    n = pres.size
-    chains = pres.chains(source)
-    nxt = next_same_level(pres.dwd, target)
-
-    def transport(v: Sequence[int]) -> tuple[int, ...]:
-        y = [0] * n
-        for k, x in enumerate(v):
-            if x:
-                for i in chains[k]:
-                    y[i] += x
-        return tuple(
-            y[target[k]] - (0 if nxt[k] is None else y[target[nxt[k]]]) for k in range(n)
-        )
-
-    return transport
-
-
-def _column_sum(b: ExchangeMatrix, keys, sign: int = 1) -> list[int]:
-    """sign times the sum of the columns of b at keys."""
-    out = [0] * b.n
-    for k in keys:
-        for t, x in enumerate(b.column(k)):
-            out[t] += sign * x
-    return out
-
-
-def b_columns(pres: BowtiePresentation, bfz: ExchangeMatrix) -> ExchangeMatrix:
-    """Exchange matrix of the identity-order seed from the reversed-w one.
-
-    Columns of the reversed order are combined per the position of the
-    successor: the column itself for u-block indices, a negated single
-    column when the successor stays in the w-block, and the columns over
-    the identity chain at l when it crosses into the u-block.  Each
-    combination is carried from the reversed-w chain basis to the identity
-    one by `chain_transport`, a closed-form integer map built once per call.
-    """
-    dwd = pres.dwd
-    n, nw = dwd.size, dwd.n_w
-    identity = tuple(range(n))
-    transport = chain_transport(pres, w0_permutation(dwd), identity)
-    chains = pres.chains(identity)
-    ex = tuple(l for l in range(n) if dwd.s[l] is not None)
-    cols = []
-    for l in ex:
-        if l >= nw:
-            combined = _column_sum(bfz, [l])
-        elif dwd.s[l] < nw:
-            combined = _column_sum(bfz, [nw - 1 - dwd.s[l]], -1)
-        else:
-            combined = _column_sum(bfz, [nw - 1 - j for j in chains[l]])
-        cols.append(transport(combined))
-    return ExchangeMatrix(n, ex, tuple(cols))
-
-
-def btau_columns(pres: BowtiePresentation, sigma: Perm, b_id: ExchangeMatrix) -> ExchangeMatrix:
-    """Exchange matrix of the sigma-seed from the identity-order columns.
-
-    For each exchangeable position l with next same-level position a, the
-    column is the signed sum of the identity columns at the indices j of
-    the chain of sigma at a with min(sigma(l), sigma(a)) <= j < max(sigma(l),
-    sigma(a)), positive when sigma(a) > sigma(l), carried from the identity
-    chain basis to that of sigma by `chain_transport`, a closed-form integer
-    map built once per call.
-    """
-    n = pres.size
-    chains = pres.chains(sigma)
-    transport = chain_transport(pres, tuple(range(n)), sigma)
-    nxt = next_same_level(pres.dwd, sigma)
-    ex = ex_sigma(pres.dwd, sigma)
-    cols = []
-    for l in ex:
-        a = nxt[l]
-        lo, hi = sorted((sigma[l], sigma[a]))
-        sign = 1 if sigma[a] > sigma[l] else -1
-        cols.append(transport(_column_sum(b_id, [j for j in chains[a] if lo <= j < hi], sign)))
-    return ExchangeMatrix(n, ex, tuple(cols))
+def b_columns(dwd: DoubleWordData) -> ExchangeMatrix:
+    """Exchange matrix of the identity-order seed."""
+    return btau_columns(dwd, tuple(range(dwd.size)))
 
 
 def oracle_system(
@@ -390,7 +298,7 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
     dwd = pres.dwd
     seed = QuantumSeed(
         frame=sigma_frame(pres, sigma),
-        exchange=btau_columns(pres, sigma, pres.b_id),
+        exchange=btau_columns(dwd, sigma),
         inv=frozenset(),
         degrees=sigma_degrees(pres, sigma),
         d=tuple(pres.cartan.d[dwd.eta[i] - 1] for i in sigma),
@@ -499,8 +407,6 @@ def connections_check(pres: BowtiePresentation) -> ConnectionsReport:
     exchange matrices entrywise.  A fractional minor-labelled frame fails.
     """
     bar = pres.seed(w0_permutation(pres.dwd))
-    if bar.exchange != pres.bfz:
-        return ConnectionsReport(False, "column pipeline does not reproduce the reversed-w matrix")
     try:
         mbz = pres.bz["modified"]
     except NonIntegralFrame as exc:

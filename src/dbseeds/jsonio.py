@@ -21,7 +21,7 @@ def encode_vlaurent(z: VLaurent) -> list[dict]:
 
 
 def encode_frame(frame: FrameMatrix) -> list[list[str]]:
-    return [[qstr(x) for x in row] for row in frame.psi]
+    return [[str(x) for x in row] for row in frame.psi]
 
 
 def encode_cartan(cartan: CartanData) -> dict:

@@ -9,8 +9,8 @@ entry is accepted) and share one fraction-free routine, `_bareiss`, so
 `rank` and `solve_unique` compute with and return `int`s; only `mat_inv`
 divides, by the determinant, at the end.  They serve the genuine linear
 systems: the exchange-column oracle, graded reduction, independence tests.
-The chain-basis changes of the seed constructors have a closed integer form
-instead (`dbc.chain_transport`).
+The sigma-seed exchange matrices need no solve: each is the closed integer
+double-word formula (`dbc.double_word_matrix`).
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ def compat_identity(pres: dbc.BowtiePresentation, fault: bool = False) -> CheckR
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     w0 = dbc.w0_permutation(dwd)
-    frame = pres.seed(w0).frame
+    seed = pres.seed(w0)
+    frame = seed.frame
     if fault and frame.size >= 2:
         psi = [list(row) for row in frame.psi]
         psi[0][1] += 1
         psi[1][0] -= 1
         frame = FrameMatrix(tuple(tuple(r) for r in psi))
-    b = pres.bfz
+    b = seed.exchange
     for k, row in zip(b.ex, exchange_pairings(frame, b)):
         for j, got in enumerate(row):
             want = 2 * pres.cartan.d[dwd.eta[w0[k]] - 1] if j == k else 0

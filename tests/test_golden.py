@@ -34,12 +34,19 @@ PAIRS = [
     ("G2", "1,2,1", "2,1,2", "1,4"),
 ]
 
+# types whose every sigma-seed is pinned through `seed --sigma all-xi`
+ALL_XI_SEEDS = ("A2", "B2", "G2")
+
 
 def cases() -> dict[str, list[str]]:
     """Case name -> argv, for every pair and command."""
     out = {}
     for name, w, u, seq in PAIRS:
         pair = ["--type", name, "--w", w, "--u", u]
+        out[f"{name}-seed-id"] = ["seed", *pair]
+        out[f"{name}-seed-bfz"] = ["seed", *pair, "--bfz"]
+        if name in ALL_XI_SEEDS:
+            out[f"{name}-seed-all-xi"] = ["seed", *pair, "--sigma", "all-xi"]
         out[f"{name}-seed-wN"] = ["seed", *pair, "--sigma", "wN"]
         out[f"{name}-seed-bz"] = ["seed", *pair, "--bz"]
         out[f"{name}-seed-mbz-reduce"] = ["seed", *pair, "--mbz", "--reduce"]

@@ -56,3 +56,10 @@ def test_eta_machinery_has_one_caller():
     # the words are validated once, when the presentation is built; every
     # seed of the pair reads the presentation's double-word data
     assert _callers("eta_machinery") == ["dbc.py:bowtie_build"]
+
+
+def test_double_word_matrix_is_the_one_exchange_rule():
+    # every sigma-seed's exchange matrix is the double-word matrix of the word
+    # sigma spells (`btau_columns`); the minor-labelled seeds use the same rule
+    assert [c for c in _callers("ExchangeMatrix") if c.startswith("dbc.py:")] == ["dbc.py:double_word_matrix"]
+    assert _callers("double_word_matrix") == ["dbc.py:btau_columns", "dbc.py:bz_seed"]
