@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Literal, Sequence
 
 from . import linalg
 from .coxeter import (
     CartanData,
+    ChainError,
     DoubleWordData,
     NotIntervalPermutation,
     Perm,
@@ -30,7 +31,7 @@ from .coxeter import (
     xi_enumerate,
     xi_is_member,
 )
-from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
+from .qtorus import FrameMatrix, NonIntegralFrame
 from .seedcore import ExchangeMatrix, QuantumSeed, ReductionError, antiiso_transform, graded_reduce
 
 
@@ -125,17 +126,31 @@ def ex_sigma(dwd: DoubleWordData, sigma: Perm) -> tuple[int, ...]:
     return tuple(l for l, a in enumerate(s) if a is not None)
 
 
-def chain_matrix(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-    """Columns are the chain indicator vectors of sigma (unimodular)."""
-    chains = pres.chains(sigma)
-    return tuple(tuple(int(j in chain) for chain in chains) for j in range(pres.size))
-
-
 def sigma_frame(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
-    """Frame of the seed attached to sigma, by congruence along the chain vectors."""
-    if not pres.size:
-        return FrameMatrix(())
-    return frame_restrict(pres.nu, linalg.transpose(chain_matrix(pres, sigma)))
+    """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
+
+    With prev(k) the last earlier position of sigma(k)'s level, chain k must
+    be chain prev(k) plus sigma(k), else ChainError: the chain vectors are
+    unit-triangular in sigma order.  So the rows R_k = chain(k)^T nu follow
+    R_k = R_prev(k) + nu[sigma(k)], and psi[a][b] = psi[a][prev(b)] + R_a[sigma(b)],
+    a missing prev adding 0: O(n^2) per sigma, with no pairing and no rank.
+    """
+    n = pres.size
+    nu, eta = pres.nu.psi, pres.dwd.eta
+    chains = pres.chains(sigma) + ((),)   # prev n: the empty chain, with a zero row
+    prev = [n if p is None else p for p in pred_succ(tuple(eta[i] for i in sigma))[0]]
+    rows = [()] * n + [(0,) * n]
+    for k, (x, p) in enumerate(zip(sigma, prev)):
+        if chains[k] not in (chains[p] + (x,), (x,) + chains[p]):
+            raise ChainError(f"chain {chains[k]} at position {k} is not chain {chains[p]} extended by {x}")
+        rows[k] = tuple(map(add, rows[p], nu[x]))
+    psi = []
+    for r in rows[:n]:
+        out = [0] * (n + 1)
+        for b, p in enumerate(prev):
+            out[b] = out[p] + r[sigma[b]]
+        psi.append(tuple(out[:n]))
+    return FrameMatrix(tuple(psi))
 
 
 def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
@@ -145,16 +160,11 @@ def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
     """
     if not xi_is_member(sigma):
         raise NotIntervalPermutation(str(sigma))
-    dwd = pres.dwd
-    n = dwd.size
-    nu = pres.nu.psi
-    psi = [[0] * n for _ in range(n)]
-    for k in range(n):
-        support_k = [i for i in sigma[: k + 1] if dwd.eta[i] == dwd.eta[sigma[k]]]
-        for j in range(n):
-            support_j = [l for l in sigma[: j + 1] if dwd.eta[l] == dwd.eta[sigma[j]]]
-            psi[k][j] = sum(nu[i][l] for i in support_k for l in support_j)
-    return FrameMatrix(tuple(tuple(row) for row in psi))
+    eta, nu = pres.dwd.eta, pres.nu.psi
+    supports = [[i for i in sigma[: k + 1] if eta[i] == eta[x]] for k, x in enumerate(sigma)]
+    return FrameMatrix(
+        tuple(tuple(sum(nu[i][l] for i in sk for l in sj) for sj in supports) for sk in supports)
+    )
 
 
 def sigma_degrees(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:

@@ -8,9 +8,10 @@ columns.  The eliminations take integer matrices (an integral `Fraction`
 entry is accepted) and share one fraction-free routine, `_bareiss`, so
 `rank` and `solve_unique` compute with and return `int`s; only `mat_inv`
 divides, by the determinant, at the end.  They serve the genuine linear
-systems: the exchange-column oracle, graded reduction, independence tests.
-The sigma-seed exchange matrices need no solve: each is the closed integer
-double-word formula (`dbc.double_word_matrix`).
+systems: the exchange-column oracle, graded reduction, and `frame_restrict`'s
+independence test in mutation and reduction.  The sigma-seeds need none:
+their exchange matrices and frames are closed integer rules
+(`dbc.double_word_matrix`, `dbc.sigma_frame`).
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ Cluster-variable values never appear at this level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import linalg
-from .qtorus import FrameMatrix, frame_restrict
+from .qtorus import DimensionMismatch, FrameMatrix, frame_restrict
 
 
 class NotExchangeable(ValueError):
@@ -30,6 +30,7 @@ class ExchangeMatrix:
     n: int
     ex: tuple[int, ...]                       # ordered, 0-based
     cols: tuple[tuple[int, ...], ...]         # cols[i] is the column of ex[i]
+    _pos: dict = field(init=False, repr=False, compare=False)   # k -> its place in ex
 
     def __post_init__(self):
         if len(self.ex) != len(self.cols):
@@ -37,11 +38,12 @@ class ExchangeMatrix:
         for c in self.cols:
             if len(c) != self.n:
                 raise ValueError("column length must equal n")
+        object.__setattr__(self, "_pos", {k: i for i, k in enumerate(self.ex)})
 
     def column(self, k: int) -> tuple[int, ...]:
         try:
-            return self.cols[self.ex.index(k)]
-        except ValueError:
+            return self.cols[self._pos[k]]
+        except KeyError:
             raise NotExchangeable(f"index {k} is not exchangeable") from None
 
     def entry(self, j: int, k: int) -> int:
@@ -103,9 +105,20 @@ def degree_balance(seed: QuantumSeed, k: int) -> tuple[int, ...]:
 
 
 def exchange_pairings(frame: FrameMatrix, exchange: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
-    """Rows of B^T psi: row i holds psi(b^k, e_j) for k = exchange.ex[i] and every j."""
-    n = frame.size
-    return tuple(tuple(frame.omega_exp(b, _basis(n, j)) for j in range(n)) for b in exchange.cols)
+    """Rows of B^T psi: row i holds psi(b^k, e_j) for k = exchange.ex[i] and every j.
+
+    Row i is the sum of psi's rows over the nonzero entries of column i.
+    """
+    if exchange.n != frame.size:
+        raise DimensionMismatch("exchange matrix height does not match frame size")
+    out = []
+    for b in exchange.cols:
+        row = (0,) * frame.size
+        for i, x in enumerate(b):
+            if x:
+                row = tuple(r + x * y for r, y in zip(row, frame.psi[i]))
+        out.append(row)
+    return tuple(out)
 
 
 def check_compatible(seed: QuantumSeed) -> CompatReport:

@@ -1,10 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from dbseeds import dbc, seedcore, verify
-from dbseeds.coxeter import CartanData, cartan_init, xi_enumerate
+from dbseeds.coxeter import CartanData, ChainError, cartan_init, xi_enumerate
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
     ExchangeMatrix,
@@ -15,6 +19,7 @@ from dbseeds.seedcore import (
     mutation_basis,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 A1 = cartan_init("A", 1)
 A2 = cartan_init("A", 2)
 B2 = cartan_init("B", 2)
@@ -70,16 +75,22 @@ def test_sigma_frame_product_formula_agreement():
         assert a.psi == b.psi
 
 
+def _chain_matrix(pres, sigma):
+    """Columns are the chain indicator vectors of sigma."""
+    chains = pres.chains(sigma)
+    return tuple(tuple(int(j in chain) for chain in chains) for j in range(pres.size))
+
+
 def test_ebar_identity_collects_chains():
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
     assert pres.chains(tuple(range(4))) == ((0,), (1,), (0, 2), (0, 2, 3))
-    ebars = tuple(zip(*dbc.chain_matrix(pres, tuple(range(4)))))
+    ebars = tuple(zip(*_chain_matrix(pres, tuple(range(4)))))
     assert ebars == ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1))
 
 
 def test_chain_matrix_a1():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    z = dbc.chain_matrix(pres, (0, 1))
+    z = _chain_matrix(pres, (0, 1))
     assert z == ((Q(1), Q(1)), (Q(0), Q(1)))
 
 
@@ -88,9 +99,38 @@ def test_chain_matrices_unimodular():
 
     pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
     for sigma in xi_enumerate(pres.size):
-        z = dbc.chain_matrix(pres, sigma)
+        z = _chain_matrix(pres, sigma)
         inverse = linalg.mat_inv(z)
         assert all(x.denominator == 1 for row in inverse for x in row)
+
+
+@pytest.mark.parametrize("corrupt", [(0, 2), (2, 3)], ids=["drops-sigma-k", "not-nested"])
+def test_sigma_frame_rejects_a_corrupted_chain_table(monkeypatch, corrupt):
+    # chain 3 of the identity must be chain 2, (0, 2), extended by 3
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
+    sigma = tuple(range(4))
+    table = pres.chains(sigma)
+    monkeypatch.setitem(pres._chains, sigma, table[:3] + (corrupt,))
+    with pytest.raises(ChainError, match="at position 3"):
+        dbc.sigma_frame(pres, sigma)
+
+
+def test_sigma_frame_rejects_a_corrupted_chain_table_under_optimize():
+    # the pattern check raises; it is not an assert that `python -O` strips
+    script = (
+        "from dbseeds import dbc\n"
+        "from dbseeds.coxeter import ChainError, cartan_init\n"
+        "pres = dbc.bowtie_build(cartan_init('A', 2), (1, 2, 1), (1,))\n"
+        "sigma = (0, 1, 2, 3)\n"
+        "pres._chains[sigma] = pres.chains(sigma)[:3] + ((2, 3),)\n"
+        "try:\n"
+        "    dbc.sigma_frame(pres, sigma)\n"
+        "except ChainError:\n"
+        "    print('raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "raised\n"), out.stderr
 
 
 def test_bfz_a1():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbseeds import dbc, verify
-from dbseeds.coxeter import cartan_init, is_reduced
+from dbseeds.coxeter import cartan_init, is_reduced, xi_enumerate
+from dbseeds.qtorus import frame_restrict
 from dbseeds.seedcore import mutate_seed
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
@@ -58,6 +59,22 @@ def test_frames_are_integer_and_pairs_verify(name, data):
         assert _all_int(data.seed.frame)
     results = verify.verify_pair(cartan, w, u, all_xi=True)
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
+    # the general restriction rule along the chain indicator vectors, and the
+    # product formula, are both oracles for the recursion in `sigma_frame`
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    n = pres.size
+    for sigma in xi_enumerate(n) if n else [()]:
+        vectors = [tuple(int(j in chain) for j in range(n)) for chain in pres.chains(sigma)]
+        frame = dbc.sigma_frame(pres, sigma)
+        assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, sigma)
 
 
 @cache

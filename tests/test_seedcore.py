@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from dbseeds.qtorus import FrameMatrix, frame_restrict
+from dbseeds.qtorus import DimensionMismatch, FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
     ExchangeMatrix,
     NotExchangeable,
@@ -9,6 +11,7 @@ from dbseeds.seedcore import (
     antiiso_transform,
     check_compatible,
     degree_balance,
+    exchange_pairings,
     graded_reduce,
     mutate_exchange,
     mutate_seed,
@@ -59,6 +62,24 @@ def test_check_compatible_flags_orthogonality():
     report = check_compatible(seed)
     assert not report.ok
     assert report.orthogonality_failures == ((0, 2),)
+
+
+def test_exchange_pairings_sum_frame_rows_over_column_entries():
+    frame = FrameMatrix.from_rows([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+    b = ExchangeMatrix(3, (0, 2), ((0, 2, -1), (1, 0, 0)))
+    assert exchange_pairings(frame, b) == ((-4, 3, 6), (0, 1, -2))
+    with pytest.raises(DimensionMismatch):
+        exchange_pairings(FrameMatrix.from_rows([[0, 1], [-1, 0]]), b)
+
+
+def test_exchange_matrix_position_map_is_not_part_of_the_value():
+    a = ExchangeMatrix(3, (0, 2), ((0, 0, 1), (1, 0, 0)))
+    b = dataclasses.replace(a)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "ExchangeMatrix(n=3, ex=(0, 2), cols=((0, 0, 1), (1, 0, 0)))"
+    assert (a.column(2), a.column(0)) == ((1, 0, 0), (0, 0, 1))
+    with pytest.raises(NotExchangeable):
+        a.column(1)
 
 
 def test_mutate_exchange_rank2():

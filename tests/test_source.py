@@ -35,14 +35,16 @@ def test_seed_modules_do_not_import_fractions():
 
 
 def _callers(name: str) -> list[str]:
-    """`module:function` of every function in the library that calls `name` directly."""
+    """`module:function` of every function in the library that calls `name` or `x.name` directly."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
                         callers.append(f"{path.name}:{fn.name}")
     return callers
 
@@ -63,3 +65,18 @@ def test_double_word_matrix_is_the_one_exchange_rule():
     # sigma spells (`btau_columns`); the minor-labelled seeds use the same rule
     assert [c for c in _callers("ExchangeMatrix") if c.startswith("dbc.py:")] == ["dbc.py:double_word_matrix"]
     assert _callers("double_word_matrix") == ["dbc.py:btau_columns", "dbc.py:bz_seed"]
+
+
+def test_frame_restrict_callers_are_mutation_and_reduction():
+    # sigma-frames follow the chain recursion (`dbc.sigma_frame`); the general
+    # restriction rule is left to mutation, its sign-choice oracle and reduction
+    assert sorted(_callers("frame_restrict")) == [
+        "seedcore.py:graded_reduce", "seedcore.py:mutate_seed", "verify.py:xi_linkage",
+    ]
+
+
+def test_exchange_pairings_is_the_one_compatibility_rule():
+    # every frame pairing of an exchange column is a row of B^T psi; no seed
+    # module pairs vectors one entry at a time
+    assert _callers("exchange_pairings") == ["seedcore.py:check_compatible", "verify.py:compat_identity"]
+    assert [c for c in _callers("omega_exp") if not c.startswith("qtorus.py:")] == []
