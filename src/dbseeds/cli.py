@@ -1,8 +1,9 @@
 """Command-line surface: seed construction, mutation, verification sweeps.
 
-Exit codes: 0 success, 1 a verification check failed, 2 validation failure,
-3 incompatible mutation step, 141 (128 + SIGPIPE) the reader closed stdout
-before the output was written; nothing is printed then.
+Exit codes: 0 success, 1 a verification check failed, 2 validation failure
+(a mutation step outside 1..n among them), 3 a mutation step at a frozen
+index or from an incompatible seed, 141 (128 + SIGPIPE) the reader closed
+stdout before the output was written; nothing is printed then.
 `xi-list --n` is bounded by XI_LIST_MAX_N, since it prints all 2^(n-1)
 interval permutations.
 All output is JSON with sorted keys; rationals are "p/q" strings.
@@ -147,15 +148,20 @@ def cmd_mutate(args) -> int:
     if args.sigma == "all-xi":
         raise ValidationFailure("mutate starts from one seed; --sigma all-xi is only for the seed command")
     seed = pres.seed(_parse_sigma(args.sigma, pres.dwd))
+    seq = _parse_word(args.seq)
+    n = pres.size
+    for step in seq:
+        if not 1 <= step <= n:
+            raise ValidationFailure(f"mutation step {step} is out of range 1..{n}")
     report = check_compatible(seed)
     error = None if report.ok else f"mutation of an incompatible seed: {report}"
     steps = []
-    for step in _parse_word(args.seq):
+    for step in seq:
         if error is None:
             try:
                 seed = mutate_seed(seed, step - 1)
-            except NotExchangeable as exc:
-                error = str(exc)
+            except NotExchangeable:
+                error = f"index {step} is not exchangeable"
             else:
                 if not check_compatible(seed).ok:
                     error = "mutation destroyed compatibility; construction bug"

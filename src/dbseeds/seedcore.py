@@ -180,6 +180,18 @@ def mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...]
     return basis
 
 
+def mutated_degree(seed: QuantumSeed, k: int) -> tuple[int, ...]:
+    """Degree of the variable that replaces x_k: -deg_k + sum of b_ik deg_i over i != k with b_ik > 0."""
+    b = seed.exchange.column(k)
+    width = len(seed.degrees[0]) if seed.degrees else 0
+    mutated = [-seed.degrees[k][t] for t in range(width)]
+    for i in range(seed.size):
+        if i != k and b[i] > 0:
+            for t in range(width):
+                mutated[t] += b[i] * seed.degrees[i][t]
+    return tuple(mutated)
+
+
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Seed mutation in direction k: frame, exchange matrix and degrees.
 
@@ -191,17 +203,8 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     if k not in seed.ex:
         raise NotExchangeable(f"index {k} is not exchangeable")
     new_frame = frame_restrict(seed.frame, mutation_basis(seed, k, +1))
-
-    b = seed.exchange.column(k)
-    width = len(seed.degrees[0]) if seed.degrees else 0
     new_deg = list(seed.degrees)
-    mutated = [-seed.degrees[k][t] for t in range(width)]
-    for i in range(seed.size):
-        if i != k and b[i] > 0:
-            for t in range(width):
-                mutated[t] += b[i] * seed.degrees[i][t]
-    new_deg[k] = tuple(mutated)
-
+    new_deg[k] = mutated_degree(seed, k)
     return QuantumSeed(
         frame=new_frame,
         exchange=mutate_exchange(seed.exchange, k),

@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dbc, linalg
-from .coxeter import CartanData, xi_is_member
+from .coxeter import CartanData
 from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
-from .seedcore import check_compatible, degree_balance, exchange_pairings, mutate_seed, mutation_basis, reindex
+from .seedcore import (
+    check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis, reindex,
+)
 
 
 @dataclass
@@ -61,8 +63,9 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     The oracle's column at l is the unique solution of `rows . b = rhs[l]`
     (`dbc.oracle_system`), so a closed-form column equals it exactly when
     the rows have full column rank and the column solves the system.  Each
-    sigma is certified by one integer rank and integer products; the solver
-    `dbc.solve_b_oracle` runs only for a column that fails, to name its answer.
+    sigma is certified by one integer rank and one product per column, taken
+    over the column's nonzeros; the solver `dbc.solve_b_oracle` runs only for
+    a column that fails, to name its answer.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
@@ -73,7 +76,8 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
             return CheckResult("btau-oracle", False, f"w={w} u={u} sigma={sigma}: oracle system has rank {r}, not {n}")
         for l in seed.ex:
             got = seed.exchange.column(l)
-            if tuple(sum(x * y for x, y in zip(row, got)) for row in rows) == rhs.get(l):
+            nonzero = [(j, y) for j, y in enumerate(got) if y]
+            if tuple(sum(row[j] * y for j, y in nonzero) for row in rows) == rhs.get(l):
                 continue
             try:
                 want = dbc.solve_b_oracle(pres, sigma, l)
@@ -89,35 +93,64 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
 def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     """One-step linkage between seeds of adjacent interval permutations.
 
+    For sigma' = sigma o (k k+1), the seed of sigma' is the seed of sigma
+    reindexed by the transposition when sigma(k) and sigma(k+1) lie on
+    different levels, and its mutation at k when they lie on the same level.
     A mutation step must give the same frame with either sign choice.
+
+    Each link {sigma, sigma'} is checked in full once, from the end that
+    comes first in `pres.seeds` order.  The other end needs less:
+
+    - Reindexing by a transposition t, with t^2 = 1, compares the same
+      integer entries from either end, so nothing is left to check.
+    - For a mutation, let G+ and G- be the basis changes of seed(sigma) at k
+      (`mutation_basis`).  The first end checks psi' = G- psi G-^T =
+      G+ psi G+^T, B' = mu_k(B) and the degrees.  Column k of B' is minus
+      column k of B, so the bases of seed(sigma') are G+' = G- and G-' = G+.
+      Row k of either basis is -e_k plus a vector without a k-th entry, so
+      G+^2 = G-^2 = 1.  Then G+' psi' G+'^T = G- G- psi G-^T G-^T = psi, and
+      likewise for G-'.  `mutate_exchange` is an involution, so
+      mu_k(B') = B.  The degrees off k are shared.  What is left is the
+      mutated degree at k, `mutated_degree(seed(sigma'), k)` = deg_k, which
+      holds exactly when sum_{i != k} b_ik deg_i = 0: the first end does not
+      imply it.
+
+    A failure is reported at the same (sigma, k), with the same detail, as
+    a check of every link from both ends would report it first.
     """
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     n = dwd.size
     seeds = pres.seeds
+    place = {sigma: i for i, sigma in enumerate(seeds)}
     for sigma, seed in seeds.items():
         for k in range(n - 1):
             tau = list(range(n))
             tau[k], tau[k + 1] = tau[k + 1], tau[k]
             sigma2 = tuple(sigma[t] for t in tau)
-            if not xi_is_member(sigma2):
+            if sigma2 not in place:
                 continue
             other = seeds[sigma2]
-            if dwd.eta[sigma[k]] != dwd.eta[sigma[k + 1]]:
-                moved = reindex(seed, tuple(tau))
+            same_level = dwd.eta[sigma[k]] == dwd.eta[sigma[k + 1]]
+            if place[sigma2] < place[sigma]:
+                # checked in full from sigma2; only the degree at k is left
+                linked = not same_level or mutated_degree(seed, k) == other.degrees[k]
             else:
-                # the mutated seed already sits in the adjacent order; no
-                # further reindexing (verified against the rank-one algebra)
-                moved = mutate_seed(seed, k)
-                if frame_restrict(seed.frame, mutation_basis(seed, k, -1)) != other.frame:
-                    detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
-                    return CheckResult("xi-linkage", False, detail)
-            same = (
-                moved.frame.psi == other.frame.psi
-                and moved.exchange == other.exchange
-                and moved.degrees == other.degrees
-            )
-            if not same:
+                if not same_level:
+                    moved = reindex(seed, tuple(tau))
+                else:
+                    # the mutated seed already sits in the adjacent order; no
+                    # further reindexing (verified against the rank-one algebra)
+                    moved = mutate_seed(seed, k)
+                    if frame_restrict(seed.frame, mutation_basis(seed, k, -1)) != other.frame:
+                        detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+                        return CheckResult("xi-linkage", False, detail)
+                linked = (
+                    moved.frame.psi == other.frame.psi
+                    and moved.exchange == other.exchange
+                    and moved.degrees == other.degrees
+                )
+            if not linked:
                 return CheckResult(
                     "xi-linkage", False,
                     f"w={w} u={u}: sigma={sigma}, k={k} does not link to {sigma2}",

@@ -106,6 +106,28 @@ def test_mutate_rejects_frozen_index(capsys):
     assert code == 3
 
 
+def test_mutate_frozen_index_is_named_one_based(capsys):
+    # position 5 of A2 (1,2,1 | 1,2) is frozen
+    code, out, _ = run(capsys, "mutate", "--type", "A2", "--w", "1,2,1", "--u", "1,2", "--seq", "1,5")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "index 5 is not exchangeable"
+    assert payload["steps"] == [
+        {"k": 1, "compatible": True},
+        {"k": 5, "compatible": False, "error": "index 5 is not exchangeable"},
+    ]
+
+
+@pytest.mark.parametrize("seq, step", [("0", 0), ("6", 6), ("1,-1", -1), ("1,2,6", 6)])
+def test_mutate_rejects_step_out_of_range_before_mutating(capsys, monkeypatch, seq, step):
+    mutations = []
+    monkeypatch.setattr(cli, "mutate_seed", lambda seed, k: mutations.append(k))
+    code, out, err = run(capsys, "mutate", "--type", "A2", "--w", "1,2,1", "--u", "1,2", "--seq", seq)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"mutation step {step} is out of range 1..5"}
+    assert mutations == []
+
+
 def test_mutate_rejects_incompatible_step(capsys, monkeypatch):
     # a step that yields a seed whose exchange column pairs to zero
     incompatible = QuantumSeed(

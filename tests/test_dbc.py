@@ -477,6 +477,42 @@ def test_xi_linkage_fails_when_frame_depends_on_sign_choice(monkeypatch):
     assert "sign choice" in res.detail
 
 
+def test_xi_linkage_checks_each_edge_once(monkeypatch):
+    # every unordered link {sigma, sigma o (k k+1)} of the interval
+    # permutations: a mutation on one level, a reindexing across two; the
+    # check from both ends made twice these calls
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))
+    members = set(xi_enumerate(pres.size))
+    edges = {"mutate_seed": 0, "reindex": 0, "frame_restrict": 0}
+    for sigma in members:
+        for k in range(pres.size - 1):
+            sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
+            if sigma < sigma2 and sigma2 in members:
+                if pres.dwd.eta[sigma[k]] == pres.dwd.eta[sigma[k + 1]]:
+                    edges["mutate_seed"] += 1
+                    edges["frame_restrict"] += 1   # the opposite sign choice
+                else:
+                    edges["reindex"] += 1
+    assert edges["mutate_seed"] and edges["reindex"]
+
+    calls = dict.fromkeys(edges, 0)
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results)
+    assert calls == edges
+
+
 def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
     honest = dbc.btau_columns
 

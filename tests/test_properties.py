@@ -1,7 +1,9 @@
 """Property sweeps over random reduced word pairs in every finite family."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -9,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbseeds import dbc, verify
-from dbseeds.coxeter import cartan_init, is_reduced, xi_enumerate
-from dbseeds.qtorus import frame_restrict
-from dbseeds.seedcore import mutate_seed
+from dbseeds.coxeter import cartan_init, is_reduced, xi_enumerate, xi_is_member
+from dbseeds.qtorus import FrameMatrix, frame_restrict
+from dbseeds.seedcore import ExchangeMatrix, mutate_seed, mutation_basis, reindex
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
 EVERY_TYPE = (
@@ -75,6 +77,132 @@ def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
         vectors = [tuple(int(j in chain) for j in range(n)) for chain in pres.chains(sigma)]
         frame = dbc.sigma_frame(pres, sigma)
         assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, sigma)
+
+
+def _adjacent(pres):
+    """(sigma, k, sigma o (k k+1), same level) for every ordered pair of adjacent seeds."""
+    n, eta = pres.size, pres.dwd.eta
+    for sigma in pres.seeds:
+        for k in range(n - 1):
+            sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
+            if sigma2 in pres.seeds:
+                yield sigma, k, sigma2, eta[sigma[k]] == eta[sigma[k + 1]]
+
+
+def _two_end_xi_linkage(pres):
+    """Reference: the linkage check that checks every link from both of its ends."""
+    dwd = pres.dwd
+    w, u = dwd.w_word, dwd.u_word
+    n = dwd.size
+    seeds = pres.seeds
+    for sigma, seed in seeds.items():
+        for k in range(n - 1):
+            tau = list(range(n))
+            tau[k], tau[k + 1] = tau[k + 1], tau[k]
+            sigma2 = tuple(sigma[t] for t in tau)
+            if not xi_is_member(sigma2):
+                continue
+            other = seeds[sigma2]
+            if dwd.eta[sigma[k]] != dwd.eta[sigma[k + 1]]:
+                moved = reindex(seed, tuple(tau))
+            else:
+                moved = mutate_seed(seed, k)
+                if frame_restrict(seed.frame, mutation_basis(seed, k, -1)) != other.frame:
+                    detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+                    return verify.CheckResult("xi-linkage", False, detail)
+            same = (
+                moved.frame.psi == other.frame.psi
+                and moved.exchange == other.exchange
+                and moved.degrees == other.degrees
+            )
+            if not same:
+                return verify.CheckResult(
+                    "xi-linkage", False,
+                    f"w={w} u={u}: sigma={sigma}, k={k} does not link to {sigma2}",
+                )
+    return verify.CheckResult("xi-linkage", True)
+
+
+def _both_rules(pres, replaced=None):
+    """Result of the one-end check, asserted equal to the two-end check's, with some seeds replaced."""
+    if replaced:
+        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, seeds={**pres.seeds, **replaced})
+    got = verify.xi_linkage(pres)
+    assert got == _two_end_xi_linkage(pres)
+    return got
+
+
+def _corrupt(seed, kind, a, b):
+    """seed with one entry moved by one: a frame entry (kept skew), an exchange entry or a degree."""
+    n = seed.size
+    if kind == "frame":
+        i, j = a % n, b % (n - 1)
+        j += j >= i
+        psi = [list(row) for row in seed.frame.psi]
+        psi[i][j] += 1
+        psi[j][i] -= 1
+        return replace(seed, frame=FrameMatrix(tuple(map(tuple, psi))))
+    if kind == "exchange":
+        cols = [list(c) for c in seed.exchange.cols]
+        cols[a % len(cols)][b % n] += 1
+        return replace(seed, exchange=ExchangeMatrix(n, seed.ex, tuple(map(tuple, cols))))
+    degrees = [list(x) for x in seed.degrees]
+    degrees[a % n][b % len(degrees[0])] += 1
+    return replace(seed, degrees=tuple(map(tuple, degrees)))
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_end_xi_linkage_matches_the_two_end_check(name, data):
+    # the one-end rule drops only checks that the first end implies, so it
+    # must agree with the both-ends rule on honest seeds and on every fault;
+    # every sigma links to sigma o (0 1), so every fault fails the check
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    assert _both_rules(pres) == verify.CheckResult("xi-linkage", True)
+    perms = list(pres.seeds)
+    for _ in range(3 if pres.size >= 2 else 0):   # smaller seeds have no links
+        sigma = data.draw(st.sampled_from(perms))
+        seed = pres.seeds[sigma]
+        kind = data.draw(st.sampled_from(["degree", "frame"] + ["exchange"] * bool(seed.ex)))
+        a, b = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
+        assert not _both_rules(pres, {sigma: _corrupt(seed, kind, a, b)}).ok
+    # a degree off balance in an earlier seed, whose exact mutation replaces the
+    # later seed: a fault that only the second end of that link can see
+    place = {sigma: i for i, sigma in enumerate(perms)}
+    for sigma, k, sigma2, same_level in _adjacent(pres):
+        column = pres.seeds[sigma].exchange.column(k) if same_level else ()
+        off_k = [i for i, x in enumerate(column) if x and i != k]
+        if place[sigma] < place[sigma2] and off_k:
+            seed = _corrupt(pres.seeds[sigma], "degree", off_k[0], 0)
+            assert not _both_rules(pres, {sigma: seed, sigma2: mutate_seed(seed, k)}).ok
+            break
+
+
+def test_one_end_xi_linkage_reports_an_ungraded_column_from_the_second_end():
+    # seed(0, 1) with a degree off balance at exchange column 0, and its exact
+    # mutation as seed(1, 0): the first end agrees, only the second end fails
+    pres = dbc.bowtie_build(cartan_init("A", 1), (1,), (1,))
+    low, high = pres.seeds
+    seed = _corrupt(pres.seeds[low], "degree", 1, 0)
+    want = verify.CheckResult("xi-linkage", False, f"w=(1,) u=(1,): sigma={high}, k=0 does not link to {low}")
+    assert _both_rules(pres, {low: seed, high: mutate_seed(seed, 0)}) == want
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutation_links_adjacent_seeds_from_either_end(name, data):
+    # xi-linkage mutates only from the earlier seed of a same-level link; the
+    # mutation from the later seed back to the earlier one is checked here
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    for sigma, k, sigma2, same_level in _adjacent(pres):
+        if same_level:
+            assert mutate_seed(pres.seeds[sigma2], k) == pres.seeds[sigma]
 
 
 @cache

@@ -80,3 +80,9 @@ def test_exchange_pairings_is_the_one_compatibility_rule():
     # module pairs vectors one entry at a time
     assert _callers("exchange_pairings") == ["seedcore.py:check_compatible", "verify.py:compat_identity"]
     assert [c for c in _callers("omega_exp") if not c.startswith("qtorus.py:")] == []
+
+
+def test_mutated_degree_is_the_one_degree_rule():
+    # mutation and the second end of a same-level xi-link read the degree of
+    # the new variable from one rule
+    assert _callers("mutated_degree") == ["seedcore.py:mutate_seed", "verify.py:xi_linkage"]
