@@ -8,10 +8,13 @@ columns.  The eliminations take integer matrices (an integral `Fraction`
 entry is accepted) and share one fraction-free routine, `_bareiss`, so
 `rank` and `solve_unique` compute with and return `int`s; only `mat_inv`
 divides, by the determinant, at the end.  They serve the genuine linear
-systems: the exchange-column oracle, graded reduction, and `frame_restrict`'s
-independence test in mutation and reduction.  The sigma-seeds need none:
-their exchange matrices and frames are closed integer rules
-(`dbc.double_word_matrix`, `dbc.sigma_frame`).
+systems: the exchange-column oracle (one rank per sigma of a block with one
+column per level, and the whole system only when that block falls short),
+its solver, and graded reduction.  `frame_restrict` takes a rank only for
+vectors that fail its triangular-pattern test; mutation bases and
+reduction shifts pass it.  The sigma-seeds need none: their exchange
+matrices and frames are closed integer rules (`dbc.double_word_matrix`,
+`dbc.sigma_frame`).
 """
 
 from __future__ import annotations

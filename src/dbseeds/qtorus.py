@@ -194,12 +194,49 @@ def scr(exp_matrix: Sequence[Sequence], f: Sequence) -> VLaurent:
     return VLaurent.v_power(e)
 
 
+def _peels(vectors: Sequence[tuple]) -> bool:
+    """Whether the vectors peel away one at a time, each as the only nonzero of some column.
+
+    If every vector goes, the columns that removed them, taken in removal
+    order, cut out a triangular block with a nonzero diagonal: the vector
+    removed at step t has a nonzero in column t, and no vector removed later
+    does.  So the vectors are independent.  Column counts of the vectors
+    still present keep the test O(nnz).
+    """
+    support = [[c for c, x in enumerate(v) if x] for v in vectors]
+    count: dict[int, int] = {}   # per column: how many vectors still present reach it
+    owner: dict[int, int] = {}   # per column: the sum of their indices, so the index when count is 1
+    for i, cs in enumerate(support):
+        for c in cs:
+            count[c] = count.get(c, 0) + 1
+            owner[c] = owner.get(c, 0) + i
+    alone = [c for c, m in count.items() if m == 1]
+    left = len(vectors)
+    while alone:
+        c = alone.pop()
+        if count[c] != 1:   # its one vector went through another column
+            continue
+        i = owner[c]
+        left -= 1
+        for c2 in support[i]:
+            count[c2] -= 1
+            owner[c2] -= i
+            if count[c2] == 1:
+                alone.append(c2)
+    return left == 0
+
+
 def frame_restrict(frame: FrameMatrix, vectors: Sequence[Sequence]) -> FrameMatrix:
-    """Frame of the sublattice spanned by the given independent integer vectors."""
+    """Frame of the sublattice spanned by the given independent integer vectors.
+
+    Independence is shown first by a pattern test (`_peels`), which the
+    mutation bases, the reduction shifts and the chain vectors all pass:
+    each has a vector that alone reaches some coordinate, and so on down.
+    Other inputs take an integer rank; dependent vectors raise ValueError.
+    """
     vecs = [tuple(v) for v in vectors]
-    if linalg.rank(tuple(vecs)) != len(vecs):
+    if not _peels(vecs) and linalg.rank(tuple(vecs)) != len(vecs):
         raise ValueError("restriction vectors are linearly dependent")
     return FrameMatrix(
         tuple(tuple(frame.omega_exp(a, b) for b in vecs) for a in vecs)
     )
-

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dbc, linalg
-from .coxeter import CartanData
+from .coxeter import CartanData, pred_succ
 from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
 from .seedcore import (
     check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis, reindex,
@@ -57,36 +57,86 @@ def grading_identity(pres: dbc.BowtiePresentation) -> CheckResult:
     return CheckResult("grading-identity", True)
 
 
+def _column_product(cols, column: tuple[int, ...]) -> tuple[int, ...]:
+    """rows . column, as the sum of the rows' columns over the column's nonzeros."""
+    out = [0] * (len(cols[0]) if cols else 0)
+    for j, y in enumerate(column):
+        if y:
+            out = [x + y * c for x, c in zip(out, cols[j])]
+    return tuple(out)
+
+
+def _block_rank_is_full(pres: dbc.BowtiePresentation, sigma, ex, rows, rhs) -> bool:
+    """Whether `rows` has full column rank, given that every column at `ex` solves its system.
+
+    See `btau_oracle_equivalence` for the derivation.
+    """
+    n = pres.size
+    for l in ex:
+        want = rhs[l]
+        if not want[l] or want.count(0) != len(want) - 1:
+            return False
+    pred, _ = pred_succ(tuple(pres.dwd.eta[i] for i in sigma))
+    starts = [j for j, p in enumerate(pred) if p is None]
+    skip = set(ex)
+    rest = [tuple(row[j] for j in starts) for i, row in enumerate(rows) if i not in skip]
+    return len(skip) + linalg.rank(rest) == n
+
+
 def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     """Closed-form exchange columns against the linear-system oracle, all permutations.
 
-    The oracle's column at l is the unique solution of `rows . b = rhs[l]`
-    (`dbc.oracle_system`), so a closed-form column equals it exactly when
-    the rows have full column rank and the column solves the system.  Each
-    sigma is certified by one integer rank and one product per column, taken
-    over the column's nonzeros; the solver `dbc.solve_b_oracle` runs only for
-    a column that fails, to name its answer.
+    The oracle's column at l is the unique solution of `R b = rhs_l`, with
+    R = [psi; degrees] and rhs_l = [-2 d e_l; 0] (`dbc.oracle_system`), so a
+    closed-form column equals it exactly when R has full column rank n and
+    the column solves the system.  Each sigma is certified without an n-column
+    elimination:
+
+    - First every product R b_l is checked, as a sum of R's columns over the
+      nonzeros of b_l.
+    - Let E = `seed.ex` and let J be the positions whose level has no earlier
+      position in sigma order (from `pred_succ`, not from the seed).  With
+      rows E first,
+
+          R [b_E | e_J] = [ diag(rhs_l[l])   R_{E,J}    ]
+                          [ 0                R_{rest,J} ]
+
+      once the products hold, where rest is every row of R outside E (the
+      other frame rows and the degree rows).  When every rhs_l is
+      rhs_l[l] e_l with rhs_l[l] != 0, the rank of this product is
+      |E| + rank R_{rest,J}, and it is at most rank R <= n.  So
+      |E| + rank R_{rest,J} = n proves rank R = n.  This holds for any J;
+      R_{rest,J} is a (#levels + rank) x #levels matrix.
+    - For an honest seed it succeeds.  The positions outside J are the
+      successors s(l), l in E, and the Berenstein-Fomin-Zelevinsky matrix is
+      unit-triangular on those rows, so [b_E | e_J] is invertible; R has
+      full rank, so the product has rank n too.
+
+    On a product miss or a rank shortfall the sigma is checked the long way:
+    one integer rank of R, then the first column whose product misses, for
+    which the solver `dbc.solve_b_oracle` names the oracle's answer.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
     for sigma, seed in pres.seeds.items():
         rows, rhs = dbc.oracle_system(pres, sigma)
+        cols = tuple(zip(*rows))
+        miss = next((l for l in seed.ex if _column_product(cols, seed.exchange.column(l)) != rhs.get(l)), None)
+        if miss is None and _block_rank_is_full(pres, sigma, seed.ex, rows, rhs):
+            continue
         r = linalg.rank(rows)
         if r != n:
             return CheckResult("btau-oracle", False, f"w={w} u={u} sigma={sigma}: oracle system has rank {r}, not {n}")
-        for l in seed.ex:
-            got = seed.exchange.column(l)
-            nonzero = [(j, y) for j, y in enumerate(got) if y]
-            if tuple(sum(row[j] * y for j, y in nonzero) for row in rows) == rhs.get(l):
-                continue
-            try:
-                want = dbc.solve_b_oracle(pres, sigma, l)
-            except dbc.OracleError as exc:
-                want = f"fails: {exc}"
-            return CheckResult(
-                "btau-oracle", False,
-                f"w={w} u={u} sigma={sigma}: column {l} is {got}, oracle {want}",
-            )
+        if miss is None:
+            continue
+        try:
+            want = dbc.solve_b_oracle(pres, sigma, miss)
+        except dbc.OracleError as exc:
+            want = f"fails: {exc}"
+        return CheckResult(
+            "btau-oracle", False,
+            f"w={w} u={u} sigma={sigma}: column {miss} is {seed.exchange.column(miss)}, oracle {want}",
+        )
     return CheckResult("btau-oracle", True)
 
 
@@ -105,15 +155,16 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
       integer entries from either end, so nothing is left to check.
     - For a mutation, let G+ and G- be the basis changes of seed(sigma) at k
       (`mutation_basis`).  The first end checks psi' = G- psi G-^T =
-      G+ psi G+^T, B' = mu_k(B) and the degrees.  Column k of B' is minus
-      column k of B, so the bases of seed(sigma') are G+' = G- and G-' = G+.
-      Row k of either basis is -e_k plus a vector without a k-th entry, so
-      G+^2 = G-^2 = 1.  Then G+' psi' G+'^T = G- G- psi G-^T G-^T = psi, and
-      likewise for G-'.  `mutate_exchange` is an involution, so
-      mu_k(B') = B.  The degrees off k are shared.  What is left is the
-      mutated degree at k, `mutated_degree(seed(sigma'), k)` = deg_k, which
-      holds exactly when sum_{i != k} b_ik deg_i = 0: the first end does not
-      imply it.
+      G+ psi G+^T, B' = mu_k(B), the degrees, the symmetrizer d and the
+      invertible indices.  Column k of B' is minus column k of B, so the
+      bases of seed(sigma') are G+' = G- and G-' = G+.  Row k of either
+      basis is -e_k plus a vector without a k-th entry, so G+^2 = G-^2 = 1.
+      Then G+' psi' G+'^T = G- G- psi G-^T G-^T = psi, and likewise for G-'.
+      `mutate_exchange` is an involution, so mu_k(B') = B.  Mutation keeps d
+      and the invertible indices, and the degrees off k are shared.  What is
+      left is the mutated degree at k, `mutated_degree(seed(sigma'), k)` =
+      deg_k, which holds exactly when sum_{i != k} b_ik deg_i = 0: the first
+      end does not imply it.
 
     A failure is reported at the same (sigma, k), with the same detail, as
     a check of every link from both ends would report it first.
@@ -149,6 +200,8 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
                     moved.frame.psi == other.frame.psi
                     and moved.exchange == other.exchange
                     and moved.degrees == other.degrees
+                    and moved.d == other.d
+                    and moved.inv == other.inv
                 )
             if not linked:
                 return CheckResult(

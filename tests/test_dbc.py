@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -550,6 +551,8 @@ def test_btau_oracle_fails_when_the_solver_finds_no_column(monkeypatch):
 
 
 def test_btau_oracle_certifies_with_one_rank_per_sigma(monkeypatch):
+    # the passing path takes one rank per sigma, of a block with one column
+    # per level, never the n-column elimination of the whole oracle system
     from dbseeds import linalg
 
     calls = _count_calls(monkeypatch, "solve_b_oracle")
@@ -557,11 +560,12 @@ def test_btau_oracle_certifies_with_one_rank_per_sigma(monkeypatch):
     honest_rank, honest_check = linalg.rank, verify.btau_oracle_equivalence
 
     def counted_rank(a):
-        ranks.append(bool(in_check))
+        if in_check:
+            ranks.append(len(a[0]) if a else 0)
         return honest_rank(a)
 
     def marked_check(pres):
-        pres.seeds   # build the seeds, whose frames take ranks of their own, before counting
+        pres.seeds   # build the seeds before counting
         in_check.append(True)
         try:
             return honest_check(pres)
@@ -573,7 +577,31 @@ def test_btau_oracle_certifies_with_one_rank_per_sigma(monkeypatch):
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results) and "btau-oracle" in [r.name for r in results]
     assert calls["solve_b_oracle"] == 0
-    assert ranks.count(True) == 2 ** (6 - 1)
+    assert len(ranks) == 2 ** (6 - 1)
+    assert set(ranks) == {2}   # the two levels of A2, not n = 6
+
+
+def test_btau_oracle_needs_a_nonzero_right_hand_side_to_certify():
+    # d = 0 makes every right-hand side zero, which zero exchange columns
+    # solve; with the frame and the degree at position 1 cleared the system is
+    # singular, yet its block on the first position of the level (position 0)
+    # has full rank, so only the nonzero-diagonal condition stops the shortcut
+    pres = dbc.bowtie_build(A1, (1,), (1,))
+    sigma = (0, 1)
+    seed = pres.seeds[sigma]
+    assert pres.dwd.eta == (1, 1)
+    cleared = dataclasses.replace(
+        seed,
+        frame=FrameMatrix(((0, 0), (0, 0))),
+        exchange=ExchangeMatrix(2, seed.ex, ((0, 0),) * len(seed.ex)),
+        degrees=(seed.degrees[0], (0,)),
+    )
+    seeds = {sigma: cleared}
+    view = SimpleNamespace(
+        dwd=pres.dwd, size=2, cartan=SimpleNamespace(rank=1, d=(0,)), seeds=seeds, seed=seeds.__getitem__,
+    )
+    res = verify.btau_oracle_equivalence(view)
+    assert res == verify.CheckResult("btau-oracle", False, "w=(1,) u=(1,) sigma=(0, 1): oracle system has rank 1, not 2")
 
 
 def test_mutate_and_reduce_run_no_compatibility_check(monkeypatch):

@@ -10,10 +10,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbseeds import dbc, verify
+from dbseeds import dbc, linalg, verify
 from dbseeds.coxeter import cartan_init, is_reduced, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
-from dbseeds.seedcore import ExchangeMatrix, mutate_seed, mutation_basis, reindex
+from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
 EVERY_TYPE = (
@@ -114,6 +114,8 @@ def _two_end_xi_linkage(pres):
                 moved.frame.psi == other.frame.psi
                 and moved.exchange == other.exchange
                 and moved.degrees == other.degrees
+                and moved.d == other.d
+                and moved.inv == other.inv
             )
             if not same:
                 return verify.CheckResult(
@@ -191,6 +193,19 @@ def test_one_end_xi_linkage_reports_an_ungraded_column_from_the_second_end():
     assert _both_rules(pres, {low: seed, high: mutate_seed(seed, 0)}) == want
 
 
+@pytest.mark.parametrize("field", ["d", "inv"])
+def test_xi_linkage_compares_symmetrizer_and_invertible_indices(field):
+    # reindexing permutes d and inv and mutation keeps them, so a seed whose
+    # d is reversed, or which claims an invertible index, does not link
+    pres = dbc.bowtie_build(cartan_init("B", 2), (1, 2), (2, 1))
+    sigma = (0, 1, 2, 3)
+    seed = pres.seeds[sigma]
+    bad = replace(seed, d=seed.d[::-1]) if field == "d" else replace(seed, inv=frozenset({0}))
+    assert bad != seed
+    want = verify.CheckResult("xi-linkage", False, f"w=(1, 2) u=(2, 1): sigma={sigma}, k=0 does not link to (1, 0, 2, 3)")
+    assert _both_rules(pres, {sigma: bad}) == want
+
+
 @pytest.mark.parametrize("name", TYPES)
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -203,6 +218,92 @@ def test_mutation_links_adjacent_seeds_from_either_end(name, data):
     for sigma, k, sigma2, same_level in _adjacent(pres):
         if same_level:
             assert mutate_seed(pres.seeds[sigma2], k) == pres.seeds[sigma]
+
+
+def _full_elimination_btau(pres):
+    """Reference: one n-column integer rank of the oracle system per sigma, then one dense product per column."""
+    w, u = pres.dwd.w_word, pres.dwd.u_word
+    n = pres.size
+    for sigma, seed in pres.seeds.items():
+        rows, rhs = dbc.oracle_system(pres, sigma)
+        r = linalg.rank(rows)
+        if r != n:
+            return verify.CheckResult("btau-oracle", False, f"w={w} u={u} sigma={sigma}: oracle system has rank {r}, not {n}")
+        for l in seed.ex:
+            got = seed.exchange.column(l)
+            if tuple(sum(x * y for x, y in zip(row, got)) for row in rows) == rhs.get(l):
+                continue
+            try:
+                want = dbc.solve_b_oracle(pres, sigma, l)
+            except dbc.OracleError as exc:
+                want = f"fails: {exc}"
+            return verify.CheckResult(
+                "btau-oracle", False, f"w={w} u={u} sigma={sigma}: column {l} is {got}, oracle {want}",
+            )
+    return verify.CheckResult("btau-oracle", True)
+
+
+def _both_oracle_rules(pres, replaced=None):
+    """Result of the block-rank check, asserted equal to the full elimination's, with some seeds replaced.
+
+    The check is also run with its block rank made to fail, so that every
+    sigma takes the long way.
+    """
+    if replaced:
+        seeds = {**pres.seeds, **replaced}
+        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, cartan=pres.cartan, seeds=seeds, seed=seeds.__getitem__)
+    got = verify.btau_oracle_equivalence(pres)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_block_rank_is_full", lambda *args: False)
+        assert verify.btau_oracle_equivalence(pres) == got
+    assert got == _full_elimination_btau(pres)
+    return got
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_btau_block_rank_matches_full_elimination(name, data):
+    # honest seeds pass; a column entry, a degree or a frame entry moved by one,
+    # or all degrees zero (a singular system for an odd-sized frame), give the
+    # reference's result, detail included
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    assert _both_oracle_rules(pres) == verify.CheckResult("btau-oracle", True)
+    perms = list(pres.seeds)
+    for _ in range(3 if pres.size >= 2 else 0):
+        sigma = data.draw(st.sampled_from(perms))
+        seed = pres.seeds[sigma]
+        kind = data.draw(st.sampled_from(["degree", "frame"] + ["exchange"] * bool(seed.ex)))
+        a, b = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
+        _both_oracle_rules(pres, {sigma: _corrupt(seed, kind, a, b)})
+    flat = (0,) * cartan.rank
+    _both_oracle_rules(pres, {sigma: replace(seed, degrees=(flat,) * pres.size) for sigma, seed in pres.seeds.items()})
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutation_and_reduction_restrict_frames_without_a_rank(name, data):
+    # mutation bases and reduction shifts peel in `frame_restrict`'s pattern test
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    seeds, bz = pres.seeds, pres.bz["modified"].seed
+
+    def refuse(a):
+        raise AssertionError("frame_restrict took a rank")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rank", refuse)
+        for seed in seeds.values():
+            for k in seed.ex:
+                frame_restrict(seed.frame, mutation_basis(seed, k, -1))
+                mutate_seed(seed, k)
+        graded_reduce(bz, cartan.rank)
+        for k in bz.ex:
+            graded_reduce(mutate_seed(bz, k), cartan.rank)
 
 
 @cache

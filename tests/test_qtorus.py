@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from dbseeds import linalg
 from dbseeds.qtorus import (
     DimensionMismatch,
     FrameMatrix,
@@ -91,6 +92,29 @@ def test_frame_restrict():
 def test_frame_restrict_rejects_dependent():
     with pytest.raises(ValueError):
         frame_restrict(PSI, [(1, 1), (2, 2)])
+    # sets that peel in part: down to the zero vector, and past the first vector only
+    with pytest.raises(ValueError, match="linearly dependent"):
+        frame_restrict(PSI, [(1, 0), (0, 0)])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        frame_restrict(FrameMatrix.from_rows([[0, 2, 1], [-2, 0, 3], [-1, -3, 0]]), [(1, 0, 0), (0, 1, 1), (0, 2, 2)])
+
+
+def test_frame_restrict_takes_a_rank_only_for_vectors_that_do_not_peel(monkeypatch):
+    ranks = []
+    honest = linalg.rank
+
+    def counted(a):
+        ranks.append(a)
+        return honest(a)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    # each vector of a triangular set is alone in some coordinate, in turn
+    assert frame_restrict(PSI, [(1, 0), (1, 1)]).psi == PSI.psi
+    assert frame_restrict(PSI, [(-1, 3), (0, 1)]).psi == ((0, -2), (2, 0))
+    assert ranks == []
+    # both vectors reach both coordinates: the independence test is a rank
+    assert frame_restrict(PSI, [(1, 1), (1, -1)]).psi == ((0, -4), (4, 0))
+    assert ranks == [((1, 1), (1, -1))]
 
 
 def test_frame_validation():
