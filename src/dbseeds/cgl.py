@@ -19,6 +19,7 @@ from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
 from .coxeter import order_functions, pred_succ
+from .linalg import combine
 from .qtorus import VLaurent, scr
 
 
@@ -158,14 +159,18 @@ class CGLPresentation:
     def pred_succ(self):
         return pred_succ(self.eta)
 
+    def chain(self, i: int, m: int) -> list[int]:
+        """The positions i, s(i), ..., s^m(i) of i's level; raises if s^m(i) does not exist."""
+        _, s = self.pred_succ()
+        out = [i]
+        for _ in range(m):
+            if s[out[-1]] is None:
+                raise PresentationError(f"chain out of range: s^{m}({i}) does not exist")
+            out.append(s[out[-1]])
+        return out
+
     def monomial_degree(self, f: Sequence[int]) -> tuple[int, ...]:
-        width = len(self.degrees[0]) if self.degrees else 0
-        out = [0] * width
-        for i, m in enumerate(f):
-            if m:
-                for t in range(width):
-                    out[t] += m * self.degrees[i][t]
-        return tuple(out)
+        return combine(self.degrees, f)
 
     def poly_degree(self, a: NFPoly) -> tuple[int, ...]:
         """Common degree of a homogeneous element; raises if mixed."""
@@ -284,30 +289,19 @@ def interval_y(pres: CGLPresentation, i: int, m: int, c_table: CTable) -> NFPoly
     with the caller-supplied c validated through homogeneity and the
     leading-term formula.
     """
-    p, s = pres.pred_succ()
+    chain = pres.chain(i, m)
     y = NFPoly.generator(pres.n, i)
-    chain = [i]
-    j = i
-    for _ in range(m):
-        j = s[j]
-        if j is None:
-            raise PresentationError(f"chain out of range: s^{m}({i}) does not exist")
-        chain.append(j)
+    for j in chain[1:]:
         c = c_table.get((i, j))
         if c is None:
             raise PresentationError(f"missing chain element c[{(i, j)}]")
         y = nf_mul(pres, y, NFPoly.generator(pres.n, j)) - c
-    want_deg = tuple(
-        sum(pres.degrees[t][a] for t in chain) for a in range(len(pres.degrees[0]))
-    )
-    if pres.poly_degree(y) != want_deg:
-        raise PresentationError(f"chain element [{i},{j}] has wrong degree")
+    lead = interval_exponent(pres, i, m)
+    if pres.poly_degree(y) != pres.monomial_degree(lead):
+        raise PresentationError(f"chain element [{i},{chain[-1]}] has wrong degree")
     coef, exp = leading_term(y)
-    lead = [0] * pres.n
-    for t in chain:
-        lead[t] += 1
-    if exp != tuple(lead) or coef != VLaurent.one():
-        raise PresentationError(f"chain element [{i},{j}] has wrong leading term")
+    if exp != lead or coef != VLaurent.one():
+        raise PresentationError(f"chain element [{i},{chain[-1]}] has wrong leading term")
     return y
 
 
@@ -342,16 +336,8 @@ def y_elements(pres: CGLPresentation, c_table) -> list[NFPoly]:
 
 def interval_exponent(pres: CGLPresentation, i: int, m: int) -> tuple[int, ...]:
     """Indicator vector of the chain i, s(i), ..., s^m(i)."""
-    _, s = pres.pred_succ()
-    out = [0] * pres.n
-    j = i
-    out[j] = 1
-    for _ in range(m):
-        j = s[j]
-        if j is None:
-            raise PresentationError("chain out of range")
-        out[j] += 1
-    return tuple(out)
+    chain = pres.chain(i, m)
+    return tuple(int(t in chain) for t in range(pres.n))
 
 
 def u_element(pres: CGLPresentation, c_table: CTable, i: int, m: int) -> NFPoly:
@@ -363,23 +349,16 @@ def u_element(pres: CGLPresentation, c_table: CTable, i: int, m: int) -> NFPoly:
     with the empty-interval conventions for m = 1.  The support is asserted
     to lie strictly between i and s^m(i).
     """
-    _, s = pres.pred_succ()
-    si = s[i]
-    if si is None:
-        raise PresentationError(f"index {i} has no successor")
+    if m < 1:
+        raise PresentationError(f"interval elements need m >= 1, not {m}")
+    chain = pres.chain(i, m)
+    si, hi = chain[1], chain[-1]
     y_left = interval_y(pres, i, m - 1, c_table)
     y_right = interval_y(pres, si, m - 1, c_table)
     y_full = interval_y(pres, i, m, c_table)
-    if m == 1:
-        y_mid = NFPoly.one(pres.n)
-        omega_e = Q(0)
-    else:
-        mid_vec = interval_exponent(pres, si, m - 2)
-        y_mid = interval_y(pres, si, m - 2, c_table)
-        omega_e = sum(Q(pres.lambda_exp[i][t]) * mid_vec[t] for t in range(pres.n))
+    y_mid = NFPoly.one(pres.n) if m == 1 else interval_y(pres, si, m - 2, c_table)
+    omega_e = Q(sum(pres.lambda_exp[i][t] for t in chain[1:-1]))   # Omega(e_i, e_[s(i), s^{m-1}(i)])
     u = nf_mul(pres, y_left, y_right) - nf_mul(pres, y_mid, y_full).scale(VLaurent.v_power(omega_e))
-    top = interval_exponent(pres, i, m)
-    hi = max(t for t, x in enumerate(top) if x)
     inside = set(range(i + 1, hi))
     if u.is_zero():
         raise PresentationError(f"interval element [{i},{hi}] vanishes")
@@ -401,8 +380,7 @@ def rescale_scalar_identity(pres: CGLPresentation, c_table: CTable, i: int, m: i
     """Leading coefficient of the m-step interval element against its predicted scalar."""
     u = u_element(pres, c_table, i, m)
     coef, f = leading_term(u)
-    _, s = pres.pred_succ()
-    tail_vec = interval_exponent(pres, s[i], m - 1)
+    tail_vec = interval_exponent(pres, pres.chain(i, 1)[1], m - 1)
     shifted = tuple(x - (1 if t == i else 0) for t, x in enumerate(f))
     predicted = scr(pres.nu_exp, tail_vec).inverse() ** 2 * scr(pres.nu_exp, shifted)
     return coef == predicted
@@ -417,6 +395,14 @@ def rescale_scalar_identity(pres: CGLPresentation, c_table: CTable, i: int, m: i
 class RescaleReport:
     y_scalars: tuple[VLaurent, ...]
     u_scalars: dict[tuple[int, int], VLaurent]
+
+
+def _product(t: Sequence[VLaurent], indices: Sequence[int]) -> VLaurent:
+    """prod_j t_j over the indices, with multiplicity."""
+    out = VLaurent.one()
+    for j in indices:
+        out = out * t[j]
+    return out
 
 
 def _monomial_factor(t: Sequence[VLaurent], f: Sequence[int]) -> VLaurent:
@@ -455,46 +441,28 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         rewrite_budget=pres.rewrite_budget,
     )
     p, s = pres.pred_succ()
-    o_minus, o_plus = order_functions(p, s)
-    y_scalars = []
-    for k in range(pres.n):
-        z = VLaurent.one()
-        j = k
-        while True:
-            z = z * t[j]
-            if p[j] is None:
-                break
-            j = p[j]
-        y_scalars.append(z)
+    _, o_plus = order_functions(p, s)
+    y_scalars: list = [None] * pres.n
     u_scalars: dict[tuple[int, int], VLaurent] = {}
     for i in range(pres.n):
-        j = i
-        for m in range(1, o_plus[i] + 1):
-            j = s[j]
-            z = t[i] * t[j]
-            mid = i
-            for _ in range(m - 1):
-                mid = s[mid]
-                z = z * t[mid] * t[mid]
-            u_scalars[(i, m)] = z
+        chain = pres.chain(i, o_plus[i])
+        if p[i] is None:   # y_k runs from the first position of k's level to k
+            for a, k in enumerate(chain):
+                y_scalars[k] = _product(t, chain[: a + 1])
+        for m in range(1, len(chain)):
+            u_scalars[(i, m)] = _product(t, chain[: m + 1] + chain[1:m])   # t_i t_{s^m(i)}, the middle squared
     return new_pres, RescaleReport(tuple(y_scalars), u_scalars)
 
 
 def rescale_c_table(pres: CGLPresentation, c_table: CTable, t: Sequence[VLaurent]) -> CTable:
     """Chain-element inputs matching a rescaled presentation."""
-    _, s = pres.pred_succ()
-
-    def chain_product(i: int, end: int) -> VLaurent:
-        z = t[i]
-        j = i
-        while j != end:
-            j = s[j]
-            z = z * t[j]
-        return z
-
+    o_minus, _ = order_functions(*pres.pred_succ())
     out: CTable = {}
     for (i, end), c in c_table.items():
-        z = chain_product(i, end)
+        chain = pres.chain(i, o_minus[end] - o_minus[i])
+        if chain[-1] != end:
+            raise PresentationError(f"c[{(i, end)}] does not key a chain from {i} to {end}")
+        z = _product(t, chain)
         out[(i, end)] = NFPoly({f: coef * z * _monomial_factor(t, f) for f, coef in c.terms.items()})
     return out
 

@@ -102,8 +102,6 @@ def cmd_seed(args) -> int:
         raise ValidationFailure("--sigma selects a permutation seed; it cannot be combined with --bz, --mbz or --bfz")
     if args.reduce and not (args.bz or args.mbz):
         raise ValidationFailure("--reduce applies only to the minor-labelled seeds of --bz or --mbz")
-    if args.convention is not None and not (args.bz or args.mbz):
-        raise ValidationFailure("--convention applies only to the minor-labelled seeds of --bz or --mbz")
     cartan, w, u, pres = _build_context(args)
     dwd = pres.dwd
     payload: dict = {
@@ -113,8 +111,7 @@ def cmd_seed(args) -> int:
         "double_word": jsonio.encode_double_word(dwd),
     }
     if args.bz or args.mbz:
-        seeds = dbc.bz_seed(pres, args.convention) if args.convention else pres.bz
-        data = seeds["modified" if args.mbz else "plain"]
+        data = pres.bz["modified" if args.mbz else "plain"]
         if args.reduce:
             payload["seed"] = jsonio.encode_seed(graded_reduce(data.seed, cartan.rank))
             payload["reduced_from"] = jsonio.encode_bz(data)
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--mbz", action="store_true")
     p_seed.add_argument("--bfz", action="store_true")
     p_seed.add_argument("--reduce", action="store_true")
-    p_seed.add_argument("--convention", default=None, choices=["bz-labels", "mbz-labels"])
     p_seed.set_defaults(func=cmd_seed)
 
     p_mut = sub.add_parser("mutate", help="apply a mutation sequence")

@@ -20,14 +20,12 @@ from typing import Literal, Sequence
 from . import linalg
 from .coxeter import (
     CartanData,
-    ChainError,
     DoubleWordData,
     NotIntervalPermutation,
     Perm,
     act_word_on_weight,
     eta_machinery,
     pred_succ,
-    sigma_chain,
     xi_enumerate,
     xi_is_member,
 )
@@ -47,7 +45,6 @@ class BowtiePresentation:
     dwd: DoubleWordData
     nu: FrameMatrix                           # v-exponents of lambda, halved
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -58,13 +55,6 @@ class BowtiePresentation:
     def bz(self) -> dict[Variant, BZSeedData]:
         """Plain and modified minor-labelled seeds, built once per presentation."""
         return bz_seed(self)
-
-    def chains(self, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-        """Chain table of sigma (see `sigma_chain`), computed on first use and kept."""
-        sigma = tuple(sigma)
-        if sigma not in self._chains:
-            self._chains[sigma] = sigma_chain(self.dwd.eta, self.dwd.s, sigma)
-        return self._chains[sigma]
 
     def seed(self, sigma: Perm) -> QuantumSeed:
         """Seed of one interval permutation, built on first use and kept."""
@@ -120,46 +110,66 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
     return tuple(range(nw - 1, -1, -1)) + tuple(range(nw, n))
 
 
+def _interval_perm(dwd: DoubleWordData, sigma: Sequence[int]) -> Perm:
+    """sigma as a tuple, checked to be an interval permutation of dwd's positions.
+
+    The one check behind every sigma entry point; raises NotIntervalPermutation
+    for a sigma of the wrong length or one that fails the interval test.
+    """
+    sigma = tuple(sigma)
+    if len(sigma) != dwd.size or not xi_is_member(sigma):
+        raise NotIntervalPermutation(f"{sigma} is not an interval permutation of the {dwd.size} positions")
+    return sigma
+
+
 def ex_sigma(dwd: DoubleWordData, sigma: Perm) -> tuple[int, ...]:
     """Positions with a later position of the same level, in sigma order."""
-    _, s = pred_succ(tuple(dwd.eta[i] for i in sigma))
+    _, s = pred_succ(tuple(dwd.eta[i] for i in _interval_perm(dwd, sigma)))
     return tuple(l for l, a in enumerate(s) if a is not None)
+
+
+def _prev(pres: BowtiePresentation, sigma: Perm) -> list[int]:
+    """p(k), the last earlier position of sigma(k)'s level in sigma order, or n if there is none."""
+    n = pres.size
+    pred, _ = pred_succ(tuple(pres.dwd.eta[i] for i in sigma))
+    return [n if p is None else p for p in pred]
+
+
+def _chain_sums(table, sigma: Perm, prev: list[int]) -> list[tuple[int, ...]]:
+    """Row k is the sum of table[i] over chain(k), as row p(k) + table[sigma(k)].
+
+    A missing p(k) (index n) is the empty chain, a zero row.
+    """
+    n = len(sigma)
+    rows = [()] * n + [(0,) * (len(table[0]) if table else 0)]
+    for k, (x, p) in enumerate(zip(sigma, prev)):
+        rows[k] = tuple(map(add, rows[p], table[x]))
+    return rows[:n]
 
 
 def sigma_frame(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
     """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
 
-    With prev(k) the last earlier position of sigma(k)'s level, chain k must
-    be chain prev(k) plus sigma(k), else ChainError: the chain vectors are
-    unit-triangular in sigma order.  So the rows R_k = chain(k)^T nu follow
-    R_k = R_prev(k) + nu[sigma(k)], and psi[a][b] = psi[a][prev(b)] + R_a[sigma(b)],
-    a missing prev adding 0: O(n^2) per sigma, with no pairing and no rank.
+    chain(k), the positions of sigma(k)'s level among sigma(0..k), is
+    chain(p(k)) + {sigma(k)}, p(k) the last earlier position of that level,
+    since no position between p(k) and k has it.  So the rows
+    R_k = chain(k)^T nu follow R_k = R_p(k) + nu[sigma(k)], and the columns
+    of psi follow psi[.][b] = psi[.][p(b)] + R[.][sigma(b)], a missing p
+    adding 0: two passes over sigma (`_chain_sums`), with no pairing and no rank.
     """
-    n = pres.size
-    nu, eta = pres.nu.psi, pres.dwd.eta
-    chains = pres.chains(sigma) + ((),)   # prev n: the empty chain, with a zero row
-    prev = [n if p is None else p for p in pred_succ(tuple(eta[i] for i in sigma))[0]]
-    rows = [()] * n + [(0,) * n]
-    for k, (x, p) in enumerate(zip(sigma, prev)):
-        if chains[k] not in (chains[p] + (x,), (x,) + chains[p]):
-            raise ChainError(f"chain {chains[k]} at position {k} is not chain {chains[p]} extended by {x}")
-        rows[k] = tuple(map(add, rows[p], nu[x]))
-    psi = []
-    for r in rows[:n]:
-        out = [0] * (n + 1)
-        for b, p in enumerate(prev):
-            out[b] = out[p] + r[sigma[b]]
-        psi.append(tuple(out[:n]))
-    return FrameMatrix(tuple(psi))
+    sigma = _interval_perm(pres.dwd, sigma)
+    prev = _prev(pres, sigma)
+    rows = _chain_sums(pres.nu.psi, sigma, prev)
+    return FrameMatrix(tuple(zip(*_chain_sums(tuple(zip(*rows)), sigma, prev))))
 
 
 def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
     """Same frame through the raw double-product formula, as an independent path.
 
-    The supports are rebuilt here from eta and sigma, not read from `pres.chains`.
+    The supports are rebuilt here from eta and sigma, not through the
+    predecessor recursion of `_chain_sums`.
     """
-    if not xi_is_member(sigma):
-        raise NotIntervalPermutation(str(sigma))
+    sigma = _interval_perm(pres.dwd, sigma)
     eta, nu = pres.dwd.eta, pres.nu.psi
     supports = [[i for i in sigma[: k + 1] if eta[i] == eta[x]] for k, x in enumerate(sigma)]
     return FrameMatrix(
@@ -168,15 +178,14 @@ def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
 
 
 def sigma_degrees(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-    """Root-lattice degree of each permuted cluster variable (chain sums)."""
-    out = []
-    for chain in pres.chains(sigma):
-        deg = [0] * pres.cartan.rank
-        for i in chain:
-            for t, x in enumerate(pres.degrees[i]):
-                deg[t] += x
-        out.append(tuple(deg))
-    return tuple(out)
+    """Root-lattice degree of each permuted cluster variable: the sum over its chain.
+
+    chain(k) = chain(p(k)) + {sigma(k)} (see `sigma_frame`), so
+    deg_k = deg_p(k) + D[sigma(k)] (`_chain_sums`), with D the generator
+    degrees and a missing p giving 0.
+    """
+    sigma = _interval_perm(pres.dwd, sigma)
+    return tuple(_chain_sums(pres.degrees, sigma, _prev(pres, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +245,7 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm) -> ExchangeMatrix:
     the columns are `ex_sigma`.  Position 0 extends nothing, and its sign
     never enters `double_word_matrix`.
     """
+    sigma = _interval_perm(dwd, sigma)
     letters = tuple(dwd.eta[i] for i in sigma)
     eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
     return double_word_matrix(dwd.cartan.cartan, letters, eps, ex_sigma(dwd, sigma))
@@ -321,7 +331,6 @@ def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
 # ---------------------------------------------------------------------------
 
 Variant = Literal["plain", "modified"]
-Convention = Literal["bz-labels", "mbz-labels"]
 
 
 @dataclass(frozen=True)
@@ -334,7 +343,7 @@ class BZSeedData:
     seed: QuantumSeed
 
 
-def bz_seed(pres: BowtiePresentation, convention: Convention = "bz-labels") -> dict[Variant, BZSeedData]:
+def bz_seed(pres: BowtiePresentation) -> dict[Variant, BZSeedData]:
     """Plain and modified seeds with quantum-minor labels for the double word 1..r, w, u.
 
     The modified labels are the plain ones with gamma and delta swapped.  Both
@@ -343,10 +352,9 @@ def bz_seed(pres: BowtiePresentation, convention: Convention = "bz-labels") -> d
     differences of the weight labels, <gamma_j, gamma_k> - <delta_j, delta_k>,
     taken as integer numerators over the weight form's denominator from each
     label's `weight_image`; `FrameMatrix.from_rows` divides them out and
-    raises on a fractional one.  `convention` selects which variant's labels
-    feed that formula (the two choices differ by a global sign); the
-    cross-check against the reversed-w seed arbitrates it, and the default
-    is the one that passes.  `pres.bz` keeps the default-convention result.
+    raises on a fractional one.  The labels are the plain ones: the modified
+    labels would give the negated frame, a global sign that the cross-check
+    against the reversed-w seed (`connections_check`) rejects.
     """
     cartan, dwd = pres.cartan, pres.dwd
     w, u = dwd.w_word, dwd.u_word
@@ -374,12 +382,11 @@ def bz_seed(pres: BowtiePresentation, convention: Convention = "bz-labels") -> d
     plain = tuple(plain_label(k) for k in range(n))
     modified = tuple((d, g) for g, d in plain)
 
-    frame_source = plain if convention == "bz-labels" else modified
-    gamma_img = [cartan.weight_image(g) for g, _ in frame_source]
-    delta_img = [cartan.weight_image(d) for _, d in frame_source]
+    gamma_img = [cartan.weight_image(g) for g, _ in plain]
+    delta_img = [cartan.weight_image(d) for _, d in plain]
     psi = [[0] * n for _ in range(n)]
     for j in range(n):
-        gj, dj = frame_source[j]
+        gj, dj = plain[j]
         for k in range(j):
             num = sum(map(mul, gj, gamma_img[k])) - sum(map(mul, dj, delta_img[k]))
             psi[j][k] = num

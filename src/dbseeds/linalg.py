@@ -15,6 +15,12 @@ vectors that fail its triangular-pattern test; mutation bases and
 reduction shifts pass it.  The sigma-seeds need none: their exchange
 matrices and frames are closed integer rules (`dbc.double_word_matrix`,
 `dbc.sigma_frame`).
+
+`combine(rows, coeffs)` is the one sparse row sum, sum_i c_i rows_i over
+the nonzero c_i: the compatibility pairings B^T psi, the degree balance and
+mutated degree of an exchange column, the exchange-column oracle's product,
+and the degree of a CGL monomial all read it.  Unlike `zip`, it raises
+ValueError on a length mismatch instead of truncating.
 """
 
 from __future__ import annotations
@@ -33,6 +39,21 @@ def transpose(a: Mat) -> Mat:
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(sum(x * Q(y) for x, y in zip(row, v)) for row in a)
+
+
+def combine(rows: Sequence[Sequence], coeffs: Sequence) -> tuple:
+    """sum_i coeffs[i] * rows[i], over the nonzero coeffs[i] only.
+
+    The rows share one width, the sum's; raises ValueError when there is not
+    one coefficient per row.
+    """
+    if len(coeffs) != len(rows):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} rows")
+    out = [0] * (len(rows[0]) if rows else 0)
+    for i, c in enumerate(coeffs):
+        if c:
+            out = [x + c * y for x, y in zip(out, rows[i])]
+    return tuple(out)
 
 
 def bilinear(u: Sequence, a: Sequence[Sequence], v: Sequence):

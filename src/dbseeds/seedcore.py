@@ -94,14 +94,7 @@ def _basis(n: int, k: int) -> tuple[int, ...]:
 
 def degree_balance(seed: QuantumSeed, k: int) -> tuple[int, ...]:
     """Sum_j b^k_j * degrees_j, which must vanish for a graded seed."""
-    b = seed.exchange.column(k)
-    width = len(seed.degrees[0]) if seed.degrees else 0
-    out = [0] * width
-    for j in range(seed.size):
-        if b[j]:
-            for t in range(width):
-                out[t] += b[j] * seed.degrees[j][t]
-    return tuple(out)
+    return linalg.combine(seed.degrees, seed.exchange.column(k))
 
 
 def exchange_pairings(frame: FrameMatrix, exchange: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
@@ -111,14 +104,7 @@ def exchange_pairings(frame: FrameMatrix, exchange: ExchangeMatrix) -> tuple[tup
     """
     if exchange.n != frame.size:
         raise DimensionMismatch("exchange matrix height does not match frame size")
-    out = []
-    for b in exchange.cols:
-        row = (0,) * frame.size
-        for i, x in enumerate(b):
-            if x:
-                row = tuple(r + x * y for r, y in zip(row, frame.psi[i]))
-        out.append(row)
-    return tuple(out)
+    return tuple(linalg.combine(frame.psi, b) for b in exchange.cols)
 
 
 def check_compatible(seed: QuantumSeed) -> CompatReport:
@@ -162,34 +148,22 @@ def mutate_exchange(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(b.n, b.ex, tuple(new_cols))
 
 
+def _mutation_row(seed: QuantumSeed, k: int, sign: int) -> tuple[int, ...]:
+    """Row k of the mutation basis: -e_k + sum over i != k of [sign b_ik]_+ e_i."""
+    g = [max(sign * x, 0) for x in seed.exchange.column(k)]
+    g[k] = -1
+    return tuple(g)
+
+
 def mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...]]:
     """Basis change of mutation at k: e_k -> -e_k + sum [sign b_ik]_+ e_i."""
     n = seed.size
-    b = seed.exchange.column(k)
-    basis = []
-    for j in range(n):
-        if j != k:
-            basis.append(_basis(n, j))
-        else:
-            g = [0] * n
-            g[k] = -1
-            for i in range(n):
-                if i != k:
-                    g[i] += max(sign * b[i], 0)
-            basis.append(tuple(g))
-    return basis
+    return [_mutation_row(seed, k, sign) if j == k else _basis(n, j) for j in range(n)]
 
 
 def mutated_degree(seed: QuantumSeed, k: int) -> tuple[int, ...]:
-    """Degree of the variable that replaces x_k: -deg_k + sum of b_ik deg_i over i != k with b_ik > 0."""
-    b = seed.exchange.column(k)
-    width = len(seed.degrees[0]) if seed.degrees else 0
-    mutated = [-seed.degrees[k][t] for t in range(width)]
-    for i in range(seed.size):
-        if i != k and b[i] > 0:
-            for t in range(width):
-                mutated[t] += b[i] * seed.degrees[i][t]
-    return tuple(mutated)
+    """Degree of the variable that replaces x_k: row k of `mutation_basis(seed, k, +1)` applied to the degrees."""
+    return linalg.combine(seed.degrees, _mutation_row(seed, k, +1))
 
 
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:

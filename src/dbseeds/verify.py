@@ -57,15 +57,6 @@ def grading_identity(pres: dbc.BowtiePresentation) -> CheckResult:
     return CheckResult("grading-identity", True)
 
 
-def _column_product(cols, column: tuple[int, ...]) -> tuple[int, ...]:
-    """rows . column, as the sum of the rows' columns over the column's nonzeros."""
-    out = [0] * (len(cols[0]) if cols else 0)
-    for j, y in enumerate(column):
-        if y:
-            out = [x + y * c for x, c in zip(out, cols[j])]
-    return tuple(out)
-
-
 def _block_rank_is_full(pres: dbc.BowtiePresentation, sigma, ex, rows, rhs) -> bool:
     """Whether `rows` has full column rank, given that every column at `ex` solves its system.
 
@@ -121,7 +112,7 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     for sigma, seed in pres.seeds.items():
         rows, rhs = dbc.oracle_system(pres, sigma)
         cols = tuple(zip(*rows))
-        miss = next((l for l in seed.ex if _column_product(cols, seed.exchange.column(l)) != rhs.get(l)), None)
+        miss = next((l for l in seed.ex if linalg.combine(cols, seed.exchange.column(l)) != rhs.get(l)), None)
         if miss is None and _block_rank_is_full(pres, sigma, seed.ex, rows, rhs):
             continue
         r = linalg.rank(rows)

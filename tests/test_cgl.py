@@ -238,6 +238,29 @@ def test_rescale_preserves_lambda(a2):
     assert new_pres.lambda_exp == pres.lambda_exp
 
 
+def test_rescale_scalars_follow_the_chains(a2):
+    # levels (1, 2, 1, 1): the chain 0, 2, 3 and the single position 1
+    pres, c_table = a2
+    assert pres.chain(0, 2) == [0, 2, 3]
+    t = [VLaurent.v_power(e) for e in (1, -2, 0, 3)]
+    _, report = rescale(pres, t)
+    assert report.y_scalars == tuple(VLaurent.v_power(e) for e in (1, -2, 1, 4))
+    # u_(i, m) scales by t_i t_{s^m(i)} and the square of each middle position
+    assert report.u_scalars == {(0, 1): VLaurent.v_power(1), (0, 2): VLaurent.v_power(4), (2, 1): VLaurent.v_power(3)}
+    new_c = rescale_c_table(pres, c_table, t)
+    assert new_c[(0, 3)] == c_table[(0, 3)].scale(VLaurent.v_power(4) * VLaurent.v_power(-1))
+
+
+def test_chain_walk_rejects_what_is_not_a_chain(a2):
+    pres, c_table = a2
+    with pytest.raises(PresentationError, match="out of range"):
+        pres.chain(1, 1)
+    with pytest.raises(PresentationError, match="m >= 1"):
+        u_element(pres, c_table, 0, 0)
+    with pytest.raises(PresentationError, match="does not key a chain"):
+        rescale_c_table(pres, {(0, 1): NFPoly.one(4)}, [VLaurent.one()] * 4)
+
+
 def test_interval_y_direct(a2):
     pres, c_table = a2
     y13 = interval_y(pres, 0, 1, c_table)

@@ -267,14 +267,6 @@ def test_seed_rejects_two_seed_kinds(capsys, flags):
     assert "at most one" in json.loads(err)["error"]
 
 
-@pytest.mark.parametrize("extra", [[], ["--bfz"], ["--sigma", "wN"]])
-def test_seed_rejects_convention_without_minor_seed(capsys, extra):
-    code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", "--convention", "mbz-labels", *extra)
-    assert code == 2
-    assert out == ""
-    assert "--convention" in json.loads(err)["error"]
-
-
 def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
     class ClosedPipe:
         def __init__(self, fd):
@@ -365,8 +357,6 @@ def _fuzz_argv(rng):
     n = len(w.split(",")) + len(u.split(","))
     if command == "seed":
         argv += rng.sample(["--bz", "--mbz", "--bfz", "--reduce"], rng.randint(0, 2))
-        if rng.random() < 0.3:
-            argv += ["--convention", rng.choice(["bz-labels", "mbz-labels"])]
         if rng.random() < 0.4:
             argv += ["--sigma", _fuzz_sigma(rng, n)]
     elif command == "mutate":

@@ -1,15 +1,11 @@
 import dataclasses
-import os
-import subprocess
-import sys
 from fractions import Fraction as Q
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from dbseeds import dbc, seedcore, verify
-from dbseeds.coxeter import CartanData, ChainError, cartan_init, xi_enumerate
+from dbseeds.coxeter import CartanData, NotIntervalPermutation, cartan_init, sigma_chain, xi_enumerate
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
     ExchangeMatrix,
@@ -20,7 +16,6 @@ from dbseeds.seedcore import (
     mutation_basis,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 A1 = cartan_init("A", 1)
 A2 = cartan_init("A", 2)
 B2 = cartan_init("B", 2)
@@ -78,13 +73,13 @@ def test_sigma_frame_product_formula_agreement():
 
 def _chain_matrix(pres, sigma):
     """Columns are the chain indicator vectors of sigma."""
-    chains = pres.chains(sigma)
+    chains = sigma_chain(pres.dwd.eta, pres.dwd.s, sigma)
     return tuple(tuple(int(j in chain) for chain in chains) for j in range(pres.size))
 
 
 def test_ebar_identity_collects_chains():
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
-    assert pres.chains(tuple(range(4))) == ((0,), (1,), (0, 2), (0, 2, 3))
+    assert sigma_chain(pres.dwd.eta, pres.dwd.s, tuple(range(4))) == ((0,), (1,), (0, 2), (0, 2, 3))
     ebars = tuple(zip(*_chain_matrix(pres, tuple(range(4)))))
     assert ebars == ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1))
 
@@ -105,33 +100,32 @@ def test_chain_matrices_unimodular():
         assert all(x.denominator == 1 for row in inverse for x in row)
 
 
-@pytest.mark.parametrize("corrupt", [(0, 2), (2, 3)], ids=["drops-sigma-k", "not-nested"])
-def test_sigma_frame_rejects_a_corrupted_chain_table(monkeypatch, corrupt):
-    # chain 3 of the identity must be chain 2, (0, 2), extended by 3
-    pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
-    sigma = tuple(range(4))
-    table = pres.chains(sigma)
-    monkeypatch.setitem(pres._chains, sigma, table[:3] + (corrupt,))
-    with pytest.raises(ChainError, match="at position 3"):
-        dbc.sigma_frame(pres, sigma)
-
-
-def test_sigma_frame_rejects_a_corrupted_chain_table_under_optimize():
-    # the pattern check raises; it is not an assert that `python -O` strips
-    script = (
-        "from dbseeds import dbc\n"
-        "from dbseeds.coxeter import ChainError, cartan_init\n"
-        "pres = dbc.bowtie_build(cartan_init('A', 2), (1, 2, 1), (1,))\n"
-        "sigma = (0, 1, 2, 3)\n"
-        "pres._chains[sigma] = pres.chains(sigma)[:3] + ((2, 3),)\n"
-        "try:\n"
-        "    dbc.sigma_frame(pres, sigma)\n"
-        "except ChainError:\n"
-        "    print('raised')\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout) == (0, "raised\n"), out.stderr
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda pres, sigma: dbc.sigma_seed(pres, sigma),
+        lambda pres, sigma: pres.seed(sigma),
+        lambda pres, sigma: dbc.sigma_frame(pres, sigma),
+        lambda pres, sigma: dbc.sigma_frame_product(pres, sigma),
+        lambda pres, sigma: dbc.sigma_degrees(pres, sigma),
+        lambda pres, sigma: dbc.btau_columns(pres.dwd, sigma),
+        lambda pres, sigma: dbc.ex_sigma(pres.dwd, sigma),
+        lambda pres, sigma: dbc.oracle_system(pres, sigma),
+        lambda pres, sigma: dbc.solve_b_oracle(pres, sigma, 0),
+    ],
+    ids=[
+        "sigma_seed", "pres.seed", "sigma_frame", "sigma_frame_product", "sigma_degrees",
+        "btau_columns", "ex_sigma", "oracle_system", "solve_b_oracle",
+    ],
+)
+@pytest.mark.parametrize("sigma", [(0, 1), (0, 1, 2, 3, 4), (0, 2, 1, 3), (1, 1, 2, 3)])
+def test_sigma_entry_points_reject_a_bad_sigma(entry, sigma):
+    # too short, too long (each an interval permutation of its own length),
+    # not an interval permutation, not a permutation
+    pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
+    with pytest.raises(NotIntervalPermutation):
+        entry(pres, sigma)
+    assert pres._seeds == {}
 
 
 def test_bfz_a1():
@@ -383,10 +377,18 @@ def test_connections_check_cases():
 
 
 def test_connections_check_rejects_wrong_conventions(monkeypatch):
-    # the presentation keeps minor-labelled seeds built under the other convention
+    # the modified labels in the frame formula give the negated frame, the
+    # global sign the cross-check must reject
     honest = dbc.bz_seed
+
+    def negated(pres):
+        return {
+            variant: dataclasses.replace(data, seed=dataclasses.replace(data.seed, frame=data.seed.frame.negate()))
+            for variant, data in honest(pres).items()
+        }
+
     assert dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
-    monkeypatch.setattr(dbc, "bz_seed", lambda pres: honest(pres, "mbz-labels"))
+    monkeypatch.setattr(dbc, "bz_seed", negated)
     assert not dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
 
 
@@ -646,20 +648,6 @@ def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
     assert calls["bowtie_build"] == 1
     assert calls["sigma_seed"] == 2 ** (6 - 1)
     assert calls["sigma_frame_product"] == 2 ** (6 - 1)
-
-
-def test_sigma_chain_runs_once_per_sigma(monkeypatch):
-    sigmas = []
-    honest = dbc.sigma_chain
-
-    def counted(eta, s, sigma):
-        sigmas.append(tuple(sigma))
-        return honest(eta, s, sigma)
-
-    monkeypatch.setattr(dbc, "sigma_chain", counted)
-    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
-    assert all(r.ok for r in results)
-    assert sorted(sigmas) == sorted(xi_enumerate(6))
 
 
 def test_verify_pair_builds_each_pair_level_seed_once(monkeypatch):

@@ -1,15 +1,16 @@
 """CLI output pinned byte for byte: one word pair per finite type.
 
-`tests/golden/index.json` lists every case's argv and exit code, and
-`tests/golden/<case>.out` holds its stdout.  A refactor must reproduce both
-exactly.  Regenerate the files only for an intended change of output:
+`tests/golden/index.json` lists every case's argv and exit code,
+`tests/golden/<case>.out` holds its stdout and `tests/golden/<case>.err` its
+stderr, a missing `.err` standing for none.  A refactor must reproduce all
+three exactly.  Regenerate the files only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -37,10 +38,21 @@ PAIRS = [
 # types whose every sigma-seed is pinned through `seed --sigma all-xi`
 ALL_XI_SEEDS = ("A2", "B2", "G2")
 
+# one input per documented CLI error path (exit 2, or 3 for a frozen mutation step)
+ERRORS = {
+    "error-unknown-type": ["seed", "--type", "X2", "--w", "1", "--u", "1"],
+    "error-non-reduced-word": ["seed", "--type", "A2", "--w", "1,1", "--u", "2"],
+    "error-letter-out-of-range": ["seed", "--type", "A2", "--w", "1,3", "--u", "2"],
+    "error-sigma-not-interval": ["seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "1,3,2,4"],
+    "error-sigma-wrong-length": ["seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "1,2"],
+    "error-mutate-frozen": ["mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "wN", "--seq", "2"],
+    "error-xi-list-n17": ["xi-list", "--n", "17"],
+}
+
 
 def cases() -> dict[str, list[str]]:
-    """Case name -> argv, for every pair and command."""
-    out = {}
+    """Case name -> argv, for every pair and command, and every error path."""
+    out = dict(ERRORS)
     for name, w, u, seq in PAIRS:
         pair = ["--type", name, "--w", w, "--u", u]
         out[f"{name}-seed-id"] = ["seed", *pair]
@@ -50,19 +62,17 @@ def cases() -> dict[str, list[str]]:
         out[f"{name}-seed-wN"] = ["seed", *pair, "--sigma", "wN"]
         out[f"{name}-seed-bz"] = ["seed", *pair, "--bz"]
         out[f"{name}-seed-mbz-reduce"] = ["seed", *pair, "--mbz", "--reduce"]
-        out[f"{name}-seed-bz-mbz-labels"] = ["seed", *pair, "--bz", "--convention", "mbz-labels"]
-        out[f"{name}-seed-mbz-bz-labels"] = ["seed", *pair, "--mbz", "--convention", "bz-labels"]
         out[f"{name}-verify-all-xi"] = ["verify", *pair, "--all-xi"]
         out[f"{name}-verify-fault"] = ["verify", *pair, "--self-test-fault"]
         out[f"{name}-mutate"] = ["mutate", *pair, "--sigma", "wN", "--seq", seq]
     return out
 
 
-def replay(argv: list[str]) -> tuple[int, str]:
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+def replay(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _index() -> dict:
@@ -76,17 +86,21 @@ def test_golden_index_lists_every_case():
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_golden_output(name):
     case = _index()[name]
-    code, out = replay(case["argv"])
+    code, out, err = replay(case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{name}.out").read_text()
+    err_file = GOLDEN / f"{name}.err"
+    assert err == (err_file.read_text() if err_file.exists() else "")
 
 
 def write() -> None:
     GOLDEN.mkdir(exist_ok=True)
     index = {}
     for name, argv in sorted(cases().items()):
-        code, out = replay(argv)
+        code, out, err = replay(argv)
         (GOLDEN / f"{name}.out").write_text(out)
+        if err:
+            (GOLDEN / f"{name}.err").write_text(err)
         index[name] = {"argv": argv, "exit": code}
     (GOLDEN / "index.json").write_text(json.dumps(index, sort_keys=True, indent=1) + "\n")
 

@@ -53,6 +53,20 @@ def test_bilinear_type_follows_inputs_for_zero_vectors():
     assert got == 6 and type(got) is Q
 
 
+def test_combine_is_the_sparse_row_sum():
+    rows = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    rng = random.Random(0)
+    for _ in range(50):
+        coeffs = [rng.choice([0, 0, 1, -2, 3]) for _ in rows]
+        want = tuple(sum(c * row[t] for c, row in zip(coeffs, rows)) for t in range(3))
+        assert linalg.combine(rows, coeffs) == want
+    assert linalg.combine((), ()) == ()
+    # one coefficient per row, never a truncated sum
+    for coeffs in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="coefficients for 3 rows"):
+            linalg.combine(rows, coeffs)
+
+
 @st.composite
 def int_systems(draw):
     """A small integer matrix, half the time of rank at most k, and a right-hand side."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbseeds import dbc, linalg, verify
-from dbseeds.coxeter import cartan_init, is_reduced, xi_enumerate, xi_is_member
+from dbseeds.coxeter import cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
 
@@ -67,16 +67,20 @@ def test_frames_are_integer_and_pairs_verify(name, data):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
-    # the general restriction rule along the chain indicator vectors, and the
-    # product formula, are both oracles for the recursion in `sigma_frame`
+    # the chain tables of `sigma_chain` are the reference for the predecessor
+    # recursion: the restriction rule along their indicator vectors and the
+    # product formula for `sigma_frame`, and their sums for `sigma_degrees`
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
     n = pres.size
     for sigma in xi_enumerate(n) if n else [()]:
-        vectors = [tuple(int(j in chain) for j in range(n)) for chain in pres.chains(sigma)]
+        chains = sigma_chain(pres.dwd.eta, pres.dwd.s, sigma)
+        vectors = [tuple(int(j in chain) for j in range(n)) for chain in chains]
         frame = dbc.sigma_frame(pres, sigma)
         assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, sigma)
+        sums = tuple(tuple(map(sum, zip(*(pres.degrees[i] for i in chain)))) for chain in chains)
+        assert dbc.sigma_degrees(pres, sigma) == sums
 
 
 def _adjacent(pres):

@@ -49,9 +49,10 @@ def _callers(name: str) -> list[str]:
     return callers
 
 
-def test_sigma_chain_has_one_caller():
-    # every chain is read from BowtiePresentation.chains, which keeps it per sigma
-    assert _callers("sigma_chain") == ["dbc.py:chains"]
+def test_sigma_chain_has_no_library_caller():
+    # sigma-seeds follow the predecessor recursion chain(k) = chain(p(k)) + {sigma(k)};
+    # the chain tables of `sigma_chain` are only the tests' reference
+    assert _callers("sigma_chain") == []
 
 
 def test_eta_machinery_has_one_caller():
@@ -86,3 +87,14 @@ def test_mutated_degree_is_the_one_degree_rule():
     # mutation and the second end of a same-level xi-link read the degree of
     # the new variable from one rule
     assert _callers("mutated_degree") == ["seedcore.py:mutate_seed", "verify.py:xi_linkage"]
+
+
+def test_combine_is_the_one_sparse_row_sum_rule():
+    # every sum of integer rows over a sparse coefficient vector is `linalg.combine`
+    assert sorted(_callers("combine")) == [
+        "cgl.py:monomial_degree",
+        "seedcore.py:degree_balance",
+        "seedcore.py:exchange_pairings",
+        "seedcore.py:mutated_degree",
+        "verify.py:btau_oracle_equivalence",
+    ]
