@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 a verification check failed, 2 validation failure
 index or from an incompatible seed, 141 (128 + SIGPIPE) the reader closed
 stdout before the output was written; nothing is printed then.
 `xi-list --n` is bounded by XI_LIST_MAX_N, since it prints all 2^(n-1)
-interval permutations.
+interval permutations, and the rank of a type by RANK_MAX, since the Cartan
+data of rank r takes r^2 entries and about r^3 steps to build.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -22,15 +23,18 @@ from .coxeter import (
     InvalidCartanType,
     LetterOutOfRange,
     NonReducedWordError,
+    NotAPermutation,
+    NotIntervalPermutation,
+    SigmaWord,
     cartan_init,
     xi_enumerate,
-    xi_is_member,
 )
 from .seedcore import NotExchangeable, check_compatible, graded_reduce, mutate_seed
 
 
 EXIT_BROKEN_PIPE = 141
 XI_LIST_MAX_N = 16   # 32768 permutations, a few MB of JSON
+RANK_MAX = 64        # Cartan data of rank r takes r^2 entries and about r^3 steps to build
 
 
 class ValidationFailure(Exception):
@@ -41,11 +45,14 @@ class ValidationFailure(Exception):
 
 def _parse_type(type_str: str, rank) :
     s = type_str.strip()
-    if rank is not None:
-        return cartan_init(s, int(rank))
-    if len(s) >= 2 and s[0].isalpha() and s[1:].isdecimal():
-        return cartan_init(s[0], int(s[1:]))
-    raise ValidationFailure(f"cannot parse type {type_str!r}; give e.g. A2 or --type A --rank 2")
+    if rank is None:
+        if not (len(s) >= 2 and s[0].isalpha() and s[1:].isdecimal()):
+            raise ValidationFailure(f"cannot parse type {type_str!r}; give e.g. A2 or --type A --rank 2")
+        s, rank = s[0], s[1:]
+    rank = int(rank)
+    if rank > RANK_MAX:
+        raise ValidationFailure(f"rank must be at most {RANK_MAX}; got {rank}")
+    return cartan_init(s, rank)
 
 
 def _parse_word(text: str | None) -> tuple[int, ...]:
@@ -57,23 +64,24 @@ def _parse_word(text: str | None) -> tuple[int, ...]:
         raise ValidationFailure(f"bad word {text!r}; expected comma-separated letters") from None
 
 
-def _parse_sigma(text: str, dwd) -> tuple[int, ...]:
+def _parse_sigma(text: str, dwd) -> SigmaWord:
     n = dwd.size
     if text == "id":
-        return tuple(range(n))
+        return dwd.spell(range(n))
     if text == "wN":
-        return dbc.w0_permutation(dwd)
+        return dwd.spell(dbc.w0_permutation(dwd))
     try:
         perm = tuple(int(x) - 1 for x in text.split(","))
     except ValueError:
         raise ValidationFailure(
             f"bad permutation {text!r}; expected \"id\", \"wN\" or comma-separated positions"
         ) from None
-    if sorted(perm) != list(range(n)):
-        raise ValidationFailure(f"{text!r} is not a permutation of 1..{n}")
-    if not xi_is_member(perm):
-        raise ValidationFailure(f"{text!r} fails the interval test")
-    return perm
+    try:
+        return dwd.spell(perm)
+    except NotAPermutation:
+        raise ValidationFailure(f"{text!r} is not a permutation of 1..{n}") from None
+    except NotIntervalPermutation:
+        raise ValidationFailure(f"{text!r} fails the interval test") from None
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -132,9 +140,9 @@ def cmd_seed(args) -> int:
                 seeds.append(entry)
             payload["seeds"] = seeds
         else:
-            sigma = _parse_sigma("id" if args.sigma is None else args.sigma, dwd)
-            entry = jsonio.encode_seed(pres.seed(sigma))
-            entry["sigma"] = [x + 1 for x in sigma]
+            word = _parse_sigma("id" if args.sigma is None else args.sigma, dwd)
+            entry = jsonio.encode_seed(pres.seed(word))
+            entry["sigma"] = [x + 1 for x in word.sigma]
             payload["seed"] = entry
     _emit(payload, args.out)
     return 0

@@ -9,6 +9,11 @@ Conventions
 * Positions inside words and inside the combined double-word index set are
   0-based throughout the library.
 * The bilinear form is normalized so that short roots have squared length 2.
+* An interval permutation sigma of the double-word positions spells a double
+  word of its own, `SigmaWord`: the level of sigma(k) at position k, with the
+  sign of the direction in which sigma(k) extends the interval sigma(0..k-1).
+  `DoubleWordData.spell(sigma)` builds it and is the one validation of a
+  sigma; every sigma consumer reads the word.
 """
 
 from __future__ import annotations
@@ -307,6 +312,32 @@ class DoubleWordData:
         a = self.root_at(k)
         return tuple(-x for x in a) if k < self.n_w else a
 
+    def spell(self, sigma: Sequence[int] | SigmaWord) -> SigmaWord:
+        """The double word sigma spells on these positions; the one validation of a sigma.
+
+        A `SigmaWord` spelled from this level function is returned as it is;
+        any other is spelled again from its sigma.  Raises NotAPermutation
+        for a sigma that is not a permutation of the positions (wrong length,
+        an entry that is not an int, a repeated position) and
+        NotIntervalPermutation for one that fails the interval test.
+        """
+        if isinstance(sigma, SigmaWord):
+            if sigma.eta == self.eta:
+                return sigma
+            sigma = sigma.sigma
+        sigma = tuple(sigma)
+        n = self.size
+        ints = len(sigma) == n and all(isinstance(x, int) for x in sigma)
+        if not (ints and xi_is_member(sigma)):
+            if not ints or sorted(sigma) != list(range(n)):
+                raise NotAPermutation(f"{sigma} is not a permutation of the {n} positions")
+            raise NotIntervalPermutation(f"{sigma} fails the interval test")
+        letters = tuple(self.eta[i] for i in sigma)
+        pred, succ = pred_succ(letters)
+        eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
+        ex = tuple(k for k, x in enumerate(succ) if x is not None)
+        return SigmaWord(self.eta, sigma, letters, eps, pred, succ, ex)
+
 
 def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> DoubleWordData:
     """Level function and chain data for the double word of (w, u)."""
@@ -388,7 +419,32 @@ def xi_enumerate(n: int) -> Iterator[Perm]:
 
 
 class NotIntervalPermutation(ValueError):
-    pass
+    """A sigma that is not an interval permutation of the double-word positions."""
+
+
+class NotAPermutation(NotIntervalPermutation):
+    """A sigma that is not even a permutation of the double-word positions."""
+
+
+@dataclass(frozen=True)
+class SigmaWord:
+    """The double word an interval permutation sigma spells on a level function eta.
+
+    Position k carries the level letters[k] = eta[sigma(k)] and the sign
+    eps[k], +1 when sigma(k) extends the interval sigma(0..k-1) upward and
+    -1 when downward (position 0 extends nothing and reads -1).  pred and
+    succ are the same-level neighbours in sigma order (None where there is
+    none), and ex lists the positions that have a successor.  Only
+    `DoubleWordData.spell`, which validates sigma, builds one.
+    """
+
+    eta: tuple[int, ...]      # the level function it was spelled from
+    sigma: Perm
+    letters: tuple[int, ...]
+    eps: tuple[int, ...]
+    pred: tuple
+    succ: tuple
+    ex: tuple[int, ...]
 
 
 class ChainError(ValueError):

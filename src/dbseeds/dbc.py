@@ -21,13 +21,12 @@ from . import linalg
 from .coxeter import (
     CartanData,
     DoubleWordData,
-    NotIntervalPermutation,
     Perm,
+    SigmaWord,
     act_word_on_weight,
     eta_machinery,
     pred_succ,
     xi_enumerate,
-    xi_is_member,
 )
 from .qtorus import FrameMatrix, NonIntegralFrame
 from .seedcore import ExchangeMatrix, QuantumSeed, ReductionError, antiiso_transform, graded_reduce
@@ -56,12 +55,12 @@ class BowtiePresentation:
         """Plain and modified minor-labelled seeds, built once per presentation."""
         return bz_seed(self)
 
-    def seed(self, sigma: Perm) -> QuantumSeed:
-        """Seed of one interval permutation, built on first use and kept."""
-        sigma = tuple(sigma)
-        if sigma not in self._seeds:
-            self._seeds[sigma] = sigma_seed(self, sigma).seed
-        return self._seeds[sigma]
+    def seed(self, sigma: Perm | SigmaWord) -> QuantumSeed:
+        """Seed of one interval permutation (or its word), built on first use and kept."""
+        word = self.dwd.spell(sigma)
+        if word.sigma not in self._seeds:
+            self._seeds[word.sigma] = sigma_seed(self, word).seed
+        return self._seeds[word.sigma]
 
     @cached_property
     def seeds(self) -> dict[Perm, QuantumSeed]:
@@ -110,44 +109,19 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
     return tuple(range(nw - 1, -1, -1)) + tuple(range(nw, n))
 
 
-def _interval_perm(dwd: DoubleWordData, sigma: Sequence[int]) -> Perm:
-    """sigma as a tuple, checked to be an interval permutation of dwd's positions.
-
-    The one check behind every sigma entry point; raises NotIntervalPermutation
-    for a sigma of the wrong length or one that fails the interval test.
-    """
-    sigma = tuple(sigma)
-    if len(sigma) != dwd.size or not xi_is_member(sigma):
-        raise NotIntervalPermutation(f"{sigma} is not an interval permutation of the {dwd.size} positions")
-    return sigma
-
-
-def ex_sigma(dwd: DoubleWordData, sigma: Perm) -> tuple[int, ...]:
-    """Positions with a later position of the same level, in sigma order."""
-    _, s = pred_succ(tuple(dwd.eta[i] for i in _interval_perm(dwd, sigma)))
-    return tuple(l for l, a in enumerate(s) if a is not None)
-
-
-def _prev(pres: BowtiePresentation, sigma: Perm) -> list[int]:
-    """p(k), the last earlier position of sigma(k)'s level in sigma order, or n if there is none."""
-    n = pres.size
-    pred, _ = pred_succ(tuple(pres.dwd.eta[i] for i in sigma))
-    return [n if p is None else p for p in pred]
-
-
-def _chain_sums(table, sigma: Perm, prev: list[int]) -> list[tuple[int, ...]]:
+def _chain_sums(table, word: SigmaWord) -> list[tuple[int, ...]]:
     """Row k is the sum of table[i] over chain(k), as row p(k) + table[sigma(k)].
 
-    A missing p(k) (index n) is the empty chain, a zero row.
+    p(k) is `word.pred[k]`; a missing one is the empty chain, a zero row.
     """
-    n = len(sigma)
-    rows = [()] * n + [(0,) * (len(table[0]) if table else 0)]
-    for k, (x, p) in enumerate(zip(sigma, prev)):
-        rows[k] = tuple(map(add, rows[p], table[x]))
-    return rows[:n]
+    zero = (0,) * (len(table[0]) if table else 0)
+    rows: list[tuple[int, ...]] = []
+    for x, p in zip(word.sigma, word.pred):
+        rows.append(tuple(map(add, zero if p is None else rows[p], table[x])))
+    return rows
 
 
-def sigma_frame(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
+def sigma_frame(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatrix:
     """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
 
     chain(k), the positions of sigma(k)'s level among sigma(0..k), is
@@ -157,19 +131,18 @@ def sigma_frame(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
     of psi follow psi[.][b] = psi[.][p(b)] + R[.][sigma(b)], a missing p
     adding 0: two passes over sigma (`_chain_sums`), with no pairing and no rank.
     """
-    sigma = _interval_perm(pres.dwd, sigma)
-    prev = _prev(pres, sigma)
-    rows = _chain_sums(pres.nu.psi, sigma, prev)
-    return FrameMatrix(tuple(zip(*_chain_sums(tuple(zip(*rows)), sigma, prev))))
+    word = pres.dwd.spell(sigma)
+    rows = _chain_sums(pres.nu.psi, word)
+    return FrameMatrix(tuple(zip(*_chain_sums(tuple(zip(*rows)), word))))
 
 
-def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
+def sigma_frame_product(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatrix:
     """Same frame through the raw double-product formula, as an independent path.
 
     The supports are rebuilt here from eta and sigma, not through the
-    predecessor recursion of `_chain_sums`.
+    predecessor recursion of `_chain_sums` or the word's `pred`.
     """
-    sigma = _interval_perm(pres.dwd, sigma)
+    sigma = pres.dwd.spell(sigma).sigma
     eta, nu = pres.dwd.eta, pres.nu.psi
     supports = [[i for i in sigma[: k + 1] if eta[i] == eta[x]] for k, x in enumerate(sigma)]
     return FrameMatrix(
@@ -177,15 +150,14 @@ def sigma_frame_product(pres: BowtiePresentation, sigma: Perm) -> FrameMatrix:
     )
 
 
-def sigma_degrees(pres: BowtiePresentation, sigma: Perm) -> tuple[tuple[int, ...], ...]:
+def sigma_degrees(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> tuple[tuple[int, ...], ...]:
     """Root-lattice degree of each permuted cluster variable: the sum over its chain.
 
     chain(k) = chain(p(k)) + {sigma(k)} (see `sigma_frame`), so
     deg_k = deg_p(k) + D[sigma(k)] (`_chain_sums`), with D the generator
     degrees and a missing p giving 0.
     """
-    sigma = _interval_perm(pres.dwd, sigma)
-    return tuple(_chain_sums(pres.degrees, sigma, _prev(pres, sigma)))
+    return tuple(_chain_sums(pres.degrees, pres.dwd.spell(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +209,16 @@ def double_word_matrix(
     return ExchangeMatrix(n, tuple(ex), cols)
 
 
-def btau_columns(dwd: DoubleWordData, sigma: Perm) -> ExchangeMatrix:
+def btau_columns(dwd: DoubleWordData, sigma: Perm | SigmaWord) -> ExchangeMatrix:
     """Exchange matrix of the sigma-seed: the matrix of the double word sigma spells.
 
-    Position k of the word has the level of sigma(k), and sign +1 when
-    sigma(k) extends the interval sigma(0..k-1) upward, -1 when downward;
-    the columns are `ex_sigma`.  Position 0 extends nothing, and its sign
-    never enters `double_word_matrix`.
+    Position k of the word (`dwd.spell(sigma)`) has the level of sigma(k),
+    and sign +1 when sigma(k) extends the interval sigma(0..k-1) upward, -1
+    when downward; the columns are the positions with a successor.  Position
+    0 extends nothing, and its sign never enters `double_word_matrix`.
     """
-    sigma = _interval_perm(dwd, sigma)
-    letters = tuple(dwd.eta[i] for i in sigma)
-    eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
-    return double_word_matrix(dwd.cartan.cartan, letters, eps, ex_sigma(dwd, sigma))
+    word = dwd.spell(sigma)
+    return double_word_matrix(dwd.cartan.cartan, word.letters, word.eps, word.ex)
 
 
 def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
@@ -262,7 +232,7 @@ def b_columns(dwd: DoubleWordData) -> ExchangeMatrix:
 
 
 def oracle_system(
-    pres: BowtiePresentation, sigma: Perm
+    pres: BowtiePresentation, sigma: Perm | SigmaWord
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
     """Defining linear system of the exchange columns of sigma.
 
@@ -271,19 +241,19 @@ def oracle_system(
     column at l is the vector b with frame-exponent <b, e_j> = 2 d delta_{jl}
     and vanishing degree pairing.
     """
-    dwd = pres.dwd
-    n = dwd.size
-    seed = pres.seed(sigma)
+    word = pres.dwd.spell(sigma)
+    n = pres.size
+    seed = pres.seed(word)
     width = pres.cartan.rank
     rows = seed.frame.psi + tuple(tuple(seed.degrees[j][t] for j in range(n)) for t in range(width))
     rhs = {}
-    for l in ex_sigma(dwd, sigma):
-        d_val = pres.cartan.d[dwd.eta[sigma[l]] - 1]
+    for l in word.ex:
+        d_val = pres.cartan.d[word.letters[l] - 1]
         rhs[l] = tuple(-2 * d_val if j == l else 0 for j in range(n)) + (0,) * width
     return rows, rhs
 
 
-def solve_b_oracle(pres: BowtiePresentation, sigma: Perm, l: int) -> tuple[int, ...]:
+def solve_b_oracle(pres: BowtiePresentation, sigma: Perm | SigmaWord, l: int) -> tuple[int, ...]:
     """Exchange column at position l from its defining linear system.
 
     Solves `oracle_system` by fraction-free integer elimination for its
@@ -309,19 +279,20 @@ class SigmaSeedData:
     seed: QuantumSeed
 
 
-def sigma_seed(pres: BowtiePresentation, sigma: Perm) -> SigmaSeedData:
+def sigma_seed(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> SigmaSeedData:
     """Full seed (frame, exchange, degrees) attached to an interval permutation.
 
-    The frame is the chain congruence `sigma_frame`; `verify.sigma_skew_symmetrizable`
+    sigma is spelled once, and every part reads its word.  The frame is the
+    chain congruence `sigma_frame`; `verify.sigma_skew_symmetrizable`
     compares it with the product formula.
     """
-    dwd = pres.dwd
+    word = pres.dwd.spell(sigma)
     seed = QuantumSeed(
-        frame=sigma_frame(pres, sigma),
-        exchange=btau_columns(dwd, sigma),
+        frame=sigma_frame(pres, word),
+        exchange=btau_columns(pres.dwd, word),
         inv=frozenset(),
-        degrees=sigma_degrees(pres, sigma),
-        d=tuple(pres.cartan.d[dwd.eta[i] - 1] for i in sigma),
+        degrees=sigma_degrees(pres, word),
+        d=tuple(pres.cartan.d[x - 1] for x in word.letters),
     )
     return SigmaSeedData(seed)
 

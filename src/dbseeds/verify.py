@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dbc, linalg
-from .coxeter import CartanData, pred_succ
+from .coxeter import CartanData
 from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
 from .seedcore import (
     check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis, reindex,
@@ -67,8 +67,7 @@ def _block_rank_is_full(pres: dbc.BowtiePresentation, sigma, ex, rows, rhs) -> b
         want = rhs[l]
         if not want[l] or want.count(0) != len(want) - 1:
             return False
-    pred, _ = pred_succ(tuple(pres.dwd.eta[i] for i in sigma))
-    starts = [j for j, p in enumerate(pred) if p is None]
+    starts = [j for j, p in enumerate(pres.dwd.spell(sigma).pred) if p is None]
     skip = set(ex)
     rest = [tuple(row[j] for j in starts) for i, row in enumerate(rows) if i not in skip]
     return len(skip) + linalg.rank(rest) == n
@@ -86,7 +85,7 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     - First every product R b_l is checked, as a sum of R's columns over the
       nonzeros of b_l.
     - Let E = `seed.ex` and let J be the positions whose level has no earlier
-      position in sigma order (from `pred_succ`, not from the seed).  With
+      position in sigma order (`spell(sigma).pred`, not from the seed).  With
       rows E first,
 
           R [b_E | e_J] = [ diag(rhs_l[l])   R_{E,J}    ]
@@ -110,10 +109,11 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
     for sigma, seed in pres.seeds.items():
-        rows, rhs = dbc.oracle_system(pres, sigma)
+        word = pres.dwd.spell(sigma)
+        rows, rhs = dbc.oracle_system(pres, word)
         cols = tuple(zip(*rows))
         miss = next((l for l in seed.ex if linalg.combine(cols, seed.exchange.column(l)) != rhs.get(l)), None)
-        if miss is None and _block_rank_is_full(pres, sigma, seed.ex, rows, rhs):
+        if miss is None and _block_rank_is_full(pres, word, seed.ex, rows, rhs):
             continue
         r = linalg.rank(rows)
         if r != n:

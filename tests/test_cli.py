@@ -301,6 +301,23 @@ def test_xi_list_bounds_n_without_enumerating(capsys, monkeypatch):
     assert json.loads(err) == {"error": "n must be at most 16; xi-list prints all 2^(n-1) permutations"}
 
 
+@pytest.mark.parametrize("type_args", [("--type", "A", "--rank", "100000"), ("--type", "A100000",)])
+def test_rank_is_bounded_before_any_cartan_data(capsys, monkeypatch, type_args):
+    def refuse(family, rank):
+        pytest.fail("cartan_init ran past the bound")
+
+    monkeypatch.setattr(cli, "cartan_init", refuse)
+    code, out, err = run(capsys, "seed", *type_args, "--w", "1", "--u", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "rank must be at most 64; got 100000"}
+
+
+def test_rank_bound_admits_its_own_value(capsys):
+    code, out, _ = run(capsys, "seed", "--type", "A", "--rank", str(cli.RANK_MAX), "--w", "1", "--u", "1")
+    assert code == 0
+    assert json.loads(out)["cartan"]["rank"] == cli.RANK_MAX
+
+
 def test_verify_reports_a_fractional_frame_as_json(capsys, skewed_weight_images):
     code, out, err = run(capsys, "verify", "--type", "A2", "--w", "1,2", "--u", "2,1")
     assert code == 1 and err == ""

@@ -109,19 +109,19 @@ def test_chain_matrices_unimodular():
         lambda pres, sigma: dbc.sigma_frame_product(pres, sigma),
         lambda pres, sigma: dbc.sigma_degrees(pres, sigma),
         lambda pres, sigma: dbc.btau_columns(pres.dwd, sigma),
-        lambda pres, sigma: dbc.ex_sigma(pres.dwd, sigma),
+        lambda pres, sigma: pres.dwd.spell(sigma),
         lambda pres, sigma: dbc.oracle_system(pres, sigma),
         lambda pres, sigma: dbc.solve_b_oracle(pres, sigma, 0),
     ],
     ids=[
         "sigma_seed", "pres.seed", "sigma_frame", "sigma_frame_product", "sigma_degrees",
-        "btau_columns", "ex_sigma", "oracle_system", "solve_b_oracle",
+        "btau_columns", "spell", "oracle_system", "solve_b_oracle",
     ],
 )
-@pytest.mark.parametrize("sigma", [(0, 1), (0, 1, 2, 3, 4), (0, 2, 1, 3), (1, 1, 2, 3)])
+@pytest.mark.parametrize("sigma", [(0, 1), (0, 1, 2, 3, 4), (0, 2, 1, 3), (1, 1, 2, 3), (0.0, 1.0, 2.0, 3.0)])
 def test_sigma_entry_points_reject_a_bad_sigma(entry, sigma):
     # too short, too long (each an interval permutation of its own length),
-    # not an interval permutation, not a permutation
+    # not an interval permutation, not a permutation, entries that are not ints
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     with pytest.raises(NotIntervalPermutation):
         entry(pres, sigma)
@@ -210,7 +210,7 @@ def test_oracle_value_exponent():
     dwd = pres.dwd
     for sigma in xi_enumerate(dwd.size):
         frame = dbc.sigma_frame(pres, sigma)
-        for l in dbc.ex_sigma(dwd, sigma):
+        for l in dwd.spell(sigma).ex:
             b = dbc.solve_b_oracle(pres, sigma, l)
             n = dwd.size
             e_l = tuple(1 if t == l else 0 for t in range(n))
@@ -248,7 +248,7 @@ def test_sigma_seed_oracle_column_source():
     pres = dbc.bowtie_build(B2, (1, 2), (2, 1))
     for sigma in xi_enumerate(4):
         seed = dbc.sigma_seed(pres, sigma).seed
-        assert seed.ex == dbc.ex_sigma(pres.dwd, sigma)
+        assert seed.ex == pres.dwd.spell(sigma).ex
         for l in seed.ex:
             assert seed.exchange.column(l) == dbc.solve_b_oracle(pres, sigma, l)
 
@@ -521,7 +521,7 @@ def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
 
     def corrupted(dwd, sigma):
         b = honest(dwd, sigma)
-        if sigma != tuple(range(dwd.size)):
+        if dwd.spell(sigma).sigma != tuple(range(dwd.size)):
             return b
         first = b.cols[0][:-1] + (b.cols[0][-1] + 1,)
         return ExchangeMatrix(b.n, b.ex, (first,) + b.cols[1:])
@@ -600,7 +600,8 @@ def test_btau_oracle_needs_a_nonzero_right_hand_side_to_certify():
     )
     seeds = {sigma: cleared}
     view = SimpleNamespace(
-        dwd=pres.dwd, size=2, cartan=SimpleNamespace(rank=1, d=(0,)), seeds=seeds, seed=seeds.__getitem__,
+        dwd=pres.dwd, size=2, cartan=SimpleNamespace(rank=1, d=(0,)), seeds=seeds,
+        seed=lambda sigma: seeds[pres.dwd.spell(sigma).sigma],
     )
     res = verify.btau_oracle_equivalence(view)
     assert res == verify.CheckResult("btau-oracle", False, "w=(1,) u=(1,) sigma=(0, 1): oracle system has rank 1, not 2")
@@ -675,6 +676,36 @@ def test_grading_identity_builds_one_sigma_seed(monkeypatch):
     calls = _count_calls(monkeypatch, "sigma_seed")
     assert verify.grading_identity(pres).ok
     assert calls["sigma_seed"] == 1
+
+
+def test_seeds_spell_each_sigma_once(monkeypatch):
+    # building every seed runs one interval test per sigma: the seed's frame,
+    # exchange matrix and degrees all read the word `spell` built
+    from dbseeds import coxeter
+
+    calls = []
+    honest = coxeter.xi_is_member
+    monkeypatch.setattr(coxeter, "xi_is_member", lambda sigma: calls.append(sigma) or honest(sigma))
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (2, 1))
+    assert calls == []
+    assert list(pres.seeds) == calls == list(xi_enumerate(5))
+
+
+def test_spell_reuses_only_a_word_of_the_same_double_word():
+    pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
+    word = pres.dwd.spell((1, 2, 0, 3))
+    assert word.letters == (1, 2, 2, 1) and word.eps == (-1, 1, -1, 1)
+    assert word.pred == (None, None, 1, 0) and word.succ == (3, 2, None, None) and word.ex == (0, 1)
+    assert pres.dwd.spell(word) is word
+    assert dbc.bowtie_build(B2, (1, 2), (2, 1)).dwd.spell(word) is word
+    # the same sigma on other letters spells another word
+    other = dbc.bowtie_build(A2, (2, 1), (1, 2))
+    respelled = other.dwd.spell(word)
+    assert respelled == other.dwd.spell(word.sigma) != word
+    assert other.seed(word) == dbc.sigma_seed(other, word.sigma).seed != pres.seed(word)
+    # and a word of another length is not a sigma of these positions
+    with pytest.raises(NotIntervalPermutation):
+        dbc.bowtie_build(A2, (1, 2), (2,)).dwd.spell(word)
 
 
 def test_seeds_cover_every_interval_permutation():

@@ -47,6 +47,7 @@ ERRORS = {
     "error-sigma-wrong-length": ["seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "1,2"],
     "error-mutate-frozen": ["mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "wN", "--seq", "2"],
     "error-xi-list-n17": ["xi-list", "--n", "17"],
+    "error-rank-too-large": ["seed", "--type", "A", "--rank", "65", "--w", "1", "--u", "1"],
 }
 
 

@@ -255,7 +255,10 @@ def _both_oracle_rules(pres, replaced=None):
     """
     if replaced:
         seeds = {**pres.seeds, **replaced}
-        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, cartan=pres.cartan, seeds=seeds, seed=seeds.__getitem__)
+        dwd = pres.dwd
+        pres = SimpleNamespace(
+            dwd=dwd, size=pres.size, cartan=pres.cartan, seeds=seeds, seed=lambda sigma: seeds[dwd.spell(sigma).sigma],
+        )
     got = verify.btau_oracle_equivalence(pres)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_block_rank_is_full", lambda *args: False)

@@ -55,6 +55,18 @@ def test_sigma_chain_has_no_library_caller():
     assert _callers("sigma_chain") == []
 
 
+def test_spell_is_the_one_sigma_validator():
+    # every sigma entry point of dbc, verify and the CLI validates through
+    # `DoubleWordData.spell`; `sigma_chain`, the tests' chain reference with
+    # no library caller, is the only other reader of the interval test
+    assert _callers("xi_is_member") == ["coxeter.py:sigma_chain", "coxeter.py:spell"]
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "xi_is_member" in p.read_text()] == ["coxeter.py"]
+    # and the sigma-seeds read pred and succ from the word `spell` builds
+    assert sorted(c for c in _callers("pred_succ") if c.startswith(("dbc.py:", "verify.py:"))) == [
+        "dbc.py:bz_seed", "dbc.py:double_word_matrix",
+    ]
+
+
 def test_eta_machinery_has_one_caller():
     # the words are validated once, when the presentation is built; every
     # seed of the pair reads the presentation's double-word data
