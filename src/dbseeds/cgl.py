@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
@@ -125,7 +126,7 @@ def leading_term(a: NFPoly) -> tuple[VLaurent, Exponent]:
 
 @dataclass(frozen=True)
 class CGLPresentation:
-    """Presented skew polynomial algebra with level and degree bookkeeping."""
+    """Presented skew polynomial algebra with level and degree bookkeeping; eta is walked once (`walk`)."""
 
     n: int
     lambda_exp: tuple[tuple[int, ...], ...]       # v-exponents, skew-symmetric
@@ -156,12 +157,15 @@ class CGLPresentation:
     def nu_exp(self) -> tuple[tuple[Q, ...], ...]:
         return tuple(tuple(Q(x, 2) for x in row) for row in self.lambda_exp)
 
-    def pred_succ(self):
-        return pred_succ(self.eta)
+    @cached_property
+    def walk(self) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+        """(p, s, O_-, O_+): the same-level walk of eta (`coxeter.pred_succ`, `order_functions`)."""
+        p, s = pred_succ(self.eta)
+        return (p, s, *order_functions(p, s))
 
     def chain(self, i: int, m: int) -> list[int]:
         """The positions i, s(i), ..., s^m(i) of i's level; raises if s^m(i) does not exist."""
-        _, s = self.pred_succ()
+        s = self.walk[1]
         out = [i]
         for _ in range(m):
             if s[out[-1]] is None:
@@ -187,9 +191,8 @@ def _word_of(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _normalize_word(pres: CGLPresentation, word: tuple[int, ...], coef: VLaurent, budget: list[int]) -> NFPoly:
-    """Straighten one coefficient-word pair into the PBW basis."""
-    out: dict[Exponent, VLaurent] = {}
+def _normalize_word(pres: CGLPresentation, word: tuple[int, ...], coef: VLaurent, budget: list[int], out: dict) -> None:
+    """Straighten one coefficient-word pair into the PBW basis, adding its terms to `out`."""
     stack: list[tuple[VLaurent, tuple[int, ...]]] = [(coef, word)]
     while stack:
         c, w = stack.pop()
@@ -211,17 +214,16 @@ def _normalize_word(pres: CGLPresentation, word: tuple[int, ...], coef: VLaurent
         if tail is not None:
             for g, cg in tail.terms.items():
                 stack.append((c * cg, w[:t] + _word_of(g) + w[t + 2:]))
-    return NFPoly(out)
 
 
 def nf_mul(pres: CGLPresentation, a: NFPoly, b: NFPoly) -> NFPoly:
-    """Product in normal form; associative, unit-preserving, budget-guarded."""
+    """Product in normal form; associative, unit-preserving, one accumulator and rewrite budget per product."""
     budget = [pres.rewrite_budget]
-    total = NFPoly.zero()
-    for f, cf in a.terms.items():
-        for g, cg in b.terms.items():
-            total = total + _normalize_word(pres, _word_of(f) + _word_of(g), cf * cg, budget)
-    return total
+    out: dict[Exponent, VLaurent] = {}
+    for f, cf in a._terms.items():
+        for g, cg in b._terms.items():
+            _normalize_word(pres, _word_of(f) + _word_of(g), cf * cg, budget, out)
+    return NFPoly(out)
 
 
 def nf_mul_all(pres: CGLPresentation, factors: Sequence[NFPoly]) -> NFPoly:
@@ -305,28 +307,33 @@ def interval_y(pres: CGLPresentation, i: int, m: int, c_table: CTable) -> NFPoly
     return y
 
 
-def y_elements(pres: CGLPresentation, c_table) -> list[NFPoly]:
+def _keyed_chain(pres: CGLPresentation, key) -> list[int]:
+    """The chain from i to end that a chain input c[(i, end)] is keyed by; raises if there is none."""
+    if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < key[1] < pres.n):
+        raise PresentationError(f"chain input key {key!r} is not a (start, end) pair of positions")
+    i, end = key
+    o_minus = pres.walk[2]
+    chain = pres.chain(i, o_minus[end] - o_minus[i])
+    if chain[-1] != end:
+        raise PresentationError(f"c[{key}] does not key a chain from {i} to {end}")
+    return chain
+
+
+def y_elements(pres: CGLPresentation, c_table: CTable) -> list[NFPoly]:
     """The full prime-element chain y_0, ..., y_{n-1} of the presentation.
 
-    Chain inputs may be keyed either by (start, end) pairs or simply by the
-    end index k (the start of a full chain is determined by k).
+    Chain inputs are keyed by (start, end) pairs of one chain.  y_k runs
+    from root(k), the first position of k's level, over O_-(k) steps to k,
+    and root(k) = root(p(k)) is read off the walk in one pass.
     """
-    p, s = pres.pred_succ()
-    o_minus, _ = order_functions(p, s)
-
-    def root_of(k: int) -> int:
-        while p[k] is not None:
-            k = p[k]
-        return k
-
-    table: CTable = {}
-    for key, val in c_table.items():
-        table[(root_of(key), key) if isinstance(key, int) else key] = val
-
+    for key in c_table:
+        _keyed_chain(pres, key)
+    p, _, o_minus, _ = pres.walk
+    roots: list[int] = []
     out = []
     for k in range(pres.n):
-        root = root_of(k)
-        y = interval_y(pres, root, o_minus[k], table)
+        roots.append(k if p[k] is None else roots[p[k]])
+        y = interval_y(pres, roots[k], o_minus[k], c_table)
         for j in range(k + 1):
             if quasi_commutation_scalar(pres, y, NFPoly.generator(pres.n, j)) is None:
                 raise PresentationError(f"y_{k} does not normalize x_{j}")
@@ -368,22 +375,23 @@ def u_element(pres: CGLPresentation, c_table: CTable, i: int, m: int) -> NFPoly:
     return u
 
 
+def _u_lead(pres: CGLPresentation, c_table: CTable, i: int, m: int) -> tuple[VLaurent, Exponent]:
+    """Leading coefficient of the m-step interval element, and its exponent less e_i."""
+    coef, f = leading_term(u_element(pres, c_table, i, m))
+    return coef, tuple(x - (1 if t == i else 0) for t, x in enumerate(f))
+
+
 def cond_holds(pres: CGLPresentation, c_table: CTable, i: int) -> bool:
     """Leading-coefficient normalization of the one-step interval element."""
-    u = u_element(pres, c_table, i, 1)
-    coef, f = leading_term(u)
-    shifted = tuple(x - (1 if t == i else 0) for t, x in enumerate(f))
+    coef, shifted = _u_lead(pres, c_table, i, 1)
     return coef == scr(pres.nu_exp, shifted)
 
 
 def rescale_scalar_identity(pres: CGLPresentation, c_table: CTable, i: int, m: int) -> bool:
     """Leading coefficient of the m-step interval element against its predicted scalar."""
-    u = u_element(pres, c_table, i, m)
-    coef, f = leading_term(u)
+    coef, shifted = _u_lead(pres, c_table, i, m)
     tail_vec = interval_exponent(pres, pres.chain(i, 1)[1], m - 1)
-    shifted = tuple(x - (1 if t == i else 0) for t, x in enumerate(f))
-    predicted = scr(pres.nu_exp, tail_vec).inverse() ** 2 * scr(pres.nu_exp, shifted)
-    return coef == predicted
+    return coef == scr(pres.nu_exp, tail_vec).inverse() ** 2 * scr(pres.nu_exp, shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +413,9 @@ def _product(t: Sequence[VLaurent], indices: Sequence[int]) -> VLaurent:
     return out
 
 
-def _monomial_factor(t: Sequence[VLaurent], f: Sequence[int]) -> VLaurent:
-    """prod_i t_i^(-f_i): the scalar by which x^f changes under x_i -> t_i x_i."""
-    out = VLaurent.one()
-    for ti, mi in zip(t, f):
-        out = out * ti ** (-mi)
-    return out
+def _rescaled(poly: NFPoly, t: Sequence[VLaurent], z: VLaurent) -> NFPoly:
+    """z poly in the generators t_i x_i: each x^f also picks up (prod_i t_i^(f_i))^(-1)."""
+    return NFPoly({f: c * z * _product(t, _word_of(f)).inverse() for f, c in poly.terms.items()})
 
 
 def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentation, RescaleReport]:
@@ -427,11 +432,7 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         if c == 0:
             raise PresentationError("rescaling units must be nonzero monomials")
 
-    new_tails = {}
-    for (k, j), tail in pres.tails.items():
-        new_tails[(k, j)] = NFPoly(
-            {f: c * t[k] * t[j] * _monomial_factor(t, f) for f, c in tail.terms.items()}
-        )
+    new_tails = {(k, j): _rescaled(tail, t, _product(t, (k, j))) for (k, j), tail in pres.tails.items()}
     new_pres = CGLPresentation(
         n=pres.n,
         lambda_exp=pres.lambda_exp,
@@ -440,8 +441,7 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         degrees=pres.degrees,
         rewrite_budget=pres.rewrite_budget,
     )
-    p, s = pres.pred_succ()
-    _, o_plus = order_functions(p, s)
+    p, _, _, o_plus = pres.walk
     y_scalars: list = [None] * pres.n
     u_scalars: dict[tuple[int, int], VLaurent] = {}
     for i in range(pres.n):
@@ -455,16 +455,8 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
 
 
 def rescale_c_table(pres: CGLPresentation, c_table: CTable, t: Sequence[VLaurent]) -> CTable:
-    """Chain-element inputs matching a rescaled presentation."""
-    o_minus, _ = order_functions(*pres.pred_succ())
-    out: CTable = {}
-    for (i, end), c in c_table.items():
-        chain = pres.chain(i, o_minus[end] - o_minus[i])
-        if chain[-1] != end:
-            raise PresentationError(f"c[{(i, end)}] does not key a chain from {i} to {end}")
-        z = _product(t, chain)
-        out[(i, end)] = NFPoly({f: coef * z * _monomial_factor(t, f) for f, coef in c.terms.items()})
-    return out
+    """Chain-element inputs matching a rescaled presentation: c[(i, end)] scales by the t over its chain."""
+    return {key: _rescaled(c, t, _product(t, _keyed_chain(pres, key))) for key, c in c_table.items()}
 
 
 # ---------------------------------------------------------------------------

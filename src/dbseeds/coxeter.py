@@ -14,6 +14,8 @@ Conventions
   sign of the direction in which sigma(k) extends the interval sigma(0..k-1).
   `DoubleWordData.spell(sigma)` builds it and is the one validation of a
   sigma; every sigma consumer reads the word.
+* The same-level walk of a word (`pred_succ`, `order_functions`) is taken
+  once, where the word is built (`eta_machinery`, `spell`); consumers read it.
 """
 
 from __future__ import annotations
@@ -251,23 +253,21 @@ def pred_succ(eta: Sequence[int]):
 
 
 def order_functions(p: Sequence, s: Sequence):
-    """Chain-length counters O_- and O_+ obtained by iterating p and s."""
+    """Chain-length counters O_- and O_+ of the maps `pred_succ` returns.
+
+    O_-(k) = O_-(p(k)) + 1 and O_+(k) = O_+(s(k)) + 1, with 0 where p(k)
+    (s(k)) is None.  As p(k) < k < s(k), one pass up gives O_- and one pass
+    down gives O_+.
+    """
     n = len(p)
-    o_minus = []
-    o_plus = []
+    o_minus = [0] * n
+    o_plus = [0] * n
     for k in range(n):
-        m = 0
-        j = k
-        while p[j] is not None:
-            j = p[j]
-            m += 1
-        o_minus.append(m)
-        m = 0
-        j = k
-        while s[j] is not None:
-            j = s[j]
-            m += 1
-        o_plus.append(m)
+        if p[k] is not None:
+            o_minus[k] = o_minus[p[k]] + 1
+    for k in reversed(range(n)):
+        if s[k] is not None:
+            o_plus[k] = o_plus[s[k]] + 1
     return tuple(o_minus), tuple(o_plus)
 
 

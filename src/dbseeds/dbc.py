@@ -169,13 +169,16 @@ def double_word_matrix(
     cartan: Sequence[Sequence[int]],
     letters: Sequence[int],
     eps: Sequence[int],
+    pred: Sequence,
+    succ: Sequence,
     ex: Sequence[int],
 ) -> ExchangeMatrix:
     """Exchange matrix of a double word (Berenstein-Fomin-Zelevinsky, Cluster algebras III).
 
-    `letters` is the level of each position, `eps` its sign, and the columns
-    are those of `ex`.  With p, s the same-level predecessor and successor,
-    column k has -eps_k at p(k) and eps_{s(k)} at s(k).  For j < k the entry
+    `letters` is the level of each position, `eps` its sign, `pred` and
+    `succ` its same-level walk p, s (`coxeter.pred_succ` of the letters, None
+    where there is no neighbour), and the columns are those of `ex`.  Column k
+    has -eps_k at p(k) and eps_{s(k)} at s(k).  For j < k the entry
     is -eps_k c_{jk} when k < s(j) < s(k) with eps_k = eps_{s(j)}, or when
     k < s(k) < s(j) with the crossing eps_k != eps_{s(k)}; for k < j it is
     eps_j c_{jk} under the same conditions with j and k exchanged.  A
@@ -183,11 +186,10 @@ def double_word_matrix(
     is 0.
     """
     n = len(letters)
-    p, s = pred_succ(letters)
-    s = tuple(n if x is None else x for x in s)
+    s = tuple(n if x is None else x for x in succ)
 
     def entry(j: int, k: int) -> int:
-        if j == p[k]:
+        if j == pred[k]:
             return -eps[k]
         if j == s[k]:
             return eps[j]
@@ -218,7 +220,7 @@ def btau_columns(dwd: DoubleWordData, sigma: Perm | SigmaWord) -> ExchangeMatrix
     0 extends nothing, and its sign never enters `double_word_matrix`.
     """
     word = dwd.spell(sigma)
-    return double_word_matrix(dwd.cartan.cartan, word.letters, word.eps, word.ex)
+    return double_word_matrix(dwd.cartan.cartan, word.letters, word.eps, word.pred, word.succ, word.ex)
 
 
 def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
@@ -365,10 +367,10 @@ def bz_seed(pres: BowtiePresentation) -> dict[Variant, BZSeedData]:
     frame = FrameMatrix.from_rows(psi, cartan.weight_den)
 
     eta = tuple(range(1, r + 1)) + w + u
-    _, s = pred_succ(eta)
+    p, s = pred_succ(eta)
     eps = tuple(1 if k < r + nw else -1 for k in range(n))
     ex = tuple(k for k in range(r, n) if s[k] is not None)
-    exchange = double_word_matrix(cartan.cartan, eta, eps, ex)
+    exchange = double_word_matrix(cartan.cartan, eta, eps, p, s, ex)
     inv = frozenset(set(range(n)) - set(ex))
     d = tuple(cartan.d[eta[k] - 1] for k in range(n))
 

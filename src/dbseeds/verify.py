@@ -187,13 +187,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
                     if frame_restrict(seed.frame, mutation_basis(seed, k, -1)) != other.frame:
                         detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
                         return CheckResult("xi-linkage", False, detail)
-                linked = (
-                    moved.frame.psi == other.frame.psi
-                    and moved.exchange == other.exchange
-                    and moved.degrees == other.degrees
-                    and moved.d == other.d
-                    and moved.inv == other.inv
-                )
+                linked = moved == other
             if not linked:
                 return CheckResult(
                     "xi-linkage", False,

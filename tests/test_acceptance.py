@@ -212,10 +212,7 @@ def test_criterion_9_normalization_condition():
     checked_cond = 0
     checked_multi = 0
     for name, (pres, c_table) in cgl.shipped_presentations().items():
-        p, s = pres.pred_succ()
-        from dbseeds.coxeter import order_functions
-
-        _, o_plus = order_functions(p, s)
+        _, s, _, o_plus = pres.walk
         for i in range(pres.n):
             if s[i] is not None:
                 if not cond_holds(pres, c_table, i):

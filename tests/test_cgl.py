@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -71,6 +72,18 @@ def test_rewrite_budget_guard(sl2):
     big = NFPoly.monomial((0, 3))
     with pytest.raises(RewriteBudgetExceeded):
         nf_mul(tight, big, NFPoly.monomial((3, 0)))
+
+
+def test_rewrite_budget_is_shared_by_the_term_pairs(sl2):
+    # x2 x1 and x1 x2 x1 each straighten in one rewrite; their sum needs two
+    pres, _ = sl2
+    tight = dataclasses.replace(pres, rewrite_budget=1)
+    a = NFPoly({(0, 1): VLaurent.one(), (1, 1): VLaurent.one()})
+    x1 = NFPoly.generator(2, 0)
+    for f in a.terms:
+        nf_mul(tight, NFPoly.monomial(f), x1)
+    with pytest.raises(RewriteBudgetExceeded):
+        nf_mul(tight, a, x1)
 
 
 def test_presentation_rejects_bad_tail_support():
@@ -153,6 +166,16 @@ def test_y_elements_reject_bad_c(sl2):
     bad = {(0, 1): NFPoly.monomial((1, 0))}   # wrong degree
     with pytest.raises(PresentationError):
         y_elements(pres, bad)
+
+
+def test_y_elements_reject_end_index_keys(sl2):
+    # chain inputs are keyed by (start, end) pairs only
+    pres, c_table = sl2
+    with pytest.raises(PresentationError, match=r"not a \(start, end\) pair"):
+        y_elements(pres, {1: c_table[(0, 1)]})
+    # rescaling reads chain inputs by the same key rule, which bounds the positions
+    with pytest.raises(PresentationError, match=r"not a \(start, end\) pair"):
+        rescale_c_table(pres, {(0, 2): c_table[(0, 1)]}, [VLaurent.one()] * 2)
 
 
 def test_y_elements_quasi_commute(sl2, a2):

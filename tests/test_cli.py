@@ -301,6 +301,28 @@ def test_xi_list_bounds_n_without_enumerating(capsys, monkeypatch):
     assert json.loads(err) == {"error": "n must be at most 16; xi-list prints all 2^(n-1) permutations"}
 
 
+@pytest.mark.parametrize("sweep", [("verify",), ("verify", "--all-xi"), ("seed", "--sigma", "all-xi")])
+def test_xi_sweeps_are_bounded_before_any_seed(capsys, monkeypatch, sweep):
+    def refuse(*args):
+        pytest.fail("bowtie_build ran past the bound")
+
+    monkeypatch.setattr(cli, "XI_LIST_MAX_N", 3)
+    monkeypatch.setattr(dbc, "bowtie_build", refuse)
+    code, out, err = run(capsys, sweep[0], "--type", "A2", "--w", "1,2", "--u", "2,1", *sweep[1:])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("|w| + |u| must be at most 3, got 4; ")
+
+
+def test_xi_sweep_bound_spares_single_seeds_and_admits_its_own_value(capsys, monkeypatch):
+    pair = ("--type", "A2", "--w", "1,2", "--u", "2,1")
+    monkeypatch.setattr(cli, "XI_LIST_MAX_N", 3)
+    assert run(capsys, "seed", *pair, "--sigma", "id")[0] == 0
+    assert run(capsys, "mutate", *pair, "--sigma", "wN", "--seq", "1")[0] == 0
+    monkeypatch.setattr(cli, "XI_LIST_MAX_N", 4)
+    assert run(capsys, "verify", *pair, "--all-xi")[0] == 0
+    assert run(capsys, "seed", *pair, "--sigma", "all-xi")[0] == 0
+
+
 @pytest.mark.parametrize("type_args", [("--type", "A", "--rank", "100000"), ("--type", "A100000",)])
 def test_rank_is_bounded_before_any_cartan_data(capsys, monkeypatch, type_args):
     def refuse(family, rank):

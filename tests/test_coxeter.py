@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
 
 from dbseeds import coxeter
 from dbseeds.coxeter import (
@@ -16,6 +17,7 @@ from dbseeds.coxeter import (
     xi_enumerate,
     xi_is_member,
 )
+from test_properties import TYPES, word_pairs
 
 
 def test_cartan_a2():
@@ -158,14 +160,22 @@ def test_p_s_mutually_inverse():
 
 
 def test_order_functions_count_independently():
-    # O_-(k), O_+(k) equal plain occurrence counts of the level before/after k
-    c = cartan_init("B", 2)
-    dwd = eta_machinery(c, (1, 2, 1, 2), (2, 1))
-    for k in range(dwd.size):
-        before = sum(1 for j in range(k) if dwd.eta[j] == dwd.eta[k])
-        after = sum(1 for j in range(k + 1, dwd.size) if dwd.eta[j] == dwd.eta[k])
-        assert dwd.o_minus[k] == before
-        assert dwd.o_plus[k] == after
+    # O_-(k), O_+(k) equal plain occurrence counts of the level before/after k,
+    # on the double words the property sweep draws for each of its types
+    for name in TYPES:
+        cartan = cartan_init(name[0], int(name[1:]))
+
+        @settings(max_examples=8, deadline=None, derandomize=True)
+        @given(pair=word_pairs(cartan))
+        def counts_match(pair):
+            dwd = eta_machinery(cartan, *pair)
+            for k in range(dwd.size):
+                before = sum(1 for j in range(k) if dwd.eta[j] == dwd.eta[k])
+                after = sum(1 for j in range(k + 1, dwd.size) if dwd.eta[j] == dwd.eta[k])
+                assert dwd.o_minus[k] == before
+                assert dwd.o_plus[k] == after
+
+        counts_match()
 
 
 def test_frozen_count_matches_level_count():

@@ -48,6 +48,10 @@ ERRORS = {
     "error-mutate-frozen": ["mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "wN", "--seq", "2"],
     "error-xi-list-n17": ["xi-list", "--n", "17"],
     "error-rank-too-large": ["seed", "--type", "A", "--rank", "65", "--w", "1", "--u", "1"],
+    "error-verify-n17": ["verify", "--type", "A4", "--w", "1,2,1,3,2,1,4,3,2,1", "--u", "1,2,1,3,2,1,4"],
+    "error-seed-all-xi-n17": [
+        "seed", "--type", "A4", "--w", "1,2,1,3,2,1,4,3,2,1", "--u", "1,2,1,3,2,1,4", "--sigma", "all-xi",
+    ],
 }
 
 
