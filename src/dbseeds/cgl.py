@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .coxeter import order_functions, pred_succ
@@ -163,6 +164,16 @@ class CGLPresentation:
         p, s = pred_succ(self.eta)
         return (p, s, *order_functions(p, s))
 
+    @cached_property
+    def rewrite_rules(self) -> tuple[tuple[tuple[VLaurent, tuple], ...], ...]:
+        """rules[k][j] = (v^lambda_kj, the tail as (word, coefficient) pairs) for j < k; built once, read by `nf_mul`."""
+
+        def rule(k: int, j: int) -> tuple[VLaurent, tuple]:
+            tail = self.tails.get((k, j), NFPoly())
+            return VLaurent.v_power(self.lambda_exp[k][j]), tuple((_word_of(g), c) for g, c in tail.terms.items())
+
+        return tuple(tuple(rule(k, j) for j in range(k)) for k in range(self.n))
+
     def chain(self, i: int, m: int) -> list[int]:
         """The positions i, s(i), ..., s^m(i) of i's level; raises if s^m(i) does not exist."""
         s = self.walk[1]
@@ -191,39 +202,60 @@ def _word_of(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _normalize_word(pres: CGLPresentation, word: tuple[int, ...], coef: VLaurent, budget: list[int], out: dict) -> None:
-    """Straighten one coefficient-word pair into the PBW basis, adding its terms to `out`."""
-    stack: list[tuple[VLaurent, tuple[int, ...]]] = [(coef, word)]
-    while stack:
-        c, w = stack.pop()
-        t = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
-        if t is None:
-            f = [0] * pres.n
-            for i in w:
-                f[i] += 1
-            key = tuple(f)
-            out[key] = out[key] + c if key in out else c
-            continue
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RewriteBudgetExceeded("rewrite budget exhausted; check the presentation tails")
-        k, j = w[t], w[t + 1]
-        swapped = w[:t] + (j, k) + w[t + 2:]
-        stack.append((c * VLaurent.v_power(pres.lambda_exp[k][j]), swapped))
-        tail = pres.tails.get((k, j))
-        if tail is not None:
-            for g, cg in tail.terms.items():
-                stack.append((c * cg, w[:t] + _word_of(g) + w[t + 2:]))
+def _inversions(w: Sequence[int]) -> int:
+    """Number of out-of-order letter pairs of a word; 0 exactly for a PBW-ordered word."""
+    return sum(x > y for i, x in enumerate(w) for y in w[i + 1:])
 
 
 def nf_mul(pres: CGLPresentation, a: NFPoly, b: NFPoly) -> NFPoly:
-    """Product in normal form; associative, unit-preserving, one accumulator and rewrite budget per product."""
-    budget = [pres.rewrite_budget]
-    out: dict[Exponent, VLaurent] = {}
+    """Product in normal form, straightening each distinct word once; associative, unit-preserving.
+
+    The words of all term pairs join one worklist keyed by word, and the
+    coefficients that reach one word are added before it is rewritten, which
+    is exact since the normal-form map is linear.  A word is rewritten at its
+    first descent x_k x_j (k > j) into lambda_kj x_j x_k plus the tail.  The
+    longest word with the most inversions is expanded first, so with tails
+    of fewer than two letters every word waits for all words that rewrite
+    into it.  A PBW-ordered word goes straight to the one accumulator; the
+    one rewrite budget of the product counts the words expanded.
+    """
+    rules = pres.rewrite_rules
+    budget = pres.rewrite_budget
+    done: dict[tuple[int, ...], VLaurent] = {}      # PBW-ordered words
+    pending: dict[tuple[int, ...], VLaurent] = {}
+    heap: list[tuple[int, int, tuple[int, ...]]] = []
+
+    def put(w: tuple[int, ...], c: VLaurent, inv: int) -> None:
+        if not inv:
+            done[w] = done[w] + c if w in done else c
+        elif w in pending:
+            pending[w] = pending[w] + c
+        else:
+            pending[w] = c
+            heappush(heap, (-len(w), -inv, w))
+
     for f, cf in a._terms.items():
         for g, cg in b._terms.items():
-            _normalize_word(pres, _word_of(f) + _word_of(g), cf * cg, budget, out)
-    return NFPoly(out)
+            w = _word_of(f) + _word_of(g)
+            put(w, cf * cg, _inversions(w))
+    while heap:
+        _, neg_inv, w = heappop(heap)
+        c = pending.pop(w)
+        if c.is_zero():
+            continue
+        budget -= 1
+        if budget < 0:
+            raise RewriteBudgetExceeded("rewrite budget exhausted; check the presentation tails")
+        t = next(i for i in range(len(w) - 1) if w[i] > w[i + 1])
+        k, j = w[t], w[t + 1]
+        lam, tail = rules[k][j]
+        head, rest = w[:t], w[t + 2:]
+        put(head + (j, k) + rest, c * lam, -neg_inv - 1)
+        for g, cg in tail:
+            v = head + g + rest
+            put(v, c * cg, _inversions(v))
+    n = pres.n
+    return NFPoly({tuple(map(w.count, range(n))): c for w, c in done.items()})
 
 
 def nf_mul_all(pres: CGLPresentation, factors: Sequence[NFPoly]) -> NFPoly:

@@ -13,6 +13,12 @@ n exits 2 before any seed is built.  At the bound, A4 with
 w = 1,2,1,3,2,1,4,3,2,1 and u = 1,2,1,3,2,1 (n = 16, Python 3.11.7 on
 2 CPUs, in-process `verify_pair`) took 24 s at 284 MiB peak RSS plain and
 126 s at 287 MiB with --all-xi.
+`cgl-nf --word` is bounded by CGL_NF_MAX_LETTERS, since straightening a
+word costs about exponentially in its length; a longer word exits 2 before
+any product is computed, and so does a product that exhausts the
+presentation's rewrite budget.  At the bound the slowest word shapes found
+(Python 3.11.7 on 2 CPUs) were 2^12,1^12 on sl2, 0.85 s at 18 MiB peak RSS,
+and 4^6,3^12,1^6 on a2, 2.8 s at 21 MiB.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -24,7 +30,7 @@ import os
 import sys
 
 from . import dbc, jsonio, verify
-from .cgl import NFPoly, nf_mul, shipped_presentations
+from .cgl import NFPoly, RewriteBudgetExceeded, nf_mul, shipped_presentations
 from .coxeter import (
     InvalidCartanType,
     LetterOutOfRange,
@@ -41,6 +47,7 @@ from .seedcore import NotExchangeable, check_compatible, graded_reduce, mutate_s
 EXIT_BROKEN_PIPE = 141
 XI_LIST_MAX_N = 16   # 32768 interval permutations: the bound of every command that enumerates them
 RANK_MAX = 64        # Cartan data of rank r takes r^2 entries and about r^3 steps to build
+CGL_NF_MAX_LETTERS = 24   # straightening cost grows about exponentially with the word length
 
 
 class ValidationFailure(Exception):
@@ -162,9 +169,9 @@ def cmd_seed(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    pres = dbc.bowtie_build(*_parse_pair(args))
     if args.sigma == "all-xi":
         raise ValidationFailure("mutate starts from one seed; --sigma all-xi is only for the seed command")
+    pres = dbc.bowtie_build(*_parse_pair(args))
     seed = pres.seed(_parse_sigma(args.sigma, pres.dwd))
     seq = _parse_word(args.seq)
     n = pres.size
@@ -224,10 +231,13 @@ def cmd_cgl_nf(args) -> int:
         raise ValidationFailure(f"unknown preset {args.preset!r}; have {sorted(presets)}")
     pres, _ = presets[args.preset]
     word = _parse_word(args.word)
-    out = NFPoly.one(pres.n)
+    if len(word) > CGL_NF_MAX_LETTERS:
+        raise ValidationFailure(f"--word takes at most {CGL_NF_MAX_LETTERS} letters, got {len(word)}")
     for letter in word:
         if not 1 <= letter <= pres.n:
             raise ValidationFailure(f"generator {letter} out of range 1..{pres.n}")
+    out = NFPoly.one(pres.n)
+    for letter in word:
         out = nf_mul(pres, out, NFPoly.generator(pres.n, letter - 1))
     _emit(
         {
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nf = sub.add_parser("cgl-nf", help="normal form of a generator word in a shipped presentation")
     p_nf.add_argument("--preset", required=True)
-    p_nf.add_argument("--word", required=True)
+    p_nf.add_argument("--word", required=True, help=f"comma-separated generators, at most {CGL_NF_MAX_LETTERS}")
     p_nf.add_argument("--out", default=None)
     p_nf.set_defaults(func=cmd_cgl_nf)
 
@@ -303,7 +313,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)
         return 2
-    except (InvalidCartanType, LetterOutOfRange, NonReducedWordError) as exc:
+    except (InvalidCartanType, LetterOutOfRange, NonReducedWordError, RewriteBudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 

@@ -56,11 +56,21 @@ class BowtiePresentation:
         return bz_seed(self)
 
     def seed(self, sigma: Perm | SigmaWord) -> QuantumSeed:
-        """Seed of one interval permutation (or its word), built on first use and kept."""
-        word = self.dwd.spell(sigma)
-        if word.sigma not in self._seeds:
-            self._seeds[word.sigma] = sigma_seed(self, word).seed
-        return self._seeds[word.sigma]
+        """Seed of one interval permutation (or its word), built on first use and kept.
+
+        The cache is keyed by validated sigmas only, so a tuple of ints or a
+        word of these letters that hits it needs no spelling.
+        """
+        if isinstance(sigma, SigmaWord):
+            key = sigma.sigma if sigma.eta == self.dwd.eta else None
+        else:
+            key = sigma if type(sigma) is tuple and all(isinstance(x, int) for x in sigma) else None
+        if key not in self._seeds:
+            word = self.dwd.spell(sigma)
+            key = word.sigma
+            if key not in self._seeds:
+                self._seeds[key] = sigma_seed(self, word).seed
+        return self._seeds[key]
 
     @cached_property
     def seeds(self) -> dict[Perm, QuantumSeed]:
@@ -313,6 +323,8 @@ class BZSeedData:
     variant: Variant
     labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]   # (gamma_k, delta_k)
     eta: tuple[int, ...]
+    p: tuple                                  # same-level walk of eta (`coxeter.pred_succ`)
+    s: tuple
     seed: QuantumSeed
 
 
@@ -376,7 +388,7 @@ def bz_seed(pres: BowtiePresentation) -> dict[Variant, BZSeedData]:
 
     def data(variant: Variant, labels) -> BZSeedData:
         degrees = tuple(tuple(-x for x in g) for g, _ in labels)
-        return BZSeedData(variant, labels, eta, QuantumSeed(frame, exchange, inv, degrees, d))
+        return BZSeedData(variant, labels, eta, p, s, QuantumSeed(frame, exchange, inv, degrees, d))
 
     return {"plain": data("plain", plain), "modified": data("modified", modified)}
 

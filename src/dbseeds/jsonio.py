@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .coxeter import CartanData, DoubleWordData, pred_succ
+from .coxeter import CartanData, DoubleWordData
 from .cgl import NFPoly
 from .dbc import BZSeedData
 from .qtorus import FrameMatrix, VLaurent
@@ -71,10 +71,9 @@ def encode_bz(data: BZSeedData) -> dict:
     out["labels"] = [
         {"gamma": list(g), "delta": list(d)} for g, d in data.labels
     ]
-    p, s = pred_succ(data.eta)
     out["eta"] = list(data.eta)
-    out["p"] = [_sentinel_or_index(x) for x in p]
-    out["s"] = [_sentinel_or_index(x) for x in s]
+    out["p"] = [_sentinel_or_index(x) for x in data.p]
+    out["s"] = [_sentinel_or_index(x) for x in data.s]
     return out
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbseeds import cgl
 from dbseeds.cgl import (
@@ -84,6 +86,98 @@ def test_rewrite_budget_is_shared_by_the_term_pairs(sl2):
         nf_mul(tight, NFPoly.monomial(f), x1)
     with pytest.raises(RewriteBudgetExceeded):
         nf_mul(tight, a, x1)
+
+
+def _reference_nf_mul(pres, a, b):
+    """The depth-first rule: every rewrite branch straightened on its own, first descent first.
+
+    Returns the product, the number of rewrite steps it took and the set of
+    distinct words it rewrote.
+    """
+    out, steps, rewritten = {}, 0, set()
+    for f, cf in a.terms.items():
+        for g, cg in b.terms.items():
+            stack = [(cf * cg, cgl._word_of(f) + cgl._word_of(g))]
+            while stack:
+                c, w = stack.pop()
+                t = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+                if t is None:
+                    key = tuple(w.count(i) for i in range(pres.n))
+                    out[key] = out[key] + c if key in out else c
+                    continue
+                steps += 1
+                rewritten.add(w)
+                k, j = w[t], w[t + 1]
+                stack.append((c * VLaurent.v_power(pres.lambda_exp[k][j]), w[:t] + (j, k) + w[t + 2:]))
+                tail = pres.tails.get((k, j))
+                if tail is not None:
+                    for g2, c2 in tail.terms.items():
+                        stack.append((c * c2, w[:t] + cgl._word_of(g2) + w[t + 2:]))
+    return NFPoly(out), steps, rewritten
+
+
+def _check_against_reference(pres, a, b):
+    """nf_mul agrees with the depth-first rule and rewrites each of its words at most once.
+
+    So it takes no more rewrite steps than the depth-first rule either.
+    """
+    want, steps, rewritten = _reference_nf_mul(pres, a, b)
+    assert len(rewritten) <= steps
+    got = nf_mul(dataclasses.replace(pres, rewrite_budget=len(rewritten)), a, b)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", ["sl2", "a2", "a2-rescaled"])
+def test_nf_mul_matches_the_depth_first_rule_on_the_audit(name, sl2, a2, monkeypatch):
+    pres = {"sl2": sl2, "a2": a2, "a2-rescaled": a2}[name][0]
+    if name == "a2-rescaled":
+        t = [VLaurent.v_power(1), VLaurent.v_power(-2, 3), VLaurent({0: "1/2"}), VLaurent.v_power(3, -1)]
+        pres = rescale(pres, t)[0]
+    products = []
+
+    def checked(pres, a, b):
+        products.append((a, b))
+        return _check_against_reference(pres, a, b)
+
+    monkeypatch.setattr(cgl, "nf_mul", checked)
+    audit_presentation(pres)
+    assert len(products) == 4 * 200
+
+
+@st.composite
+def pbw_elements(draw, n):
+    """A sum of up to three PBW monomials of total degree at most 4, with small coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        f = [0] * n
+        for _ in range(draw(st.integers(0, 4))):
+            f[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(f)] = VLaurent.v_power(draw(st.integers(-3, 3)), draw(st.integers(-2, 2).filter(bool)))
+    return NFPoly(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nf_mul_matches_the_depth_first_rule_on_random_elements(data):
+    name = data.draw(st.sampled_from(["sl2", "a2"]))
+    pres = cgl.shipped_presentations()[name][0]
+    _check_against_reference(pres, data.draw(pbw_elements(pres.n)), data.draw(pbw_elements(pres.n)))
+
+
+def test_rewrite_rules_are_built_once_per_presentation(a2, monkeypatch):
+    pres = dataclasses.replace(a2[0])
+    built = []
+    v_power = VLaurent.v_power
+    monkeypatch.setattr(VLaurent, "v_power", classmethod(lambda cls, *args: built.append(args) or v_power(*args)))
+    x = [NFPoly.generator(4, i) for i in range(4)]
+    for a, b in itertools.product(x, repeat=2):
+        nf_mul(pres, nf_mul(pres, b, a), a)
+    assert len(built) == 4 * 3 // 2   # one v^lambda_kj per pair k > j
+    assert pres.rewrite_rules is pres.rewrite_rules
+    lam, tail = pres.rewrite_rules[2][0]
+    assert lam == VLaurent.v_power(pres.lambda_exp[2][0])
+    assert tail == (((1,), VLaurent({-1: 1, 3: -1})),)
 
 
 def test_presentation_rejects_bad_tail_support():

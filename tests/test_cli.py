@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from dbseeds import cli, dbc
+from dbseeds import cgl, cli, dbc
 from dbseeds.cli import main
 from dbseeds.coxeter import InvalidCartanType, cartan_init, enumerate_reduced_words
 from dbseeds.qtorus import FrameMatrix
@@ -151,6 +152,13 @@ def test_mutate_rejects_all_xi(capsys):
     assert "all-xi" in json.loads(err)["error"]
 
 
+def test_mutate_rejects_all_xi_before_building_the_pair(capsys):
+    # the word 1,1 is not reduced, but the flag is checked first
+    code, _, err = run(capsys, "mutate", "--type", "A2", "--w", "1,1", "--u", "2", "--sigma", "all-xi", "--seq", "1")
+    assert code == 2
+    assert "all-xi" in json.loads(err)["error"]
+
+
 def test_mutate_rejects_non_integer_sigma(capsys):
     code, _, err = run(capsys, "mutate", "--type", "A1", "--w", "1", "--u", "1", "--sigma", "1,a", "--seq", "1")
     assert code == 2
@@ -225,6 +233,29 @@ def test_cgl_nf(capsys):
 def test_cgl_nf_unknown_preset(capsys):
     code, _, err = run(capsys, "cgl-nf", "--preset", "nope", "--word", "1")
     assert code == 2
+
+
+def test_cgl_nf_bounds_the_word_before_any_product(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CGL_NF_MAX_LETTERS", 3)
+    monkeypatch.setattr(cli, "nf_mul", lambda *args: pytest.fail("a product was computed"))
+    code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1,1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--word takes at most 3 letters, got 4"}
+
+
+def test_cgl_nf_checks_every_letter_before_any_product(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "nf_mul", lambda *args: pytest.fail("a product was computed"))
+    code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,1,3")
+    assert code == 2 and out == ""
+    assert "out of range" in json.loads(err)["error"]
+
+
+def test_cgl_nf_reports_an_exhausted_rewrite_budget(capsys, monkeypatch):
+    presets = {name: (dataclasses.replace(pres, rewrite_budget=1), c) for name, (pres, c) in cgl.shipped_presentations().items()}
+    monkeypatch.setattr(cli, "shipped_presentations", lambda: presets)
+    code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1,1")
+    assert code == 2 and out == ""
+    assert "rewrite budget" in json.loads(err)["error"]
 
 
 def test_output_bytes_stable(capsys, tmp_path):

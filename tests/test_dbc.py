@@ -5,7 +5,15 @@ from types import SimpleNamespace
 import pytest
 
 from dbseeds import dbc, seedcore, verify
-from dbseeds.coxeter import CartanData, NotIntervalPermutation, cartan_init, sigma_chain, xi_enumerate
+from dbseeds.coxeter import (
+    CartanData,
+    DoubleWordData,
+    NotAPermutation,
+    NotIntervalPermutation,
+    cartan_init,
+    sigma_chain,
+    xi_enumerate,
+)
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
     ExchangeMatrix,
@@ -269,6 +277,7 @@ def test_bz_seed_a1():
     assert gamma == (1,)
     assert delta == (-1,)
     assert check_compatible(data.seed).ok
+    assert (data.p, data.s) == ((None, 0, 1), (1, 2, None))   # one level: a single chain
 
 
 def test_bz_seed_frame_a1():
@@ -706,6 +715,24 @@ def test_spell_reuses_only_a_word_of_the_same_double_word():
     # and a word of another length is not a sigma of these positions
     with pytest.raises(NotIntervalPermutation):
         dbc.bowtie_build(A2, (1, 2), (2,)).dwd.spell(word)
+
+
+def test_seed_cache_hits_are_not_spelled_again(monkeypatch):
+    pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
+    word = pres.dwd.spell((1, 2, 0, 3))
+    seed = pres.seed(word)
+    other = dbc.bowtie_build(A2, (2, 1), (1, 2)).dwd.spell((1, 2, 0, 3))
+    spelled = []
+    spell = DoubleWordData.spell
+    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: spelled.append(sigma) or spell(self, sigma))
+    assert pres.seed(word) is seed and pres.seed((1, 2, 0, 3)) is seed
+    assert spelled == []
+    # a list, floats or a word of other letters are spelled: the first two validate as before
+    assert pres.seed([1, 2, 0, 3]) is seed
+    with pytest.raises(NotAPermutation):
+        pres.seed((1.0, 2.0, 0.0, 3.0))
+    assert pres.seed(other) is seed
+    assert spelled == [[1, 2, 0, 3], (1.0, 2.0, 0.0, 3.0), other]
 
 
 def test_seeds_cover_every_interval_permutation():

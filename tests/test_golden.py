@@ -49,6 +49,8 @@ ERRORS = {
     "error-xi-list-n17": ["xi-list", "--n", "17"],
     "error-rank-too-large": ["seed", "--type", "A", "--rank", "65", "--w", "1", "--u", "1"],
     "error-verify-n17": ["verify", "--type", "A4", "--w", "1,2,1,3,2,1,4,3,2,1", "--u", "1,2,1,3,2,1,4"],
+    "error-mutate-all-xi": ["mutate", "--type", "A2", "--w", "1,1", "--u", "2", "--sigma", "all-xi", "--seq", "1"],
+    "error-cgl-nf-too-long": ["cgl-nf", "--preset", "sl2", "--word", ",".join(["2"] * 25)],
     "error-seed-all-xi-n17": [
         "seed", "--type", "A4", "--w", "1,2,1,3,2,1,4,3,2,1", "--u", "1,2,1,3,2,1,4", "--sigma", "all-xi",
     ],
