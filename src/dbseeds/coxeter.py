@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Iterator, Sequence
 
@@ -292,6 +292,7 @@ class DoubleWordData:
     beta: tuple[Root, ...]
     beta_prime: tuple[Root, ...]
     support: frozenset[int]
+    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # sigma -> its word
 
     @property
     def n_w(self) -> int:
@@ -316,10 +317,12 @@ class DoubleWordData:
         """The double word sigma spells on these positions; the one validation of a sigma.
 
         A `SigmaWord` spelled from this level function is returned as it is;
-        any other is spelled again from its sigma.  Raises NotAPermutation
-        for a sigma that is not a permutation of the positions (wrong length,
-        an entry that is not an int, a repeated position) and
-        NotIntervalPermutation for one that fails the interval test.
+        any other is spelled again from its sigma, once: the word is kept, and
+        only a sigma of ints is looked up (a float one hashes like its int
+        twin).  Raises NotAPermutation for a sigma that is not a permutation
+        of the positions (wrong length, an entry that is not an int, a
+        repeated position) and NotIntervalPermutation for one that fails the
+        interval test.
         """
         if isinstance(sigma, SigmaWord):
             if sigma.eta == self.eta:
@@ -328,6 +331,9 @@ class DoubleWordData:
         sigma = tuple(sigma)
         n = self.size
         ints = len(sigma) == n and all(isinstance(x, int) for x in sigma)
+        word = self._words.get(sigma) if ints else None
+        if word is not None:
+            return word
         if not (ints and xi_is_member(sigma)):
             if not ints or sorted(sigma) != list(range(n)):
                 raise NotAPermutation(f"{sigma} is not a permutation of the {n} positions")
@@ -336,7 +342,7 @@ class DoubleWordData:
         pred, succ = pred_succ(letters)
         eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
         ex = tuple(k for k, x in enumerate(succ) if x is not None)
-        return SigmaWord(self.eta, sigma, letters, eps, pred, succ, ex)
+        return self._words.setdefault(sigma, SigmaWord(self.eta, sigma, letters, eps, pred, succ, ex))
 
 
 def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> DoubleWordData:

@@ -140,17 +140,18 @@ def sigma_frame(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatri
     R_k = chain(k)^T nu follow R_k = R_p(k) + nu[sigma(k)], and the columns
     of psi follow psi[.][b] = psi[.][p(b)] + R[.][sigma(b)], a missing p
     adding 0: two passes over sigma (`_chain_sums`), with no pairing and no rank.
+    psi = C nu C^T with C integral, so it takes the trusted path (see `FrameMatrix`).
     """
     word = pres.dwd.spell(sigma)
     rows = _chain_sums(pres.nu.psi, word)
-    return FrameMatrix(tuple(zip(*_chain_sums(tuple(zip(*rows)), word))))
+    return FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), word))))
 
 
 def sigma_frame_product(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatrix:
     """Same frame through the raw double-product formula, as an independent path.
 
-    The supports are rebuilt here from eta and sigma, not through the
-    predecessor recursion of `_chain_sums` or the word's `pred`.
+    The supports are rebuilt from eta and sigma, not through `_chain_sums` or
+    the word's `pred`, and the frame takes the validating constructor.
     """
     sigma = pres.dwd.spell(sigma).sigma
     eta, nu = pres.dwd.eta, pres.nu.psi
@@ -257,7 +258,7 @@ def oracle_system(
     n = pres.size
     seed = pres.seed(word)
     width = pres.cartan.rank
-    rows = seed.frame.psi + tuple(tuple(seed.degrees[j][t] for j in range(n)) for t in range(width))
+    rows = seed.frame.psi + (tuple(zip(*seed.degrees)) or ((),) * width)
     rhs = {}
     for l in word.ex:
         d_val = pres.cartan.d[word.letters[l] - 1]

@@ -2,7 +2,9 @@
 
 Scalars live in the Laurent ring Q[v^e : e rational]; frames record the
 integer exponent matrix psi of a multiplicatively skew-symmetric matrix via
-r_{kj} = v^{psi_{kj}}.
+r_{kj} = v^{psi_{kj}}.  `FrameMatrix(psi)` is the one validating constructor;
+frames built from a valid frame take the private trusted path
+`FrameMatrix._trusted` (see `FrameMatrix` for why each skipped check holds).
 """
 
 from __future__ import annotations
@@ -119,7 +121,17 @@ class VLaurent:
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Integer exponent matrix psi of a multiplicatively skew-symmetric matrix."""
+    """Integer exponent matrix psi of a multiplicatively skew-symmetric matrix.
+
+    `FrameMatrix(psi)` checks that psi is square with int entries and is
+    skew-symmetric with a zero diagonal.  `_trusted` skips these checks; its
+    only callers build from a valid psi what keeps them by construction:
+    `reindex` permutes rows and columns alike by a permutation of the ints
+    0..n-1 (checked), which keeps skew-symmetry; `negate` gives -psi; and
+    `frame_restrict` (int vectors of length n, checked) and `dbc.sigma_frame`
+    (sums of unit vectors) give V psi V^T with V integral, skew-symmetric in
+    integers with a zero diagonal since (V psi V^T)^T = V psi^T V^T.
+    """
 
     psi: tuple[tuple[int, ...], ...]
 
@@ -136,6 +148,13 @@ class FrameMatrix:
             for j in range(i):
                 if self.psi[i][j] != -self.psi[j][i]:
                     raise ValueError("psi must be skew-symmetric")
+
+    @classmethod
+    def _trusted(cls, psi: tuple[tuple[int, ...], ...]) -> "FrameMatrix":
+        """Frame of a psi that its construction makes valid; no check is run."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "psi", psi)
+        return frame
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], den: int = 1) -> "FrameMatrix":
@@ -162,13 +181,13 @@ class FrameMatrix:
         return linalg.bilinear(f, self.psi, g)
 
     def reindex(self, tau: Sequence[int]) -> "FrameMatrix":
-        """psi'_{jk} = psi_{tau(j), tau(k)}."""
-        return FrameMatrix(
-            tuple(tuple(self.psi[tau[j]][tau[k]] for k in range(self.size)) for j in range(self.size))
-        )
+        """psi'_{jk} = psi_{tau(j), tau(k)}; tau must be a permutation of the ints 0..n-1."""
+        if not (all(type(x) is int for x in tau) and sorted(tau) == list(range(self.size))):
+            raise ValueError("tau must be a permutation of 0..n-1")
+        return FrameMatrix._trusted(tuple(tuple(self.psi[j][k] for k in tau) for j in tau))
 
     def negate(self) -> "FrameMatrix":
-        return FrameMatrix(tuple(tuple(-x for x in row) for row in self.psi))
+        return FrameMatrix._trusted(tuple(tuple(-x for x in row) for row in self.psi))
 
 
 def bicharacter(frame: FrameMatrix, f: Sequence, g: Sequence) -> VLaurent:
@@ -233,10 +252,15 @@ def frame_restrict(frame: FrameMatrix, vectors: Sequence[Sequence]) -> FrameMatr
     mutation bases, the reduction shifts and the chain vectors all pass:
     each has a vector that alone reaches some coordinate, and so on down.
     Other inputs take an integer rank; dependent vectors raise ValueError.
+    The vectors' lengths and int entries are checked first, so the pairings
+    V psi V^T make a valid frame (see `FrameMatrix`).
     """
     vecs = [tuple(v) for v in vectors]
+    if any(len(v) != frame.size for v in vecs):
+        raise DimensionMismatch("vector length does not match frame size")
+    if any(type(x) is not int for v in vecs for x in v):
+        raise NonIntegralFrame("restriction vectors must have int entries")
     if not _peels(vecs) and linalg.rank(tuple(vecs)) != len(vecs):
         raise ValueError("restriction vectors are linearly dependent")
-    return FrameMatrix(
-        tuple(tuple(frame.omega_exp(a, b) for b in vecs) for a in vecs)
-    )
+    psi = frame.psi
+    return FrameMatrix._trusted(tuple(tuple(linalg.bilinear(a, psi, b) for b in vecs) for a in vecs))

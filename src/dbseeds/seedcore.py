@@ -46,15 +46,13 @@ class ExchangeMatrix:
         except KeyError:
             raise NotExchangeable(f"index {k} is not exchangeable") from None
 
-    def entry(self, j: int, k: int) -> int:
-        return self.column(k)[j]
-
     def is_skew_symmetrizable(self, d: Sequence[int]) -> bool:
-        for j in self.ex:
-            for k in self.ex:
-                if d[j] * self.entry(j, k) != -d[k] * self.entry(k, j):
-                    return False
-        return True
+        """d_j b_jk = -d_k b_kj for all exchangeable j, k, read from the columns by position."""
+        ex, cols = self.ex, self.cols
+        return all(
+            d[j] * cols[b][j] == -d[k] * cols[a][k]
+            for a, j in enumerate(ex) for b, k in enumerate(ex[: a + 1])
+        )
 
     def negate(self) -> "ExchangeMatrix":
         return ExchangeMatrix(self.n, self.ex, tuple(tuple(-x for x in c) for c in self.cols))
@@ -189,18 +187,18 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
 
 
 def reindex(seed: QuantumSeed, tau: Sequence[int]) -> QuantumSeed:
-    """Right action of a permutation: position j of the result carries tau(j)."""
+    """Right action of a permutation: position j of the result carries tau(j).
+
+    `FrameMatrix.reindex` first raises ValueError unless tau permutes the ints 0..n-1.
+    """
+    new_frame = seed.frame.reindex(tau)
     n = seed.size
-    if sorted(tau) != list(range(n)):
-        raise ValueError("tau must be a permutation of 0..n-1")
     inverse = [0] * n
     for j, v in enumerate(tau):
         inverse[v] = j
-    new_frame = seed.frame.reindex(tau)
     new_ex = tuple(sorted(inverse[k] for k in seed.ex))
-    new_cols = tuple(
-        tuple(seed.exchange.column(tau[kp])[tau[j]] for j in range(n)) for kp in new_ex
-    )
+    cols = [seed.exchange.column(tau[kp]) for kp in new_ex]
+    new_cols = tuple(tuple(col[t] for t in tau) for col in cols)
     return QuantumSeed(
         frame=new_frame,
         exchange=ExchangeMatrix(n, new_ex, new_cols),

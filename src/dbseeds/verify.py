@@ -167,9 +167,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     place = {sigma: i for i, sigma in enumerate(seeds)}
     for sigma, seed in seeds.items():
         for k in range(n - 1):
-            tau = list(range(n))
-            tau[k], tau[k + 1] = tau[k + 1], tau[k]
-            sigma2 = tuple(sigma[t] for t in tau)
+            sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
             if sigma2 not in place:
                 continue
             other = seeds[sigma2]
@@ -179,7 +177,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
                 linked = not same_level or mutated_degree(seed, k) == other.degrees[k]
             else:
                 if not same_level:
-                    moved = reindex(seed, tuple(tau))
+                    moved = reindex(seed, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n)))
                 else:
                     # the mutated seed already sits in the adjacent order; no
                     # further reindexing (verified against the rank-one algebra)

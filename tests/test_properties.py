@@ -313,6 +313,27 @@ def test_mutation_and_reduction_restrict_frames_without_a_rank(name, data):
             graded_reduce(mutate_seed(bz, k), cartan.rank)
 
 
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trusted_frames_equal_their_validated_rebuild(name, data):
+    # every frame built through the trusted path passes the public
+    # constructor's checks and is rebuilt equal by it
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    frames = []
+    for sigma, seed in pres.seeds.items():
+        frames += [seed.frame, seed.frame.negate()]   # the sigma-frame and its negative
+        for k in seed.ex:
+            frames += [frame_restrict(seed.frame, mutation_basis(seed, k, sign)) for sign in (1, -1)]
+        if pres.size >= 2:
+            frames.append(reindex(seed, (1, 0) + tuple(range(2, pres.size))).frame)
+    frames.append(graded_reduce(pres.bz["modified"].seed, cartan.rank).frame)
+    for frame in frames:
+        assert FrameMatrix(frame.psi) == frame
+
+
 @cache
 def _sympy_weight_pairing(name):
     """<w_i, w_j> = ((C^-1)^T D)_ij by sympy, as Fractions."""

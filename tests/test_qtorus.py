@@ -99,6 +99,18 @@ def test_frame_restrict_rejects_dependent():
         frame_restrict(FrameMatrix.from_rows([[0, 2, 1], [-2, 0, 3], [-1, -3, 0]]), [(1, 0, 0), (0, 1, 1), (0, 2, 2)])
 
 
+def test_frame_restrict_rejects_a_wrong_length_or_non_int_vector():
+    # independent vectors, each of the wrong length for the 2x2 frame
+    with pytest.raises(DimensionMismatch):
+        frame_restrict(PSI, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(DimensionMismatch):
+        frame_restrict(PSI, [(1,)])
+    # the same restriction with one entry that is not an int
+    for bad in (1.0, Q(1)):
+        with pytest.raises(NonIntegralFrame):
+            frame_restrict(PSI, [(bad, 0), (1, 1)])
+
+
 def test_frame_restrict_takes_a_rank_only_for_vectors_that_do_not_peel(monkeypatch):
     ranks = []
     honest = linalg.rank

@@ -137,6 +137,17 @@ def test_reindex_identity_and_transposition():
     assert check_compatible(swapped).ok
 
 
+@pytest.mark.parametrize("tau", [(0.0, 1.0), (-1, 0), (1, 1), (0,), (0, 1, 2), (True, False)])
+def test_reindex_rejects_a_tau_that_is_not_a_permutation_of_the_ints(tau):
+    # floats and bools pass a sorted() comparison, and a negative entry indexes
+    # from the end; each must raise the same ValueError, for the seed and the frame
+    seed = sl2_seed()
+    with pytest.raises(ValueError, match="permutation"):
+        reindex(seed, tau)
+    with pytest.raises(ValueError, match="permutation"):
+        seed.frame.reindex(tau)
+
+
 def test_reindex_right_action():
     import itertools
     import random

@@ -87,6 +87,17 @@ def test_frame_restrict_callers_are_mutation_and_reduction():
     ]
 
 
+def test_trusted_frames_come_only_from_valid_constructions():
+    # `FrameMatrix._trusted` skips the frame checks, so only the builders whose
+    # construction guarantees them may call it; no oracle builds the value it
+    # checks that way, and input frames keep the validating constructor
+    callers = sorted(_callers("_trusted"))
+    assert callers == ["dbc.py:sigma_frame", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:reindex"]
+    barred = ("verify.py:", "dbc.py:sigma_frame_product", "dbc.py:bowtie_build", "qtorus.py:from_rows")
+    assert [c for c in callers if c.startswith(barred)] == []
+    assert "_trusted" not in (SRC / "verify.py").read_text()
+
+
 def test_exchange_pairings_is_the_one_compatibility_rule():
     # every frame pairing of an exchange column is a row of B^T psi; no seed
     # module pairs vectors one entry at a time
