@@ -1,9 +1,10 @@
 """Command-line surface: seed construction, mutation, verification sweeps.
 
 Exit codes: 0 success, 1 a verification check failed, 2 validation failure
-(a mutation step outside 1..n among them), 3 a mutation step at a frozen
-index or from an incompatible seed, 141 (128 + SIGPIPE) the reader closed
-stdout before the output was written; nothing is printed then.
+(a mutation step outside 1..n and an --out path that cannot be written
+among them), 3 a mutation step at a frozen index or from an incompatible
+seed, 141 (128 + SIGPIPE) the reader closed stdout before the output was
+written; nothing is printed then.
 `xi-list --n` is bounded by XI_LIST_MAX_N, since it prints all 2^(n-1)
 interval permutations, and the rank of a type by RANK_MAX, since the Cartan
 data of rank r takes r^2 entries and about r^3 steps to build.  The same
@@ -100,8 +101,11 @@ def _parse_sigma(text: str, dwd) -> SigmaWord:
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationFailure(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -161,7 +165,7 @@ def cmd_seed(args) -> int:
             payload["seeds"] = seeds
         else:
             word = _parse_sigma("id" if args.sigma is None else args.sigma, dwd)
-            entry = jsonio.encode_seed(pres.seed(word))
+            entry = jsonio.encode_seed(pres.seed(word.sigma))
             entry["sigma"] = [x + 1 for x in word.sigma]
             payload["seed"] = entry
     _emit(payload, args.out)
@@ -172,7 +176,7 @@ def cmd_mutate(args) -> int:
     if args.sigma == "all-xi":
         raise ValidationFailure("mutate starts from one seed; --sigma all-xi is only for the seed command")
     pres = dbc.bowtie_build(*_parse_pair(args))
-    seed = pres.seed(_parse_sigma(args.sigma, pres.dwd))
+    seed = pres.seed(_parse_sigma(args.sigma, pres.dwd).sigma)
     seq = _parse_word(args.seq)
     n = pres.size
     for step in seq:

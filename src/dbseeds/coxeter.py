@@ -12,8 +12,9 @@ Conventions
 * An interval permutation sigma of the double-word positions spells a double
   word of its own, `SigmaWord`: the level of sigma(k) at position k, with the
   sign of the direction in which sigma(k) extends the interval sigma(0..k-1).
-  `DoubleWordData.spell(sigma)` builds it and is the one validation of a
-  sigma; every sigma consumer reads the word.
+  `DoubleWordData.spell(sigma)` builds it and is the one lookup and the one
+  validation of a sigma.  The boundary spells; the builders behind it take
+  the word and never spell again.
 * The same-level walk of a word (`pred_succ`, `order_functions`) is taken
   once, where the word is built (`eta_machinery`, `spell`); consumers read it.
 """
@@ -313,24 +314,22 @@ class DoubleWordData:
         a = self.root_at(k)
         return tuple(-x for x in a) if k < self.n_w else a
 
-    def spell(self, sigma: Sequence[int] | SigmaWord) -> SigmaWord:
-        """The double word sigma spells on these positions; the one validation of a sigma.
+    def spell(self, sigma: Sequence[int]) -> SigmaWord:
+        """The double word sigma spells on these positions; the one lookup and validation of a sigma.
 
-        A `SigmaWord` spelled from this level function is returned as it is;
-        any other is spelled again from its sigma, once: the word is kept, and
-        only a sigma of ints is looked up (a float one hashes like its int
-        twin).  Raises NotAPermutation for a sigma that is not a permutation
-        of the positions (wrong length, an entry that is not an int, a
-        repeated position) and NotIntervalPermutation for one that fails the
-        interval test.
+        It takes a sequence only.  The sigma boundary spells here: this
+        method, `BowtiePresentation.seed`, `sigma_seed`, `solve_b_oracle`,
+        `sigma_frame_product`, `bfz_matrix`, `b_columns` and the CLI; the
+        builders behind it (`sigma_frame`, `sigma_degrees`, `btau_columns`,
+        `oracle_system`) take the word.  The word is kept, and only a sigma
+        of ints is looked up (a float or a bool one hashes like its int twin).  Raises NotAPermutation for a
+        sigma that is not a permutation of the positions (wrong length, an
+        entry that is not an int, a repeated position) and
+        NotIntervalPermutation for one that fails the interval test.
         """
-        if isinstance(sigma, SigmaWord):
-            if sigma.eta == self.eta:
-                return sigma
-            sigma = sigma.sigma
         sigma = tuple(sigma)
         n = self.size
-        ints = len(sigma) == n and all(isinstance(x, int) for x in sigma)
+        ints = len(sigma) == n and all(type(x) is int for x in sigma)
         word = self._words.get(sigma) if ints else None
         if word is not None:
             return word
@@ -342,7 +341,7 @@ class DoubleWordData:
         pred, succ = pred_succ(letters)
         eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
         ex = tuple(k for k, x in enumerate(succ) if x is not None)
-        return self._words.setdefault(sigma, SigmaWord(self.eta, sigma, letters, eps, pred, succ, ex))
+        return self._words.setdefault(sigma, SigmaWord(sigma, letters, eps, pred, succ, ex))
 
 
 def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> DoubleWordData:
@@ -441,10 +440,10 @@ class SigmaWord:
     -1 when downward (position 0 extends nothing and reads -1).  pred and
     succ are the same-level neighbours in sigma order (None where there is
     none), and ex lists the positions that have a successor.  Only
-    `DoubleWordData.spell`, which validates sigma, builds one.
+    `DoubleWordData.spell`, which validates sigma, builds one, so a builder
+    that takes a word trusts it as it is.
     """
 
-    eta: tuple[int, ...]      # the level function it was spelled from
     sigma: Perm
     letters: tuple[int, ...]
     eps: tuple[int, ...]

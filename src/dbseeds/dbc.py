@@ -55,21 +55,15 @@ class BowtiePresentation:
         """Plain and modified minor-labelled seeds, built once per presentation."""
         return bz_seed(self)
 
-    def seed(self, sigma: Perm | SigmaWord) -> QuantumSeed:
-        """Seed of one interval permutation (or its word), built on first use and kept.
+    def seed(self, sigma: Sequence[int]) -> QuantumSeed:
+        """Seed of one interval permutation, built on first use and kept.
 
-        The cache is keyed by validated sigmas only, so a tuple of ints or a
-        word of these letters that hits it needs no spelling.
+        A sigma boundary: `dwd.spell` validates sigma, and the cache is keyed
+        by the sigma of the word it returns, so only a validated sigma is a key.
         """
-        if isinstance(sigma, SigmaWord):
-            key = sigma.sigma if sigma.eta == self.dwd.eta else None
-        else:
-            key = sigma if type(sigma) is tuple and all(isinstance(x, int) for x in sigma) else None
+        key = self.dwd.spell(sigma).sigma
         if key not in self._seeds:
-            word = self.dwd.spell(sigma)
-            key = word.sigma
-            if key not in self._seeds:
-                self._seeds[key] = sigma_seed(self, word).seed
+            self._seeds[key] = sigma_seed(self, key).seed
         return self._seeds[key]
 
     @cached_property
@@ -131,7 +125,7 @@ def _chain_sums(table, word: SigmaWord) -> list[tuple[int, ...]]:
     return rows
 
 
-def sigma_frame(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatrix:
+def sigma_frame(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:
     """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
 
     chain(k), the positions of sigma(k)'s level among sigma(0..k), is
@@ -142,12 +136,11 @@ def sigma_frame(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatri
     adding 0: two passes over sigma (`_chain_sums`), with no pairing and no rank.
     psi = C nu C^T with C integral, so it takes the trusted path (see `FrameMatrix`).
     """
-    word = pres.dwd.spell(sigma)
     rows = _chain_sums(pres.nu.psi, word)
     return FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), word))))
 
 
-def sigma_frame_product(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> FrameMatrix:
+def sigma_frame_product(pres: BowtiePresentation, sigma: Sequence[int]) -> FrameMatrix:
     """Same frame through the raw double-product formula, as an independent path.
 
     The supports are rebuilt from eta and sigma, not through `_chain_sums` or
@@ -161,14 +154,14 @@ def sigma_frame_product(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> Fr
     )
 
 
-def sigma_degrees(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> tuple[tuple[int, ...], ...]:
+def sigma_degrees(pres: BowtiePresentation, word: SigmaWord) -> tuple[tuple[int, ...], ...]:
     """Root-lattice degree of each permuted cluster variable: the sum over its chain.
 
     chain(k) = chain(p(k)) + {sigma(k)} (see `sigma_frame`), so
     deg_k = deg_p(k) + D[sigma(k)] (`_chain_sums`), with D the generator
     degrees and a missing p giving 0.
     """
-    return tuple(_chain_sums(pres.degrees, pres.dwd.spell(sigma)))
+    return tuple(_chain_sums(pres.degrees, word))
 
 
 # ---------------------------------------------------------------------------
@@ -222,41 +215,40 @@ def double_word_matrix(
     return ExchangeMatrix(n, tuple(ex), cols)
 
 
-def btau_columns(dwd: DoubleWordData, sigma: Perm | SigmaWord) -> ExchangeMatrix:
+def btau_columns(dwd: DoubleWordData, word: SigmaWord) -> ExchangeMatrix:
     """Exchange matrix of the sigma-seed: the matrix of the double word sigma spells.
 
-    Position k of the word (`dwd.spell(sigma)`) has the level of sigma(k),
-    and sign +1 when sigma(k) extends the interval sigma(0..k-1) upward, -1
-    when downward; the columns are the positions with a successor.  Position
-    0 extends nothing, and its sign never enters `double_word_matrix`.
+    Position k of the word has the level of sigma(k), and sign +1 when
+    sigma(k) extends the interval sigma(0..k-1) upward, -1 when downward;
+    the columns are the positions with a successor.  Position 0 extends
+    nothing, and its sign never enters `double_word_matrix`.  The word comes
+    from `dwd.spell(sigma)`, and is read as it is.
     """
-    word = dwd.spell(sigma)
     return double_word_matrix(dwd.cartan.cartan, word.letters, word.eps, word.pred, word.succ, word.ex)
 
 
 def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
     """Exchange matrix of the reversed-w seed, the double word itself."""
-    return btau_columns(dwd, w0_permutation(dwd))
+    return btau_columns(dwd, dwd.spell(w0_permutation(dwd)))
 
 
 def b_columns(dwd: DoubleWordData) -> ExchangeMatrix:
     """Exchange matrix of the identity-order seed."""
-    return btau_columns(dwd, tuple(range(dwd.size)))
+    return btau_columns(dwd, dwd.spell(range(dwd.size)))
 
 
 def oracle_system(
-    pres: BowtiePresentation, sigma: Perm | SigmaWord
+    pres: BowtiePresentation, word: SigmaWord
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
     """Defining linear system of the exchange columns of sigma.
 
-    Returns the integer rows [psi; degrees] of `pres.seed(sigma)` and, for
-    each exchangeable position l, the right-hand side [-2 d e_l; 0]: the
+    Returns the integer rows [psi; degrees] of `pres.seed(word.sigma)` and,
+    for each exchangeable position l, the right-hand side [-2 d e_l; 0]: the
     column at l is the vector b with frame-exponent <b, e_j> = 2 d delta_{jl}
     and vanishing degree pairing.
     """
-    word = pres.dwd.spell(sigma)
     n = pres.size
-    seed = pres.seed(word)
+    seed = pres.seed(word.sigma)
     width = pres.cartan.rank
     rows = seed.frame.psi + (tuple(zip(*seed.degrees)) or ((),) * width)
     rhs = {}
@@ -266,14 +258,14 @@ def oracle_system(
     return rows, rhs
 
 
-def solve_b_oracle(pres: BowtiePresentation, sigma: Perm | SigmaWord, l: int) -> tuple[int, ...]:
+def solve_b_oracle(pres: BowtiePresentation, sigma: Sequence[int], l: int) -> tuple[int, ...]:
     """Exchange column at position l from its defining linear system.
 
     Solves `oracle_system` by fraction-free integer elimination for its
     unique solution, which must be an integer vector.  Used as the
     independent oracle against the closed-form column constructions.
     """
-    rows, rhs = oracle_system(pres, sigma)
+    rows, rhs = oracle_system(pres, pres.dwd.spell(sigma))
     if l not in rhs:
         raise OracleError(f"position {l} is not exchangeable for this permutation")
     try:
@@ -292,12 +284,12 @@ class SigmaSeedData:
     seed: QuantumSeed
 
 
-def sigma_seed(pres: BowtiePresentation, sigma: Perm | SigmaWord) -> SigmaSeedData:
+def sigma_seed(pres: BowtiePresentation, sigma: Sequence[int]) -> SigmaSeedData:
     """Full seed (frame, exchange, degrees) attached to an interval permutation.
 
-    sigma is spelled once, and every part reads its word.  The frame is the
-    chain congruence `sigma_frame`; `verify.sigma_skew_symmetrizable`
-    compares it with the product formula.
+    A sigma boundary: sigma is spelled once, and every part reads its word.
+    The frame is the chain congruence `sigma_frame`;
+    `verify.sigma_skew_symmetrizable` compares it with the product formula.
     """
     word = pres.dwd.spell(sigma)
     seed = QuantumSeed(

@@ -26,7 +26,6 @@ ValueError on a length mismatch instead of truncating.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
 from typing import Sequence
 
 Vec = tuple[Q, ...]
@@ -140,12 +139,6 @@ class LinearSolveError(ValueError):
     """Stacked linear system is inconsistent, does not pin a unique solution, or pins a non-integer one."""
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """A non-integral num/den in lowest terms with a positive denominator, as `str(Fraction)` prints it."""
-    g = gcd(num, den) if den > 0 else -gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
 def solve_unique(a: Sequence[Sequence], b: Sequence) -> tuple[int, ...]:
     """The unique integer solution of a x = b, where a may be rectangular.
 
@@ -164,6 +157,6 @@ def solve_unique(a: Sequence[Sequence], b: Sequence) -> tuple[int, ...]:
     for row in rows[:m]:   # the pivots are the columns 0..m-1, in order
         x, rem = divmod(row[m], d)
         if rem:
-            raise LinearSolveError(f"non-integer entry {_ratio_text(row[m], d)}")
+            raise LinearSolveError(f"non-integer entry {Q(row[m], d)}")
         sol.append(x)
     return tuple(sol)

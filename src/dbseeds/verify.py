@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dbc, linalg
-from .coxeter import CartanData
+from .coxeter import CartanData, SigmaWord
 from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
 from .seedcore import (
     check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis, reindex,
@@ -57,7 +57,7 @@ def grading_identity(pres: dbc.BowtiePresentation) -> CheckResult:
     return CheckResult("grading-identity", True)
 
 
-def _block_rank_is_full(pres: dbc.BowtiePresentation, sigma, ex, rows, rhs) -> bool:
+def _block_rank_is_full(pres: dbc.BowtiePresentation, word: SigmaWord, ex, rows, rhs) -> bool:
     """Whether `rows` has full column rank, given that every column at `ex` solves its system.
 
     See `btau_oracle_equivalence` for the derivation.
@@ -67,7 +67,7 @@ def _block_rank_is_full(pres: dbc.BowtiePresentation, sigma, ex, rows, rhs) -> b
         want = rhs[l]
         if not want[l] or want.count(0) != len(want) - 1:
             return False
-    starts = [j for j, p in enumerate(pres.dwd.spell(sigma).pred) if p is None]
+    starts = [j for j, p in enumerate(word.pred) if p is None]
     skip = set(ex)
     rest = [tuple(row[j] for j in starts) for i, row in enumerate(rows) if i not in skip]
     return len(skip) + linalg.rank(rest) == n

@@ -267,6 +267,15 @@ def test_output_bytes_stable(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("target, reason", [(".", "Is a directory"), ("missing/seed.json", "No such file or directory")])
+def test_unwritable_out_path_exits_2_with_json(capsys, tmp_path, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", "--out", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"cannot write --out {str(path)!r}: {reason}"}
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("flag", ["--bz", "--mbz", "--bfz"])
 def test_seed_rejects_sigma_with_minor_or_bfz_seed(capsys, flag):
     code, out, err = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", flag, "--sigma", "9,9")

@@ -7,7 +7,6 @@ import pytest
 from dbseeds import dbc, seedcore, verify
 from dbseeds.coxeter import (
     CartanData,
-    DoubleWordData,
     NotAPermutation,
     NotIntervalPermutation,
     cartan_init,
@@ -67,14 +66,14 @@ def test_bowtie_a2_blocks():
 
 def test_sigma_frame_a1_identity():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    frame = dbc.sigma_frame(pres, (0, 1))
+    frame = dbc.sigma_frame(pres, pres.dwd.spell((0, 1)))
     assert frame.psi[1][0] == 2
 
 
 def test_sigma_frame_product_formula_agreement():
     pres = dbc.bowtie_build(A2, (1, 2), (1,))
     for sigma in xi_enumerate(3):
-        a = dbc.sigma_frame(pres, sigma)
+        a = dbc.sigma_frame(pres, pres.dwd.spell(sigma))
         b = dbc.sigma_frame_product(pres, sigma)
         assert a.psi == b.psi
 
@@ -113,12 +112,12 @@ def test_chain_matrices_unimodular():
     [
         lambda pres, sigma: dbc.sigma_seed(pres, sigma),
         lambda pres, sigma: pres.seed(sigma),
-        lambda pres, sigma: dbc.sigma_frame(pres, sigma),
+        lambda pres, sigma: dbc.sigma_frame(pres, pres.dwd.spell(sigma)),
         lambda pres, sigma: dbc.sigma_frame_product(pres, sigma),
-        lambda pres, sigma: dbc.sigma_degrees(pres, sigma),
-        lambda pres, sigma: dbc.btau_columns(pres.dwd, sigma),
+        lambda pres, sigma: dbc.sigma_degrees(pres, pres.dwd.spell(sigma)),
+        lambda pres, sigma: dbc.btau_columns(pres.dwd, pres.dwd.spell(sigma)),
         lambda pres, sigma: pres.dwd.spell(sigma),
-        lambda pres, sigma: dbc.oracle_system(pres, sigma),
+        lambda pres, sigma: dbc.oracle_system(pres, pres.dwd.spell(sigma)),
         lambda pres, sigma: dbc.solve_b_oracle(pres, sigma, 0),
     ],
     ids=[
@@ -126,10 +125,14 @@ def test_chain_matrices_unimodular():
         "btau_columns", "spell", "oracle_system", "solve_b_oracle",
     ],
 )
-@pytest.mark.parametrize("sigma", [(0, 1), (0, 1, 2, 3, 4), (0, 2, 1, 3), (1, 1, 2, 3), (0.0, 1.0, 2.0, 3.0)])
+@pytest.mark.parametrize(
+    "sigma", [(0, 1), (0, 1, 2, 3, 4), (0, 2, 1, 3), (1, 1, 2, 3), (0.0, 1.0, 2.0, 3.0), (False, True, 2, 3)]
+)
 def test_sigma_entry_points_reject_a_bad_sigma(entry, sigma):
     # too short, too long (each an interval permutation of its own length),
-    # not an interval permutation, not a permutation, entries that are not ints
+    # not an interval permutation, not a permutation, entries that are not
+    # ints (floats, bools); the builders that take a word are reached
+    # through `spell`, their boundary
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     with pytest.raises(NotIntervalPermutation):
         entry(pres, sigma)
@@ -196,7 +199,7 @@ def test_btau_identity_is_b_columns():
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     dwd = pres.dwd
     b_id = dbc.b_columns(dwd)
-    bt = dbc.btau_columns(dwd, tuple(range(dwd.size)))
+    bt = dbc.btau_columns(dwd, dwd.spell(range(dwd.size)))
     assert bt == b_id
 
 
@@ -204,7 +207,7 @@ def test_btau_reversal_recovers_bfz():
     for cartan, w, u in [(A1, (1,), (1,)), (A2, (1, 2, 1), (1,)), (B2, (1, 2), (1, 2))]:
         pres = dbc.bowtie_build(cartan, w, u)
         dwd = pres.dwd
-        bt = dbc.btau_columns(dwd, dbc.w0_permutation(dwd))
+        bt = dbc.btau_columns(dwd, dwd.spell(dbc.w0_permutation(dwd)))
         assert bt == dbc.bfz_matrix(dwd)
 
 
@@ -217,8 +220,9 @@ def test_oracle_value_exponent():
     pres = dbc.bowtie_build(B2, (1, 2, 1), (2,))
     dwd = pres.dwd
     for sigma in xi_enumerate(dwd.size):
-        frame = dbc.sigma_frame(pres, sigma)
-        for l in dwd.spell(sigma).ex:
+        word = dwd.spell(sigma)
+        frame = dbc.sigma_frame(pres, word)
+        for l in word.ex:
             b = dbc.solve_b_oracle(pres, sigma, l)
             n = dwd.size
             e_l = tuple(1 if t == l else 0 for t in range(n))
@@ -229,8 +233,9 @@ def test_oracle_rejects_perturbed_system():
     pres = dbc.bowtie_build(A1, (1,), (1,))
     from dbseeds import linalg
 
-    frame = dbc.sigma_frame(pres, (0, 1))
-    degrees = dbc.sigma_degrees(pres, (0, 1))
+    word = pres.dwd.spell((0, 1))
+    frame = dbc.sigma_frame(pres, word)
+    degrees = dbc.sigma_degrees(pres, word)
     rows = [list(frame.psi[j]) for j in range(2)]
     rows.append([Q(degrees[j][0]) for j in range(2)])
     rhs = [Q(-2), Q(0), Q(1)]   # degree row made inconsistent
@@ -263,8 +268,8 @@ def test_sigma_seed_oracle_column_source():
 
 def test_sigma_degrees_a1():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    assert dbc.sigma_degrees(pres, (0, 1)) == ((-1,), (0,))
-    assert dbc.sigma_degrees(pres, (1, 0)) == ((1,), (0,))
+    assert dbc.sigma_degrees(pres, pres.dwd.spell((0, 1))) == ((-1,), (0,))
+    assert dbc.sigma_degrees(pres, pres.dwd.spell((1, 0))) == ((1,), (0,))
 
 
 def test_bz_seed_a1():
@@ -528,9 +533,9 @@ def test_xi_linkage_checks_each_edge_once(monkeypatch):
 def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
     honest = dbc.btau_columns
 
-    def corrupted(dwd, sigma):
-        b = honest(dwd, sigma)
-        if dwd.spell(sigma).sigma != tuple(range(dwd.size)):
+    def corrupted(dwd, word):
+        b = honest(dwd, word)
+        if word.sigma != tuple(range(dwd.size)):
             return b
         first = b.cols[0][:-1] + (b.cols[0][-1] + 1,)
         return ExchangeMatrix(b.n, b.ex, (first,) + b.cols[1:])
@@ -544,7 +549,7 @@ def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
 def test_btau_oracle_fails_on_rank_deficient_system(monkeypatch):
     # zero degrees leave the odd-sized skew frame alone, which is singular;
     # every closed-form column still solves the system, so only the rank fails
-    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, sigma: ((0,) * pres.cartan.rank,) * pres.size)
+    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, word: ((0,) * pres.cartan.rank,) * pres.size)
     res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1, 2)))
     assert not res.ok
     assert res.detail == "w=(1, 2, 1) u=(1, 2) sigma=(0, 1, 2, 3, 4): oracle system has rank 4, not 5"
@@ -552,7 +557,7 @@ def test_btau_oracle_fails_on_rank_deficient_system(monkeypatch):
 
 def test_btau_oracle_fails_when_the_solver_finds_no_column(monkeypatch):
     # all-one degrees make some degree row inconsistent with the frame rows
-    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, sigma: ((1,) * pres.cartan.rank,) * pres.size)
+    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, word: ((1,) * pres.cartan.rank,) * pres.size)
     res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1,)))
     assert not res.ok
     assert res.detail == (
@@ -701,38 +706,58 @@ def test_seeds_spell_each_sigma_once(monkeypatch):
 
 
 def test_spell_reuses_only_a_word_of_the_same_double_word():
+    # one word per sigma per presentation: every spelling of sigma there
+    # returns it, and the same sigma on other letters spells another word
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     word = pres.dwd.spell((1, 2, 0, 3))
     assert word.letters == (1, 2, 2, 1) and word.eps == (-1, 1, -1, 1)
     assert word.pred == (None, None, 1, 0) and word.succ == (3, 2, None, None) and word.ex == (0, 1)
-    assert pres.dwd.spell(word) is word
-    assert dbc.bowtie_build(B2, (1, 2), (2, 1)).dwd.spell(word) is word
-    # the same sigma on other letters spells another word
+    assert pres.dwd.spell([1, 2, 0, 3]) is pres.dwd.spell(word.sigma) is word
+    twin = dbc.bowtie_build(B2, (1, 2), (2, 1)).dwd.spell(word.sigma)
+    assert twin == word and twin is not word
     other = dbc.bowtie_build(A2, (2, 1), (1, 2))
-    respelled = other.dwd.spell(word)
-    assert respelled == other.dwd.spell(word.sigma) != word
-    assert other.seed(word) == dbc.sigma_seed(other, word.sigma).seed != pres.seed(word)
-    # and a word of another length is not a sigma of these positions
+    respelled = other.dwd.spell(word.sigma)
+    assert respelled.sigma == word.sigma and respelled.letters == (2, 1, 1, 2) and respelled != word
+    assert other.seed(word.sigma) == dbc.sigma_seed(other, word.sigma).seed != pres.seed(word.sigma)
+    # a sigma of another length is not a sigma of these positions, and a
+    # word is not a sigma at all: spell takes a sequence only
     with pytest.raises(NotIntervalPermutation):
-        dbc.bowtie_build(A2, (1, 2), (2,)).dwd.spell(word)
+        dbc.bowtie_build(A2, (1, 2), (2,)).dwd.spell(word.sigma)
+    with pytest.raises(TypeError):
+        pres.dwd.spell(word)
+
+
+def test_spell_keeps_bools_out_of_the_word_cache():
+    # a bool hashes and compares like its int: a bool sigma must neither spell
+    # a word that an int sigma finds later nor find the word an int sigma spelled
+    pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
+    with pytest.raises(NotAPermutation):
+        pres.dwd.spell((False, True, 2, 3))
+    assert [type(x) for x in pres.dwd.spell((0, 1, 2, 3)).sigma] == [int] * 4
+    with pytest.raises(NotAPermutation):
+        pres.dwd.spell((False, True, 2, 3))
 
 
 def test_seed_cache_hits_are_not_spelled_again(monkeypatch):
+    from dbseeds import coxeter
+
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
-    word = pres.dwd.spell((1, 2, 0, 3))
-    seed = pres.seed(word)
-    other = dbc.bowtie_build(A2, (2, 1), (1, 2)).dwd.spell((1, 2, 0, 3))
-    spelled = []
-    spell = DoubleWordData.spell
-    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: spelled.append(sigma) or spell(self, sigma))
-    assert pres.seed(word) is seed and pres.seed((1, 2, 0, 3)) is seed
-    assert spelled == []
-    # a list, floats or a word of other letters are spelled: the first two validate as before
-    assert pres.seed([1, 2, 0, 3]) is seed
-    with pytest.raises(NotAPermutation):
-        pres.seed((1.0, 2.0, 0.0, 3.0))
-    assert pres.seed(other) is seed
-    assert spelled == [[1, 2, 0, 3], (1.0, 2.0, 0.0, 3.0), other]
+    seed = pres.seed((1, 2, 0, 3))
+    tested = []
+    honest = coxeter.xi_is_member
+    monkeypatch.setattr(coxeter, "xi_is_member", lambda sigma: tested.append(sigma) or honest(sigma))
+    # a hit, as a tuple, a list or the word's own sigma, runs no interval test
+    assert pres.seed((1, 2, 0, 3)) is seed and pres.seed([1, 2, 0, 3]) is seed
+    assert pres.seed(pres.dwd.spell((1, 2, 0, 3)).sigma) is seed
+    assert tested == []
+    # floats and bools are never looked up: they fail validation as before
+    for bad in ((1.0, 2.0, 0.0, 3.0), (True, 2, False, 3)):
+        with pytest.raises(NotAPermutation):
+            pres.seed(bad)
+    assert tested == []
+    # a new sigma is tested once, on its first use only
+    assert pres.seed((0, 1, 2, 3)) is pres.seed((0, 1, 2, 3))
+    assert tested == [(0, 1, 2, 3)]
 
 
 def test_seeds_cover_every_interval_permutation():

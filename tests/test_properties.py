@@ -77,10 +77,11 @@ def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
     for sigma in xi_enumerate(n) if n else [()]:
         chains = sigma_chain(pres.dwd.eta, pres.dwd.s, sigma)
         vectors = [tuple(int(j in chain) for j in range(n)) for chain in chains]
-        frame = dbc.sigma_frame(pres, sigma)
+        word = pres.dwd.spell(sigma)
+        frame = dbc.sigma_frame(pres, word)
         assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, sigma)
         sums = tuple(tuple(map(sum, zip(*(pres.degrees[i] for i in chain)))) for chain in chains)
-        assert dbc.sigma_degrees(pres, sigma) == sums
+        assert dbc.sigma_degrees(pres, word) == sums
 
 
 def _adjacent(pres):
@@ -229,7 +230,7 @@ def _full_elimination_btau(pres):
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
     for sigma, seed in pres.seeds.items():
-        rows, rhs = dbc.oracle_system(pres, sigma)
+        rows, rhs = dbc.oracle_system(pres, pres.dwd.spell(sigma))
         r = linalg.rank(rows)
         if r != n:
             return verify.CheckResult("btau-oracle", False, f"w={w} u={u} sigma={sigma}: oracle system has rank {r}, not {n}")

@@ -120,3 +120,32 @@ def test_combine_is_the_one_sparse_row_sum_rule():
         "seedcore.py:mutated_degree",
         "verify.py:btau_oracle_equivalence",
     ]
+
+
+def test_builders_behind_the_sigma_boundary_take_the_word():
+    # `spell` is the one sigma lookup: the boundary (`spell`, `pres.seed`,
+    # `sigma_seed`, `solve_b_oracle`, `sigma_frame_product`, `bfz_matrix`,
+    # `b_columns`, the CLI) spells, and the builders behind it read the word
+    builders = ("dbc.py:sigma_frame", "dbc.py:sigma_degrees", "dbc.py:btau_columns",
+                "dbc.py:oracle_system", "verify.py:_block_rank_is_full")
+    assert [c for c in _callers("spell") if c in builders] == []
+    # and no parameter takes either a sigma or its word
+    unions = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                for arg in fn.args.args:
+                    text = ast.unparse(arg.annotation) if arg.annotation else ""
+                    if "SigmaWord" in text and "|" in text:
+                        unions.append(f"{path.name}:{fn.name}")
+    assert unions == []
+
+
+def test_only_spell_builds_a_sigma_word():
+    # a word is trusted as it is, so only the validator may build one
+    assert _callers("SigmaWord") == ["coxeter.py:spell"]
+
+
+def test_dbc_does_not_test_sigma_entry_types():
+    # the type test of a sigma's entries is `spell`'s alone
+    assert [c for c in _callers("isinstance") + _callers("type") if c.startswith("dbc.py:")] == []
