@@ -20,7 +20,7 @@ from fractions import Fraction as Q
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
-from .coxeter import order_functions, pred_succ
+from .coxeter import Walk, walk
 from .linalg import combine
 from .qtorus import VLaurent, scr
 
@@ -159,10 +159,9 @@ class CGLPresentation:
         return tuple(tuple(Q(x, 2) for x in row) for row in self.lambda_exp)
 
     @cached_property
-    def walk(self) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
-        """(p, s, O_-, O_+): the same-level walk of eta (`coxeter.pred_succ`, `order_functions`)."""
-        p, s = pred_succ(self.eta)
-        return (p, s, *order_functions(p, s))
+    def walk(self) -> Walk:
+        """The same-level walk of eta (`coxeter.walk`)."""
+        return walk(self.eta)
 
     @cached_property
     def rewrite_rules(self) -> tuple[tuple[tuple[VLaurent, tuple], ...], ...]:
@@ -176,7 +175,7 @@ class CGLPresentation:
 
     def chain(self, i: int, m: int) -> list[int]:
         """The positions i, s(i), ..., s^m(i) of i's level; raises if s^m(i) does not exist."""
-        s = self.walk[1]
+        s = self.walk.succ
         out = [i]
         for _ in range(m):
             if s[out[-1]] is None:
@@ -344,7 +343,7 @@ def _keyed_chain(pres: CGLPresentation, key) -> list[int]:
     if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < key[1] < pres.n):
         raise PresentationError(f"chain input key {key!r} is not a (start, end) pair of positions")
     i, end = key
-    o_minus = pres.walk[2]
+    o_minus = pres.walk.o_minus
     chain = pres.chain(i, o_minus[end] - o_minus[i])
     if chain[-1] != end:
         raise PresentationError(f"c[{key}] does not key a chain from {i} to {end}")
@@ -360,7 +359,7 @@ def y_elements(pres: CGLPresentation, c_table: CTable) -> list[NFPoly]:
     """
     for key in c_table:
         _keyed_chain(pres, key)
-    p, _, o_minus, _ = pres.walk
+    p, o_minus = pres.walk.pred, pres.walk.o_minus
     roots: list[int] = []
     out = []
     for k in range(pres.n):
@@ -473,7 +472,7 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
         degrees=pres.degrees,
         rewrite_budget=pres.rewrite_budget,
     )
-    p, _, _, o_plus = pres.walk
+    p, o_plus = pres.walk.pred, pres.walk.o_plus
     y_scalars: list = [None] * pres.n
     u_scalars: dict[tuple[int, int], VLaurent] = {}
     for i in range(pres.n):

@@ -1,10 +1,10 @@
 """Command-line surface: seed construction, mutation, verification sweeps.
 
 Exit codes: 0 success, 1 a verification check failed, 2 validation failure
-(a mutation step outside 1..n and an --out path that cannot be written
-among them), 3 a mutation step at a frozen index or from an incompatible
-seed, 141 (128 + SIGPIPE) the reader closed stdout before the output was
-written; nothing is printed then.
+(a mutation step outside 1..n among them, and an --out path that cannot be
+written, refused before any work where it can be), 3 a mutation step at a
+frozen index or from an incompatible seed, 141 (128 + SIGPIPE) the reader
+closed stdout before the output was written; nothing is printed then.
 `xi-list --n` is bounded by XI_LIST_MAX_N, since it prints all 2^(n-1)
 interval permutations, and the rank of a type by RANK_MAX, since the Cartan
 data of rank r takes r^2 entries and about r^3 steps to build.  The same
@@ -26,8 +26,10 @@ All output is JSON with sorted keys; rationals are "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 
 from . import dbc, jsonio, verify
@@ -96,6 +98,22 @@ def _parse_sigma(text: str, dwd) -> SigmaWord:
         raise ValidationFailure(f"{text!r} is not a permutation of 1..{n}") from None
     except NotIntervalPermutation:
         raise ValidationFailure(f"{text!r} fails the interval test") from None
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse, before any work, an --out path `_emit` could not open, with the reason `open` gives."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise ValidationFailure(f"cannot write --out {out_path!r}: {exc.strerror}") from None
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -305,6 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -15,8 +15,8 @@ Conventions
   `DoubleWordData.spell(sigma)` builds it and is the one lookup and the one
   validation of a sigma.  The boundary spells; the builders behind it take
   the word and never spell again.
-* The same-level walk of a word (`pred_succ`, `order_functions`) is taken
-  once, where the word is built (`eta_machinery`, `spell`); consumers read it.
+* The same-level walk of a word (`Walk`, built by `walk`) is taken once,
+  where the word is built (`eta_machinery`, `spell`); consumers read it by name.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 
@@ -235,41 +235,43 @@ def enumerate_reduced_words(cartan: CartanData, max_len: int) -> list[Word]:
     return out
 
 
-def pred_succ(eta: Sequence[int]):
-    """Predecessor/successor maps of a level function on 0-based positions.
+class Walk(NamedTuple):
+    """The same-level walk of a letter sequence, built only by `walk`.
 
-    A position with no earlier (later) position of its level has predecessor
-    (successor) None.
+    pred[k] (succ[k]) is the last earlier (first later) position of k's letter,
+    or None; o_minus[k] = O_-(k) (o_plus[k] = O_+(k)) counts it before (after) k.
     """
-    n = len(eta)
-    p: list[int | None] = [None] * n
-    s: list[int | None] = [None] * n
-    last: dict[int, int] = {}
-    for k in range(n):
-        if eta[k] in last:
-            p[k] = last[eta[k]]
-            s[last[eta[k]]] = k
-        last[eta[k]] = k
-    return tuple(p), tuple(s)
+
+    pred: tuple
+    succ: tuple
+    o_minus: tuple[int, ...]
+    o_plus: tuple[int, ...]
 
 
-def order_functions(p: Sequence, s: Sequence):
-    """Chain-length counters O_- and O_+ of the maps `pred_succ` returns.
+def walk(letters: Sequence[int]) -> Walk:
+    """The same-level walk of `letters`: one pass up, then one pass down.
 
-    O_-(k) = O_-(p(k)) + 1 and O_+(k) = O_+(s(k)) + 1, with 0 where p(k)
-    (s(k)) is None.  As p(k) < k < s(k), one pass up gives O_- and one pass
-    down gives O_+.
+    The pass up keeps the last position of each letter, so p(k) is that
+    position, s(p(k)) = k and O_-(k) = O_-(p(k)) + 1; as s(k) > k, the pass
+    down gives O_+(k) = O_+(s(k)) + 1.
     """
-    n = len(p)
+    n = len(letters)
+    pred: list[int | None] = [None] * n
+    succ: list[int | None] = [None] * n
     o_minus = [0] * n
     o_plus = [0] * n
-    for k in range(n):
-        if p[k] is not None:
-            o_minus[k] = o_minus[p[k]] + 1
+    last: dict[int, int] = {}
+    for k, x in enumerate(letters):
+        if x in last:
+            j = last[x]
+            pred[k] = j
+            succ[j] = k
+            o_minus[k] = o_minus[j] + 1
+        last[x] = k
     for k in reversed(range(n)):
-        if s[k] is not None:
-            o_plus[k] = o_plus[s[k]] + 1
-    return tuple(o_minus), tuple(o_plus)
+        if succ[k] is not None:
+            o_plus[k] = o_plus[succ[k]] + 1
+    return Walk(tuple(pred), tuple(succ), tuple(o_minus), tuple(o_plus))
 
 
 @dataclass(frozen=True)
@@ -278,21 +280,17 @@ class DoubleWordData:
 
     Positions 0..N-1 carry the w-letters in reversed order, positions
     N..N+M-1 the u-letters in natural order; eta[k] is the letter at
-    position k, and p, s, o_minus, o_plus are its chain functions.
+    position k, and `walk` is the same-level walk of eta.
     """
 
     cartan: CartanData
     w_word: Word
     u_word: Word
     eta: tuple[int, ...]
-    p: tuple
-    s: tuple
-    o_minus: tuple[int, ...]
-    o_plus: tuple[int, ...]
+    walk: Walk
     epsilon: tuple[int, ...]
     beta: tuple[Root, ...]
     beta_prime: tuple[Root, ...]
-    support: frozenset[int]
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # sigma -> its word
 
     @property
@@ -317,15 +315,12 @@ class DoubleWordData:
     def spell(self, sigma: Sequence[int]) -> SigmaWord:
         """The double word sigma spells on these positions; the one lookup and validation of a sigma.
 
-        It takes a sequence only.  The sigma boundary spells here: this
-        method, `BowtiePresentation.seed`, `sigma_seed`, `solve_b_oracle`,
-        `sigma_frame_product`, `bfz_matrix`, `b_columns` and the CLI; the
-        builders behind it (`sigma_frame`, `sigma_degrees`, `btau_columns`,
-        `oracle_system`) take the word.  The word is kept, and only a sigma
-        of ints is looked up (a float or a bool one hashes like its int twin).  Raises NotAPermutation for a
-        sigma that is not a permutation of the positions (wrong length, an
-        entry that is not an int, a repeated position) and
-        NotIntervalPermutation for one that fails the interval test.
+        It takes a sequence only and keeps the word, with its walk; only a
+        sigma of ints is looked up (a float or a bool one hashes like its
+        int twin).  Raises NotAPermutation for a sigma that is not a
+        permutation of the positions (wrong length, an entry that is not an
+        int, a repeated position) and NotIntervalPermutation for one that
+        fails the interval test.
         """
         sigma = tuple(sigma)
         n = self.size
@@ -338,10 +333,10 @@ class DoubleWordData:
                 raise NotAPermutation(f"{sigma} is not a permutation of the {n} positions")
             raise NotIntervalPermutation(f"{sigma} fails the interval test")
         letters = tuple(self.eta[i] for i in sigma)
-        pred, succ = pred_succ(letters)
+        word_walk = walk(letters)
         eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
-        ex = tuple(k for k, x in enumerate(succ) if x is not None)
-        return self._words.setdefault(sigma, SigmaWord(sigma, letters, eps, pred, succ, ex))
+        ex = tuple(k for k, x in enumerate(word_walk.succ) if x is not None)
+        return self._words.setdefault(sigma, SigmaWord(sigma, letters, eps, word_walk, ex))
 
 
 def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> DoubleWordData:
@@ -354,24 +349,16 @@ def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[in
                 raise LetterOutOfRange(f"{name} word {word} has letter {letter} outside 1..{cartan.rank}")
         if not is_reduced(cartan, word):
             raise NonReducedWordError(f"{name} word {word} is not reduced")
-    nw, nu = len(w), len(u)
-    eta = tuple(w[nw - 1 - k] for k in range(nw)) + u
-    p, s = pred_succ(eta)
-    o_minus, o_plus = order_functions(p, s)
-    epsilon = tuple(-1 if k < nw else 1 for k in range(nw + nu))
+    eta = w[::-1] + u
     return DoubleWordData(
         cartan=cartan,
         w_word=w,
         u_word=u,
         eta=eta,
-        p=p,
-        s=s,
-        o_minus=o_minus,
-        o_plus=o_plus,
-        epsilon=epsilon,
+        walk=walk(eta),
+        epsilon=(-1,) * len(w) + (1,) * len(u),
         beta=tuple(word_roots(cartan, w)),
         beta_prime=tuple(word_roots(cartan, u)),
-        support=frozenset(eta),
     )
 
 
@@ -437,9 +424,9 @@ class SigmaWord:
 
     Position k carries the level letters[k] = eta[sigma(k)] and the sign
     eps[k], +1 when sigma(k) extends the interval sigma(0..k-1) upward and
-    -1 when downward (position 0 extends nothing and reads -1).  pred and
-    succ are the same-level neighbours in sigma order (None where there is
-    none), and ex lists the positions that have a successor.  Only
+    -1 when downward (position 0 extends nothing and reads -1).  walk is
+    the same-level walk of letters, the neighbours in sigma order, and ex
+    lists the positions that have a successor.  Only
     `DoubleWordData.spell`, which validates sigma, builds one, so a builder
     that takes a word trusts it as it is.
     """
@@ -447,8 +434,7 @@ class SigmaWord:
     sigma: Perm
     letters: tuple[int, ...]
     eps: tuple[int, ...]
-    pred: tuple
-    succ: tuple
+    walk: Walk
     ex: tuple[int, ...]
 
 

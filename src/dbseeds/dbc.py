@@ -23,9 +23,10 @@ from .coxeter import (
     DoubleWordData,
     Perm,
     SigmaWord,
+    Walk,
     act_word_on_weight,
     eta_machinery,
-    pred_succ,
+    walk,
     xi_enumerate,
 )
 from .qtorus import FrameMatrix, NonIntegralFrame
@@ -116,11 +117,11 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
 def _chain_sums(table, word: SigmaWord) -> list[tuple[int, ...]]:
     """Row k is the sum of table[i] over chain(k), as row p(k) + table[sigma(k)].
 
-    p(k) is `word.pred[k]`; a missing one is the empty chain, a zero row.
+    p(k) is `word.walk.pred[k]`; a missing one is the empty chain, a zero row.
     """
     zero = (0,) * (len(table[0]) if table else 0)
     rows: list[tuple[int, ...]] = []
-    for x, p in zip(word.sigma, word.pred):
+    for x, p in zip(word.sigma, word.walk.pred):
         rows.append(tuple(map(add, zero if p is None else rows[p], table[x])))
     return rows
 
@@ -144,7 +145,7 @@ def sigma_frame_product(pres: BowtiePresentation, sigma: Sequence[int]) -> Frame
     """Same frame through the raw double-product formula, as an independent path.
 
     The supports are rebuilt from eta and sigma, not through `_chain_sums` or
-    the word's `pred`, and the frame takes the validating constructor.
+    the word's walk, and the frame takes the validating constructor.
     """
     sigma = pres.dwd.spell(sigma).sigma
     eta, nu = pres.dwd.eta, pres.nu.psi
@@ -170,18 +171,13 @@ def sigma_degrees(pres: BowtiePresentation, word: SigmaWord) -> tuple[tuple[int,
 
 
 def double_word_matrix(
-    cartan: Sequence[Sequence[int]],
-    letters: Sequence[int],
-    eps: Sequence[int],
-    pred: Sequence,
-    succ: Sequence,
-    ex: Sequence[int],
+    cartan: Sequence[Sequence[int]], letters: Sequence[int], eps: Sequence[int], walk: Walk, ex: Sequence[int]
 ) -> ExchangeMatrix:
     """Exchange matrix of a double word (Berenstein-Fomin-Zelevinsky, Cluster algebras III).
 
-    `letters` is the level of each position, `eps` its sign, `pred` and
-    `succ` its same-level walk p, s (`coxeter.pred_succ` of the letters, None
-    where there is no neighbour), and the columns are those of `ex`.  Column k
+    `letters` is the level of each position, `eps` its sign, `walk` the
+    same-level walk of the letters (`coxeter.walk`), whose `pred` and `succ`
+    are p and s, and the columns are those of `ex`.  Column k
     has -eps_k at p(k) and eps_{s(k)} at s(k).  For j < k the entry
     is -eps_k c_{jk} when k < s(j) < s(k) with eps_k = eps_{s(j)}, or when
     k < s(k) < s(j) with the crossing eps_k != eps_{s(k)}; for k < j it is
@@ -190,7 +186,8 @@ def double_word_matrix(
     is 0.
     """
     n = len(letters)
-    s = tuple(n if x is None else x for x in succ)
+    pred = walk.pred
+    s = tuple(n if x is None else x for x in walk.succ)
 
     def entry(j: int, k: int) -> int:
         if j == pred[k]:
@@ -224,7 +221,7 @@ def btau_columns(dwd: DoubleWordData, word: SigmaWord) -> ExchangeMatrix:
     nothing, and its sign never enters `double_word_matrix`.  The word comes
     from `dwd.spell(sigma)`, and is read as it is.
     """
-    return double_word_matrix(dwd.cartan.cartan, word.letters, word.eps, word.pred, word.succ, word.ex)
+    return double_word_matrix(dwd.cartan.cartan, word.letters, word.eps, word.walk, word.ex)
 
 
 def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
@@ -238,22 +235,21 @@ def b_columns(dwd: DoubleWordData) -> ExchangeMatrix:
 
 
 def oracle_system(
-    pres: BowtiePresentation, word: SigmaWord
+    cartan: CartanData, word: SigmaWord, seed: QuantumSeed
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, ...]]]:
     """Defining linear system of the exchange columns of sigma.
 
-    Returns the integer rows [psi; degrees] of `pres.seed(word.sigma)` and,
-    for each exchangeable position l, the right-hand side [-2 d e_l; 0]: the
-    column at l is the vector b with frame-exponent <b, e_j> = 2 d delta_{jl}
-    and vanishing degree pairing.
+    `seed` is the seed of `word.sigma`, read as it is.  Returns its integer
+    rows [psi; degrees] and, for each exchangeable position l, the
+    right-hand side [-2 d e_l; 0]: the column at l is the vector b with
+    frame-exponent <b, e_j> = 2 d delta_{jl} and vanishing degree pairing.
     """
-    n = pres.size
-    seed = pres.seed(word.sigma)
-    width = pres.cartan.rank
+    n = seed.size
+    width = cartan.rank
     rows = seed.frame.psi + (tuple(zip(*seed.degrees)) or ((),) * width)
     rhs = {}
     for l in word.ex:
-        d_val = pres.cartan.d[word.letters[l] - 1]
+        d_val = cartan.d[word.letters[l] - 1]
         rhs[l] = tuple(-2 * d_val if j == l else 0 for j in range(n)) + (0,) * width
     return rows, rhs
 
@@ -265,7 +261,7 @@ def solve_b_oracle(pres: BowtiePresentation, sigma: Sequence[int], l: int) -> tu
     unique solution, which must be an integer vector.  Used as the
     independent oracle against the closed-form column constructions.
     """
-    rows, rhs = oracle_system(pres, pres.dwd.spell(sigma))
+    rows, rhs = oracle_system(pres.cartan, pres.dwd.spell(sigma), pres.seed(sigma))
     if l not in rhs:
         raise OracleError(f"position {l} is not exchangeable for this permutation")
     try:
@@ -316,8 +312,7 @@ class BZSeedData:
     variant: Variant
     labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]   # (gamma_k, delta_k)
     eta: tuple[int, ...]
-    p: tuple                                  # same-level walk of eta (`coxeter.pred_succ`)
-    s: tuple
+    walk: Walk                                # same-level walk of eta
     seed: QuantumSeed
 
 
@@ -372,16 +367,16 @@ def bz_seed(pres: BowtiePresentation) -> dict[Variant, BZSeedData]:
     frame = FrameMatrix.from_rows(psi, cartan.weight_den)
 
     eta = tuple(range(1, r + 1)) + w + u
-    p, s = pred_succ(eta)
+    eta_walk = walk(eta)
     eps = tuple(1 if k < r + nw else -1 for k in range(n))
-    ex = tuple(k for k in range(r, n) if s[k] is not None)
-    exchange = double_word_matrix(cartan.cartan, eta, eps, p, s, ex)
+    ex = tuple(k for k in range(r, n) if eta_walk.succ[k] is not None)
+    exchange = double_word_matrix(cartan.cartan, eta, eps, eta_walk, ex)
     inv = frozenset(set(range(n)) - set(ex))
     d = tuple(cartan.d[eta[k] - 1] for k in range(n))
 
     def data(variant: Variant, labels) -> BZSeedData:
         degrees = tuple(tuple(-x for x in g) for g, _ in labels)
-        return BZSeedData(variant, labels, eta, p, s, QuantumSeed(frame, exchange, inv, degrees, d))
+        return BZSeedData(variant, labels, eta, eta_walk, QuantumSeed(frame, exchange, inv, degrees, d))
 
     return {"plain": data("plain", plain), "modified": data("modified", modified)}
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .coxeter import CartanData, DoubleWordData
+from .coxeter import CartanData, DoubleWordData, Walk
 from .cgl import NFPoly
 from .dbc import BZSeedData
 from .qtorus import FrameMatrix, VLaurent
@@ -28,19 +28,20 @@ def encode_cartan(cartan: CartanData) -> dict:
     return {"family": cartan.family, "rank": cartan.rank}
 
 
-def _sentinel_or_index(x: int | None) -> int | None:
-    return None if x is None else x + 1
+def encode_walk(walk: Walk) -> dict:
+    """The walk's p and s as 1-based positions, null where there is no neighbour."""
+    sides = {"p": walk.pred, "s": walk.succ}
+    return {key: [None if x is None else x + 1 for x in side] for key, side in sides.items()}
 
 
 def encode_double_word(dwd: DoubleWordData) -> dict:
     return {
         "eta": list(dwd.eta),
-        "p": [_sentinel_or_index(x) for x in dwd.p],
-        "s": [_sentinel_or_index(x) for x in dwd.s],
-        "O_minus": list(dwd.o_minus),
-        "O_plus": list(dwd.o_plus),
+        **encode_walk(dwd.walk),
+        "O_minus": list(dwd.walk.o_minus),
+        "O_plus": list(dwd.walk.o_plus),
         "epsilon": list(dwd.epsilon),
-        "support": sorted(dwd.support),
+        "support": sorted(set(dwd.eta)),
         "beta": [list(b) for b in dwd.beta],
         "beta_prime": [list(b) for b in dwd.beta_prime],
     }
@@ -72,8 +73,7 @@ def encode_bz(data: BZSeedData) -> dict:
         {"gamma": list(g), "delta": list(d)} for g, d in data.labels
     ]
     out["eta"] = list(data.eta)
-    out["p"] = [_sentinel_or_index(x) for x in data.p]
-    out["s"] = [_sentinel_or_index(x) for x in data.s]
+    out.update(encode_walk(data.walk))
     return out
 
 

@@ -67,7 +67,7 @@ def _block_rank_is_full(pres: dbc.BowtiePresentation, word: SigmaWord, ex, rows,
         want = rhs[l]
         if not want[l] or want.count(0) != len(want) - 1:
             return False
-    starts = [j for j, p in enumerate(word.pred) if p is None]
+    starts = [j for j, p in enumerate(word.walk.pred) if p is None]
     skip = set(ex)
     rest = [tuple(row[j] for j in starts) for i, row in enumerate(rows) if i not in skip]
     return len(skip) + linalg.rank(rest) == n
@@ -85,7 +85,7 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     - First every product R b_l is checked, as a sum of R's columns over the
       nonzeros of b_l.
     - Let E = `seed.ex` and let J be the positions whose level has no earlier
-      position in sigma order (`spell(sigma).pred`, not from the seed).  With
+      position in sigma order (`spell(sigma).walk.pred`, not from the seed).  With
       rows E first,
 
           R [b_E | e_J] = [ diag(rhs_l[l])   R_{E,J}    ]
@@ -110,7 +110,7 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     n = pres.size
     for sigma, seed in pres.seeds.items():
         word = pres.dwd.spell(sigma)
-        rows, rhs = dbc.oracle_system(pres, word)
+        rows, rhs = dbc.oracle_system(pres.cartan, word, seed)
         cols = tuple(zip(*rows))
         miss = next((l for l in seed.ex if linalg.combine(cols, seed.exchange.column(l)) != rhs.get(l)), None)
         if miss is None and _block_rank_is_full(pres, word, seed.ex, rows, rhs):

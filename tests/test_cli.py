@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dbseeds import cgl, cli, dbc
+from dbseeds import cgl, cli, dbc, verify
 from dbseeds.cli import main
 from dbseeds.coxeter import InvalidCartanType, cartan_init, enumerate_reduced_words
 from dbseeds.qtorus import FrameMatrix
@@ -274,6 +274,53 @@ def test_unwritable_out_path_exits_2_with_json(capsys, tmp_path, target, reason)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": f"cannot write --out {str(path)!r}: {reason}"}
     assert not (tmp_path / "missing").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command did its work before it checked --out")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "--type", "A1", "--w", "1", "--u", "1"],
+        ["seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "all-xi"],
+        ["mutate", "--type", "A1", "--w", "1", "--u", "1", "--seq", "1"],
+        ["verify", "--type", "A3", "--w", "1,2,1,3,2,1", "--u", "1,2,1,3,2,1", "--all-xi"],
+        ["xi-list", "--n", "4"],
+        ["cgl-nf", "--preset", "sl2", "--word", "2,1"],
+    ],
+    ids=["seed", "seed-all-xi", "mutate", "verify-all-xi", "xi-list", "cgl-nf"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [(".", "Is a directory"), ("missing/out.json", "No such file or directory"),
+     ("file/out.json", "Not a directory"), ("locked/out.json", "Permission denied")],
+)
+def test_unwritable_out_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, target, reason):
+    for owner, name in ((dbc, "bowtie_build"), (verify, "verify_pair"), (cli, "xi_enumerate"),
+                        (cli, "shipped_presentations")):
+        monkeypatch.setattr(owner, name, _no_work)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "locked").mkdir()
+    honest = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path / "locked") and honest(path, mode))
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"cannot write --out {str(path)!r}: {reason}"}
+    assert not (tmp_path / "missing").exists() and list((tmp_path / "locked").iterdir()) == []
+
+
+@pytest.mark.parametrize("target, reason", [(".", "Is a directory"), ("file/out.json", "Not a directory")])
+def test_emit_maps_an_open_error_as_the_early_check_does(capsys, monkeypatch, tmp_path, target, reason):
+    # what only the write can find still exits 2 with the same message
+    monkeypatch.setattr(cli, "_check_out", lambda out_path: None)
+    (tmp_path / "file").write_text("")
+    path = tmp_path / target
+    code, out, err = run(capsys, "xi-list", "--n", "3", "--out", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"cannot write --out {str(path)!r}: {reason}"}
 
 
 @pytest.mark.parametrize("flag", ["--bz", "--mbz", "--bfz"])

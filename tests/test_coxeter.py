@@ -1,9 +1,10 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dbseeds import coxeter
+from dbseeds import coxeter, jsonio
 from dbseeds.coxeter import (
     InvalidCartanType,
     NonReducedWordError,
@@ -13,6 +14,7 @@ from dbseeds.coxeter import (
     is_reduced,
     reflect,
     sigma_chain,
+    walk,
     word_roots,
     xi_enumerate,
     xi_is_member,
@@ -117,8 +119,8 @@ def test_eta_machinery_a1():
     c = cartan_init("A", 1)
     dwd = eta_machinery(c, (1,), (1,))
     assert dwd.eta == (1, 1)
-    assert dwd.p == (None, 0)
-    assert dwd.s == (1, None)
+    assert dwd.walk.pred == (None, 0)
+    assert dwd.walk.succ == (1, None)
     assert dwd.epsilon == (-1, 1)
     assert dwd.degree_at(0) == (-1,)
     assert dwd.degree_at(1) == (1,)
@@ -128,18 +130,18 @@ def test_eta_machinery_a2():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (1,))
     assert dwd.eta == (1, 2, 1, 1)
-    assert dwd.s[2] == 3
-    assert dwd.p[2] == 0
-    assert dwd.o_minus == (0, 0, 1, 2)
-    assert dwd.o_plus == (2, 0, 1, 0)
-    assert dwd.support == {1, 2}
+    assert dwd.walk.succ[2] == 3
+    assert dwd.walk.pred[2] == 0
+    assert dwd.walk.o_minus == (0, 0, 1, 2)
+    assert dwd.walk.o_plus == (2, 0, 1, 0)
+    assert jsonio.encode_double_word(dwd)["support"] == [1, 2]
 
 
 def test_eta_machinery_injective_levels():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2), ())
-    assert all(x is None for x in dwd.p)
-    assert all(x is None for x in dwd.s)
+    assert all(x is None for x in dwd.walk.pred)
+    assert all(x is None for x in dwd.walk.succ)
 
 
 def test_eta_machinery_rejects_nonreduced():
@@ -151,12 +153,13 @@ def test_eta_machinery_rejects_nonreduced():
 def test_p_s_mutually_inverse():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (2, 1))
+    p, s = dwd.walk.pred, dwd.walk.succ
     for k in range(dwd.size):
-        if dwd.s[k] is not None:
-            assert dwd.p[dwd.s[k]] == k
-        if dwd.p[k] is not None:
-            assert dwd.s[dwd.p[k]] == k
-        assert dwd.eta[k] == dwd.eta[dwd.p[k]] if dwd.p[k] is not None else True
+        if s[k] is not None:
+            assert p[s[k]] == k
+        if p[k] is not None:
+            assert s[p[k]] == k
+        assert dwd.eta[k] == dwd.eta[p[k]] if p[k] is not None else True
 
 
 def test_order_functions_count_independently():
@@ -172,10 +175,36 @@ def test_order_functions_count_independently():
             for k in range(dwd.size):
                 before = sum(1 for j in range(k) if dwd.eta[j] == dwd.eta[k])
                 after = sum(1 for j in range(k + 1, dwd.size) if dwd.eta[j] == dwd.eta[k])
-                assert dwd.o_minus[k] == before
-                assert dwd.o_plus[k] == after
+                assert dwd.walk.o_minus[k] == before
+                assert dwd.walk.o_plus[k] == after
 
         counts_match()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(letters=st.lists(st.integers(1, 4), max_size=14))
+@example(letters=[])
+@example(letters=[3])
+@example(letters=[2, 2, 2, 2])
+@example(letters=[1, 1, 2, 1, 2, 2])
+def test_walk_matches_the_occurrence_counts(letters):
+    # any letter sequence, not only reduced double words: CGL etas and
+    # sigma-words repeat their levels freely
+    got = walk(letters)
+    n = len(letters)
+    for k, x in enumerate(letters):
+        earlier = [j for j in range(k) if letters[j] == x]
+        later = [j for j in range(k + 1, n) if letters[j] == x]
+        assert got.pred[k] == (earlier[-1] if earlier else None)
+        assert got.succ[k] == (later[0] if later else None)
+        assert got.o_minus[k] == len(earlier)
+        assert got.o_plus[k] == len(later)
+    # succ is the inverse of pred
+    assert {k: j for k, j in enumerate(got.succ) if j is not None} == {
+        j: k for k, j in enumerate(got.pred) if j is not None
+    }
+    assert tuple(got) == (got.pred, got.succ, got.o_minus, got.o_plus)
+    assert all(len(field) == n for field in got)
 
 
 def test_frozen_count_matches_level_count():
@@ -183,7 +212,7 @@ def test_frozen_count_matches_level_count():
         c = cartan_init(fam, rank)
         dwd = eta_machinery(c, w, u)
         # one frozen position (no later same-level position) per level
-        assert sum(1 for k in range(dwd.size) if dwd.s[k] is None) == len(set(dwd.eta))
+        assert sum(1 for k in range(dwd.size) if dwd.walk.succ[k] is None) == len(set(dwd.eta))
 
 
 def test_root_sum_invariant():
@@ -237,21 +266,21 @@ def test_xi_enumerate_matches_brute_force():
 def test_sigma_chain_cases():
     c = cartan_init("A", 1)
     dwd = eta_machinery(c, (1,), (1,))
-    assert sigma_chain(dwd.eta, dwd.s, (0, 1)) == ((0,), (0, 1))
-    assert sigma_chain(dwd.eta, dwd.s, (1, 0)) == ((1,), (0, 1))
+    assert sigma_chain(dwd.eta, dwd.walk.succ, (0, 1)) == ((0,), (0, 1))
+    assert sigma_chain(dwd.eta, dwd.walk.succ, (1, 0)) == ((1,), (0, 1))
 
 
 def test_sigma_chain_identity_and_reversal():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (1,))
     ident = tuple(range(4))
-    chains = sigma_chain(dwd.eta, dwd.s, ident)
+    chains = sigma_chain(dwd.eta, dwd.walk.succ, ident)
     for k in range(4):
         # a predecessor chain ending at k, rebuilt from the whole head
         assert chains[k] == tuple(i for i in range(k + 1) if dwd.eta[i] == dwd.eta[k])
         assert chains[k][-1] == k
     rev = (3, 2, 1, 0)
-    chains = sigma_chain(dwd.eta, dwd.s, rev)
+    chains = sigma_chain(dwd.eta, dwd.walk.succ, rev)
     for k in range(4):
         # a successor chain starting at rev[k]
         assert chains[k] == tuple(i for i in range(rev[k], 4) if dwd.eta[i] == dwd.eta[rev[k]])
@@ -262,7 +291,7 @@ def test_sigma_chain_rejects_non_interval():
     c = cartan_init("A", 2)
     dwd = eta_machinery(c, (1, 2, 1), (1,))
     with pytest.raises(coxeter.NotIntervalPermutation):
-        sigma_chain(dwd.eta, dwd.s, (0, 2, 1, 3))
+        sigma_chain(dwd.eta, dwd.walk.succ, (0, 2, 1, 3))
 
 
 @pytest.mark.parametrize("w", [(3,), (3, 1), (0,), (1, -1)])

@@ -7,6 +7,7 @@ import pytest
 from dbseeds import dbc, seedcore, verify
 from dbseeds.coxeter import (
     CartanData,
+    DoubleWordData,
     NotAPermutation,
     NotIntervalPermutation,
     cartan_init,
@@ -80,13 +81,13 @@ def test_sigma_frame_product_formula_agreement():
 
 def _chain_matrix(pres, sigma):
     """Columns are the chain indicator vectors of sigma."""
-    chains = sigma_chain(pres.dwd.eta, pres.dwd.s, sigma)
+    chains = sigma_chain(pres.dwd.eta, pres.dwd.walk.succ, sigma)
     return tuple(tuple(int(j in chain) for chain in chains) for j in range(pres.size))
 
 
 def test_ebar_identity_collects_chains():
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1,))
-    assert sigma_chain(pres.dwd.eta, pres.dwd.s, tuple(range(4))) == ((0,), (1,), (0, 2), (0, 2, 3))
+    assert sigma_chain(pres.dwd.eta, pres.dwd.walk.succ, tuple(range(4))) == ((0,), (1,), (0, 2), (0, 2, 3))
     ebars = tuple(zip(*_chain_matrix(pres, tuple(range(4)))))
     assert ebars == ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1))
 
@@ -117,7 +118,7 @@ def test_chain_matrices_unimodular():
         lambda pres, sigma: dbc.sigma_degrees(pres, pres.dwd.spell(sigma)),
         lambda pres, sigma: dbc.btau_columns(pres.dwd, pres.dwd.spell(sigma)),
         lambda pres, sigma: pres.dwd.spell(sigma),
-        lambda pres, sigma: dbc.oracle_system(pres, pres.dwd.spell(sigma)),
+        lambda pres, sigma: dbc.oracle_system(pres.cartan, pres.dwd.spell(sigma), pres.seed(sigma)),
         lambda pres, sigma: dbc.solve_b_oracle(pres, sigma, 0),
     ],
     ids=[
@@ -161,9 +162,9 @@ def test_bfz_predecessor_entry_sign():
         b = dbc.bfz_matrix(dwd)
         w0 = dbc.w0_permutation(dwd)
         letters = tuple(dwd.eta[w0[j]] for j in range(dwd.size))
-        from dbseeds.coxeter import pred_succ
+        from dbseeds.coxeter import walk
 
-        p1, _ = pred_succ(letters)
+        p1 = walk(letters).pred
         for k in b.ex:
             if p1[k] is not None:
                 assert b.column(k)[p1[k]] == -dwd.epsilon[k]
@@ -282,7 +283,7 @@ def test_bz_seed_a1():
     assert gamma == (1,)
     assert delta == (-1,)
     assert check_compatible(data.seed).ok
-    assert (data.p, data.s) == ((None, 0, 1), (1, 2, None))   # one level: a single chain
+    assert (data.walk.pred, data.walk.succ) == ((None, 0, 1), (1, 2, None))   # one level: a single chain
 
 
 def test_bz_seed_frame_a1():
@@ -705,13 +706,28 @@ def test_seeds_spell_each_sigma_once(monkeypatch):
     assert list(pres.seeds) == calls == list(xi_enumerate(5))
 
 
+def test_all_xi_verify_spells_each_sigma_four_times(monkeypatch):
+    # per sigma of the sweep: the cache lookup of `pres.seed`, the spelling in
+    # `sigma_seed`, and the lookups of `btau_oracle_equivalence` and
+    # `sigma_frame_product`; the oracle system reads the seed it is handed.
+    # The three more come from the reversed-w seed, which `compat_identity`,
+    # `grading_identity` and `connections_check` each look up
+    calls = []
+    honest = DoubleWordData.spell
+    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(1) or honest(self, sigma))
+    cartan = cartan_init("A", 3)
+    results = verify.verify_pair(cartan, (1, 2, 1, 3), (2, 1, 3, 2), all_xi=True)
+    assert all(r.ok for r in results)
+    assert len(calls) == 4 * 2 ** (8 - 1) + 3 == 515
+
+
 def test_spell_reuses_only_a_word_of_the_same_double_word():
     # one word per sigma per presentation: every spelling of sigma there
     # returns it, and the same sigma on other letters spells another word
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     word = pres.dwd.spell((1, 2, 0, 3))
     assert word.letters == (1, 2, 2, 1) and word.eps == (-1, 1, -1, 1)
-    assert word.pred == (None, None, 1, 0) and word.succ == (3, 2, None, None) and word.ex == (0, 1)
+    assert word.walk.pred == (None, None, 1, 0) and word.walk.succ == (3, 2, None, None) and word.ex == (0, 1)
     assert pres.dwd.spell([1, 2, 0, 3]) is pres.dwd.spell(word.sigma) is word
     twin = dbc.bowtie_build(B2, (1, 2), (2, 1)).dwd.spell(word.sigma)
     assert twin == word and twin is not word

@@ -75,7 +75,7 @@ def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
     pres = dbc.bowtie_build(cartan, w, u)
     n = pres.size
     for sigma in xi_enumerate(n) if n else [()]:
-        chains = sigma_chain(pres.dwd.eta, pres.dwd.s, sigma)
+        chains = sigma_chain(pres.dwd.eta, pres.dwd.walk.succ, sigma)
         vectors = [tuple(int(j in chain) for j in range(n)) for chain in chains]
         word = pres.dwd.spell(sigma)
         frame = dbc.sigma_frame(pres, word)
@@ -230,7 +230,7 @@ def _full_elimination_btau(pres):
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
     for sigma, seed in pres.seeds.items():
-        rows, rhs = dbc.oracle_system(pres, pres.dwd.spell(sigma))
+        rows, rhs = dbc.oracle_system(pres.cartan, pres.dwd.spell(sigma), seed)
         r = linalg.rank(rows)
         if r != n:
             return verify.CheckResult("btau-oracle", False, f"w={w} u={u} sigma={sigma}: oracle system has rank {r}, not {n}")

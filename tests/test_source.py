@@ -61,9 +61,32 @@ def test_spell_is_the_one_sigma_validator():
     # no library caller, is the only other reader of the interval test
     assert _callers("xi_is_member") == ["coxeter.py:sigma_chain", "coxeter.py:spell"]
     assert [p.name for p in sorted(SRC.glob("*.py")) if "xi_is_member" in p.read_text()] == ["coxeter.py"]
-    # and the sigma-seeds read pred and succ from the word `spell` builds;
-    # only the minor-labelled seeds walk their own double word
-    assert [c for c in _callers("pred_succ") if c.startswith(("dbc.py:", "verify.py:"))] == ["dbc.py:bz_seed"]
+
+
+def test_walk_is_taken_where_a_word_is_built():
+    # the double word and each sigma-word are walked once, where they are
+    # built; the minor-labelled seeds walk their own double word and a CGL
+    # presentation its eta, and every other reader takes a stored walk
+    assert sorted(_callers("walk")) == [
+        "cgl.py:walk", "coxeter.py:eta_machinery", "coxeter.py:spell", "dbc.py:bz_seed",
+    ]
+    assert _callers("Walk") == ["coxeter.py:walk"]
+
+
+def test_no_walk_is_read_by_position():
+    # a walk's fields are read by name: no `x.walk[i]` and no unpacking of `x.walk`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Subscript):
+                value = node.value
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+                value = node.value
+            else:
+                continue
+            if getattr(value, "attr", None) == "walk":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_eta_machinery_has_one_caller():
