@@ -50,6 +50,8 @@ class NFPoly:
         if terms:
             for f, c in terms.items():
                 key = tuple(int(x) for x in f)
+                if key != tuple(f):
+                    raise ValueError(f"PBW exponents must be integers, not {tuple(f)}")
                 if any(x < 0 for x in key):
                     raise ValueError("PBW exponents must be nonnegative")
                 cur = clean.get(key)

@@ -18,8 +18,8 @@ w = 1,2,1,3,2,1,4,3,2,1 and u = 1,2,1,3,2,1 (n = 16, Python 3.11.7 on
 word costs about exponentially in its length; a longer word exits 2 before
 any product is computed, and so does a product that exhausts the
 presentation's rewrite budget.  At the bound the slowest word shapes found
-(Python 3.11.7 on 2 CPUs) were 2^12,1^12 on sl2, 0.85 s at 18 MiB peak RSS,
-and 4^6,3^12,1^6 on a2, 2.8 s at 21 MiB.
+(Python 3.11.7 on 2 CPUs) were 2^12,1^12 on sl2, 0.5 s at 18 MiB peak RSS,
+and 4^6,3^12,1^6 on a2, 2.0 s at 19 MiB.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -33,7 +33,7 @@ import stat
 import sys
 
 from . import dbc, jsonio, verify
-from .cgl import NFPoly, RewriteBudgetExceeded, nf_mul, shipped_presentations
+from .cgl import NFPoly, RewriteBudgetExceeded, nf_mul_all, shipped_presentations
 from .coxeter import (
     InvalidCartanType,
     LetterOutOfRange,
@@ -258,9 +258,7 @@ def cmd_cgl_nf(args) -> int:
     for letter in word:
         if not 1 <= letter <= pres.n:
             raise ValidationFailure(f"generator {letter} out of range 1..{pres.n}")
-    out = NFPoly.one(pres.n)
-    for letter in word:
-        out = nf_mul(pres, out, NFPoly.generator(pres.n, letter - 1))
+    out = nf_mul_all(pres, [NFPoly.generator(pres.n, letter - 1) for letter in word])
     _emit(
         {
             "preset": args.preset,

@@ -2,9 +2,13 @@
 
 Scalars live in the Laurent ring Q[v^e : e rational]; frames record the
 integer exponent matrix psi of a multiplicatively skew-symmetric matrix via
-r_{kj} = v^{psi_{kj}}.  `FrameMatrix(psi)` is the one validating constructor;
-frames built from a valid frame take the private trusted path
-`FrameMatrix._trusted` (see `FrameMatrix` for why each skipped check holds).
+r_{kj} = v^{psi_{kj}}.  Each value type has one validating constructor,
+`VLaurent(terms)` and `FrameMatrix(psi)`, and a private trusted path for
+values built from valid ones.  A scalar is reduced: its terms map Fraction
+exponents to nonzero Fraction coefficients.  Only `VLaurent`'s own ring
+operations take `VLaurent._reduced`, and each deletes the coefficients that
+cancel.  Frames built from a valid frame take `FrameMatrix._trusted`.  See
+`VLaurent` and `FrameMatrix` for why each skipped check holds.
 """
 
 from __future__ import annotations
@@ -25,7 +29,20 @@ class NonIntegralFrame(ValueError):
 
 
 class VLaurent:
-    """Finite rational-coefficient sum of rational powers of v."""
+    """Finite rational-coefficient sum of rational powers of v.
+
+    Invariant: `_terms` maps Fraction exponents to nonzero Fraction
+    coefficients.  `VLaurent(terms)` coerces any exact keys and values,
+    merges equal exponents and drops zeros.  `_reduced` stores a dict as it
+    is; its only callers are the ring operations below, whose operands
+    already hold the invariant, so their keys and values are Fractions
+    (sums, products, negatives and reciprocals of Fractions) and each exponent
+    is written once.  Each keeps the nonzero rule itself: `__add__` deletes
+    a coefficient that cancels; `__neg__` and `inverse` map nonzeros to
+    nonzeros; `__mul__` drops the collected coefficients that cancel; and
+    `scale` returns the zero scalar for a zero factor.  `__sub__` and
+    `__pow__` are built from these.
+    """
 
     __slots__ = ("_terms",)
 
@@ -37,6 +54,13 @@ class VLaurent:
                 if c != 0:
                     clean[e] = clean.get(e, Q(0)) + c
         self._terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def _reduced(cls, terms: dict[Q, Q]) -> "VLaurent":
+        """Scalar of a dict that already holds the invariant; no check is run."""
+        z = object.__new__(cls)
+        z._terms = terms
+        return z
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -73,11 +97,15 @@ class VLaurent:
     def __add__(self, other: "VLaurent") -> "VLaurent":
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, Q(0)) + c
-        return VLaurent(out)
+            c = out[e] + c if e in out else c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return VLaurent._reduced(out)
 
     def __neg__(self) -> "VLaurent":
-        return VLaurent({e: -c for e, c in self._terms.items()})
+        return VLaurent._reduced({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "VLaurent") -> "VLaurent":
         return self + (-other)
@@ -87,16 +115,16 @@ class VLaurent:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, Q(0)) + c1 * c2
-        return VLaurent(out)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return VLaurent._reduced({e: c for e, c in out.items() if c})
 
     def scale(self, coef) -> "VLaurent":
         c0 = Q(coef)
-        return VLaurent({e: c * c0 for e, c in self._terms.items()})
+        return VLaurent._reduced({e: c * c0 for e, c in self._terms.items()} if c0 else {})
 
     def inverse(self) -> "VLaurent":
         e, c = self.monomial_parts()
-        return VLaurent({-e: 1 / c})
+        return VLaurent._reduced({-e: 1 / c})
 
     def __pow__(self, n: int) -> "VLaurent":
         if n < 0:

@@ -1,11 +1,14 @@
 import dataclasses
 import itertools
+import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbseeds import cgl
+from dbseeds import cgl, jsonio
 from dbseeds.cgl import (
     CGLPresentation,
     NFPoly,
@@ -200,6 +203,54 @@ def test_presentation_rejects_inhomogeneous_tail():
             eta=(1, 2, 1),
             degrees=((-1, 0), (0, -1), (1, 0)),
         )
+
+
+def test_nfpoly_rejects_non_integral_exponents():
+    # int() would truncate these to x^(1,0) and to 1
+    for f in ((1.5, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ValueError, match="integers"):
+            NFPoly.monomial(f)
+    assert NFPoly.monomial((Fraction(2), 1.0)) == NFPoly.monomial((2, 1))
+
+
+def _audit_triples(count: int, seed: int):
+    """Triples of random PBW monomials of degree at most 5 on sl2 and a2, drawn as the cgl-audit benchmark draws them."""
+    rng = random.Random(seed)
+    presets = [cgl.sl2_presentation()[0], cgl.a2_presentation()[0]]
+
+    def monomial(n):
+        f = [0] * n
+        for _ in range(rng.randint(0, 5)):
+            f[rng.randrange(n)] += 1
+        return NFPoly.monomial(tuple(f))
+
+    return [(pres, monomial(pres.n), monomial(pres.n), monomial(pres.n)) for _ in range(count // 2) for pres in presets]
+
+
+def test_trusted_scalar_path_changes_no_product(monkeypatch):
+    # every product of the engine is the same, to the byte, when the scalar
+    # ring operations rebuild their results through the validating constructor
+    triples = _audit_triples(50, seed=21)
+
+    def products():
+        out = []
+        for pres, a, b, c in triples:
+            out += [nf_mul(pres, nf_mul(pres, a, b), c), nf_mul(pres, a, nf_mul(pres, b, c))]
+        return out
+
+    shipped = products()
+    calls = []
+
+    def validating(cls, terms):
+        calls.append(len(terms))
+        return cls(terms)
+
+    monkeypatch.setattr(VLaurent, "_reduced", classmethod(validating))
+    rebuilt = products()
+    assert calls
+    assert rebuilt == shipped
+    encode = lambda xs: [json.dumps(jsonio.encode_nfpoly(x), sort_keys=True) for x in xs]
+    assert encode(rebuilt) == encode(shipped)
 
 
 def test_leading_term_order():

@@ -237,14 +237,14 @@ def test_cgl_nf_unknown_preset(capsys):
 
 def test_cgl_nf_bounds_the_word_before_any_product(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CGL_NF_MAX_LETTERS", 3)
-    monkeypatch.setattr(cli, "nf_mul", lambda *args: pytest.fail("a product was computed"))
+    monkeypatch.setattr(cgl, "nf_mul", lambda *args: pytest.fail("a product was computed"))
     code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1,1")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "--word takes at most 3 letters, got 4"}
 
 
 def test_cgl_nf_checks_every_letter_before_any_product(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "nf_mul", lambda *args: pytest.fail("a product was computed"))
+    monkeypatch.setattr(cgl, "nf_mul", lambda *args: pytest.fail("a product was computed"))
     code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,1,3")
     assert code == 2 and out == ""
     assert "out of range" in json.loads(err)["error"]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbseeds import linalg
 from dbseeds.qtorus import (
@@ -30,6 +32,65 @@ def test_vlaurent_arithmetic():
 def test_vlaurent_rational_exponents():
     z = VLaurent.v_power(Q(1, 2))
     assert (z * z) == VLaurent.v_power(1)
+
+
+half_exponents = st.integers(-6, 6).map(lambda k: Q(k, 2))
+coefficients = st.sampled_from([Q(-2), Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(2)])
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two scalars with half-integer exponents, b negating a random part of a's terms."""
+    a = VLaurent(draw(st.dictionaries(half_exponents, coefficients, max_size=4)))
+    b = draw(st.dictionaries(half_exponents, coefficients, max_size=3))
+    for e, c in a.terms.items():
+        if draw(st.booleans()):
+            b[e] = -c
+    return a, VLaurent(b)
+
+
+def _evaluate(z):
+    """z at v = (3/2)^2, a ring map for half-integer exponents."""
+    return sum((c * Q(3, 2) ** int(2 * e) for e, c in z.terms.items()), Q(0))
+
+
+def _assert_reduced(z):
+    """z holds the scalar invariant: what the validating constructor would build from its terms."""
+    assert z == VLaurent(z.terms)
+    assert all(c != 0 for c in z.terms.values())
+    assert all(type(e) is Q and type(c) is Q for e, c in z.terms.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair=cancelling_pairs(), s=st.sampled_from([Q(0), Q(-1), Q(1, 2), 3]), n=st.integers(0, 3))
+def test_vlaurent_arithmetic_results_are_reduced(pair, s, n):
+    a, b = pair
+    results = {
+        "+": (a + b, _evaluate(a) + _evaluate(b)),
+        "-": (a - b, _evaluate(a) - _evaluate(b)),
+        "neg": (-a, -_evaluate(a)),
+        "*": (a * b, _evaluate(a) * _evaluate(b)),
+        "scale": (a.scale(s), s * _evaluate(a)),
+        "**": (a**n, _evaluate(a) ** n),
+    }
+    if a.is_monomial():
+        results["inverse"] = (a.inverse(), 1 / _evaluate(a))
+        results["**-n"] = (a ** -(n + 1), _evaluate(a) ** -(n + 1))
+    for op, (z, value) in results.items():
+        _assert_reduced(z)
+        assert _evaluate(z) == value, op
+
+
+def test_vlaurent_cancellations_leave_no_zero_term():
+    a = VLaurent({Q(-1, 2): 3, 0: Q(1, 2), Q(5, 2): -1})
+    v = VLaurent.v_power(1)
+    one = VLaurent.one()
+    for z in (a - a, a + (-a), a.scale(0)):
+        _assert_reduced(z)
+        assert z.is_zero() and z.terms == {}
+    z = (one + v) * (one - v)
+    _assert_reduced(z)
+    assert z.terms == {0: 1, 2: -1}
 
 
 def test_bicharacter_examples():

@@ -121,6 +121,18 @@ def test_trusted_frames_come_only_from_valid_constructions():
     assert "_trusted" not in (SRC / "verify.py").read_text()
 
 
+def test_trusted_scalars_come_only_from_scalar_arithmetic():
+    # `VLaurent._reduced` skips the term checks, so only VLaurent's own ring
+    # operations, whose operands already hold the invariant, may call it
+    callers = sorted(_callers("_reduced"))
+    assert callers == ["qtorus.py:__add__", "qtorus.py:__mul__", "qtorus.py:__neg__", "qtorus.py:inverse", "qtorus.py:scale"]
+    tree = ast.parse((SRC / "qtorus.py").read_text())
+    vlaurent = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "VLaurent")
+    assert set(callers) <= {f"qtorus.py:{fn.name}" for fn in vlaurent.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("cgl.py", "verify.py", "jsonio.py"):
+        assert "_reduced" not in (SRC / name).read_text()
+
+
 def test_exchange_pairings_is_the_one_compatibility_rule():
     # every frame pairing of an exchange column is a row of B^T psi; no seed
     # module pairs vectors one entry at a time
