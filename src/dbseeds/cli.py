@@ -12,8 +12,8 @@ XI_LIST_MAX_N bounds n = |w| + |u| for `verify`, with or without --all-xi,
 and for `seed --sigma all-xi`, which build all 2^(n-1) sigma-seeds; a larger
 n exits 2 before any seed is built.  At the bound, A4 with
 w = 1,2,1,3,2,1,4,3,2,1 and u = 1,2,1,3,2,1 (n = 16, Python 3.11.7 on
-2 CPUs, in-process `verify_pair`) took 24 s at 284 MiB peak RSS plain and
-126 s at 287 MiB with --all-xi.
+2 CPUs, in-process `verify_pair`) took 7 s at 313 MiB peak RSS plain and
+72 s at 316 MiB with --all-xi.
 `cgl-nf --word` is bounded by CGL_NF_MAX_LETTERS, since straightening a
 word costs about exponentially in its length; a longer word exits 2 before
 any product is computed, and so does a product that exhausts the

@@ -14,9 +14,11 @@ Conventions
   sign of the direction in which sigma(k) extends the interval sigma(0..k-1).
   `DoubleWordData.spell(sigma)` builds it and is the one lookup and the one
   validation of a sigma.  The boundary spells; the builders behind it take
-  the word and never spell again.
+  the word and never spell again, and a sweep over sigmas that were spelled
+  reads their words from `DoubleWordData.words`.
 * The same-level walk of a word (`Walk`, built by `walk`) is taken once,
-  where the word is built (`eta_machinery`, `spell`); consumers read it by name.
+  where the word is built (`eta_machinery`, `spell`); consumers read it by
+  name, and its order counts O_- and O_+ are computed only when read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import linalg
 
@@ -238,40 +241,52 @@ def enumerate_reduced_words(cartan: CartanData, max_len: int) -> list[Word]:
 class Walk(NamedTuple):
     """The same-level walk of a letter sequence, built only by `walk`.
 
-    pred[k] (succ[k]) is the last earlier (first later) position of k's letter,
-    or None; o_minus[k] = O_-(k) (o_plus[k] = O_+(k)) counts it before (after) k.
+    pred[k] (succ[k]) is the last earlier (first later) position of k's
+    letter, or None.  The order counts o_minus[k] = O_-(k) and
+    o_plus[k] = O_+(k), how often k's letter occurs before (after) k, are
+    read off pred and succ when asked for, so a walk whose counts nobody
+    reads, such as a sigma-word's, never computes them.
     """
 
     pred: tuple
     succ: tuple
-    o_minus: tuple[int, ...]
-    o_plus: tuple[int, ...]
+
+    @property
+    def o_minus(self) -> tuple[int, ...]:
+        """O_-(k) = O_-(p(k)) + 1, and 0 with no p(k); as p(k) < k, one pass up."""
+        out: list[int] = []
+        for p in self.pred:
+            out.append(0 if p is None else out[p] + 1)
+        return tuple(out)
+
+    @property
+    def o_plus(self) -> tuple[int, ...]:
+        """O_+(k) = O_+(s(k)) + 1, and 0 with no s(k); as s(k) > k, one pass down."""
+        succ = self.succ
+        out = [0] * len(succ)
+        for k in reversed(range(len(succ))):
+            if succ[k] is not None:
+                out[k] = out[succ[k]] + 1
+        return tuple(out)
 
 
 def walk(letters: Sequence[int]) -> Walk:
-    """The same-level walk of `letters`: one pass up, then one pass down.
+    """The same-level walk of `letters`, in one pass up.
 
-    The pass up keeps the last position of each letter, so p(k) is that
-    position, s(p(k)) = k and O_-(k) = O_-(p(k)) + 1; as s(k) > k, the pass
-    down gives O_+(k) = O_+(s(k)) + 1.
+    The pass keeps the last position of each letter, so p(k) is that
+    position and s(p(k)) = k.
     """
     n = len(letters)
     pred: list[int | None] = [None] * n
     succ: list[int | None] = [None] * n
-    o_minus = [0] * n
-    o_plus = [0] * n
     last: dict[int, int] = {}
     for k, x in enumerate(letters):
-        if x in last:
-            j = last[x]
+        j = last.get(x)
+        if j is not None:
             pred[k] = j
             succ[j] = k
-            o_minus[k] = o_minus[j] + 1
         last[x] = k
-    for k in reversed(range(n)):
-        if succ[k] is not None:
-            o_plus[k] = o_plus[succ[k]] + 1
-    return Walk(tuple(pred), tuple(succ), tuple(o_minus), tuple(o_plus))
+    return Walk(tuple(pred), tuple(succ))
 
 
 @dataclass(frozen=True)
@@ -312,6 +327,16 @@ class DoubleWordData:
         a = self.root_at(k)
         return tuple(-x for x in a) if k < self.n_w else a
 
+    @property
+    def words(self) -> Mapping[Perm, SigmaWord]:
+        """Every word `spell` has built, keyed by its validated sigma; a read-only view.
+
+        A reader holding a sigma that was spelled here, such as a key of
+        `BowtiePresentation.seeds`, reads its word without spelling it
+        again; any other sigma goes through `spell`.
+        """
+        return MappingProxyType(self._words)
+
     def spell(self, sigma: Sequence[int]) -> SigmaWord:
         """The double word sigma spells on these positions; the one lookup and validation of a sigma.
 
@@ -332,7 +357,7 @@ class DoubleWordData:
             if not ints or sorted(sigma) != list(range(n)):
                 raise NotAPermutation(f"{sigma} is not a permutation of the {n} positions")
             raise NotIntervalPermutation(f"{sigma} fails the interval test")
-        letters = tuple(self.eta[i] for i in sigma)
+        letters = linalg.gather(sigma)(self.eta)
         word_walk = walk(letters)
         eps = tuple(1 if i > sigma[0] else -1 for i in sigma)
         ex = tuple(k for k, x in enumerate(word_walk.succ) if x is not None)

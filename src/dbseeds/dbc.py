@@ -72,9 +72,16 @@ class BowtiePresentation:
         """Seed of every interval permutation, in `xi_enumerate` order.
 
         With no positions the only permutation is (), mapped to the empty seed.
+        Each sigma is spelled once, by `sigma_seed`: `xi_enumerate` makes
+        only interval permutations of ints, so a sigma from it is a valid
+        key of the cache as it is, and its word is then in `dwd.words`.
         """
-        perms = xi_enumerate(self.size) if self.size else [()]
-        return {sigma: self.seed(sigma) for sigma in perms}
+        seeds = {}
+        for sigma in xi_enumerate(self.size) if self.size else [()]:
+            if sigma not in self._seeds:
+                self._seeds[sigma] = sigma_seed(self, sigma).seed
+            seeds[sigma] = self._seeds[sigma]
+        return seeds
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -141,18 +148,36 @@ def sigma_frame(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:
     return FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), word))))
 
 
-def sigma_frame_product(pres: BowtiePresentation, sigma: Sequence[int]) -> FrameMatrix:
+def _support_sums(table, supports) -> list[tuple[int, ...]]:
+    """Row k is the sum of table[i] over supports[k], each support summed in full."""
+    rows = []
+    for support in supports:
+        row = table[support[0]]
+        for i in support[1:]:
+            row = tuple(map(add, row, table[i]))
+        rows.append(row)
+    return rows
+
+
+def sigma_frame_product(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:
     """Same frame through the raw double-product formula, as an independent path.
 
-    The supports are rebuilt from eta and sigma, not through `_chain_sums` or
-    the word's walk, and the frame takes the validating constructor.
+    psi_kj = sum of nu_il over i in S_k and l in S_j, where the support S_k
+    is the set of positions of sigma(k)'s level among sigma(0..k).  The
+    supports are grouped by level from eta and sigma (`word.sigma`, the only
+    field read) alone, not through `_chain_sums` or the word's walk.  Each
+    is summed in full, twice: R_k = sum over S_k of the rows nu_i, then
+    column j of psi is the sum over S_j of the columns of R.  The frame
+    takes the validating constructor.
     """
-    sigma = pres.dwd.spell(sigma).sigma
-    eta, nu = pres.dwd.eta, pres.nu.psi
-    supports = [[i for i in sigma[: k + 1] if eta[i] == eta[x]] for k, x in enumerate(sigma)]
-    return FrameMatrix(
-        tuple(tuple(sum(nu[i][l] for i in sk for l in sj) for sj in supports) for sk in supports)
-    )
+    eta = pres.dwd.eta
+    level: dict[int, tuple[int, ...]] = {}
+    supports = []
+    for x in word.sigma:
+        support = level[eta[x]] = level.get(eta[x], ()) + (x,)
+        supports.append(support)
+    rows = _support_sums(pres.nu.psi, supports)
+    return FrameMatrix(tuple(zip(*_support_sums(tuple(zip(*rows)), supports))))
 
 
 def sigma_degrees(pres: BowtiePresentation, word: SigmaWord) -> tuple[tuple[int, ...], ...]:
@@ -183,33 +208,34 @@ def double_word_matrix(
     k < s(k) < s(j) with the crossing eps_k != eps_{s(k)}; for k < j it is
     eps_j c_{jk} under the same conditions with j and k exchanged.  A
     missing successor reads as n, past every position.  Every other entry
-    is 0.
+    is 0, so a column visits only the positions whose level meets its own
+    in the Cartan matrix, c_{jk} != 0.
     """
     n = len(letters)
     pred = walk.pred
     s = tuple(n if x is None else x for x in walk.succ)
-
-    def entry(j: int, k: int) -> int:
-        if j == pred[k]:
-            return -eps[k]
-        if j == s[k]:
-            return eps[j]
-        cjk = cartan[letters[j] - 1][letters[k] - 1]
-        sj, sk = s[j], s[k]
-        if j < k:
-            if (k < sj and sj < sk and eps[k] == eps[sj]) or (
-                k < sk and sk < sj and eps[k] != eps[sk]
-            ):
-                return -eps[k] * cjk
-        if k < j:
-            if (j < sk and sk < sj and eps[j] == eps[sk]) or (
-                j < sj and sj < sk and eps[j] != eps[sj]
-            ):
-                return eps[j] * cjk
-        return 0
-
-    cols = tuple(tuple(entry(j, k) for j in range(n)) for k in ex)
-    return ExchangeMatrix(n, tuple(ex), cols)
+    near: dict[int, list[tuple[int, int]]] = {}   # level a -> (j, c_{j a}) with c_{j a} != 0
+    for a in set(letters):
+        near[a] = [(j, cartan[b - 1][a - 1]) for j, b in enumerate(letters) if cartan[b - 1][a - 1]]
+    cols = []
+    for k in ex:
+        ek, sk = eps[k], s[k]
+        col = [0] * n
+        for j, cjk in near[letters[k]]:
+            sj = s[j]
+            if j < k:
+                if (k < sj < sk and ek == eps[sj]) or (k < sk < sj and ek != eps[sk]):
+                    col[j] = -ek * cjk
+            elif k < j:
+                ej = eps[j]
+                if (j < sk < sj and ej == eps[sk]) or (j < sj < sk and ej != eps[sj]):
+                    col[j] = ej * cjk
+        if pred[k] is not None:
+            col[pred[k]] = -ek
+        if sk < n:
+            col[sk] = eps[sk]
+        cols.append(tuple(col))
+    return ExchangeMatrix(n, tuple(ex), tuple(cols))
 
 
 def btau_columns(dwd: DoubleWordData, word: SigmaWord) -> ExchangeMatrix:

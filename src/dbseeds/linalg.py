@@ -20,13 +20,16 @@ matrices and frames are closed integer rules (`dbc.double_word_matrix`,
 the nonzero c_i: the compatibility pairings B^T psi, the degree balance and
 mutated degree of an exchange column, the exchange-column oracle's product,
 and the degree of a CGL monomial all read it.  Unlike `zip`, it raises
-ValueError on a length mismatch instead of truncating.
+ValueError on a length mismatch instead of truncating.  `gather(index)`
+reads a sequence at an index tuple: the levels a sigma spells, and every
+row, column, degree and symmetrizer of a reindexed frame or seed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
@@ -34,6 +37,17 @@ Mat = tuple[Vec, ...]
 
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
+
+
+def gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map seq -> (seq[i] for i in index), a tuple, at C speed.
+
+    An itemgetter of one index returns the entry itself, not a 1-tuple, and
+    one of no index cannot be built, so those two read seq in a loop.
+    """
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda seq: tuple(seq[i] for i in index)
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:

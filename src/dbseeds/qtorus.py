@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from numbers import Complex, Rational
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -28,13 +29,31 @@ class NonIntegralFrame(ValueError):
     """A frame exponent is not an integer."""
 
 
+class InexactScalar(TypeError):
+    """A scalar exponent or coefficient that is not an exact rational, such as a float."""
+
+
+def _exact(x) -> Q:
+    """x as a Fraction; an inexact number (a float or a complex) raises InexactScalar.
+
+    A float is refused rather than read as the binary rational it stores.
+    Exact values, such as ints, Fractions and strings like "1/2", are
+    converted by `Fraction`, which raises on anything it cannot read.
+    """
+    if type(x) is not int and type(x) is not Q and isinstance(x, Complex) and not isinstance(x, Rational):
+        raise InexactScalar(f"scalar {x!r} is not an exact rational")
+    return Q(x)
+
+
 class VLaurent:
     """Finite rational-coefficient sum of rational powers of v.
 
     Invariant: `_terms` maps Fraction exponents to nonzero Fraction
-    coefficients.  `VLaurent(terms)` coerces any exact keys and values,
-    merges equal exponents and drops zeros.  `_reduced` stores a dict as it
-    is; its only callers are the ring operations below, whose operands
+    coefficients.  `VLaurent(terms)` coerces exact keys and values (ints,
+    Fractions, rational strings), raises InexactScalar on a float or another
+    inexact number, merges equal exponents and drops zeros; `v_power`,
+    `q_power` and `scale` test their outside numbers the same way.
+    `_reduced` stores a dict as it is; its only callers are the ring operations below, whose operands
     already hold the invariant, so their keys and values are Fractions
     (sums, products, negatives and reciprocals of Fractions) and each exponent
     is written once.  Each keeps the nonzero rule itself: `__add__` deletes
@@ -50,7 +69,7 @@ class VLaurent:
         clean: dict[Q, Q] = {}
         if terms:
             for e, c in terms.items():
-                e, c = Q(e), Q(c)
+                e, c = _exact(e), _exact(c)
                 if c != 0:
                     clean[e] = clean.get(e, Q(0)) + c
         self._terms = {e: c for e, c in clean.items() if c != 0}
@@ -69,11 +88,11 @@ class VLaurent:
 
     @classmethod
     def v_power(cls, e, coef=1) -> "VLaurent":
-        return cls({Q(e): Q(coef)})
+        return cls({e: coef})
 
     @classmethod
     def q_power(cls, e, coef=1) -> "VLaurent":
-        return cls({2 * Q(e): Q(coef)})
+        return cls({2 * _exact(e): coef})
 
     # -- structure ----------------------------------------------------
     @property
@@ -119,7 +138,7 @@ class VLaurent:
         return VLaurent._reduced({e: c for e, c in out.items() if c})
 
     def scale(self, coef) -> "VLaurent":
-        c0 = Q(coef)
+        c0 = _exact(coef)
         return VLaurent._reduced({e: c * c0 for e, c in self._terms.items()} if c0 else {})
 
     def inverse(self) -> "VLaurent":
@@ -212,7 +231,8 @@ class FrameMatrix:
         """psi'_{jk} = psi_{tau(j), tau(k)}; tau must be a permutation of the ints 0..n-1."""
         if not (all(type(x) is int for x in tau) and sorted(tau) == list(range(self.size))):
             raise ValueError("tau must be a permutation of 0..n-1")
-        return FrameMatrix._trusted(tuple(tuple(self.psi[j][k] for k in tau) for j in tau))
+        at_tau = linalg.gather(tau)
+        return FrameMatrix._trusted(tuple(map(at_tau, at_tau(self.psi))))
 
     def negate(self) -> "FrameMatrix":
         return FrameMatrix._trusted(tuple(tuple(-x for x in row) for row in self.psi))

@@ -189,22 +189,21 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
 def reindex(seed: QuantumSeed, tau: Sequence[int]) -> QuantumSeed:
     """Right action of a permutation: position j of the result carries tau(j).
 
-    `FrameMatrix.reindex` first raises ValueError unless tau permutes the ints 0..n-1.
+    `FrameMatrix.reindex` first raises ValueError unless tau permutes the ints
+    0..n-1; the exchange columns, degrees and d are then gathered along tau.
     """
     new_frame = seed.frame.reindex(tau)
-    n = seed.size
-    inverse = [0] * n
+    inverse = [0] * seed.size
     for j, v in enumerate(tau):
         inverse[v] = j
     new_ex = tuple(sorted(inverse[k] for k in seed.ex))
-    cols = [seed.exchange.column(tau[kp]) for kp in new_ex]
-    new_cols = tuple(tuple(col[t] for t in tau) for col in cols)
+    at_tau = linalg.gather(tau)
     return QuantumSeed(
         frame=new_frame,
-        exchange=ExchangeMatrix(n, new_ex, new_cols),
+        exchange=ExchangeMatrix(seed.size, new_ex, tuple(at_tau(seed.exchange.column(tau[k])) for k in new_ex)),
         inv=frozenset(inverse[k] for k in seed.inv),
-        degrees=tuple(seed.degrees[tau[j]] for j in range(n)),
-        d=tuple(seed.d[tau[j]] for j in range(n)),
+        degrees=at_tau(seed.degrees),
+        d=at_tau(seed.d),
     )
 
 

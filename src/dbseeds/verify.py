@@ -85,7 +85,7 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     - First every product R b_l is checked, as a sum of R's columns over the
       nonzeros of b_l.
     - Let E = `seed.ex` and let J be the positions whose level has no earlier
-      position in sigma order (`spell(sigma).walk.pred`, not from the seed).  With
+      position in sigma order (the walk of sigma's word, not from the seed).  With
       rows E first,
 
           R [b_E | e_J] = [ diag(rhs_l[l])   R_{E,J}    ]
@@ -108,8 +108,9 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
+    words = pres.dwd.words
     for sigma, seed in pres.seeds.items():
-        word = pres.dwd.spell(sigma)
+        word = words[sigma]
         rows, rhs = dbc.oracle_system(pres.cartan, word, seed)
         cols = tuple(zip(*rows))
         miss = next((l for l in seed.ex if linalg.combine(cols, seed.exchange.column(l)) != rhs.get(l)), None)
@@ -201,8 +202,9 @@ def sigma_skew_symmetrizable(pres: dbc.BowtiePresentation) -> CheckResult:
     product formula `dbc.sigma_frame_product`.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
+    words = pres.dwd.words
     for sigma, seed in pres.seeds.items():
-        if seed.frame != dbc.sigma_frame_product(pres, sigma):
+        if seed.frame != dbc.sigma_frame_product(pres, words[sigma]):
             detail = f"w={w} u={u} sigma={sigma}: chain congruence and product formula disagree"
             return CheckResult("sigma-symmetrizable", False, detail)
         if not seed.exchange.is_skew_symmetrizable(seed.d):

@@ -73,7 +73,7 @@ def test_criterion_2_grading_identity():
                 _report(2, "grading-identity", False, res.detail)
             # the graded seed's frame, by chain congruence, against the product formula
             w0 = dbc.w0_permutation(pres.dwd)
-            if pres.seed(w0).frame != dbc.sigma_frame_product(pres, w0):
+            if pres.seed(w0).frame != dbc.sigma_frame_product(pres, pres.dwd.spell(w0)):
                 _report(2, "grading-identity", False, f"w={w} u={u}: frame formulas disagree")
             count += 1
     _report(2, "grading-identity", True, f"{count} word pairs, {time.time() - t0:.1f}s")
@@ -212,7 +212,7 @@ def test_criterion_9_normalization_condition():
     checked_cond = 0
     checked_multi = 0
     for name, (pres, c_table) in cgl.shipped_presentations().items():
-        _, s, _, o_plus = pres.walk
+        s, o_plus = pres.walk.succ, pres.walk.o_plus
         for i in range(pres.n):
             if s[i] is not None:
                 if not cond_holds(pres, c_table, i):

@@ -203,8 +203,9 @@ def test_walk_matches_the_occurrence_counts(letters):
     assert {k: j for k, j in enumerate(got.succ) if j is not None} == {
         j: k for k, j in enumerate(got.pred) if j is not None
     }
-    assert tuple(got) == (got.pred, got.succ, got.o_minus, got.o_plus)
-    assert all(len(field) == n for field in got)
+    # a walk holds p and s; the order counts are read off them
+    assert tuple(got) == (got.pred, got.succ)
+    assert all(len(field) == n for field in (got.pred, got.succ, got.o_minus, got.o_plus))
 
 
 def test_frozen_count_matches_level_count():

@@ -75,7 +75,7 @@ def test_sigma_frame_product_formula_agreement():
     pres = dbc.bowtie_build(A2, (1, 2), (1,))
     for sigma in xi_enumerate(3):
         a = dbc.sigma_frame(pres, pres.dwd.spell(sigma))
-        b = dbc.sigma_frame_product(pres, sigma)
+        b = dbc.sigma_frame_product(pres, pres.dwd.spell(sigma))
         assert a.psi == b.psi
 
 
@@ -114,7 +114,7 @@ def test_chain_matrices_unimodular():
         lambda pres, sigma: dbc.sigma_seed(pres, sigma),
         lambda pres, sigma: pres.seed(sigma),
         lambda pres, sigma: dbc.sigma_frame(pres, pres.dwd.spell(sigma)),
-        lambda pres, sigma: dbc.sigma_frame_product(pres, sigma),
+        lambda pres, sigma: dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)),
         lambda pres, sigma: dbc.sigma_degrees(pres, pres.dwd.spell(sigma)),
         lambda pres, sigma: dbc.btau_columns(pres.dwd, pres.dwd.spell(sigma)),
         lambda pres, sigma: pres.dwd.spell(sigma),
@@ -706,19 +706,19 @@ def test_seeds_spell_each_sigma_once(monkeypatch):
     assert list(pres.seeds) == calls == list(xi_enumerate(5))
 
 
-def test_all_xi_verify_spells_each_sigma_four_times(monkeypatch):
-    # per sigma of the sweep: the cache lookup of `pres.seed`, the spelling in
-    # `sigma_seed`, and the lookups of `btau_oracle_equivalence` and
-    # `sigma_frame_product`; the oracle system reads the seed it is handed.
-    # The three more come from the reversed-w seed, which `compat_identity`,
-    # `grading_identity` and `connections_check` each look up
+def test_all_xi_verify_spells_each_sigma_once(monkeypatch):
+    # per sigma of the sweep: the spelling in `sigma_seed`; `pres.seeds`
+    # keys its cache by the sigmas `xi_enumerate` makes, and
+    # `btau_oracle_equivalence` and `sigma_skew_symmetrizable` read the words
+    # from `dwd.words`.  The three more come from the reversed-w seed, which
+    # `compat_identity`, `grading_identity` and `connections_check` each look up
     calls = []
     honest = DoubleWordData.spell
     monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(1) or honest(self, sigma))
     cartan = cartan_init("A", 3)
     results = verify.verify_pair(cartan, (1, 2, 1, 3), (2, 1, 3, 2), all_xi=True)
     assert all(r.ok for r in results)
-    assert len(calls) == 4 * 2 ** (8 - 1) + 3 == 515
+    assert len(calls) == 2 ** (8 - 1) + 3 == 131
 
 
 def test_spell_reuses_only_a_word_of_the_same_double_word():

@@ -1,5 +1,6 @@
 """Property sweeps over random reduced word pairs in every finite family."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as Q
 from functools import cache
@@ -79,9 +80,111 @@ def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
         vectors = [tuple(int(j in chain) for j in range(n)) for chain in chains]
         word = pres.dwd.spell(sigma)
         frame = dbc.sigma_frame(pres, word)
-        assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, sigma)
+        assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, word)
         sums = tuple(tuple(map(sum, zip(*(pres.degrees[i] for i in chain)))) for chain in chains)
         assert dbc.sigma_degrees(pres, word) == sums
+
+
+def _product_formula(pres, sigma):
+    """Reference: psi_kj as the double sum of nu_il over i in S_k and l in S_j, entry by entry."""
+    eta, nu = pres.dwd.eta, pres.nu.psi
+    supports = [[i for i in sigma[: k + 1] if eta[i] == eta[x]] for k, x in enumerate(sigma)]
+    return tuple(tuple(sum(nu[i][l] for i in sk for l in sj) for sj in supports) for sk in supports)
+
+
+def _entrywise_double_word_columns(cartan, letters, eps, walk, ex):
+    """Reference: the columns of the Berenstein-Fomin-Zelevinsky rule, one entry (j, k) at a time."""
+    n = len(letters)
+    pred = walk.pred
+    s = tuple(n if x is None else x for x in walk.succ)
+
+    def entry(j, k):
+        if j == pred[k]:
+            return -eps[k]
+        if j == s[k]:
+            return eps[j]
+        cjk = cartan[letters[j] - 1][letters[k] - 1]
+        sj, sk = s[j], s[k]
+        if j < k:
+            if (k < sj and sj < sk and eps[k] == eps[sj]) or (k < sk and sk < sj and eps[k] != eps[sk]):
+                return -eps[k] * cjk
+        if k < j:
+            if (j < sk and sk < sj and eps[j] == eps[sk]) or (j < sj and sj < sk and eps[j] != eps[sj]):
+                return eps[j] * cjk
+        return 0
+
+    return tuple(tuple(entry(j, k) for j in range(n)) for k in ex)
+
+
+def _entrywise_reindex(seed, tau):
+    """Reference: (psi, ex, columns, inv, degrees, d) of the seed reindexed by tau, entry by entry."""
+    n = seed.size
+    inverse = {v: j for j, v in enumerate(tau)}
+    ex = tuple(sorted(inverse[k] for k in seed.ex))
+    return (
+        tuple(tuple(seed.frame.psi[tau[j]][tau[k]] for k in range(n)) for j in range(n)),
+        ex,
+        tuple(tuple(seed.exchange.column(tau[k])[tau[j]] for j in range(n)) for k in ex),
+        frozenset(inverse[k] for k in seed.inv),
+        tuple(seed.degrees[tau[j]] for j in range(n)),
+        tuple(seed.d[tau[j]] for j in range(n)),
+    )
+
+
+def _assert_kernels_match_their_references(pres, rng):
+    """Every sigma-seed's frame, exchange matrix and reindexings against the entrywise rules above.
+
+    The minor-labelled seed, whose frozen indices are invertible, is checked
+    and reindexed too.
+    """
+    cartan = pres.cartan.cartan
+
+    def reindexings(seed):
+        n = seed.size
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        taus = [tuple(range(n)), tuple(reversed(range(n))), tuple(shuffled)]
+        taus += [tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n)) for k in range(n - 1)]
+        for tau in taus:
+            moved = reindex(seed, tau)
+            got = (moved.frame.psi, moved.ex, moved.exchange.cols, moved.inv, moved.degrees, moved.d)
+            assert got == _entrywise_reindex(seed, tau)
+            assert moved.frame == seed.frame.reindex(tau)
+
+    for sigma, seed in pres.seeds.items():
+        word = pres.dwd.spell(sigma)
+        assert seed.frame.psi == dbc.sigma_frame_product(pres, word).psi == _product_formula(pres, sigma)
+        want = _entrywise_double_word_columns(cartan, word.letters, word.eps, word.walk, word.ex)
+        assert seed.exchange.cols == dbc.btau_columns(pres.dwd, word).cols == want
+        reindexings(seed)
+    bz = pres.bz["plain"]
+    eps = tuple(1 if k < pres.cartan.rank + len(pres.dwd.w_word) else -1 for k in range(len(bz.eta)))
+    assert bz.seed.exchange.cols == _entrywise_double_word_columns(cartan, bz.eta, eps, bz.walk, bz.seed.ex)
+    assert bz.seed.inv
+    reindexings(bz.seed)
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_kernels_match_their_entrywise_references(name, data):
+    # the product formula, the double-word exchange rule and the reindexing
+    # gather whole rows; each must give what its rule gives entry by entry
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    _assert_kernels_match_their_references(dbc.bowtie_build(cartan, w, u), data.draw(st.randoms(use_true_random=False)))
+
+
+@pytest.mark.parametrize(
+    "name, w, u",
+    [("A1", (), ()), ("A1", (1,), ()), ("A1", (), (1,)), ("A1", (1,), (1,)), ("A2", (1,), (2,)), ("G2", (2,), (1,))],
+)
+def test_sweep_kernels_match_their_entrywise_references_on_the_smallest_words(name, w, u):
+    # n = 0, n = 1 and one-letter words: a gather of fewer than two indices
+    # must still give tuples
+    pres = dbc.bowtie_build(cartan_init(name[0], int(name[1:])), w, u)
+    assert pres.size == len(w) + len(u)
+    _assert_kernels_match_their_references(pres, random.Random(0))
 
 
 def _adjacent(pres):

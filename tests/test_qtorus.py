@@ -9,6 +9,7 @@ from dbseeds import linalg
 from dbseeds.qtorus import (
     DimensionMismatch,
     FrameMatrix,
+    InexactScalar,
     NonIntegralFrame,
     VLaurent,
     bicharacter,
@@ -91,6 +92,38 @@ def test_vlaurent_cancellations_leave_no_zero_term():
     z = (one + v) * (one - v)
     _assert_reduced(z)
     assert z.terms == {0: 1, 2: -1}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VLaurent({0: 0.1}),
+        lambda: VLaurent({0.5: 1}),
+        lambda: VLaurent({Q(1, 2): 1, 1: 2.0}),
+        lambda: VLaurent({0: 1j}),
+        lambda: VLaurent.v_power(0.5),
+        lambda: VLaurent.v_power(1, 0.25),
+        lambda: VLaurent.q_power(0.5),
+        lambda: VLaurent.q_power(1, 1.0),
+        lambda: VLaurent.one().scale(0.25),
+        lambda: VLaurent.one().scale(1.0),
+    ],
+    ids=["coef", "exponent", "second-term", "complex", "v_power", "v_power-coef", "q_power", "q_power-coef",
+         "scale", "scale-integral-float"],
+)
+def test_scalars_refuse_inexact_numbers(build):
+    # there is no floating point anywhere: a float exponent or coefficient is
+    # refused, even an integral one, rather than read as the binary rational
+    # it stores (0.1 would be 3602879701896397/36028797018963968)
+    with pytest.raises(InexactScalar, match="is not an exact rational"):
+        build()
+
+
+def test_scalars_take_every_exact_number():
+    half = VLaurent({Q(1, 2): Q(1, 2)})
+    assert VLaurent({"1/2": "1/2"}) == VLaurent.v_power(Q(1, 2), Q(1, 2)) == half
+    assert VLaurent.q_power(Q(1, 4), Q(1, 2)) == half == VLaurent.v_power(Q(1, 2)).scale(Q(1, 2))
+    assert VLaurent.q_power(1, -3) == VLaurent({2: -3}) == VLaurent.v_power(2).scale(-3)
 
 
 def test_bicharacter_examples():
@@ -195,6 +228,56 @@ def test_frame_validation():
         FrameMatrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         FrameMatrix.from_rows([[1, 0], [0, 1]])
+
+
+SQUARE = (DimensionMismatch, "psi must be square")
+DIAGONAL = (ValueError, "psi must vanish on the diagonal")
+SKEW = (ValueError, "psi must be skew-symmetric")
+
+
+def _not_an_int(x):
+    return (NonIntegralFrame, f"frame exponent {x!r} is not an int")
+
+
+@pytest.mark.parametrize(
+    "psi, want",
+    [
+        # ragged rows: a short or long row anywhere, and a short row after a
+        # valid prefix, which a zip(*psi) shortcut would truncate silently
+        (((0,), (1, 0)), SQUARE),
+        (((0, 1), (-1, 0, 5)), SQUARE),
+        (((0, 1, 2), (-1, 0, 3), (-2,)), SQUARE),
+        (((),), SQUARE),
+        # entries that are not ints, named by the first in row-major order
+        (((0, True), (-1, 0)), _not_an_int(True)),
+        (((0, 1.0), (-1, 0)), _not_an_int(1.0)),
+        (((0, Q(1)), (-1, 0)), _not_an_int(Q(1))),
+        (((0, Q(1), 1.0), (-1, 0, 0), (0, 0, 0)), _not_an_int(Q(1))),
+        (((False,),), _not_an_int(False)),
+        # the diagonal, then skew-symmetry
+        (((1, 0), (0, 0)), DIAGONAL),
+        (((0, 1), (1, 0)), SKEW),
+        (((0, 1, 2), (-1, 0, 3), (-2, 3, 0)), SKEW),
+        # several defects: the first that the row-by-row check meets wins
+        (((0, 1.5, 0), (-1, 0, 0), (0,)), _not_an_int(1.5)),
+        (((0, 1, 0), (-1,), (0, 0, 2.5)), SQUARE),
+        (((0, 1, 0), (1, 0, 0), (0,)), SKEW),
+        (((0, 0), (1.5, 1)), _not_an_int(1.5)),
+        (((0, 1), (5, 3)), DIAGONAL),
+        (((0, 1, 0), (-1, 0, 0), (0, 0, 0.5)), _not_an_int(0.5)),
+    ],
+)
+def test_frame_validation_names_the_first_defect(psi, want):
+    cls, message = want
+    with pytest.raises(ValueError) as exc:
+        FrameMatrix(psi)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+
+
+def test_frame_validation_takes_the_empty_and_the_one_by_one_frame():
+    assert FrameMatrix(()).size == 0
+    assert FrameMatrix(((0,),)).size == 1
 
 
 def test_from_rows_numerators_and_rationals_raise_alike():

@@ -121,6 +121,27 @@ def test_trusted_frames_come_only_from_valid_constructions():
     assert "_trusted" not in (SRC / "verify.py").read_text()
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_frame_product_oracle_reads_no_chain_recursion():
+    # `sigma_frame_product` checks the chain congruence `sigma_frame`, so it
+    # may read neither `_chain_sums` nor a walk: of its word only sigma, and
+    # of dbc only `_support_sums`, which reads neither either
+    oracle = _function("dbc.py", "sigma_frame_product")
+    helpers = {n.name for n in ast.parse((SRC / "dbc.py").read_text()).body if isinstance(n, ast.FunctionDef)}
+    called = {n.func.id for n in ast.walk(oracle) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert called & helpers == {"_support_sums"}
+    for fn in (oracle, _function("dbc.py", "_support_sums")):
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+        assert "_chain_sums" not in names and "walk" not in names | attrs
+    word = oracle.args.args[1].arg
+    assert {n.attr for n in ast.walk(oracle) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == word} == {"sigma"}
+
+
 def test_trusted_scalars_come_only_from_scalar_arithmetic():
     # `VLaurent._reduced` skips the term checks, so only VLaurent's own ring
     # operations, whose operands already hold the invariant, may call it
@@ -159,10 +180,10 @@ def test_combine_is_the_one_sparse_row_sum_rule():
 
 def test_builders_behind_the_sigma_boundary_take_the_word():
     # `spell` is the one sigma lookup: the boundary (`spell`, `pres.seed`,
-    # `sigma_seed`, `solve_b_oracle`, `sigma_frame_product`, `bfz_matrix`,
-    # `b_columns`, the CLI) spells, and the builders behind it read the word
-    builders = ("dbc.py:sigma_frame", "dbc.py:sigma_degrees", "dbc.py:btau_columns",
-                "dbc.py:oracle_system", "verify.py:_block_rank_is_full")
+    # `sigma_seed`, `solve_b_oracle`, `bfz_matrix`, `b_columns`, the CLI)
+    # spells, and the builders behind it read the word
+    builders = ("dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "dbc.py:sigma_degrees",
+                "dbc.py:btau_columns", "dbc.py:oracle_system", "verify.py:_block_rank_is_full")
     assert [c for c in _callers("spell") if c in builders] == []
     # and no parameter takes either a sigma or its word
     unions = []
