@@ -1,7 +1,7 @@
 """Normal-form engine for explicitly presented iterated skew polynomial algebras.
 
-A presentation consists of generator count n, the v-exponent matrix of the
-commutation scalars, and straightening tails T_{kj} supported strictly
+A presentation on n generators consists of the n x n v-exponent matrix of
+the commutation scalars and straightening tails T_{kj} supported strictly
 between j and k, encoding  x_k x_j = lambda_{kj} x_j x_k + T_{kj}  for k > j.
 Elements are kept in the PBW basis x_1^{m_1} ... x_n^{m_n}.
 
@@ -35,6 +35,9 @@ class ExampleMismatch(ValueError):
 
 class RewriteBudgetExceeded(RuntimeError):
     """A product exceeded the rewrite budget; the tails are suspect."""
+
+
+REWRITE_BUDGET = 10**6   # words one `nf_mul` product may expand
 
 
 Exponent = tuple[int, ...]
@@ -131,30 +134,39 @@ def leading_term(a: NFPoly) -> tuple[VLaurent, Exponent]:
 class CGLPresentation:
     """Presented skew polynomial algebra with level and degree bookkeeping; eta is walked once (`walk`)."""
 
-    n: int
-    lambda_exp: tuple[tuple[int, ...], ...]       # v-exponents, skew-symmetric
+    lambda_exp: tuple[tuple[int, ...], ...]       # v-exponents, skew-symmetric, one row per generator
     tails: dict[tuple[int, int], NFPoly]          # (k, j) with k > j; absent = 0
     eta: tuple[int, ...]
     degrees: tuple[tuple[int, ...], ...]
-    rewrite_budget: int = 10**6
 
     def __post_init__(self):
-        for i in range(self.n):
+        n = self.n
+        lengths = {len(row) for row in self.lambda_exp} | {len(self.eta), len(self.degrees)}
+        if lengths != {n} or len(set(map(len, self.degrees))) > 1:
+            raise PresentationError(f"lambda rows, eta and degrees must each have {n} entries, and degrees one width")
+        for i in range(n):
             if self.lambda_exp[i][i] != 0:
                 raise PresentationError("lambda exponents must vanish on the diagonal")
             for j in range(i):
                 if self.lambda_exp[i][j] != -self.lambda_exp[j][i]:
                     raise PresentationError("lambda exponents must be skew-symmetric")
         for (k, j), tail in self.tails.items():
-            if not k > j:
-                raise PresentationError("tails are indexed by pairs k > j")
+            if not n > k > j >= 0:
+                raise PresentationError(f"tails are indexed by generator pairs k > j, not ({k},{j})")
             inside = set(range(j + 1, k))
             if not tail.support_indices() <= inside:
                 raise PresentationError(f"tail ({k},{j}) leaves the open interval")
             want = tuple(a + b for a, b in zip(self.degrees[k], self.degrees[j]))
             for f in tail.terms:
+                if len(f) != n:
+                    raise PresentationError(f"tail ({k},{j}) has a term with other than {n} exponents")
                 if self.monomial_degree(f) != want:
                     raise PresentationError(f"tail ({k},{j}) is not degree-homogeneous")
+
+    @property
+    def n(self) -> int:
+        """The generator count."""
+        return len(self.lambda_exp)
 
     @property
     def nu_exp(self) -> tuple[tuple[Q, ...], ...]:
@@ -218,10 +230,14 @@ def nf_mul(pres: CGLPresentation, a: NFPoly, b: NFPoly) -> NFPoly:
     longest word with the most inversions is expanded first, so with tails
     of fewer than two letters every word waits for all words that rewrite
     into it.  A PBW-ordered word goes straight to the one accumulator; the
-    one rewrite budget of the product counts the words expanded.
+    engine's rewrite budget, `REWRITE_BUDGET` words per product, counts the
+    words expanded.  Every operand term must have one exponent per generator.
     """
+    n = pres.n
+    if any(len(f) != n for f in a._terms) or any(len(g) != n for g in b._terms):
+        raise PresentationError(f"nf_mul operands must have {n} exponents per term")
     rules = pres.rewrite_rules
-    budget = pres.rewrite_budget
+    budget = REWRITE_BUDGET
     done: dict[tuple[int, ...], VLaurent] = {}      # PBW-ordered words
     pending: dict[tuple[int, ...], VLaurent] = {}
     heap: list[tuple[int, int, tuple[int, ...]]] = []
@@ -255,7 +271,6 @@ def nf_mul(pres: CGLPresentation, a: NFPoly, b: NFPoly) -> NFPoly:
         for g, cg in tail:
             v = head + g + rest
             put(v, c * cg, _inversions(v))
-    n = pres.n
     return NFPoly({tuple(map(w.count, range(n))): c for w, c in done.items()})
 
 
@@ -466,14 +481,7 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
             raise PresentationError("rescaling units must be nonzero monomials")
 
     new_tails = {(k, j): _rescaled(tail, t, _product(t, (k, j))) for (k, j), tail in pres.tails.items()}
-    new_pres = CGLPresentation(
-        n=pres.n,
-        lambda_exp=pres.lambda_exp,
-        tails=new_tails,
-        eta=pres.eta,
-        degrees=pres.degrees,
-        rewrite_budget=pres.rewrite_budget,
-    )
+    new_pres = CGLPresentation(lambda_exp=pres.lambda_exp, tails=new_tails, eta=pres.eta, degrees=pres.degrees)
     p, o_plus = pres.walk.pred, pres.walk.o_plus
     y_scalars: list = [None] * pres.n
     u_scalars: dict[tuple[int, int], VLaurent] = {}
@@ -501,7 +509,6 @@ def sl2_presentation() -> tuple[CGLPresentation, CTable]:
     """Two generators with  x_2 x_1 = q^2 x_1 x_2 + (1 - q^2)."""
     one_minus_q2 = VLaurent({0: 1, 4: -1})
     pres = CGLPresentation(
-        n=2,
         lambda_exp=((0, -4), (4, 0)),
         tails={(1, 0): NFPoly({(0, 0): one_minus_q2})},
         eta=(1, 1),
@@ -522,7 +529,6 @@ def a2_presentation() -> tuple[CGLPresentation, CTable]:
     one_minus_q2 = VLaurent({0: 1, 4: -1})
     kappa_prime = VLaurent({-1: 1, 3: -1})   # v^{-1} - v^3
     pres = CGLPresentation(
-        n=4,
         lambda_exp=(
             (0, 2, -2, 2),
             (-2, 0, 2, -2),

@@ -17,9 +17,9 @@ w = 1,2,1,3,2,1,4,3,2,1 and u = 1,2,1,3,2,1 (n = 16, Python 3.11.7 on
 `cgl-nf --word` is bounded by CGL_NF_MAX_LETTERS, since straightening a
 word costs about exponentially in its length; a longer word exits 2 before
 any product is computed, and so does a product that exhausts the
-presentation's rewrite budget.  At the bound the slowest word shapes found
-(Python 3.11.7 on 2 CPUs) were 2^12,1^12 on sl2, 0.5 s at 18 MiB peak RSS,
-and 4^6,3^12,1^6 on a2, 2.0 s at 19 MiB.
+engine's rewrite budget, `cgl.REWRITE_BUDGET`.  At the bound the slowest
+word shapes found (Python 3.11.7 on 2 CPUs) were 2^12,1^12 on sl2, 0.5 s
+at 18 MiB peak RSS, and 4^6,3^12,1^6 on a2, 2.0 s at 19 MiB.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -224,7 +224,7 @@ def cmd_mutate(args) -> int:
 def cmd_verify(args) -> int:
     cartan, w, u = _parse_pair(args)
     _bound_xi_sweep(w, u, "verify builds the seeds of")
-    results = verify.verify_pair(cartan, w, u, all_xi=args.all_xi, fault=args.self_test_fault)
+    results = verify.verify_pair(cartan, w, u, all_xi=args.all_xi)
     payload = {
         "cartan": jsonio.encode_cartan(cartan),
         "w": list(w),
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the named checks for one word pair")
     common(p_ver)
     p_ver.add_argument("--all-xi", action="store_true")
-    p_ver.add_argument("--self-test-fault", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_xi = sub.add_parser("xi-list", help="enumerate interval permutations")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from . import dbc, linalg
 from .coxeter import CartanData, SigmaWord
-from .qtorus import FrameMatrix, NonIntegralFrame, frame_restrict
+from .qtorus import NonIntegralFrame, frame_restrict
 from .seedcore import (
     check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis, reindex,
 )
@@ -19,20 +19,14 @@ class CheckResult:
     detail: str = ""
 
 
-def compat_identity(pres: dbc.BowtiePresentation, fault: bool = False) -> CheckResult:
+def compat_identity(pres: dbc.BowtiePresentation) -> CheckResult:
     """Frame pairing of every exchange column: 2 d_k on the diagonal, 0 off it."""
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     w0 = dbc.w0_permutation(dwd)
     seed = pres.seed(w0)
-    frame = seed.frame
-    if fault and frame.size >= 2:
-        psi = [list(row) for row in frame.psi]
-        psi[0][1] += 1
-        psi[1][0] -= 1
-        frame = FrameMatrix(tuple(tuple(r) for r in psi))
     b = seed.exchange
-    for k, row in zip(b.ex, exchange_pairings(frame, b)):
+    for k, row in zip(b.ex, exchange_pairings(seed.frame, b)):
         for j, got in enumerate(row):
             want = 2 * pres.cartan.d[dwd.eta[w0[k]] - 1] if j == k else 0
             if got != want:
@@ -236,7 +230,7 @@ def connections(pres: dbc.BowtiePresentation) -> CheckResult:
     return CheckResult("connections", rep.ok, rep.detail)
 
 
-def verify_pair(cartan: CartanData, w, u, all_xi: bool = False, fault: bool = False) -> list[CheckResult]:
+def verify_pair(cartan: CartanData, w, u, all_xi: bool = False) -> list[CheckResult]:
     """The named checks for one word pair, in a fixed order, on one presentation.
 
     Every sigma-seed is built before the first check, so that no check's
@@ -244,7 +238,7 @@ def verify_pair(cartan: CartanData, w, u, all_xi: bool = False, fault: bool = Fa
     """
     pres = dbc.bowtie_build(cartan, w, u)
     pres.seeds
-    out = [compat_identity(pres, fault=fault), grading_identity(pres)]
+    out = [compat_identity(pres), grading_identity(pres)]
     if all_xi:
         out += [btau_oracle_equivalence(pres), xi_linkage(pres)]
     return out + [sigma_skew_symmetrizable(pres), bz_compatibility(pres), connections(pres)]

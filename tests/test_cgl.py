@@ -64,31 +64,24 @@ def test_nf_mul_associativity_random(sl2, a2):
         audit_presentation(pres, trials=120, max_degree=3, seed=17)
 
 
-def test_rewrite_budget_guard(sl2):
+def test_rewrite_budget_guard(sl2, monkeypatch):
     pres, _ = sl2
-    tight = CGLPresentation(
-        n=pres.n,
-        lambda_exp=pres.lambda_exp,
-        tails=pres.tails,
-        eta=pres.eta,
-        degrees=pres.degrees,
-        rewrite_budget=1,
-    )
+    monkeypatch.setattr(cgl, "REWRITE_BUDGET", 1)
     big = NFPoly.monomial((0, 3))
     with pytest.raises(RewriteBudgetExceeded):
-        nf_mul(tight, big, NFPoly.monomial((3, 0)))
+        nf_mul(pres, big, NFPoly.monomial((3, 0)))
 
 
-def test_rewrite_budget_is_shared_by_the_term_pairs(sl2):
+def test_rewrite_budget_is_shared_by_the_term_pairs(sl2, monkeypatch):
     # x2 x1 and x1 x2 x1 each straighten in one rewrite; their sum needs two
     pres, _ = sl2
-    tight = dataclasses.replace(pres, rewrite_budget=1)
+    monkeypatch.setattr(cgl, "REWRITE_BUDGET", 1)
     a = NFPoly({(0, 1): VLaurent.one(), (1, 1): VLaurent.one()})
     x1 = NFPoly.generator(2, 0)
     for f in a.terms:
-        nf_mul(tight, NFPoly.monomial(f), x1)
+        nf_mul(pres, NFPoly.monomial(f), x1)
     with pytest.raises(RewriteBudgetExceeded):
-        nf_mul(tight, a, x1)
+        nf_mul(pres, a, x1)
 
 
 def _reference_nf_mul(pres, a, b):
@@ -126,7 +119,9 @@ def _check_against_reference(pres, a, b):
     """
     want, steps, rewritten = _reference_nf_mul(pres, a, b)
     assert len(rewritten) <= steps
-    got = nf_mul(dataclasses.replace(pres, rewrite_budget=len(rewritten)), a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cgl, "REWRITE_BUDGET", len(rewritten))
+        got = nf_mul(pres, a, b)
     assert got == want
     return got
 
@@ -186,7 +181,6 @@ def test_rewrite_rules_are_built_once_per_presentation(a2, monkeypatch):
 def test_presentation_rejects_bad_tail_support():
     with pytest.raises(PresentationError):
         CGLPresentation(
-            n=2,
             lambda_exp=((0, -4), (4, 0)),
             tails={(1, 0): NFPoly({(1, 0): VLaurent.one()})},   # touches x_1
             eta=(1, 1),
@@ -194,10 +188,36 @@ def test_presentation_rejects_bad_tail_support():
         )
 
 
+@pytest.mark.parametrize("shape", [
+    {"lambda_exp": ((0, 2, 5), (-2, 0))},                    # a ragged row
+    {"eta": (1, 1, 1)},
+    {"degrees": ((-1,),)},
+    {"degrees": ((-1,), (1, 0))},                            # degrees of two widths
+    {"tails": {(5, 0): NFPoly()}},                            # past the last generator
+    {"tails": {(1, -1): NFPoly()}},
+    {"tails": {(1, 0): NFPoly({(0,): VLaurent.one()})}},      # a term with one exponent
+])
+def test_presentation_rejects_a_shape_it_cannot_run(sl2, shape):
+    # n is len(lambda_exp); every row, eta, degrees and tail must fit it
+    pres, _ = sl2
+    with pytest.raises(PresentationError):
+        dataclasses.replace(pres, **shape)
+
+
+def test_nf_mul_rejects_operands_of_another_size(sl2):
+    # on two generators an x_3 factor would vanish and x_1 would pad to x^(2, 0)
+    pres, _ = sl2
+    with pytest.raises(PresentationError):
+        nf_mul(pres, NFPoly.monomial((0, 0, 1)), NFPoly.one(2))
+    with pytest.raises(PresentationError):
+        nf_mul(pres, NFPoly.monomial((1,)), NFPoly.monomial((1,)))
+    with pytest.raises(PresentationError):
+        nf_mul(pres, NFPoly.one(2), NFPoly({(1, 0): VLaurent.one(), (1,): VLaurent.one()}))
+
+
 def test_presentation_rejects_inhomogeneous_tail():
     with pytest.raises(PresentationError):
         CGLPresentation(
-            n=3,
             lambda_exp=((0, 0, -2), (0, 0, 0), (2, 0, 0)),
             tails={(2, 0): NFPoly({(0, 2, 0): VLaurent.one()})},
             eta=(1, 2, 1),
@@ -288,7 +308,6 @@ def test_xcomm_a2(a2):
 
 def test_y_elements_trivial_when_no_chains():
     pres = CGLPresentation(
-        n=2,
         lambda_exp=((0, -2), (2, 0)),
         tails={},
         eta=(1, 2),

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import os
@@ -11,6 +10,7 @@ from dbseeds.cli import main
 from dbseeds.coxeter import InvalidCartanType, cartan_init, enumerate_reduced_words
 from dbseeds.qtorus import FrameMatrix
 from dbseeds.seedcore import ExchangeMatrix, QuantumSeed
+from test_faults import MARK, frame_bump, marked
 
 
 def run(capsys, *argv):
@@ -193,8 +193,9 @@ def test_verify_rejects_nonreduced(capsys):
     assert err == '{"error": "w word (1, 1) is not reduced"}\n'
 
 
-def test_verify_fault_injection(capsys):
-    code, out, _ = run(capsys, "verify", "--type", "A1", "--w", "1", "--u", "1", "--self-test-fault")
+def test_verify_fault_injection(capsys, monkeypatch):
+    frame_bump(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--type", "A1", "--w", "1", "--u", "1")
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
@@ -251,8 +252,7 @@ def test_cgl_nf_checks_every_letter_before_any_product(capsys, monkeypatch):
 
 
 def test_cgl_nf_reports_an_exhausted_rewrite_budget(capsys, monkeypatch):
-    presets = {name: (dataclasses.replace(pres, rewrite_budget=1), c) for name, (pres, c) in cgl.shipped_presentations().items()}
-    monkeypatch.setattr(cli, "shipped_presentations", lambda: presets)
+    monkeypatch.setattr(cgl, "REWRITE_BUDGET", 1)
     code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1,1")
     assert code == 2 and out == ""
     assert "rewrite budget" in json.loads(err)["error"]
@@ -488,7 +488,7 @@ def _fuzz_argv(rng):
     elif command == "mutate":
         argv += ["--sigma", _fuzz_sigma(rng, n), "--seq", _fuzz_word(rng, n)]
     else:
-        argv += rng.sample(["--all-xi", "--self-test-fault"], rng.randint(0, 2))
+        argv += rng.sample(["--all-xi", MARK + "frame-bump"], rng.randint(0, 2))
     return argv
 
 
@@ -500,8 +500,10 @@ def test_fuzz_every_exit_is_documented_and_json(capsys):
     codes = set()
     for _ in range(300):
         argv = _fuzz_argv(rng)
+        args, fault = marked(argv)
         try:
-            code = main(argv)
+            with fault:
+                code = main(args)
         except SystemExit as exc:   # an argparse usage error
             assert exc.code == 2, argv
             capsys.readouterr()

@@ -2,8 +2,10 @@
 
 `tests/golden/index.json` lists every case's argv and exit code,
 `tests/golden/<case>.out` holds its stdout and `tests/golden/<case>.err` its
-stderr, a missing `.err` standing for none.  A refactor must reproduce all
-three exactly.  Regenerate the files only for an intended change of output:
+stderr, a missing `.err` standing for none.  An argv entry "@fault:<name>"
+is no CLI argument: the case runs the rest of its argv with the fault
+`test_faults.FAULTS[name]` injected (`test_faults.marked`).  A refactor must
+reproduce all three exactly.  Regenerate the files only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from dbseeds.cli import main
+from test_faults import MARK, marked
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -70,14 +73,15 @@ def cases() -> dict[str, list[str]]:
         out[f"{name}-seed-bz"] = ["seed", *pair, "--bz"]
         out[f"{name}-seed-mbz-reduce"] = ["seed", *pair, "--mbz", "--reduce"]
         out[f"{name}-verify-all-xi"] = ["verify", *pair, "--all-xi"]
-        out[f"{name}-verify-fault"] = ["verify", *pair, "--self-test-fault"]
+        out[f"{name}-verify-fault"] = ["verify", *pair, MARK + "frame-bump"]
         out[f"{name}-mutate"] = ["mutate", *pair, "--sigma", "wN", "--seq", seq]
     return out
 
 
 def replay(argv: list[str]) -> tuple[int, str, str]:
+    argv, fault = marked(argv)
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with fault, redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 

@@ -1,7 +1,12 @@
 """Source-level rules for the library."""
 
+import argparse
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
+
+from dbseeds import cgl, cli, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dbseeds"
 
@@ -205,3 +210,15 @@ def test_only_spell_builds_a_sigma_word():
 def test_dbc_does_not_test_sigma_entry_types():
     # the type test of a sigma's entries is `spell`'s alone
     assert [c for c in _callers("isinstance") + _callers("type") if c.startswith("dbc.py:")] == []
+
+
+def test_every_setting_is_one_a_caller_needs():
+    # faults are the tests' monkeypatches (tests/test_faults.py), the rewrite
+    # budget is the engine's constant, and a presentation's size is its
+    # lambda matrix's: no switch or second copy of a size a caller could set
+    assert list(inspect.signature(verify.verify_pair).parameters) == ["cartan", "w", "u", "all_xi"]
+    assert list(inspect.signature(verify.compat_identity).parameters) == ["pres"]
+    assert [f.name for f in dataclasses.fields(cgl.CGLPresentation)] == ["lambda_exp", "tails", "eta", "degrees"]
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices["verify"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--type", "--rank", "--w", "--u", "--out", "--all-xi"}
