@@ -33,6 +33,10 @@ class ExampleMismatch(ValueError):
     """A step of the rank-one worked example does not reproduce."""
 
 
+class GeneratorOutOfRange(IndexError):
+    """A generator index outside 0..n-1."""
+
+
 class RewriteBudgetExceeded(RuntimeError):
     """A product exceeded the rewrite budget; the tails are suspect."""
 
@@ -79,6 +83,9 @@ class NFPoly:
 
     @classmethod
     def generator(cls, n: int, i: int) -> "NFPoly":
+        """x_i among n generators (0-based i); raises GeneratorOutOfRange outside 0..n-1."""
+        if not 0 <= i < n:
+            raise GeneratorOutOfRange(f"generator {i} out of range 0..{n - 1}")
         return cls.monomial(tuple(1 if t == i else 0 for t in range(n)))
 
     @property

@@ -15,7 +15,8 @@ Conventions
   `DoubleWordData.spell(sigma)` builds it and is the one lookup and the one
   validation of a sigma.  The boundary spells; the builders behind it take
   the word and never spell again, and a sweep over sigmas that were spelled
-  reads their words from `DoubleWordData.words`.
+  reads their words from `DoubleWordData.words` (a single validated key,
+  from `DoubleWordData.spelled`).
 * The same-level walk of a word (`Walk`, built by `walk`) is taken once,
   where the word is built (`eta_machinery`, `spell`); consumers read it by
   name, and its order counts O_- and O_+ are computed only when read.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,6 +58,10 @@ class CartanData:
     The weight pairing is kept as one integer form over one denominator:
     <w_i, w_j> = weight_form[i][j] / weight_den, where weight_den is the
     least common denominator of C^{-T} D and weight_form is weight_den C^{-T} D.
+    Beside it `cartan_init` tabulates the root Gram matrix
+    gram[i][j] = d_i c_ij = <alpha_i, alpha_j> and the simple roots in
+    fundamental-weight coordinates, alpha_weights[i][j] = c_ji, so every
+    pairing, image and reflection below reads a table row by row.
     """
 
     family: str
@@ -64,28 +70,28 @@ class CartanData:
     d: tuple[int, ...]                       # d_i = |alpha_i|^2 / 2
     weight_form: tuple[tuple[int, ...], ...]  # weight_den * <w_i, w_j>
     weight_den: int
+    gram: tuple[tuple[int, ...], ...]         # d_i c_ij = <alpha_i, alpha_j>
+    alpha_weights: tuple[Weight, ...]         # alpha_i in fundamental-weight coordinates
+
+    def gram_image(self, a: Sequence[int]) -> tuple[int, ...]:
+        """The vector gram . a: <x, a> = x . gram_image(a) for x in simple-root coordinates."""
+        return tuple(sum(map(mul, row, a)) for row in self.gram)
 
     def pair_alpha(self, a: Sequence[int], b: Sequence[int]) -> int:
         """<x, y> for root-lattice vectors in simple-root coordinates."""
-        total = 0
-        for i in range(self.rank):
-            if a[i] == 0:
-                continue
-            for j in range(self.rank):
-                total += a[i] * b[j] * self.d[i] * self.cartan[i][j]
-        return total
+        return sum(map(mul, a, self.gram_image(b)))
 
     def weight_image(self, mu: Sequence[int]) -> tuple[int, ...]:
         """The integer vector weight_form . mu: weight_den <nu, mu> = nu . weight_image(mu)."""
-        return tuple(sum(f * m for f, m in zip(row, mu)) for row in self.weight_form)
+        return tuple(sum(map(mul, row, mu)) for row in self.weight_form)
 
     def pair_weight(self, mu: Sequence[int], nu: Sequence[int]) -> Q:
         """<mu, nu> for weights in fundamental-weight coordinates, exactly."""
-        return Q(sum(m * x for m, x in zip(mu, self.weight_image(nu))), self.weight_den)
+        return Q(sum(map(mul, mu, self.weight_image(nu))), self.weight_den)
 
     def alpha_in_weights(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (0-based i)."""
-        return tuple(self.cartan[j][i] for j in range(self.rank))
+        return self.alpha_weights[i]
 
 
 def _chain_edges(n: int) -> list[tuple[int, int]]:
@@ -167,8 +173,9 @@ def cartan_init(family: str, rank: int) -> CartanData:
                 raise InvalidCartanType(f"{fam}{n}: weight pairing is not symmetric at ({i}, {j})")
     den = math.lcm(*(x.denominator for row in pairing for x in row))
     form = tuple(tuple(int(x * den) for x in row) for row in pairing)
+    gram = tuple(tuple(d[i] * x for x in row) for i, row in enumerate(c))
 
-    return CartanData(fam, n, tuple(tuple(r) for r in c), tuple(d), form, den)
+    return CartanData(fam, n, tuple(tuple(r) for r in c), tuple(d), form, den, gram, tuple(zip(*c)))
 
 
 def reflect(cartan: CartanData, i: int, mu: Sequence[int]) -> Weight:
@@ -176,15 +183,14 @@ def reflect(cartan: CartanData, i: int, mu: Sequence[int]) -> Weight:
     if not 1 <= i <= cartan.rank:
         raise IndexError(f"letter {i} out of range 1..{cartan.rank}")
     coef = mu[i - 1]
-    alpha = cartan.alpha_in_weights(i - 1)
-    return tuple(m - coef * a for m, a in zip(mu, alpha))
+    return tuple(m - coef * a for m, a in zip(mu, cartan.alpha_weights[i - 1]))
 
 
 def reflect_root(cartan: CartanData, i: int, a: Sequence[int]) -> Root:
     """Simple reflection s_i on a root-lattice vector in root coordinates."""
     if not 1 <= i <= cartan.rank:
         raise IndexError(f"letter {i} out of range 1..{cartan.rank}")
-    coef = sum(cartan.cartan[i - 1][j] * a[j] for j in range(cartan.rank))
+    coef = sum(map(mul, cartan.cartan[i - 1], a))
     out = list(a)
     out[i - 1] -= coef
     return tuple(out)
@@ -209,17 +215,14 @@ def word_roots(cartan: CartanData, word: Sequence[int]) -> list[Root]:
     return roots
 
 
+def _roots_are_reduced(roots: Sequence[Root]) -> bool:
+    """Whether a word's beta_k are pairwise distinct positive roots, the test of reducedness."""
+    return len(set(roots)) == len(roots) and all(min(a) >= 0 and max(a) > 0 for a in roots)
+
+
 def is_reduced(cartan: CartanData, word: Sequence[int]) -> bool:
     """A word is reduced iff its beta_k are pairwise distinct positive roots."""
-    roots = word_roots(cartan, word)
-    seen = set()
-    for a in roots:
-        if not (all(x >= 0 for x in a) and any(x > 0 for x in a)):
-            return False
-        if a in seen:
-            return False
-        seen.add(a)
-    return True
+    return _roots_are_reduced(word_roots(cartan, word))
 
 
 def enumerate_reduced_words(cartan: CartanData, max_len: int) -> list[Word]:
@@ -337,6 +340,20 @@ class DoubleWordData:
         """
         return MappingProxyType(self._words)
 
+    def spelled(self, sigma: Sequence[int]) -> SigmaWord | None:
+        """The word `spell` keeps for sigma when sigma is that word's very key, else None.
+
+        That tuple passed `spell`'s validation when it became the key, so a
+        caller handed it back reads its word without spelling it again.  Any
+        other sigma gives None, an equal one among them (a float or bool
+        twin of a key hashes like it), and an unhashable one.
+        """
+        try:
+            word = self._words.get(sigma)
+        except TypeError:
+            return None
+        return word if word is not None and word.sigma is sigma else None
+
     def spell(self, sigma: Sequence[int]) -> SigmaWord:
         """The double word sigma spells on these positions; the one lookup and validation of a sigma.
 
@@ -365,14 +382,20 @@ class DoubleWordData:
 
 
 def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> DoubleWordData:
-    """Level function and chain data for the double word of (w, u)."""
+    """Level function and chain data for the double word of (w, u).
+
+    Each word's roots are walked once: they are its beta_k and its test of
+    reducedness.
+    """
     w = tuple(w_word)
     u = tuple(u_word)
+    roots = []
     for word, name in ((w, "w"), (u, "u")):
         for letter in word:
             if not 1 <= letter <= cartan.rank:
                 raise LetterOutOfRange(f"{name} word {word} has letter {letter} outside 1..{cartan.rank}")
-        if not is_reduced(cartan, word):
+        roots.append(tuple(word_roots(cartan, word)))
+        if not _roots_are_reduced(roots[-1]):
             raise NonReducedWordError(f"{name} word {word} is not reduced")
     eta = w[::-1] + u
     return DoubleWordData(
@@ -382,8 +405,8 @@ def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[in
         eta=eta,
         walk=walk(eta),
         epsilon=(-1,) * len(w) + (1,) * len(u),
-        beta=tuple(word_roots(cartan, w)),
-        beta_prime=tuple(word_roots(cartan, u)),
+        beta=roots[0],
+        beta_prime=roots[1],
     )
 
 

@@ -60,7 +60,9 @@ class BowtiePresentation:
         """Seed of one interval permutation, built on first use and kept.
 
         A sigma boundary: `dwd.spell` validates sigma, and the cache is keyed
-        by the sigma of the word it returns, so only a validated sigma is a key.
+        by the sigma of the word it returns, so only a validated sigma is a
+        key.  A miss hands that very key to `sigma_seed`, which reads its
+        word without spelling it again.
         """
         key = self.dwd.spell(sigma).sigma
         if key not in self._seeds:
@@ -95,14 +97,19 @@ def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int
                   +<beta'_|k|, beta_|j|>   on the mixed block,
 
     which is what the h(beta)/h(-beta') action of the presentation gives.
+    Each root's Gram image is taken once, and a pairing is one row sum
+    against it.
     """
     dwd = eta_machinery(cartan, w_word, u_word)
     n = dwd.size
     nw = dwd.n_w
+    roots = [dwd.root_at(k) for k in range(n)]
+    images = [cartan.gram_image(a) for a in roots]
     nu = [[0] * n for _ in range(n)]
     for k in range(n):
+        root = roots[k]
         for j in range(k):
-            pairing = cartan.pair_alpha(dwd.root_at(k), dwd.root_at(j))
+            pairing = sum(map(mul, root, images[j]))
             e = pairing if j < nw <= k else -pairing
             nu[k][j] = e
             nu[j][k] = -e
@@ -310,10 +317,12 @@ def sigma_seed(pres: BowtiePresentation, sigma: Sequence[int]) -> SigmaSeedData:
     """Full seed (frame, exchange, degrees) attached to an interval permutation.
 
     A sigma boundary: sigma is spelled once, and every part reads its word.
-    The frame is the chain congruence `sigma_frame`;
+    A sigma that `spell` already validated, the very key it returned, is
+    not spelled again (`dwd.spelled`); that is how `BowtiePresentation.seed`
+    passes a miss.  The frame is the chain congruence `sigma_frame`;
     `verify.sigma_skew_symmetrizable` compares it with the product formula.
     """
-    word = pres.dwd.spell(sigma)
+    word = pres.dwd.spelled(sigma) or pres.dwd.spell(sigma)
     seed = QuantumSeed(
         frame=sigma_frame(pres, word),
         exchange=btau_columns(pres.dwd, word),

@@ -6,11 +6,12 @@ type of its inputs: integer frames and vectors give an `int`, and a
 coordinates, since most of its vectors are basis vectors or sparse exchange
 columns.  The eliminations take integer matrices (an integral `Fraction`
 entry is accepted) and share one fraction-free routine, `_bareiss`, so
-`rank` and `solve_unique` compute with and return `int`s; only `mat_inv`
-divides, by the determinant, at the end.  They serve the genuine linear
-systems: the exchange-column oracle (one rank per sigma of a block with one
-column per level, and the whole system only when that block falls short),
-its solver, and graded reduction.  `frame_restrict` takes a rank only for
+`rank`, `solve_columns` and `solve_unique` compute with and return `int`s;
+only `mat_inv` divides, by the determinant, at the end.  They serve the
+genuine linear systems: the exchange-column oracle (one rank per sigma of a
+block with one column per level, and the whole system only when that block
+falls short), its solver, and graded reduction (one elimination for all of
+its shifts).  `frame_restrict` takes a rank only for
 vectors that fail its triangular-pattern test; mutation bases and
 reduction shifts pass it.  The sigma-seeds need none: their exchange
 matrices and frames are closed integer rules (`dbc.double_word_matrix`,
@@ -97,17 +98,20 @@ def _int_row(row: Sequence) -> list[int]:
     return [x if type(x) is int else _int(x) for x in row]
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
-    Returns (rows, pivot columns, d).  Row r ends with d in column
+    Returns (rows, pivot columns, d).  Pivots are sought in the first
+    `width` columns (all of them by default); the columns past them, such
+    as right-hand sides, are carried along.  Row r ends with d in column
     pivots[r] and 0 in every other pivot column; the rows past the pivots
-    are zero.  A step replaces each other row by (p * row - f * pivot row)
-    over the previous pivot (Bareiss, 1968).  Every entry stays an integer
-    minor of the input, so the division is exact.
+    are zero in the first `width` columns.  A step replaces each other row
+    by (p * row - f * pivot row) over the previous pivot (Bareiss, 1968).
+    Every entry stays an integer minor of the input, so the division is
+    exact.
     """
     n = len(rows)
-    m = len(rows[0]) if rows else 0
+    m = (len(rows[0]) if rows else 0) if width is None else width
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -150,7 +154,45 @@ def mat_inv(a: Sequence[Sequence]) -> Mat:
 
 
 class LinearSolveError(ValueError):
-    """Stacked linear system is inconsistent, does not pin a unique solution, or pins a non-integer one."""
+    """Stacked linear system is inconsistent, does not pin a unique solution, or pins a non-integer one.
+
+    `column` is the index of the right-hand side that failed, 0 for `solve_unique`.
+    """
+
+    def __init__(self, message: str, column: int = 0):
+        super().__init__(message)
+        self.column = column
+
+
+def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """The unique integer solution of a x = b for each b in `columns`, by one elimination.
+
+    The right-hand sides ride along as extra columns of one fraction-free
+    elimination of a.  Raises LinearSolveError for the first b whose
+    system fails, with the message `solve_unique(a, b)` gives and that b's
+    index as `column`: inconsistent (a pivot row is left over in b's
+    column), underdetermined (fewer pivots than unknowns), or a non-integer
+    entry (the first one is named).
+    """
+    m = len(a[0]) if a else 0
+    rows = [_int_row(row) + [_int(b[i]) for b in columns] for i, row in enumerate(a)]
+    rows, pivots, d = _bareiss(rows, m)
+    r = len(pivots)
+    out = []
+    for j in range(len(columns)):
+        c = m + j
+        if any(row[c] for row in rows[r:]):
+            raise LinearSolveError("inconsistent system", j)
+        if r < m:
+            raise LinearSolveError("underdetermined system", j)
+        sol = []
+        for row in rows[:m]:   # the pivots are the columns 0..m-1, in order
+            x, rem = divmod(row[c], d)
+            if rem:
+                raise LinearSolveError(f"non-integer entry {Q(row[c], d)}", j)
+            sol.append(x)
+        out.append(tuple(sol))
+    return tuple(out)
 
 
 def solve_unique(a: Sequence[Sequence], b: Sequence) -> tuple[int, ...]:
@@ -160,17 +202,4 @@ def solve_unique(a: Sequence[Sequence], b: Sequence) -> tuple[int, ...]:
     underdetermined (free variables remain), or its unique solution has a
     non-integer entry (the first one is named).
     """
-    m = len(a[0]) if a else 0
-    rows = [_int_row(row) + [_int(b[i])] for i, row in enumerate(a)]
-    rows, pivots, d = _bareiss(rows)
-    if m in pivots:
-        raise LinearSolveError("inconsistent system")
-    if len(pivots) < m:
-        raise LinearSolveError("underdetermined system")
-    sol = []
-    for row in rows[:m]:   # the pivots are the columns 0..m-1, in order
-        x, rem = divmod(row[m], d)
-        if rem:
-            raise LinearSolveError(f"non-integer entry {Q(row[m], d)}")
-        sol.append(x)
-    return tuple(sol)
+    return solve_columns(a, (b,))[0]

@@ -216,7 +216,8 @@ def graded_reduce(seed: QuantumSeed, n_reduce: int) -> QuantumSeed:
     """Quotient a graded seed by its first n_reduce frozen, invertible indices.
 
     The degrees of the first n_reduce variables must span every degree of
-    the seed with integer coordinates.  The result lives on the remaining
+    the seed with integer coordinates; all of the shifts come from one
+    elimination (`linalg.solve_columns`).  The result lives on the remaining
     indices, with all degrees zero.
     """
     if n_reduce == 0:
@@ -231,14 +232,12 @@ def graded_reduce(seed: QuantumSeed, n_reduce: int) -> QuantumSeed:
         raise ReductionError("reduced indices must be invertible")
 
     phi = linalg.transpose(seed.degrees[:n_reduce])
-    shifts: list[tuple[int, ...]] = []
-    for k in range(n_reduce, n):
-        try:
-            shifts.append(linalg.solve_unique(phi, seed.degrees[k]))
-        except linalg.LinearSolveError as exc:
-            raise ReductionError(
-                f"degree of index {k} is not an integer combination of the leading degrees: {exc}"
-            ) from None
+    try:
+        shifts = linalg.solve_columns(phi, seed.degrees[n_reduce:])
+    except linalg.LinearSolveError as exc:
+        raise ReductionError(
+            f"degree of index {n_reduce + exc.column} is not an integer combination of the leading degrees: {exc}"
+        ) from None
 
     vectors = []
     for k in range(n_reduce, n):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dbseeds import cgl, jsonio
 from dbseeds.cgl import (
     CGLPresentation,
+    GeneratorOutOfRange,
     NFPoly,
     PresentationError,
     RewriteBudgetExceeded,
@@ -50,6 +51,14 @@ def test_sl2_relation(sl2):
         (1, 1): VLaurent.q_power(2),
         (0, 0): VLaurent({0: 1, 4: -1}),
     })
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_generator_rejects_an_index_outside_the_generators(i):
+    # an off-by-one index is an error, not a factor 1
+    with pytest.raises(GeneratorOutOfRange, match=f"generator {i} out of range 0..1"):
+        NFPoly.generator(2, i)
+    assert NFPoly.generator(2, 1) == NFPoly.monomial((0, 1))
 
 
 def test_nf_mul_unit(sl2):

@@ -13,6 +13,7 @@ from dbseeds.coxeter import (
     eta_machinery,
     is_reduced,
     reflect,
+    reflect_root,
     sigma_chain,
     walk,
     word_roots,
@@ -65,6 +66,30 @@ def test_pairing_consistency_all_types():
                 wj = tuple(1 if t == j else 0 for t in range(rank))
                 want = c.d[i] if i == j else 0
                 assert c.pair_weight(alpha, wj) == want
+
+
+@settings(max_examples=140, deadline=None, derandomize=True)
+@given(st.sampled_from(TYPES), st.data())
+def test_cartan_tables_match_their_defining_formulas(name, data):
+    # the Gram matrix and the simple roots in weights are tables of C and d,
+    # and every pairing, image and reflection that reads them row by row
+    # agrees with its entry-by-entry formula
+    c = cartan_init(name[0], int(name[1:]))
+    r, cm, d = c.rank, c.cartan, c.d
+    assert c.gram == tuple(tuple(d[i] * cm[i][j] for j in range(r)) for i in range(r))
+    assert all(c.gram[i][j] == c.gram[j][i] for i in range(r) for j in range(r))
+    assert c.alpha_weights == tuple(tuple(cm[j][i] for j in range(r)) for i in range(r))
+    assert all(c.alpha_in_weights(i) == c.alpha_weights[i] for i in range(r))
+    vec = st.lists(st.integers(-6, 6), min_size=r, max_size=r).map(tuple)
+    a, b, mu = data.draw(vec), data.draw(vec), data.draw(vec)
+    i = data.draw(st.integers(1, r))
+    assert c.pair_alpha(a, b) == sum(a[s] * d[s] * cm[s][t] * b[t] for s in range(r) for t in range(r))
+    assert c.gram_image(b) == tuple(sum(d[s] * cm[s][t] * b[t] for t in range(r)) for s in range(r))
+    assert c.weight_image(mu) == tuple(sum(c.weight_form[s][t] * mu[t] for t in range(r)) for s in range(r))
+    # s_i mu = mu - <alpha_i^vee, mu> alpha_i, with alpha_i = sum_t c_ti w_t
+    assert reflect(c, i, mu) == tuple(mu[t] - mu[i - 1] * cm[t][i - 1] for t in range(r))
+    coef = sum(cm[i - 1][t] * a[t] for t in range(r))
+    assert reflect_root(c, i, a) == tuple(a[t] - (coef if t == i - 1 else 0) for t in range(r))
 
 
 def test_reflect_basics():

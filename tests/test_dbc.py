@@ -668,22 +668,26 @@ def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
 
 def test_verify_pair_builds_each_pair_level_seed_once(monkeypatch):
     # one word validation and one minor-labelled frame per pair; the reversed-w
-    # matrix is the reversed-w seed's own, not built apart from it
-    from dbseeds import coxeter
+    # matrix is the reversed-w seed's own, not built apart from it.  Each word's
+    # roots are walked once (they are its betas and its reducedness test), and
+    # the reduction solves all its shifts in one elimination
+    from dbseeds import coxeter, linalg
 
+    cartan, w, u = cartan_init("A", 3), (1, 2, 1, 3), (2, 3)
     calls = _count_calls(monkeypatch, "eta_machinery", "bz_seed", "bfz_matrix")
-    calls.update(is_reduced=0, weight_image=0)
-    for owner, name in ((coxeter, "is_reduced"), (CartanData, "weight_image")):
+    calls.update(word_roots=0, weight_image=0, _bareiss=0)
+    for owner, name in ((coxeter, "word_roots"), (CartanData, "weight_image"), (linalg, "_bareiss")):
         def counted(*args, _name=name, _honest=getattr(owner, name)):
             calls[_name] += 1
             return _honest(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    cartan, w, u = cartan_init("A", 3), (1, 2, 1, 3), (2, 3)
     results = verify.verify_pair(cartan, w, u)
     assert all(r.ok for r in results)
     n = cartan.rank + len(w) + len(u)
-    assert calls == {"eta_machinery": 1, "bz_seed": 1, "bfz_matrix": 0, "is_reduced": 2, "weight_image": 2 * n}
+    assert calls == {
+        "eta_machinery": 1, "bz_seed": 1, "bfz_matrix": 0, "word_roots": 2, "weight_image": 2 * n, "_bareiss": 1,
+    }
 
 
 def test_grading_identity_builds_one_sigma_seed(monkeypatch):
@@ -691,6 +695,29 @@ def test_grading_identity_builds_one_sigma_seed(monkeypatch):
     calls = _count_calls(monkeypatch, "sigma_seed")
     assert verify.grading_identity(pres).ok
     assert calls["sigma_seed"] == 1
+
+
+def test_a_seed_cache_miss_spells_sigma_once(monkeypatch):
+    # `pres.seed` validates sigma and hands that very key to `sigma_seed`,
+    # which reads its word instead of spelling it again
+    calls = []
+    honest = DoubleWordData.spell
+    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(sigma) or honest(self, sigma))
+    pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
+    assert verify.grading_identity(pres).ok
+    assert calls == [dbc.w0_permutation(pres.dwd)]
+    # only that very key skips the spelling: an equal tuple, a list, a bool
+    # twin and an unhashable sigma are spelled (and the twin refused)
+    key = calls[0] = next(iter(pres._seeds))
+    assert pres.dwd.spelled(key) is pres.dwd.words[key]
+    twin = tuple(bool(x) if x < 2 else x for x in key)
+    assert twin == key
+    for other in (tuple(list(key)), list(key), twin, ([0],) * len(key)):
+        assert pres.dwd.spelled(other) is None
+    assert dbc.sigma_seed(pres, tuple(list(key))).seed == pres._seeds[key]
+    with pytest.raises(NotAPermutation):
+        dbc.sigma_seed(pres, twin)
+    assert len(calls) == 1 + 2
 
 
 def test_seeds_spell_each_sigma_once(monkeypatch):

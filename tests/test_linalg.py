@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -127,6 +128,57 @@ def test_eliminations_match_sympy(system):
                 linalg.mat_inv(square)
         else:
             assert sympy.Matrix(linalg.mat_inv(square)) == s.inv()
+
+
+def _solve_text(a, b):
+    try:
+        return linalg.solve_unique(a, b)
+    except linalg.LinearSolveError as exc:
+        return str(exc)
+
+
+@st.composite
+def multi_rhs_systems(draw):
+    """An integer system with 1..5 right-hand sides, each of one of three kinds.
+
+    a x for an integer x (consistent, integral); a x divided by the gcd g of
+    its entries (the solution x / g is often non-integral); or drawn at
+    random (often inconsistent).
+    """
+    a, _ = draw(int_systems())
+    n, m = len(a), len(a[0])
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["image", "image", "divided", "random"]))
+        if kind == "random":
+            columns.append(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+            continue
+        x = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        b = [sum(row[j] * x[j] for j in range(m)) for row in a]
+        g = math.gcd(*b) if kind == "divided" else 1
+        columns.append([t // (g or 1) for t in b])
+    return a, columns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(multi_rhs_systems())
+@example(([[2, 1], [1, 1]], [[3, 2], [1, 0], [4, 3]]))            # every column solvable
+@example(([[1, 0], [0, 1], [1, 1]], [[1, 2, 3], [1, 2, 4]]))      # the second inconsistent
+@example(([[1, 2], [2, 4]], [[1, 2], [0, 1]]))                    # rank-deficient
+@example(([[2, 0], [0, 3]], [[2, 3], [1, 3]]))                    # the second non-integral
+@example(([[0, 0, 0]], [[0]]))                                    # zero matrix
+@example(([[1]], []))                                             # no right-hand side
+def test_solve_columns_agrees_with_solve_unique_column_by_column(system):
+    a, columns = system
+    want = [_solve_text(a, b) for b in columns]
+    fail = next((j for j, x in enumerate(want) if isinstance(x, str)), None)
+    if fail is None:
+        got = linalg.solve_columns(a, columns)
+        assert got == tuple(want) and all(type(x) is int for sol in got for x in sol)
+    else:
+        with pytest.raises(linalg.LinearSolveError) as info:
+            linalg.solve_columns(a, columns)
+        assert (info.value.column, str(info.value)) == (fail, want[fail])
 
 
 def test_eliminations_take_integral_fractions_only():

@@ -210,3 +210,25 @@ def test_graded_reduce_requires_integer_span():
     )
     with pytest.raises(ReductionError):
         graded_reduce(seed, 1)
+
+
+@pytest.mark.parametrize("degrees,k,reason", [
+    (((2,), (1,), (3,)), 1, "non-integer entry 1/2"),
+    (((2,), (4,), (3,)), 2, "non-integer entry 3/2"),
+    (((0,), (0,), (1,)), 1, "underdetermined system"),
+    (((2, 0), (4, 0), (2, 1)), 2, "inconsistent system"),
+])
+def test_graded_reduce_names_the_first_failing_index(degrees, k, reason):
+    # all of the shifts come from one elimination, and the error still names
+    # the first index whose degree is not an integer combination, and why
+    seed = QuantumSeed(
+        frame=FrameMatrix.from_rows([[0, 0, 0], [0, 0, -2], [0, 2, 0]]),
+        exchange=ExchangeMatrix(3, (1,), ((0, 0, 1),)),
+        inv=frozenset({0}),
+        degrees=degrees,
+        d=(1, 1, 1),
+    )
+    want = f"degree of index {k} is not an integer combination of the leading degrees: {reason}"
+    with pytest.raises(ReductionError) as info:
+        graded_reduce(seed, 1)
+    assert str(info.value) == want
