@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -204,15 +204,63 @@ def act_word_on_weight(cartan: CartanData, word: Sequence[int], mu: Sequence[int
     return out
 
 
+def prefix_weight_images(cartan: CartanData, word: Sequence[int]) -> list[tuple[Weight, ...]]:
+    """x_p(w_j) for every prefix x_p = s_{i_1} ... s_{i_p} of a word, p = 0..N, in one pass.
+
+    Entry p is the tuple of the images of the fundamental weights w_1..w_r
+    under x_p; `act_word_on_weight(cartan, word[:p], w_j)` is its entry j-1.
+    Appending the letter i to x_p moves only w_i, as s_i w_j = w_j -
+    delta_ij alpha_i: x_{p+1}(w_i) = x_p(w_i) - x_p(alpha_i), where
+    x_p(alpha_i) = sum_t c_ti x_p(w_t) is one row sum over the previous entry.
+    """
+    r = cartan.rank
+    images = tuple(tuple(_unit(r, j)) for j in range(r))
+    out = [images]
+    for letter in word:
+        if not 1 <= letter <= r:
+            raise IndexError(f"letter {letter} out of range 1..{r}")
+        i = letter - 1
+        moved = tuple(map(sub, images[i], linalg.combine(images, cartan.alpha_weights[i])))
+        images = images[:i] + (moved,) + images[i + 1:]
+        out.append(images)
+    return out
+
+
 def word_roots(cartan: CartanData, word: Sequence[int]) -> list[Root]:
-    """Roots beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) of a word."""
+    """Roots beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) of a word, in one pass.
+
+    The pass carries moved[j] = x(alpha_j) for the prefix x = s_{i_1} ...
+    s_{i_{k-1}} and each j that some letter has moved (x(alpha_j) = alpha_j
+    for the others), so beta_k = x(alpha_{i_k}).  Appending the letter i to x
+    moves alpha_j to s_i alpha_j = alpha_j - c_ij alpha_i, so x(alpha_j) loses
+    c_ij beta_k: only the j with c_ij != 0 change, over the support of beta_k,
+    rather than a walk over the whole prefix for every k.
+    """
+    r = cartan.rank
+    moved: dict[int, list[int]] = {}
     roots: list[Root] = []
-    for k, letter in enumerate(word):
-        a: Root = tuple(1 if j == letter - 1 else 0 for j in range(cartan.rank))
-        for prev in reversed(word[:k]):
-            a = reflect_root(cartan, prev, a)
-        roots.append(a)
+    for k, letter in enumerate(word, 1):
+        if not 1 <= letter <= r:
+            raise IndexError(f"letter {letter} out of range 1..{r}")
+        i = letter - 1
+        beta = moved.get(i) or _unit(r, i)
+        roots.append(tuple(beta))
+        if k == len(word):
+            break   # no later root reads the last letter's move
+        support = [(t, y) for t, y in enumerate(beta) if y]
+        for j, c in enumerate(cartan.cartan[i]):
+            if c:
+                image = moved.get(j)
+                if image is None:
+                    image = moved[j] = _unit(r, j)
+                for t, y in support:
+                    image[t] -= c * y
     return roots
+
+
+def _unit(r: int, i: int) -> list[int]:
+    """The i-th unit vector of length r, 0-based, as a list."""
+    return [0] * i + [1] + [0] * (r - 1 - i)
 
 
 def _roots_are_reduced(roots: Sequence[Root]) -> bool:

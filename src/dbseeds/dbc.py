@@ -24,8 +24,8 @@ from .coxeter import (
     Perm,
     SigmaWord,
     Walk,
-    act_word_on_weight,
     eta_machinery,
+    prefix_weight_images,
     walk,
     xi_enumerate,
 )
@@ -61,10 +61,12 @@ class BowtiePresentation:
 
         A sigma boundary: `dwd.spell` validates sigma, and the cache is keyed
         by the sigma of the word it returns, so only a validated sigma is a
-        key.  A miss hands that very key to `sigma_seed`, which reads its
-        word without spelling it again.
+        key.  A key `spell` already returned, such as `word.sigma` of a word
+        the caller spelled, is read through `dwd.spelled` and not spelled
+        again.  A miss hands the key to `sigma_seed`, which reads its word
+        the same way.
         """
-        key = self.dwd.spell(sigma).sigma
+        key = (self.dwd.spelled(sigma) or self.dwd.spell(sigma)).sigma
         if key not in self._seeds:
             self._seeds[key] = sigma_seed(self, key).seed
         return self._seeds[key]
@@ -280,10 +282,8 @@ def oracle_system(
     n = seed.size
     width = cartan.rank
     rows = seed.frame.psi + (tuple(zip(*seed.degrees)) or ((),) * width)
-    rhs = {}
-    for l in word.ex:
-        d_val = cartan.d[word.letters[l] - 1]
-        rhs[l] = tuple(-2 * d_val if j == l else 0 for j in range(n)) + (0,) * width
+    zeros = (0,) * (n + width)
+    rhs = {l: zeros[:l] + (-2 * cartan.d[word.letters[l] - 1],) + zeros[l + 1:] for l in word.ex}
     return rows, rhs
 
 
@@ -294,7 +294,8 @@ def solve_b_oracle(pres: BowtiePresentation, sigma: Sequence[int], l: int) -> tu
     unique solution, which must be an integer vector.  Used as the
     independent oracle against the closed-form column constructions.
     """
-    rows, rhs = oracle_system(pres.cartan, pres.dwd.spell(sigma), pres.seed(sigma))
+    word = pres.dwd.spell(sigma)
+    rows, rhs = oracle_system(pres.cartan, word, pres.seed(word.sigma))
     if l not in rhs:
         raise OracleError(f"position {l} is not exchangeable for this permutation")
     try:
@@ -369,25 +370,18 @@ def bz_seed(pres: BowtiePresentation) -> dict[Variant, BZSeedData]:
     r = cartan.rank
     nw = len(w)
     n = r + pres.size
-    w_inv = tuple(reversed(w))
-
-    def fundamental(i: int) -> tuple[int, ...]:
-        return tuple(1 if t == i - 1 else 0 for t in range(r))
-
-    def plain_label(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if k < r:
-            mu = fundamental(k + 1)
-            return mu, act_word_on_weight(cartan, w_inv, mu)
-        if k < r + nw:
-            idx = k - r   # 0-based position in w
-            mu = fundamental(w[idx])
-            prefix = w_inv[: nw - 1 - idx]
-            return mu, act_word_on_weight(cartan, prefix, mu)
-        idx = k - r - nw
-        mu = fundamental(u[idx])
-        return act_word_on_weight(cartan, u[: idx + 1], mu), mu
-
-    plain = tuple(plain_label(k) for k in range(n))
+    # the labels move a fundamental weight by a prefix of w^-1 or of u, read
+    # off one pass over each word: position r + idx reads the prefix of w^-1
+    # of length nw - 1 - idx (the letters of w after idx), position
+    # r + nw + idx the prefix u[:idx + 1], and the first r positions w^-1
+    on_w = prefix_weight_images(cartan, w[::-1])
+    on_u = prefix_weight_images(cartan, u)
+    fundamental = on_u[0]
+    plain = (
+        tuple((fundamental[k], on_w[nw][k]) for k in range(r))
+        + tuple((fundamental[a - 1], on_w[nw - 1 - idx][a - 1]) for idx, a in enumerate(w))
+        + tuple((on_u[idx + 1][a - 1], fundamental[a - 1]) for idx, a in enumerate(u))
+    )
     modified = tuple((d, g) for g, d in plain)
 
     gamma_img = [cartan.weight_image(g) for g, _ in plain]

@@ -8,19 +8,20 @@ columns.  The eliminations take integer matrices (an integral `Fraction`
 entry is accepted) and share one fraction-free routine, `_bareiss`, so
 `rank`, `solve_columns` and `solve_unique` compute with and return `int`s;
 only `mat_inv` divides, by the determinant, at the end.  They serve the
-genuine linear systems: the exchange-column oracle (one rank per sigma of a
-block with one column per level, and the whole system only when that block
-falls short), its solver, and graded reduction (one elimination for all of
-its shifts).  `frame_restrict` takes a rank only for
-vectors that fail its triangular-pattern test; mutation bases and
-reduction shifts pass it.  The sigma-seeds need none: their exchange
+genuine linear systems: the exchange-column oracle (one rank per distinct
+block with one column per level, shared by the sigmas whose blocks agree,
+and the whole system only when that block falls short), its solver, and
+graded reduction (one elimination for all of its shifts).  `frame_restrict`
+takes a rank only for vectors that fail its triangular-pattern test;
+mutation bases and reduction shifts pass it.  The sigma-seeds need none: their exchange
 matrices and frames are closed integer rules (`dbc.double_word_matrix`,
 `dbc.sigma_frame`).
 
 `combine(rows, coeffs)` is the one sparse row sum, sum_i c_i rows_i over
 the nonzero c_i: the compatibility pairings B^T psi, the degree balance and
 mutated degree of an exchange column, the exchange-column oracle's product,
-and the degree of a CGL monomial all read it.  Unlike `zip`, it raises
+a Weyl prefix's image of a simple root in weights, and the degree of a CGL
+monomial all read it.  Unlike `zip`, it raises
 ValueError on a length mismatch instead of truncating.  `gather(index)`
 reads a sequence at an index tuple: the levels a sigma spells, and every
 row, column, degree and symmetrizer of a reindexed frame or seed.
@@ -29,7 +30,8 @@ row, column, degree and symmetrizer of a reindexed frame or seed.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence
 
 Vec = tuple[Q, ...]
@@ -56,18 +58,23 @@ def mat_vec(a: Mat, v: Sequence) -> Vec:
 
 
 def combine(rows: Sequence[Sequence], coeffs: Sequence) -> tuple:
-    """sum_i coeffs[i] * rows[i], over the nonzero coeffs[i] only.
+    """sum_i coeffs[i] * rows[i], over the nonzero coeffs[i] only, a whole row at a time.
 
     The rows share one width, the sum's; raises ValueError when there is not
-    one coefficient per row.
+    one coefficient per row.  A coefficient of 1 or -1, the common entry of
+    an exchange column, adds or subtracts its row without a product.
     """
     if len(coeffs) != len(rows):
         raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} rows")
-    out = [0] * (len(rows[0]) if rows else 0)
-    for i, c in enumerate(coeffs):
-        if c:
-            out = [x + c * y for x, y in zip(out, rows[i])]
-    return tuple(out)
+    out = (0,) * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        if c == 1:
+            out = tuple(map(add, out, row))
+        elif c == -1:
+            out = tuple(map(sub, out, row))
+        elif c:
+            out = tuple(map(add, out, map(mul, row, repeat(c))))
+    return out
 
 
 def bilinear(u: Sequence, a: Sequence[Sequence], v: Sequence):

@@ -196,11 +196,14 @@ def reindex(seed: QuantumSeed, tau: Sequence[int]) -> QuantumSeed:
     inverse = [0] * seed.size
     for j, v in enumerate(tau):
         inverse[v] = j
-    new_ex = tuple(sorted(inverse[k] for k in seed.ex))
     at_tau = linalg.gather(tau)
+    # (new index, gathered column) pairs, sorted by the index: the indices are
+    # distinct, so no column is ever compared
+    moved = sorted(zip(map(inverse.__getitem__, seed.ex), map(at_tau, seed.exchange.cols)))
+    new_ex, new_cols = zip(*moved) if moved else ((), ())
     return QuantumSeed(
         frame=new_frame,
-        exchange=ExchangeMatrix(seed.size, new_ex, tuple(at_tau(seed.exchange.column(tau[k])) for k in new_ex)),
+        exchange=ExchangeMatrix(seed.size, new_ex, new_cols),
         inv=frozenset(inverse[k] for k in seed.inv),
         degrees=at_tau(seed.degrees),
         d=at_tau(seed.d),

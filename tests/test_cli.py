@@ -31,6 +31,18 @@ def test_seed_sigma_wn(capsys):
     assert payload["double_word"]["s"] == [2, None]
 
 
+def test_seed_sigma_is_spelled_once(capsys, monkeypatch):
+    # the CLI spells --sigma, and `pres.seed` reads the key it got back
+    from dbseeds.coxeter import DoubleWordData
+
+    calls = []
+    honest = DoubleWordData.spell
+    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(sigma) or honest(self, sigma))
+    code, out, _ = run(capsys, "seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "2,3,1,4")
+    assert code == 0 and json.loads(out)["seed"]["sigma"] == [2, 3, 1, 4]
+    assert calls == [(1, 2, 0, 3)]
+
+
 def test_seed_bz(capsys):
     code, out, _ = run(capsys, "seed", "--type", "A1", "--w", "1", "--u", "1", "--bz")
     assert code == 0

@@ -92,6 +92,36 @@ def test_cartan_tables_match_their_defining_formulas(name, data):
     assert reflect_root(c, i, a) == tuple(a[t] - (coef if t == i - 1 else 0) for t in range(r))
 
 
+@settings(max_examples=140, deadline=None, derandomize=True)
+@given(st.sampled_from(TYPES), st.data())
+def test_prefix_walks_match_the_prefix_by_prefix_rule(name, data):
+    # the one-pass walks agree with reflecting through every prefix anew, on
+    # any word, reduced or not
+    c = cartan_init(name[0], int(name[1:]))
+    r = c.rank
+    word = tuple(data.draw(st.lists(st.integers(1, r), max_size=12)))
+    want = []
+    for k, letter in enumerate(word):
+        a = tuple(1 if j == letter - 1 else 0 for j in range(r))
+        for prev in reversed(word[:k]):
+            a = reflect_root(c, prev, a)
+        want.append(a)
+    assert word_roots(c, word) == want
+    fundamental = [tuple(1 if t == j else 0 for t in range(r)) for j in range(r)]
+    images = coxeter.prefix_weight_images(c, word)
+    assert len(images) == len(word) + 1
+    for p, table in enumerate(images):
+        assert table == tuple(coxeter.act_word_on_weight(c, word[:p], mu) for mu in fundamental)
+
+
+def test_prefix_walks_reject_a_letter_out_of_range():
+    c = cartan_init("A", 2)
+    for walk_word in (word_roots, coxeter.prefix_weight_images):
+        for letter in (0, 3):
+            with pytest.raises(IndexError):
+                walk_word(c, (1, letter))
+
+
 def test_reflect_basics():
     c = cartan_init("A", 2)
     w1 = (1, 0)

@@ -567,12 +567,10 @@ def test_btau_oracle_fails_when_the_solver_finds_no_column(monkeypatch):
     )
 
 
-def test_btau_oracle_certifies_with_one_rank_per_sigma(monkeypatch):
-    # the passing path takes one rank per sigma, of a block with one column
-    # per level, never the n-column elimination of the whole oracle system
+def _count_btau_ranks(monkeypatch):
+    """The list to which every rank `btau_oracle_equivalence` takes appends its column count."""
     from dbseeds import linalg
 
-    calls = _count_calls(monkeypatch, "solve_b_oracle")
     ranks, in_check = [], []
     honest_rank, honest_check = linalg.rank, verify.btau_oracle_equivalence
 
@@ -591,11 +589,45 @@ def test_btau_oracle_certifies_with_one_rank_per_sigma(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank", counted_rank)
     monkeypatch.setattr(verify, "btau_oracle_equivalence", marked_check)
+    return ranks
+
+
+def test_btau_oracle_certifies_with_one_rank_per_distinct_block(monkeypatch):
+    # the passing path takes one rank per distinct block, of one column per
+    # level, never the n-column elimination of the whole oracle system: the 32
+    # sigmas of this pair share 4 blocks
+    calls = _count_calls(monkeypatch, "solve_b_oracle")
+    ranks = _count_btau_ranks(monkeypatch)
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results) and "btau-oracle" in [r.name for r in results]
     assert calls["solve_b_oracle"] == 0
-    assert len(ranks) == 2 ** (6 - 1)
-    assert set(ranks) == {2}   # the two levels of A2, not n = 6
+    assert ranks == [2] * 4   # the two levels of A2, not n = 6
+
+
+def test_btau_oracle_keeps_no_block_rank_across_calls(monkeypatch):
+    # the ranks live for one call: a second call on the same pair takes them all again
+    ranks = _count_btau_ranks(monkeypatch)
+    per_call = []
+    for _ in range(2):
+        assert all(r.ok for r in verify.verify_pair(A2, (1, 2, 1), (2, 1), all_xi=True))
+        per_call.append(len(ranks) - sum(per_call))
+    assert per_call == [4, 4]
+
+
+def test_btau_oracle_reads_a_repeated_block_from_its_own_seed():
+    # the block of sigma (1, 2, 3, 0, 4) repeats the one of (1, 2, 3, 4, 0),
+    # checked before it; with its degrees cleared the products still hold,
+    # but its own block, and the system, lose rank (the frame has rank 4)
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (2, 1))
+    order = list(pres.seeds)
+    sigma = (1, 2, 3, 0, 4)
+    assert order.index(sigma) == 2 and order[1] == (1, 2, 3, 4, 0)
+    seed = pres.seeds[sigma]
+    pres.seeds[sigma] = pres._seeds[sigma] = dataclasses.replace(seed, degrees=((0, 0),) * 5)
+    res = verify.btau_oracle_equivalence(pres)
+    assert res == verify.CheckResult(
+        "btau-oracle", False, "w=(1, 2, 1) u=(2, 1) sigma=(1, 2, 3, 0, 4): oracle system has rank 4, not 5"
+    )
 
 
 def test_btau_oracle_needs_a_nonzero_right_hand_side_to_certify():
@@ -695,6 +727,18 @@ def test_grading_identity_builds_one_sigma_seed(monkeypatch):
     calls = _count_calls(monkeypatch, "sigma_seed")
     assert verify.grading_identity(pres).ok
     assert calls["sigma_seed"] == 1
+
+
+def test_solve_b_oracle_spells_sigma_once(monkeypatch):
+    # the oracle spells sigma and hands `pres.seed` the key it got back
+    calls = []
+    honest = DoubleWordData.spell
+    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(sigma) or honest(self, sigma))
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (2, 1))
+    sigma = (1, 2, 3, 0, 4)
+    column = dbc.solve_b_oracle(pres, sigma, 1)
+    assert calls == [sigma]
+    assert column == pres.seeds[sigma].exchange.column(1)
 
 
 def test_a_seed_cache_miss_spells_sigma_once(monkeypatch):

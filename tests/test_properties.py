@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbseeds import dbc, linalg, verify
-from dbseeds.coxeter import cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
+from dbseeds.coxeter import act_word_on_weight, cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
 
@@ -391,6 +391,28 @@ def test_btau_block_rank_matches_full_elimination(name, data):
         _both_oracle_rules(pres, {sigma: _corrupt(seed, kind, a, b)})
     flat = (0,) * cartan.rank
     _both_oracle_rules(pres, {sigma: replace(seed, degrees=(flat,) * pres.size) for sigma, seed in pres.seeds.items()})
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_minor_labels_match_the_prefix_by_prefix_rule(name, data):
+    # the labels read off one pass over each word equal each prefix applied anew
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    r, nw = cartan.rank, len(w)
+    w_inv = w[::-1]
+
+    def fundamental(i):
+        return tuple(1 if t == i - 1 else 0 for t in range(r))
+
+    want = (
+        [(fundamental(i), act_word_on_weight(cartan, w_inv, fundamental(i))) for i in range(1, r + 1)]
+        + [(fundamental(a), act_word_on_weight(cartan, w_inv[: nw - 1 - idx], fundamental(a)))
+           for idx, a in enumerate(w)]
+        + [(act_word_on_weight(cartan, u[: idx + 1], fundamental(a)), fundamental(a)) for idx, a in enumerate(u)]
+    )
+    assert dbc.bowtie_build(cartan, w, u).bz["plain"].labels == tuple(want)
 
 
 @pytest.mark.parametrize("name", TYPES)

@@ -176,6 +176,7 @@ def test_combine_is_the_one_sparse_row_sum_rule():
     # every sum of integer rows over a sparse coefficient vector is `linalg.combine`
     assert sorted(_callers("combine")) == [
         "cgl.py:monomial_degree",
+        "coxeter.py:prefix_weight_images",
         "seedcore.py:degree_balance",
         "seedcore.py:exchange_pairings",
         "seedcore.py:mutated_degree",
