@@ -70,10 +70,6 @@ class NFPoly:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "NFPoly":
-        return cls()
-
-    @classmethod
     def one(cls, n: int) -> "NFPoly":
         return cls({(0,) * n: VLaurent.one()})
 
@@ -186,7 +182,7 @@ class CGLPresentation:
 
     @cached_property
     def rewrite_rules(self) -> tuple[tuple[tuple[VLaurent, tuple], ...], ...]:
-        """rules[k][j] = (v^lambda_kj, the tail as (word, coefficient) pairs) for j < k; built once, read by `nf_mul`."""
+        """rules[k][j] = (v^lambda_kj, the tail as (word, coefficient) pairs) for j < k; built once."""
 
         def rule(k: int, j: int) -> tuple[VLaurent, tuple]:
             tail = self.tails.get((k, j), NFPoly())
@@ -482,10 +478,8 @@ def rescale(pres: CGLPresentation, t: Sequence[VLaurent]) -> tuple[CGLPresentati
     """
     if len(t) != pres.n:
         raise PresentationError("one unit per generator required")
-    for z in t:
-        e, c = z.monomial_parts()
-        if c == 0:
-            raise PresentationError("rescaling units must be nonzero monomials")
+    if not all(z.is_monomial() for z in t):
+        raise PresentationError("rescaling units must be nonzero monomials")
 
     new_tails = {(k, j): _rescaled(tail, t, _product(t, (k, j))) for (k, j), tail in pres.tails.items()}
     new_pres = CGLPresentation(lambda_exp=pres.lambda_exp, tails=new_tails, eta=pres.eta, degrees=pres.degrees)

@@ -18,8 +18,8 @@ Conventions
   reads their words from `DoubleWordData.words` (a single validated key,
   from `DoubleWordData.spelled`).
 * The same-level walk of a word (`Walk`, built by `walk`) is taken once,
-  where the word is built (`eta_machinery`, `spell`); consumers read it by
-  name, and its order counts O_- and O_+ are computed only when read.
+  where the word is built; consumers read it by name, and its order counts
+  O_- and O_+ are computed only when read.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class CartanData:
     Beside it `cartan_init` tabulates the root Gram matrix
     gram[i][j] = d_i c_ij = <alpha_i, alpha_j> and the simple roots in
     fundamental-weight coordinates, alpha_weights[i][j] = c_ji, so every
-    pairing, image and reflection below reads a table row by row.
+    pairing and image reads a table row by row.
     """
 
     family: str
@@ -77,10 +77,6 @@ class CartanData:
         """The vector gram . a: <x, a> = x . gram_image(a) for x in simple-root coordinates."""
         return tuple(sum(map(mul, row, a)) for row in self.gram)
 
-    def pair_alpha(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """<x, y> for root-lattice vectors in simple-root coordinates."""
-        return sum(map(mul, a, self.gram_image(b)))
-
     def weight_image(self, mu: Sequence[int]) -> tuple[int, ...]:
         """The integer vector weight_form . mu: weight_den <nu, mu> = nu . weight_image(mu)."""
         return tuple(sum(map(mul, row, mu)) for row in self.weight_form)
@@ -88,10 +84,6 @@ class CartanData:
     def pair_weight(self, mu: Sequence[int], nu: Sequence[int]) -> Q:
         """<mu, nu> for weights in fundamental-weight coordinates, exactly."""
         return Q(sum(map(mul, mu, self.weight_image(nu))), self.weight_den)
-
-    def alpha_in_weights(self, i: int) -> Weight:
-        """Fundamental-weight coordinates of alpha_i (0-based i)."""
-        return self.alpha_weights[i]
 
 
 def _chain_edges(n: int) -> list[tuple[int, int]]:
@@ -178,38 +170,11 @@ def cartan_init(family: str, rank: int) -> CartanData:
     return CartanData(fam, n, tuple(tuple(r) for r in c), tuple(d), form, den, gram, tuple(zip(*c)))
 
 
-def reflect(cartan: CartanData, i: int, mu: Sequence[int]) -> Weight:
-    """Simple reflection s_i on a weight (1-based letter i)."""
-    if not 1 <= i <= cartan.rank:
-        raise IndexError(f"letter {i} out of range 1..{cartan.rank}")
-    coef = mu[i - 1]
-    return tuple(m - coef * a for m, a in zip(mu, cartan.alpha_weights[i - 1]))
-
-
-def reflect_root(cartan: CartanData, i: int, a: Sequence[int]) -> Root:
-    """Simple reflection s_i on a root-lattice vector in root coordinates."""
-    if not 1 <= i <= cartan.rank:
-        raise IndexError(f"letter {i} out of range 1..{cartan.rank}")
-    coef = sum(map(mul, cartan.cartan[i - 1], a))
-    out = list(a)
-    out[i - 1] -= coef
-    return tuple(out)
-
-
-def act_word_on_weight(cartan: CartanData, word: Sequence[int], mu: Sequence[int]) -> Weight:
-    """Apply w = s_{i_1} ... s_{i_N} to a weight (leftmost letter acts last)."""
-    out = tuple(mu)
-    for letter in reversed(word):
-        out = reflect(cartan, letter, out)
-    return out
-
-
 def prefix_weight_images(cartan: CartanData, word: Sequence[int]) -> list[tuple[Weight, ...]]:
     """x_p(w_j) for every prefix x_p = s_{i_1} ... s_{i_p} of a word, p = 0..N, in one pass.
 
-    Entry p is the tuple of the images of the fundamental weights w_1..w_r
-    under x_p; `act_word_on_weight(cartan, word[:p], w_j)` is its entry j-1.
-    Appending the letter i to x_p moves only w_i, as s_i w_j = w_j -
+    Entry p is the tuple of the images x_p(w_1), ..., x_p(w_r) of the
+    fundamental weights.  Appending the letter i to x_p moves only w_i, as s_i w_j = w_j -
     delta_ij alpha_i: x_{p+1}(w_i) = x_p(w_i) - x_p(alpha_i), where
     x_p(alpha_i) = sum_t c_ti x_p(w_t) is one row sum over the previous entry.
     """

@@ -7,24 +7,11 @@ coordinates, since most of its vectors are basis vectors or sparse exchange
 columns.  The eliminations take integer matrices (an integral `Fraction`
 entry is accepted) and share one fraction-free routine, `_bareiss`, so
 `rank`, `solve_columns` and `solve_unique` compute with and return `int`s;
-only `mat_inv` divides, by the determinant, at the end.  They serve the
-genuine linear systems: the exchange-column oracle (one rank per distinct
-block with one column per level, shared by the sigmas whose blocks agree,
-and the whole system only when that block falls short), its solver, and
-graded reduction (one elimination for all of its shifts).  `frame_restrict`
-takes a rank only for vectors that fail its triangular-pattern test;
-mutation bases and reduction shifts pass it.  The sigma-seeds need none: their exchange
-matrices and frames are closed integer rules (`dbc.double_word_matrix`,
-`dbc.sigma_frame`).
+only `mat_inv` divides, by the determinant, at the end.
 
 `combine(rows, coeffs)` is the one sparse row sum, sum_i c_i rows_i over
-the nonzero c_i: the compatibility pairings B^T psi, the degree balance and
-mutated degree of an exchange column, the exchange-column oracle's product,
-a Weyl prefix's image of a simple root in weights, and the degree of a CGL
-monomial all read it.  Unlike `zip`, it raises
-ValueError on a length mismatch instead of truncating.  `gather(index)`
-reads a sequence at an index tuple: the levels a sigma spells, and every
-row, column, degree and symmetrizer of a reindexed frame or seed.
+the nonzero c_i.  Unlike `zip`, it raises ValueError on a length mismatch
+instead of truncating.  `gather(index)` reads a sequence at an index tuple.
 """
 
 from __future__ import annotations

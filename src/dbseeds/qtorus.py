@@ -238,11 +238,6 @@ class FrameMatrix:
         return FrameMatrix._trusted(tuple(tuple(-x for x in row) for row in self.psi))
 
 
-def bicharacter(frame: FrameMatrix, f: Sequence, g: Sequence) -> VLaurent:
-    """The scalar Omega(f, g) = v^(f^T psi g), a single v-power."""
-    return VLaurent.v_power(frame.omega_exp(f, g))
-
-
 def scr(exp_matrix: Sequence[Sequence], f: Sequence) -> VLaurent:
     """Symmetrization scalar: product over j < k of lambda_{jk}^(-f_j f_k).
 

@@ -205,6 +205,8 @@ def test_presentation_rejects_bad_tail_support():
     {"tails": {(5, 0): NFPoly()}},                            # past the last generator
     {"tails": {(1, -1): NFPoly()}},
     {"tails": {(1, 0): NFPoly({(0,): VLaurent.one()})}},      # a term with one exponent
+    {"lambda_exp": ((1, -4), (4, 0))},                        # a nonzero diagonal
+    {"lambda_exp": ((0, -4), (2, 0))},                        # not skew-symmetric
 ])
 def test_presentation_rejects_a_shape_it_cannot_run(sl2, shape):
     # n is len(lambda_exp); every row, eta, degrees and tail must fit it
@@ -240,6 +242,8 @@ def test_nfpoly_rejects_non_integral_exponents():
         with pytest.raises(ValueError, match="integers"):
             NFPoly.monomial(f)
     assert NFPoly.monomial((Fraction(2), 1.0)) == NFPoly.monomial((2, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        NFPoly.monomial((-1, 0))
 
 
 def _audit_triples(count: int, seed: int):
@@ -290,7 +294,7 @@ def test_leading_term_order():
     single = NFPoly.monomial((2, 3), VLaurent.v_power(-1))
     assert leading_term(single) == (VLaurent.v_power(-1), (2, 3))
     with pytest.raises(ValueError):
-        leading_term(NFPoly.zero())
+        leading_term(NFPoly())
 
 
 def test_leading_term_sl2_product(sl2):
@@ -423,8 +427,13 @@ def test_rescale_sl2_tail_and_y_scalar(sl2):
 
 def test_rescale_rejects_non_units(sl2):
     pres, _ = sl2
-    with pytest.raises((PresentationError, ValueError)):
-        rescale(pres, [VLaurent.one() + VLaurent.v_power(1), VLaurent.one()])
+    for t in (
+        [VLaurent.one() + VLaurent.v_power(1), VLaurent.one()],   # two terms
+        [VLaurent(), VLaurent.one()],                              # zero
+        [VLaurent.one()],                                          # one unit for two generators
+    ):
+        with pytest.raises(PresentationError):
+            rescale(pres, t)
 
 
 def test_rescale_preserves_lambda(a2):

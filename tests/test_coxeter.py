@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,15 +13,20 @@ from dbseeds.coxeter import (
     enumerate_reduced_words,
     eta_machinery,
     is_reduced,
-    reflect,
-    reflect_root,
+    prefix_weight_images,
     sigma_chain,
     walk,
     word_roots,
     xi_enumerate,
     xi_is_member,
 )
-from test_properties import TYPES, word_pairs
+from test_properties import TYPES, act_word_on_weight, word_pairs
+
+
+def reflect_root(cartan, i, a):
+    """s_i a = a - <alpha_i^vee, a> alpha_i on a root-lattice vector; the reference for `word_roots`."""
+    coef = sum(map(mul, cartan.cartan[i - 1], a))
+    return tuple(x - coef if t == i - 1 else x for t, x in enumerate(a))
 
 
 def test_cartan_a2():
@@ -47,7 +53,7 @@ def test_cartan_b2_symmetrizable():
     # short simple root has squared length 2
     short = c.d.index(1)
     a = tuple(1 if t == short else 0 for t in range(2))
-    assert c.pair_alpha(a, a) == 2
+    assert sum(map(mul, a, c.gram_image(a))) == 2
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 9), ("F", 3), ("G", 3), ("H", 2)])
@@ -61,7 +67,7 @@ def test_pairing_consistency_all_types():
     for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)]:
         c = cartan_init(fam, rank)
         for i in range(rank):
-            alpha = c.alpha_in_weights(i)
+            alpha = c.alpha_weights[i]
             for j in range(rank):
                 wj = tuple(1 if t == j else 0 for t in range(rank))
                 want = c.d[i] if i == j else 0
@@ -79,15 +85,18 @@ def test_cartan_tables_match_their_defining_formulas(name, data):
     assert c.gram == tuple(tuple(d[i] * cm[i][j] for j in range(r)) for i in range(r))
     assert all(c.gram[i][j] == c.gram[j][i] for i in range(r) for j in range(r))
     assert c.alpha_weights == tuple(tuple(cm[j][i] for j in range(r)) for i in range(r))
-    assert all(c.alpha_in_weights(i) == c.alpha_weights[i] for i in range(r))
     vec = st.lists(st.integers(-6, 6), min_size=r, max_size=r).map(tuple)
     a, b, mu = data.draw(vec), data.draw(vec), data.draw(vec)
     i = data.draw(st.integers(1, r))
-    assert c.pair_alpha(a, b) == sum(a[s] * d[s] * cm[s][t] * b[t] for s in range(r) for t in range(r))
+    assert sum(map(mul, a, c.gram_image(b))) == sum(a[s] * d[s] * cm[s][t] * b[t] for s in range(r) for t in range(r))
     assert c.gram_image(b) == tuple(sum(d[s] * cm[s][t] * b[t] for t in range(r)) for s in range(r))
     assert c.weight_image(mu) == tuple(sum(c.weight_form[s][t] * mu[t] for t in range(r)) for s in range(r))
-    # s_i mu = mu - <alpha_i^vee, mu> alpha_i, with alpha_i = sum_t c_ti w_t
-    assert reflect(c, i, mu) == tuple(mu[t] - mu[i - 1] * cm[t][i - 1] for t in range(r))
+    # s_i mu = mu - <alpha_i^vee, mu> alpha_i, with alpha_i = sum_t c_ti w_t,
+    # read off the images of the fundamental weights by linearity
+    s_i = prefix_weight_images(c, (i,))[1]
+    assert tuple(sum(mu[j] * s_i[j][t] for j in range(r)) for t in range(r)) == tuple(
+        mu[t] - mu[i - 1] * cm[t][i - 1] for t in range(r)
+    )
     coef = sum(cm[i - 1][t] * a[t] for t in range(r))
     assert reflect_root(c, i, a) == tuple(a[t] - (coef if t == i - 1 else 0) for t in range(r))
 
@@ -108,15 +117,15 @@ def test_prefix_walks_match_the_prefix_by_prefix_rule(name, data):
         want.append(a)
     assert word_roots(c, word) == want
     fundamental = [tuple(1 if t == j else 0 for t in range(r)) for j in range(r)]
-    images = coxeter.prefix_weight_images(c, word)
+    images = prefix_weight_images(c, word)
     assert len(images) == len(word) + 1
     for p, table in enumerate(images):
-        assert table == tuple(coxeter.act_word_on_weight(c, word[:p], mu) for mu in fundamental)
+        assert table == tuple(act_word_on_weight(c, word[:p], mu) for mu in fundamental)
 
 
 def test_prefix_walks_reject_a_letter_out_of_range():
     c = cartan_init("A", 2)
-    for walk_word in (word_roots, coxeter.prefix_weight_images):
+    for walk_word in (word_roots, prefix_weight_images):
         for letter in (0, 3):
             with pytest.raises(IndexError):
                 walk_word(c, (1, letter))
@@ -124,27 +133,24 @@ def test_prefix_walks_reject_a_letter_out_of_range():
 
 def test_reflect_basics():
     c = cartan_init("A", 2)
-    w1 = (1, 0)
-    # s_1 w_1 = w_1 - alpha_1
-    assert reflect(c, 1, w1) == (-1, 1)
-    # s_1 fixes w_2
-    assert reflect(c, 1, (0, 1)) == (0, 1)
+    # s_1 w_1 = w_1 - alpha_1, and s_1 fixes w_2
+    assert prefix_weight_images(c, (1,))[1] == ((-1, 1), (0, 1))
     # s_1 s_2 s_1 w_1 = w_1 - alpha_1 - alpha_2
-    out = reflect(c, 1, reflect(c, 2, reflect(c, 1, w1)))
-    assert out == (0, -1)
+    assert prefix_weight_images(c, (1, 2, 1))[3][0] == (0, -1)
 
 
 def test_reflect_involution():
     c = cartan_init("B", 2)
-    for mu in [(1, 0), (2, -3), (0, 5), (-1, -1)]:
-        for i in (1, 2):
-            assert reflect(c, i, reflect(c, i, mu)) == mu
+    for i in (1, 2):
+        images = prefix_weight_images(c, (i, i))
+        assert images[2] == images[0] != images[1]
 
 
 def test_reflect_index_range():
     c = cartan_init("A", 2)
-    with pytest.raises(IndexError):
-        reflect(c, 3, (0, 0))
+    for letter in (0, 3):
+        with pytest.raises(IndexError):
+            prefix_weight_images(c, (letter,))
 
 
 def test_word_roots_a2():
@@ -285,11 +291,11 @@ def test_root_sum_invariant():
                     if letter == i:
                         total = [a + b for a, b in zip(total, roots[k])]
                 wi = tuple(1 if t == i - 1 else 0 for t in range(rank))
-                delta = tuple(a - b for a, b in zip(wi, coxeter.act_word_on_weight(c, w, wi)))
+                delta = tuple(a - b for a, b in zip(wi, act_word_on_weight(c, w, wi)))
                 # the weight of sum_i total_i alpha_i
                 in_weights = [0] * rank
                 for i_root, coef in enumerate(total):
-                    for t, x in enumerate(c.alpha_in_weights(i_root)):
+                    for t, x in enumerate(c.alpha_weights[i_root]):
                         in_weights[t] += coef * x
                 assert tuple(in_weights) == delta
 

@@ -391,20 +391,35 @@ def test_connections_check_cases():
     assert dbc.connections_check(dbc.bowtie_build(A2, (1, 2), (2, 1))).ok
 
 
-def test_connections_check_rejects_wrong_conventions(monkeypatch):
-    # the modified labels in the frame formula give the negated frame, the
-    # global sign the cross-check must reject
+def _altered_bz_seed(**change):
+    """`dbc.bz_seed` with each field in `change` of both variants' seeds replaced by change[field](seed)."""
     honest = dbc.bz_seed
 
-    def negated(pres):
+    def bz_seed(pres):
         return {
-            variant: dataclasses.replace(data, seed=dataclasses.replace(data.seed, frame=data.seed.frame.negate()))
+            variant: dataclasses.replace(
+                data, seed=dataclasses.replace(data.seed, **{k: f(data.seed) for k, f in change.items()})
+            )
             for variant, data in honest(pres).items()
         }
 
+    return bz_seed
+
+
+def test_connections_check_rejects_wrong_conventions(monkeypatch):
+    # the modified labels in the frame formula give the negated frame, the
+    # global sign the cross-check must reject; degrees that span nothing fail
+    # the reduction, which the check reports
     assert dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
-    monkeypatch.setattr(dbc, "bz_seed", negated)
+    monkeypatch.setattr(dbc, "bz_seed", _altered_bz_seed(frame=lambda s: s.frame.negate()))
     assert not dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,))).ok
+    monkeypatch.setattr(dbc, "bz_seed", _altered_bz_seed(degrees=lambda s: tuple((0,) * len(g) for g in s.degrees)))
+    rep = dbc.connections_check(dbc.bowtie_build(A1, (1,), (1,)))
+    want = (
+        "reduction failed: degree of index 1 is not an integer combination of the leading degrees:"
+        " underdetermined system"
+    )
+    assert (rep.ok, rep.detail) == (False, want)
 
 
 def test_connections_and_integrality_small_sweep():
@@ -420,6 +435,13 @@ def test_connections_and_integrality_small_sweep():
                 pres = dbc.bowtie_build(cartan, w, u)
                 assert dbc.connections_check(pres).ok
                 assert verify.bz_compatibility(pres).ok
+
+
+def test_bz_compat_fails_on_symmetrizers_that_do_not_symmetrize(monkeypatch):
+    # compatibility does not read d, so only the symmetrizability test sees them
+    monkeypatch.setattr(dbc, "bz_seed", _altered_bz_seed(d=lambda s: (1, 1, 2) + s.d[3:]))
+    result = verify.bz_compatibility(dbc.bowtie_build(A2, (1, 2), (2, 1)))
+    assert (result.name, result.ok, result.detail) == ("bz-compat", False, "w=(1, 2) u=(2, 1) plain: not symmetrizable")
 
 
 def test_bz_integrality_fails_on_fractional_pairing(skewed_weight_images):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbseeds import dbc, linalg, verify
-from dbseeds.coxeter import act_word_on_weight, cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
+from dbseeds.coxeter import cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
 
@@ -21,6 +21,19 @@ EVERY_TYPE = (
     [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)] + [f"C{r}" for r in range(3, 9)]
     + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"]
 )
+
+
+def act_word_on_weight(cartan, word, mu):
+    """w = s_{i_1} ... s_{i_N} applied to a weight, one letter at a time, the last letter first.
+
+    The reference for `coxeter.prefix_weight_images`: each step is the simple
+    reflection s_i mu = mu - <alpha_i^vee, mu> alpha_i, with alpha_i = sum_t c_ti w_t.
+    """
+    out = tuple(mu)
+    for letter in reversed(word):
+        coef = out[letter - 1]
+        out = tuple(m - coef * a for m, a in zip(out, cartan.alpha_weights[letter - 1]))
+    return out
 
 
 def _reduced_word(draw, cartan, length):

@@ -12,7 +12,6 @@ from dbseeds.qtorus import (
     InexactScalar,
     NonIntegralFrame,
     VLaurent,
-    bicharacter,
     frame_restrict,
     scr,
 )
@@ -126,10 +125,13 @@ def test_scalars_take_every_exact_number():
     assert VLaurent.q_power(1, -3) == VLaurent({2: -3}) == VLaurent.v_power(2).scale(-3)
 
 
+# The bicharacter Omega(f, g) = v^(f^T psi g) is read through its exponent `omega_exp`.
+
+
 def test_bicharacter_examples():
-    assert bicharacter(PSI, (1, 0), (1, 0)) == VLaurent.one()
-    assert bicharacter(PSI, (1, 0), (0, 1)) == VLaurent.q_power(1)
-    assert bicharacter(PSI, (1, 1), (0, 1)) == VLaurent.q_power(1)
+    assert PSI.omega_exp((1, 0), (1, 0)) == 0
+    assert PSI.omega_exp((1, 0), (0, 1)) == 2
+    assert PSI.omega_exp((1, 1), (0, 1)) == 2
 
 
 def test_bicharacter_skew():
@@ -137,13 +139,13 @@ def test_bicharacter_skew():
     for _ in range(50):
         f = tuple(rng.randint(-3, 3) for _ in range(2))
         g = tuple(rng.randint(-3, 3) for _ in range(2))
-        assert bicharacter(PSI, f, g) * bicharacter(PSI, g, f) == VLaurent.one()
-        assert bicharacter(PSI, f, f) == VLaurent.one()
+        assert PSI.omega_exp(f, g) + PSI.omega_exp(g, f) == 0
+        assert PSI.omega_exp(f, f) == 0
 
 
 def test_bicharacter_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        bicharacter(PSI, (1, 0, 0), (0, 1))
+        PSI.omega_exp((1, 0, 0), (0, 1))
 
 
 def test_bicharacter_cocycle_random():
@@ -162,8 +164,8 @@ def test_bicharacter_cocycle_random():
             f, g, h = (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3))
             fg = tuple(x + y for x, y in zip(f, g))
             gh = tuple(x + y for x, y in zip(g, h))
-            left = bicharacter(frame, f, g) * bicharacter(frame, fg, h)
-            assert left == bicharacter(frame, g, h) * bicharacter(frame, f, gh)
+            left = frame.omega_exp(f, g) + frame.omega_exp(fg, h)
+            assert left == frame.omega_exp(g, h) + frame.omega_exp(f, gh)
 
 
 def test_scr_examples():
@@ -172,6 +174,8 @@ def test_scr_examples():
     assert scr(lam, (0, 1)) == VLaurent.one()
     assert scr(lam, (1, 1)) == VLaurent.v_power(-2)
     assert scr(lam, (2, 2)) == VLaurent.v_power(-8)
+    with pytest.raises(DimensionMismatch):
+        scr(lam, (1, 0, 0))
 
 
 def test_frame_restrict():

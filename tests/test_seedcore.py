@@ -82,6 +82,13 @@ def test_exchange_matrix_position_map_is_not_part_of_the_value():
         a.column(1)
 
 
+def test_exchange_matrix_rejects_a_column_it_cannot_key():
+    with pytest.raises(ValueError, match="one column per exchangeable index"):
+        ExchangeMatrix(3, (0, 2), ((0, 0, 1),))
+    with pytest.raises(ValueError, match="column length must equal n"):
+        ExchangeMatrix(3, (0, 2), ((0, 0, 1), (1, 0)))
+
+
 def test_mutate_exchange_rank2():
     b = ExchangeMatrix(2, (0, 1), ((0, -1), (1, 0)))
     mutated = mutate_exchange(b, 0)
@@ -196,8 +203,14 @@ def test_graded_reduce_requires_frozen_invertible():
         degrees=((1,), (1,)),
         d=(1, 1),
     )
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="invertible"):
         graded_reduce(seed, 1)
+    # an exchangeable index among the reduced ones, and a degree table short of the frame
+    exchangeable = dataclasses.replace(seed, exchange=ExchangeMatrix(2, (0,), ((0, 0),)), inv=frozenset({0}))
+    with pytest.raises(ReductionError, match="frozen"):
+        graded_reduce(exchangeable, 1)
+    with pytest.raises(ReductionError, match="degree table must cover every index"):
+        graded_reduce(dataclasses.replace(seed, inv=frozenset({0}), degrees=((1,),)), 1)
 
 
 def test_graded_reduce_requires_integer_span():

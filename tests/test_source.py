@@ -7,8 +7,10 @@ import inspect
 from pathlib import Path
 
 from dbseeds import cgl, cli, verify
+from test_bench_api import load_layertrace
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dbseeds"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dbseeds"
 
 
 def test_library_has_no_assert():
@@ -223,3 +225,67 @@ def test_every_setting_is_one_a_caller_needs():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {o for a in sub.choices["verify"]._actions for o in a.option_strings}
     assert options == {"-h", "--help", "--type", "--rank", "--w", "--u", "--out", "--all-xi"}
+
+
+# The CGL checks of acceptance criteria 7-9 (tests/test_acceptance.py): the
+# rank-one worked example, the leading-term law of reversed monomials, and the
+# normalization condition with its rescaling identities.  They are the
+# library's statement of what the paper's CGL side must satisfy, so they stay
+# in it although only the tests run them.
+ACCEPTANCE_ONLY = {
+    "cgl.cond_holds", "cgl.rescale", "cgl.rescale_c_table", "cgl.rescale_scalar_identity",
+    "cgl.sl2_example", "cgl.xcomm_check",
+}
+
+
+def _benchmark_names() -> set[str]:
+    """`module.name` of every library name the benchmark reads: its traced layers and `lib.*` references."""
+    names = {f"{layer}.{qual}" for layer, qual in load_layertrace().TRACED}
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "lib" and len(chain) >= 2:
+            names.add(".".join(reversed(chain)))
+    return names
+
+
+def test_every_library_name_has_a_library_caller():
+    # one rule per formula: a function, class or method that nothing in the
+    # library reads is a second route or a test's reference, and belongs in
+    # the tests.  A top-level name is read by `name` or `module.name`, a
+    # method by `.name`; reads inside the definition itself do not count, nor
+    # does a local variable that shares a method's name.  Dunder methods run
+    # implicitly.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node, False))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{m.name}", m, True)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+
+    def read(name: str, definition: ast.AST, method: bool) -> bool:
+        inside = {id(n) for n in ast.walk(definition)}
+        for tree in trees.values():
+            for n in ast.walk(tree):
+                if id(n) in inside:
+                    continue
+                if isinstance(n, ast.Attribute) and n.attr == name and (
+                    method or getattr(n.value, "id", None) in trees
+                ):
+                    return True
+                if not method and isinstance(n, ast.Name) and n.id == name:
+                    return True
+        return False
+
+    assert ACCEPTANCE_ONLY <= {qual for qual, _, _ in defined}
+    uncalled = {qual for qual, node, method in defined if not read(node.name, node, method)}
+    assert sorted(uncalled - _benchmark_names() - ACCEPTANCE_ONLY) == []
