@@ -143,14 +143,15 @@ def _bound_xi_sweep(w, u, sweep: str) -> None:
 
 
 def cmd_seed(args) -> int:
+    sigma_text = args.sigma
     if args.bz + args.mbz + args.bfz > 1:
         raise ValidationFailure("--bz, --mbz and --bfz each select a seed; give at most one")
-    if args.sigma is not None and (args.bz or args.mbz or args.bfz):
+    if sigma_text is not None and (args.bz or args.mbz or args.bfz):
         raise ValidationFailure("--sigma selects a permutation seed; it cannot be combined with --bz, --mbz or --bfz")
     if args.reduce and not (args.bz or args.mbz):
         raise ValidationFailure("--reduce applies only to the minor-labelled seeds of --bz or --mbz")
     cartan, w, u = _parse_pair(args)
-    if args.sigma == "all-xi":
+    if sigma_text == "all-xi":
         _bound_xi_sweep(w, u, "seed --sigma all-xi prints the seeds of")
     pres = dbc.bowtie_build(cartan, w, u)
     dwd = pres.dwd
@@ -174,7 +175,7 @@ def cmd_seed(args) -> int:
             "ex": [k + 1 for k in b.ex],
         }
     else:
-        if args.sigma == "all-xi":
+        if sigma_text == "all-xi":
             seeds = []
             for sigma, seed in pres.seeds.items():
                 entry = jsonio.encode_seed(seed)
@@ -182,7 +183,7 @@ def cmd_seed(args) -> int:
                 seeds.append(entry)
             payload["seeds"] = seeds
         else:
-            word = _parse_sigma("id" if args.sigma is None else args.sigma, dwd)
+            word = _parse_sigma("id" if sigma_text is None else sigma_text, dwd)
             entry = jsonio.encode_seed(pres.seed(word.sigma))
             entry["sigma"] = [x + 1 for x in word.sigma]
             payload["seed"] = entry

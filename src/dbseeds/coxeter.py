@@ -14,9 +14,7 @@ Conventions
   sign of the direction in which sigma(k) extends the interval sigma(0..k-1).
   `DoubleWordData.spell(sigma)` builds it and is the one lookup and the one
   validation of a sigma.  The boundary spells; the builders behind it take
-  the word and never spell again, and a sweep over sigmas that were spelled
-  reads their words from `DoubleWordData.words` (a single validated key,
-  from `DoubleWordData.spelled`).
+  the word and never spell again.
 * The same-level walk of a word (`Walk`, built by `walk`) is taken once,
   where the word is built; consumers read it by name, and its order counts
   O_- and O_+ are computed only when read.
@@ -28,8 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from operator import mul, sub
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 
@@ -342,30 +339,6 @@ class DoubleWordData:
         """Root-lattice degree of the generator at position k."""
         a = self.root_at(k)
         return tuple(-x for x in a) if k < self.n_w else a
-
-    @property
-    def words(self) -> Mapping[Perm, SigmaWord]:
-        """Every word `spell` has built, keyed by its validated sigma; a read-only view.
-
-        A reader holding a sigma that was spelled here, such as a key of
-        `BowtiePresentation.seeds`, reads its word without spelling it
-        again; any other sigma goes through `spell`.
-        """
-        return MappingProxyType(self._words)
-
-    def spelled(self, sigma: Sequence[int]) -> SigmaWord | None:
-        """The word `spell` keeps for sigma when sigma is that word's very key, else None.
-
-        That tuple passed `spell`'s validation when it became the key, so a
-        caller handed it back reads its word without spelling it again.  Any
-        other sigma gives None, an equal one among them (a float or bool
-        twin of a key hashes like it), and an unhashable one.
-        """
-        try:
-            word = self._words.get(sigma)
-        except TypeError:
-            return None
-        return word if word is not None and word.sigma is sigma else None
 
     def spell(self, sigma: Sequence[int]) -> SigmaWord:
         """The double word sigma spells on these positions; the one lookup and validation of a sigma.

@@ -60,32 +60,20 @@ class BowtiePresentation:
         """Seed of one interval permutation, built on first use and kept.
 
         A sigma boundary: `dwd.spell` validates sigma, and the cache is keyed
-        by the sigma of the word it returns, so only a validated sigma is a
-        key.  A key `spell` already returned, such as `word.sigma` of a word
-        the caller spelled, is read through `dwd.spelled` and not spelled
-        again.  A miss hands the key to `sigma_seed`, which reads its word
-        the same way.
+        by the sigma of the word it returns, so only a validated sigma is a key.
         """
-        key = (self.dwd.spelled(sigma) or self.dwd.spell(sigma)).sigma
+        key = self.dwd.spell(sigma).sigma
         if key not in self._seeds:
             self._seeds[key] = sigma_seed(self, key).seed
         return self._seeds[key]
 
     @cached_property
     def seeds(self) -> dict[Perm, QuantumSeed]:
-        """Seed of every interval permutation, in `xi_enumerate` order.
+        """Seed of every interval permutation, in `xi_enumerate` order, each through `seed`.
 
         With no positions the only permutation is (), mapped to the empty seed.
-        Each sigma is spelled once, by `sigma_seed`: `xi_enumerate` makes
-        only interval permutations of ints, so a sigma from it is a valid
-        key of the cache as it is, and its word is then in `dwd.words`.
         """
-        seeds = {}
-        for sigma in xi_enumerate(self.size) if self.size else [()]:
-            if sigma not in self._seeds:
-                self._seeds[sigma] = sigma_seed(self, sigma).seed
-            seeds[sigma] = self._seeds[sigma]
-        return seeds
+        return {sigma: self.seed(sigma) for sigma in (xi_enumerate(self.size) if self.size else [()])}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -318,12 +306,10 @@ def sigma_seed(pres: BowtiePresentation, sigma: Sequence[int]) -> SigmaSeedData:
     """Full seed (frame, exchange, degrees) attached to an interval permutation.
 
     A sigma boundary: sigma is spelled once, and every part reads its word.
-    A sigma that `spell` already validated, the very key it returned, is
-    not spelled again (`dwd.spelled`); that is how `BowtiePresentation.seed`
-    passes a miss.  The frame is the chain congruence `sigma_frame`;
+    The frame is the chain congruence `sigma_frame`;
     `verify.sigma_skew_symmetrizable` compares it with the product formula.
     """
-    word = pres.dwd.spelled(sigma) or pres.dwd.spell(sigma)
+    word = pres.dwd.spell(sigma)
     seed = QuantumSeed(
         frame=sigma_frame(pres, word),
         exchange=btau_columns(pres.dwd, word),

@@ -117,10 +117,9 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
-    words = pres.dwd.words
     ranks: dict = {}
     for sigma, seed in pres.seeds.items():
-        word = words[sigma]
+        word = pres.dwd.spell(sigma)
         rows, rhs = dbc.oracle_system(pres.cartan, word, seed)
         cols = tuple(zip(*rows))
         miss = next((l for l in seed.ex if linalg.combine(cols, seed.exchange.column(l)) != rhs.get(l)), None)
@@ -212,9 +211,8 @@ def sigma_skew_symmetrizable(pres: dbc.BowtiePresentation) -> CheckResult:
     product formula `dbc.sigma_frame_product`.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
-    words = pres.dwd.words
     for sigma, seed in pres.seeds.items():
-        if seed.frame != dbc.sigma_frame_product(pres, words[sigma]):
+        if seed.frame != dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)):
             detail = f"w={w} u={u} sigma={sigma}: chain congruence and product formula disagree"
             return CheckResult("sigma-symmetrizable", False, detail)
         if not seed.exchange.is_skew_symmetrizable(seed.d):

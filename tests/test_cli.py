@@ -1,6 +1,8 @@
 import functools
 import json
 import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -31,16 +33,12 @@ def test_seed_sigma_wn(capsys):
     assert payload["double_word"]["s"] == [2, None]
 
 
-def test_seed_sigma_is_spelled_once(capsys, monkeypatch):
-    # the CLI spells --sigma, and `pres.seed` reads the key it got back
-    from dbseeds.coxeter import DoubleWordData
-
-    calls = []
-    honest = DoubleWordData.spell
-    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(sigma) or honest(self, sigma))
+def test_seed_sigma_is_spelled_once(capsys, spellings):
+    # the CLI validates --sigma and builds its word once; `pres.seed` and
+    # `sigma_seed` find that word in the cache
     code, out, _ = run(capsys, "seed", "--type", "A2", "--w", "1,2", "--u", "2,1", "--sigma", "2,3,1,4")
     assert code == 0 and json.loads(out)["seed"]["sigma"] == [2, 3, 1, 4]
-    assert calls == [(1, 2, 0, 3)]
+    assert spellings.tested == spellings.built == [(1, 2, 0, 3)]
 
 
 def test_seed_bz(capsys):
@@ -388,6 +386,23 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
         os.close(fd)
     assert code == cli.EXIT_BROKEN_PIPE == 141
     assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly_in_a_real_process():
+    # only a real process meets the flush at interpreter exit, which the
+    # dup2 in `main` keeps from failing a second time; the all-xi seeds of
+    # A3 run to megabytes, far past what a pipe holds
+    argv = ["seed", "--type", "A3", "--w", "1,2,1,3,2,1", "--u", "1,2,1,3,2,1", "--sigma", "all-xi"]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen([sys.executable, "-m", "dbseeds.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_xi_list_bounds_n_without_enumerating(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from dbseeds import dbc, seedcore, verify
 from dbseeds.coxeter import (
     CartanData,
-    DoubleWordData,
     NotAPermutation,
     NotIntervalPermutation,
     cartan_init,
@@ -751,39 +750,36 @@ def test_grading_identity_builds_one_sigma_seed(monkeypatch):
     assert calls["sigma_seed"] == 1
 
 
-def test_solve_b_oracle_spells_sigma_once(monkeypatch):
-    # the oracle spells sigma and hands `pres.seed` the key it got back
-    calls = []
-    honest = DoubleWordData.spell
-    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(sigma) or honest(self, sigma))
+def test_solve_b_oracle_spells_sigma_once(spellings):
+    # the oracle validates sigma and builds its word once; the seed it
+    # solves against finds that word in the cache
     pres = dbc.bowtie_build(A2, (1, 2, 1), (2, 1))
     sigma = (1, 2, 3, 0, 4)
     column = dbc.solve_b_oracle(pres, sigma, 1)
-    assert calls == [sigma]
+    assert spellings.tested == spellings.built == [sigma]
     assert column == pres.seeds[sigma].exchange.column(1)
 
 
-def test_a_seed_cache_miss_spells_sigma_once(monkeypatch):
-    # `pres.seed` validates sigma and hands that very key to `sigma_seed`,
-    # which reads its word instead of spelling it again
-    calls = []
-    honest = DoubleWordData.spell
-    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(sigma) or honest(self, sigma))
+def test_a_seed_cache_miss_spells_sigma_once(spellings):
+    # `pres.seed` validates sigma and builds its word once, and `sigma_seed`,
+    # handed the miss, finds that word in the cache
     pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1))
     assert verify.grading_identity(pres).ok
-    assert calls == [dbc.w0_permutation(pres.dwd)]
-    # only that very key skips the spelling: an equal tuple, a list, a bool
-    # twin and an unhashable sigma are spelled (and the twin refused)
-    key = calls[0] = next(iter(pres._seeds))
-    assert pres.dwd.spelled(key) is pres.dwd.words[key]
+    w0 = dbc.w0_permutation(pres.dwd)
+    assert spellings.tested == spellings.built == [w0]
+    # an equal tuple and a list find the word; a bool twin, which hashes
+    # like the key, and an unhashable sigma are refused; none is tested or
+    # built again
+    key = next(iter(pres._seeds))
     twin = tuple(bool(x) if x < 2 else x for x in key)
     assert twin == key
-    for other in (tuple(list(key)), list(key), twin, ([0],) * len(key)):
-        assert pres.dwd.spelled(other) is None
+    for same in (tuple(list(key)), list(key)):
+        assert pres.dwd.spell(same) is pres.dwd.spell(key)
     assert dbc.sigma_seed(pres, tuple(list(key))).seed == pres._seeds[key]
-    with pytest.raises(NotAPermutation):
-        dbc.sigma_seed(pres, twin)
-    assert len(calls) == 1 + 2
+    for bad in (twin, ([0],) * len(key)):
+        with pytest.raises(NotAPermutation):
+            dbc.sigma_seed(pres, bad)
+    assert spellings.tested == spellings.built == [w0]
 
 
 def test_seeds_spell_each_sigma_once(monkeypatch):
@@ -799,19 +795,17 @@ def test_seeds_spell_each_sigma_once(monkeypatch):
     assert list(pres.seeds) == calls == list(xi_enumerate(5))
 
 
-def test_all_xi_verify_spells_each_sigma_once(monkeypatch):
-    # per sigma of the sweep: the spelling in `sigma_seed`; `pres.seeds`
-    # keys its cache by the sigmas `xi_enumerate` makes, and
-    # `btau_oracle_equivalence` and `sigma_skew_symmetrizable` read the words
-    # from `dwd.words`.  The three more come from the reversed-w seed, which
-    # `compat_identity`, `grading_identity` and `connections_check` each look up
-    calls = []
-    honest = DoubleWordData.spell
-    monkeypatch.setattr(DoubleWordData, "spell", lambda self, sigma: calls.append(1) or honest(self, sigma))
+def test_all_xi_verify_spells_each_sigma_once(spellings):
+    # one interval test and one word per sigma of the sweep: the reversed-w
+    # seed, which `compat_identity`, `grading_identity` and
+    # `connections_check` each look up, is one of them, and every other
+    # lookup of a sigma finds its word in the cache
     cartan = cartan_init("A", 3)
     results = verify.verify_pair(cartan, (1, 2, 1, 3), (2, 1, 3, 2), all_xi=True)
     assert all(r.ok for r in results)
-    assert len(calls) == 2 ** (8 - 1) + 3 == 131
+    assert spellings.tested == spellings.built
+    assert sorted(spellings.built) == sorted(xi_enumerate(8))
+    assert len(spellings.built) == 2 ** (8 - 1) == 128
 
 
 def test_spell_reuses_only_a_word_of_the_same_double_word():
@@ -842,9 +836,14 @@ def test_spell_keeps_bools_out_of_the_word_cache():
     pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
     with pytest.raises(NotAPermutation):
         pres.dwd.spell((False, True, 2, 3))
-    assert [type(x) for x in pres.dwd.spell((0, 1, 2, 3)).sigma] == [int] * 4
-    with pytest.raises(NotAPermutation):
-        pres.dwd.spell((False, True, 2, 3))
+    word = pres.dwd.spell((0, 1, 2, 3))
+    assert [type(x) for x in word.sigma] == [int] * 4
+    # an equal tuple and a list find the int word; the bool twin and an
+    # unhashable sigma are refused as before
+    assert pres.dwd.spell(tuple([0, 1, 2, 3])) is pres.dwd.spell([0, 1, 2, 3]) is word
+    for bad in ((False, True, 2, 3), ([0],) * 4):
+        with pytest.raises(NotAPermutation):
+            pres.dwd.spell(bad)
 
 
 def test_seed_cache_hits_are_not_spelled_again(monkeypatch):
@@ -859,8 +858,9 @@ def test_seed_cache_hits_are_not_spelled_again(monkeypatch):
     assert pres.seed((1, 2, 0, 3)) is seed and pres.seed([1, 2, 0, 3]) is seed
     assert pres.seed(pres.dwd.spell((1, 2, 0, 3)).sigma) is seed
     assert tested == []
-    # floats and bools are never looked up: they fail validation as before
-    for bad in ((1.0, 2.0, 0.0, 3.0), (True, 2, False, 3)):
+    # floats, bools and unhashable entries are never looked up: they fail
+    # validation as before
+    for bad in ((1.0, 2.0, 0.0, 3.0), (True, 2, False, 3), ([1], [2], [0], [3])):
         with pytest.raises(NotAPermutation):
             pres.seed(bad)
     assert tested == []
@@ -869,13 +869,23 @@ def test_seed_cache_hits_are_not_spelled_again(monkeypatch):
     assert tested == [(0, 1, 2, 3)]
 
 
-def test_seeds_cover_every_interval_permutation():
+def test_seeds_cover_every_interval_permutation(spellings):
     pres = dbc.bowtie_build(A2, (1, 2), (1,))
     assert list(pres.seeds) == list(xi_enumerate(3))
     for sigma, seed in pres.seeds.items():
         assert seed == dbc.sigma_seed(pres, sigma).seed
         assert seed is pres.seed(sigma)
     assert pres.seeds is pres.seeds
+    # seeds built before the sweep are reused, each sigma is tested once, and
+    # the order stays that of `xi_enumerate`: `xi_linkage` checks each link
+    # in full from the end that comes first in it
+    pres = dbc.bowtie_build(A2, (1, 2), (2, 1))
+    spellings.tested.clear()
+    early = {sigma: pres.seed(sigma) for sigma in (dbc.w0_permutation(pres.dwd), (3, 2, 1, 0))}
+    assert list(early) == [(1, 0, 2, 3), (3, 2, 1, 0)]
+    assert list(pres.seeds) == list(xi_enumerate(4))
+    assert all(pres.seeds[sigma] is seed for sigma, seed in early.items())
+    assert sorted(spellings.tested) == sorted(xi_enumerate(4))
     empty = dbc.bowtie_build(A2, (), ())
     assert list(empty.seeds) == [()]
     assert empty.seeds[()].size == 0

@@ -187,9 +187,11 @@ def test_combine_is_the_one_sparse_row_sum_rule():
 
 
 def test_builders_behind_the_sigma_boundary_take_the_word():
-    # `spell` is the one sigma lookup: the boundary (`spell`, `pres.seed`,
-    # `sigma_seed`, `solve_b_oracle`, `bfz_matrix`, `b_columns`, the CLI)
-    # spells, and the builders behind it read the word
+    # `spell` is the one way from a sigma to its word, and it validates and
+    # caches: the boundary (`pres.seed`, which caches seeds, `sigma_seed`,
+    # `solve_b_oracle`, `bfz_matrix`, `b_columns`, the sweeps of `verify`
+    # over `pres.seeds` and the CLI) calls it, and the builders behind it
+    # take the word it returned
     builders = ("dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "dbc.py:sigma_degrees",
                 "dbc.py:btau_columns", "dbc.py:oracle_system", "verify.py:_block_rank_is_full")
     assert [c for c in _callers("spell") if c in builders] == []
