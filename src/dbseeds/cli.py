@@ -10,16 +10,12 @@ interval permutations, and the rank of a type by RANK_MAX, since the Cartan
 data of rank r takes r^2 entries and about r^3 steps to build.  The same
 XI_LIST_MAX_N bounds n = |w| + |u| for `verify`, with or without --all-xi,
 and for `seed --sigma all-xi`, which build all 2^(n-1) sigma-seeds; a larger
-n exits 2 before any seed is built.  At the bound, A4 with
-w = 1,2,1,3,2,1,4,3,2,1 and u = 1,2,1,3,2,1 (n = 16, Python 3.11.7 on
-2 CPUs, in-process `verify_pair`) took 7 s at 313 MiB peak RSS plain and
-72 s at 316 MiB with --all-xi.
+n exits 2 before any seed is built.
 `cgl-nf --word` is bounded by CGL_NF_MAX_LETTERS, since straightening a
 word costs about exponentially in its length; a longer word exits 2 before
 any product is computed, and so does a product that exhausts the
-engine's rewrite budget, `cgl.REWRITE_BUDGET`.  At the bound the slowest
-word shapes found (Python 3.11.7 on 2 CPUs) were 2^12,1^12 on sl2, 0.5 s
-at 18 MiB peak RSS, and 4^6,3^12,1^6 on a2, 2.0 s at 19 MiB.
+engine's rewrite budget, `cgl.REWRITE_BUDGET`.  The README gives the time
+and peak memory of the slowest inputs found at each bound.
 All output is JSON with sorted keys; rationals are "p/q" strings.
 """
 
@@ -54,9 +50,7 @@ CGL_NF_MAX_LETTERS = 24   # straightening cost grows about exponentially with th
 
 
 class ValidationFailure(Exception):
-    def __init__(self, message):
-        super().__init__(message)
-        self.payload = {"error": message}
+    """A refused input; `main` prints it as {"error": message} and exits 2."""
 
 
 def _parse_type(type_str: str, rank) :
@@ -169,24 +163,16 @@ def cmd_seed(args) -> int:
         else:
             payload["seed"] = jsonio.encode_bz(data)
     elif args.bfz:
-        b = dbc.bfz_matrix(dwd)
-        payload["seed"] = {
-            "B": [[b.column(k)[j] for k in b.ex] for j in range(dwd.size)],
-            "ex": [k + 1 for k in b.ex],
-        }
+        payload["seed"] = jsonio.encode_exchange(dbc.bfz_matrix(dwd))
     else:
+        def entry(sigma, seed) -> dict:
+            return {**jsonio.encode_seed(seed), "sigma": [x + 1 for x in sigma]}
+
         if sigma_text == "all-xi":
-            seeds = []
-            for sigma, seed in pres.seeds.items():
-                entry = jsonio.encode_seed(seed)
-                entry["sigma"] = [x + 1 for x in sigma]
-                seeds.append(entry)
-            payload["seeds"] = seeds
+            payload["seeds"] = [entry(sigma, seed) for sigma, seed in pres.seeds.items()]
         else:
-            word = _parse_sigma("id" if sigma_text is None else sigma_text, dwd)
-            entry = jsonio.encode_seed(pres.seed(word.sigma))
-            entry["sigma"] = [x + 1 for x in word.sigma]
-            payload["seed"] = entry
+            sigma = _parse_sigma("id" if sigma_text is None else sigma_text, dwd).sigma
+            payload["seed"] = entry(sigma, pres.seed(sigma))
     _emit(payload, args.out)
     return 0
 
@@ -331,10 +317,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except ValidationFailure as exc:
-        print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)
-        return 2
-    except (InvalidCartanType, LetterOutOfRange, NonReducedWordError, RewriteBudgetExceeded) as exc:
+    except (ValidationFailure, InvalidCartanType, LetterOutOfRange, NonReducedWordError, RewriteBudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 

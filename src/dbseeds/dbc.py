@@ -30,7 +30,7 @@ from .coxeter import (
     xi_enumerate,
 )
 from .qtorus import FrameMatrix, NonIntegralFrame
-from .seedcore import ExchangeMatrix, QuantumSeed, ReductionError, antiiso_transform, graded_reduce
+from .seedcore import CheckResult, ExchangeMatrix, QuantumSeed, ReductionError, antiiso_transform, graded_reduce
 
 
 class OracleError(ValueError):
@@ -396,13 +396,7 @@ def bz_seed(pres: BowtiePresentation) -> dict[Variant, BZSeedData]:
     return {"plain": data("plain", plain), "modified": data("modified", modified)}
 
 
-@dataclass(frozen=True)
-class ConnectionsReport:
-    ok: bool
-    detail: str
-
-
-def connections_check(pres: BowtiePresentation) -> ConnectionsReport:
+def connections_check(pres: BowtiePresentation) -> CheckResult:
     """Cross-verification of the two seed pipelines for the pair (w, u) of `pres`.
 
     Takes the reversed-w seed of the reduced cell, `pres.seed(w0)`, and the
@@ -415,11 +409,11 @@ def connections_check(pres: BowtiePresentation) -> ConnectionsReport:
     try:
         mbz = pres.bz["modified"]
     except NonIntegralFrame as exc:
-        return ConnectionsReport(False, f"minor-labelled frame: {exc}")
+        return CheckResult("connections", False, f"minor-labelled frame: {exc}")
     try:
         reduced = graded_reduce(mbz.seed, pres.cartan.rank)
     except ReductionError as exc:
-        return ConnectionsReport(False, f"reduction failed: {exc}")
+        return CheckResult("connections", False, f"reduction failed: {exc}")
     transformed = antiiso_transform(reduced)
 
     frame_match = transformed.frame.psi == bar.frame.psi
@@ -428,4 +422,4 @@ def connections_check(pres: BowtiePresentation) -> ConnectionsReport:
     )
     ok = frame_match and exchange_match
     detail = "" if ok else f"frame_match={frame_match} exchange_match={exchange_match}"
-    return ConnectionsReport(ok, detail)
+    return CheckResult("connections", ok, detail)

@@ -8,7 +8,7 @@ from .coxeter import CartanData, DoubleWordData, Walk
 from .cgl import NFPoly
 from .dbc import BZSeedData
 from .qtorus import FrameMatrix, VLaurent
-from .seedcore import QuantumSeed
+from .seedcore import ExchangeMatrix, QuantumSeed
 
 
 def qstr(x) -> str:
@@ -47,14 +47,17 @@ def encode_double_word(dwd: DoubleWordData) -> dict:
     }
 
 
+def encode_exchange(b: ExchangeMatrix) -> dict:
+    """The dense n x |ex| matrix "B", a column per exchangeable index, and those indices 1-based as "ex"."""
+    return {"B": [[col[j] for col in b.cols] for j in range(b.n)], "ex": [k + 1 for k in b.ex]}
+
+
 def encode_seed(seed: QuantumSeed) -> dict:
     n = seed.size
-    dense_b = [[seed.exchange.column(k)[j] for k in seed.ex] for j in range(n)]
     invertible = sorted(set(seed.ex) | set(seed.inv))
     return {
         "psi": encode_frame(seed.frame),
-        "B": dense_b,
-        "ex": [k + 1 for k in seed.ex],
+        **encode_exchange(seed.exchange),
         "inv": sorted(k + 1 for k in seed.inv),
         "degrees": [list(v) for v in seed.degrees],
         "d": list(seed.d),

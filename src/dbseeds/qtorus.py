@@ -87,12 +87,12 @@ class VLaurent:
         return cls({Q(0): Q(1)})
 
     @classmethod
-    def v_power(cls, e, coef=1) -> "VLaurent":
-        return cls({e: coef})
+    def v_power(cls, e) -> "VLaurent":
+        return cls({e: 1})
 
     @classmethod
-    def q_power(cls, e, coef=1) -> "VLaurent":
-        return cls({2 * _exact(e): coef})
+    def q_power(cls, e) -> "VLaurent":
+        return cls({2 * _exact(e): 1})
 
     # -- structure ----------------------------------------------------
     @property

@@ -86,6 +86,15 @@ class CompatReport:
     degree_failures: tuple[int, ...]                      # k with nonzero degree balance
 
 
+@dataclass
+class CheckResult:
+    """The outcome of one named check: `dbc.connections_check` and the sweeps of `verify`."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+
 def _basis(n: int, k: int) -> tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 

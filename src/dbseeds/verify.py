@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dbc, linalg
 from .coxeter import CartanData, SigmaWord
 from .qtorus import NonIntegralFrame, frame_restrict
 from .seedcore import (
-    check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis, reindex,
+    CheckResult, check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis,
+    reindex,
 )
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 def compat_identity(pres: dbc.BowtiePresentation) -> CheckResult:
@@ -240,8 +232,8 @@ def bz_compatibility(pres: dbc.BowtiePresentation) -> CheckResult:
 
 
 def connections(pres: dbc.BowtiePresentation) -> CheckResult:
-    rep = dbc.connections_check(pres)
-    return CheckResult("connections", rep.ok, rep.detail)
+    """`dbc.connections_check` as it is; kept only because `perfbench/layertrace.py` traces it by this name."""
+    return dbc.connections_check(pres)
 
 
 def verify_pair(cartan: CartanData, w, u, all_xi: bool = False) -> list[CheckResult]:

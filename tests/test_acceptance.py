@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from dbseeds import cgl, dbc, verify
-from dbseeds.cgl import NFPoly, audit_presentation, cond_holds, rescale_scalar_identity, xcomm_check
+from dbseeds.cgl import audit_presentation, rescale_scalar_identity, xcomm_check
 from dbseeds.coxeter import cartan_init, enumerate_reduced_words, xi_enumerate, xi_is_member
 from dbseeds.qtorus import VLaurent, frame_restrict
 from dbseeds.seedcore import (
@@ -203,7 +203,7 @@ def test_criterion_8_leading_term_law():
                 if not xcomm_check(pres, f):
                     _report(8, "leading-term-law", False, f"{name}: vector {f}")
                 checked += 1
-        audit_presentation(pres, trials=1000, max_degree=3, seed=101)
+        audit_presentation(pres, trials=1000, seed=101)
     _report(8, "leading-term-law", True,
             f"{checked} exponent vectors, 1000 associativity triples per presentation, {time.time() - t0:.1f}s")
 
@@ -212,15 +212,14 @@ def test_criterion_9_normalization_condition():
     checked_cond = 0
     checked_multi = 0
     for name, (pres, c_table) in cgl.shipped_presentations().items():
-        s, o_plus = pres.walk.succ, pres.walk.o_plus
         for i in range(pres.n):
-            if s[i] is not None:
-                if not cond_holds(pres, c_table, i):
-                    _report(9, "normalization", False, f"{name}: index {i}")
-                checked_cond += 1
-            for m in range(2, o_plus[i] + 1):
+            # m = 1 is the normalization condition itself, m >= 2 its rescaling identities
+            for m in range(1, pres.walk.o_plus[i] + 1):
                 if not rescale_scalar_identity(pres, c_table, i, m):
                     _report(9, "normalization", False, f"{name}: index {i}, {m} steps")
-                checked_multi += 1
+                if m == 1:
+                    checked_cond += 1
+                else:
+                    checked_multi += 1
     assert checked_multi >= 1
     _report(9, "normalization", True, f"{checked_cond} one-step, {checked_multi} multi-step identities")

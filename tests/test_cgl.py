@@ -16,7 +16,6 @@ from dbseeds.cgl import (
     PresentationError,
     RewriteBudgetExceeded,
     audit_presentation,
-    cond_holds,
     interval_y,
     leading_term,
     nf_mul,
@@ -70,7 +69,7 @@ def test_nf_mul_unit(sl2):
 
 def test_nf_mul_associativity_random(sl2, a2):
     for pres, _ in (sl2, a2):
-        audit_presentation(pres, trials=120, max_degree=3, seed=17)
+        audit_presentation(pres, trials=120, seed=17)
 
 
 def test_rewrite_budget_guard(sl2, monkeypatch):
@@ -91,6 +90,35 @@ def test_rewrite_budget_is_shared_by_the_term_pairs(sl2, monkeypatch):
         nf_mul(pres, NFPoly.monomial(f), x1)
     with pytest.raises(RewriteBudgetExceeded):
         nf_mul(pres, a, x1)
+
+
+def test_rewrite_budget_skips_a_word_whose_coefficients_cancel(sl2, monkeypatch):
+    # the term pair x2 x2 . (-v^-4 x1) rewrites to -x2 x1 x2 plus a shorter
+    # word, and the pair x2 . x1 x2 brings +x2 x1 x2: the sum is zero, so of
+    # the 5 words the product reaches that one takes no rewrite, and 4 fit
+    pres, _ = sl2
+    a = NFPoly({(0, 1): VLaurent.one(), (0, 2): VLaurent.one()})
+    b = NFPoly({(1, 0): VLaurent.v_power(-4).scale(-1), (1, 1): VLaurent.one()})
+    want, _, rewritten = _reference_nf_mul(pres, a, b)
+    assert (1, 0, 1) in rewritten and len(rewritten) == 5
+    monkeypatch.setattr(cgl, "REWRITE_BUDGET", 4)
+    assert nf_mul(pres, a, b) == want
+    monkeypatch.setattr(cgl, "REWRITE_BUDGET", 3)
+    with pytest.raises(RewriteBudgetExceeded, match="rewrite budget exhausted"):
+        nf_mul(pres, a, b)
+
+
+def test_audit_rejects_a_non_associative_presentation():
+    # x3 x1 = x1 x3 + x2 with x2 x1 = v^2 x1 x2: (x3 x2) x1 and x3 (x2 x1)
+    # differ by (1 - v^2) x2^2
+    pres = CGLPresentation(
+        lambda_exp=((0, -2, 0), (2, 0, 0), (0, 0, 0)),
+        tails={(2, 0): NFPoly.generator(3, 1)},
+        eta=(1, 2, 3),
+        degrees=((1,), (2,), (1,)),
+    )
+    with pytest.raises(PresentationError, match="associativity fails on"):
+        audit_presentation(pres)
 
 
 def _reference_nf_mul(pres, a, b):
@@ -139,7 +167,7 @@ def _check_against_reference(pres, a, b):
 def test_nf_mul_matches_the_depth_first_rule_on_the_audit(name, sl2, a2, monkeypatch):
     pres = {"sl2": sl2, "a2": a2, "a2-rescaled": a2}[name][0]
     if name == "a2-rescaled":
-        t = [VLaurent.v_power(1), VLaurent.v_power(-2, 3), VLaurent({0: "1/2"}), VLaurent.v_power(3, -1)]
+        t = [VLaurent.v_power(1), VLaurent({-2: 3}), VLaurent({0: "1/2"}), VLaurent({3: -1})]
         pres = rescale(pres, t)[0]
     products = []
 
@@ -160,7 +188,7 @@ def pbw_elements(draw, n):
         f = [0] * n
         for _ in range(draw(st.integers(0, 4))):
             f[draw(st.integers(0, n - 1))] += 1
-        terms[tuple(f)] = VLaurent.v_power(draw(st.integers(-3, 3)), draw(st.integers(-2, 2).filter(bool)))
+        terms[tuple(f)] = VLaurent({draw(st.integers(-3, 3)): draw(st.integers(-2, 2).filter(bool))})
     return NFPoly(terms)
 
 
@@ -291,7 +319,7 @@ def test_leading_term_order():
     coef, exp = leading_term(a)
     assert exp == (0, 1)
     assert coef == VLaurent.v_power(5)
-    single = NFPoly.monomial((2, 3), VLaurent.v_power(-1))
+    single = NFPoly.monomial((2, 3)).scale(VLaurent.v_power(-1))
     assert leading_term(single) == (VLaurent.v_power(-1), (2, 3))
     with pytest.raises(ValueError):
         leading_term(NFPoly())
@@ -336,6 +364,43 @@ def test_y_elements_sl2(sl2):
     assert ys[1] == NFPoly({(1, 1): VLaurent.one(), (0, 0): VLaurent.one().scale(-1)})
     coef, exp = leading_term(ys[1])
     assert exp == (1, 1) and coef == VLaurent.one()
+
+
+def test_quasi_commutation_scalar_of_zero_is_one(sl2):
+    # 0 b = z b 0 holds for every z; the scalar reported is 1
+    pres, _ = sl2
+    assert quasi_commutation_scalar(pres, NFPoly(), NFPoly.generator(2, 1)) == VLaurent.one()
+
+
+def test_interval_y_rejects_bad_chain_inputs(sl2):
+    pres, _ = sl2
+    x0_x1 = NFPoly.monomial((1, 1))
+    with pytest.raises(PresentationError, match=r"missing chain element c\[\(0, 1\)\]"):
+        interval_y(pres, 0, 1, {})
+    # x0 x1 - c = x0: homogeneous, but of the degree of x0, not of x0 x1
+    with pytest.raises(PresentationError, match=r"chain element \[0,1\] has wrong degree"):
+        interval_y(pres, 0, 1, {(0, 1): x0_x1 - NFPoly.monomial((1, 0))})
+    # x0 x1 - c = -x0 x1: the right degree, but the leading coefficient is -1
+    with pytest.raises(PresentationError, match=r"chain element \[0,1\] has wrong leading term"):
+        interval_y(pres, 0, 1, {(0, 1): NFPoly({(1, 1): VLaurent({0: 2})})})
+
+
+def test_y_elements_reject_an_element_that_does_not_normalize(sl2):
+    # with c = 0, y_2 = x1 x2, and x1 x2 x1 = q^2 x1^2 x2 + (1 - q^2) x1
+    pres, _ = sl2
+    with pytest.raises(PresentationError, match="y_1 does not normalize x_0"):
+        y_elements(pres, {(0, 1): NFPoly()})
+
+
+def test_u_element_rejects_a_vanishing_or_outside_element():
+    # two commuting generators of one level and equal degree: the one-step
+    # interval element is u = c itself, which must be nonzero and lie
+    # strictly between positions 0 and 1, that is, be a scalar
+    pres = CGLPresentation(lambda_exp=((0, 0), (0, 0)), tails={}, eta=(1, 1), degrees=((1,), (1,)))
+    with pytest.raises(PresentationError, match=r"interval element \[0,1\] vanishes"):
+        u_element(pres, {(0, 1): NFPoly()}, 0, 1)
+    with pytest.raises(PresentationError, match=r"interval element \[0,1\] leaves the open interval"):
+        u_element(pres, {(0, 1): NFPoly.monomial((2, 0))}, 0, 1)
 
 
 def test_y_elements_reject_bad_c(sl2):
@@ -388,11 +453,12 @@ def test_u_element_a2(a2):
 
 
 def test_cond_shipped(sl2, a2):
+    # the normalization condition is the one-step rescaling identity
     pres, c_table = sl2
-    assert cond_holds(pres, c_table, 0)
+    assert rescale_scalar_identity(pres, c_table, 0, 1)
     pres, c_table = a2
-    assert cond_holds(pres, c_table, 0)
-    assert cond_holds(pres, c_table, 2)
+    assert rescale_scalar_identity(pres, c_table, 0, 1)
+    assert rescale_scalar_identity(pres, c_table, 2, 1)
 
 
 def test_rescale_scalar_identity_a2(a2):

@@ -300,6 +300,11 @@ def test_root_sum_invariant():
                 assert tuple(in_weights) == delta
 
 
+def test_xi_enumerate_refuses_zero_positions():
+    with pytest.raises(ValueError, match="n must be positive"):
+        list(xi_enumerate(0))
+
+
 def test_xi_enumerate_sizes():
     assert list(xi_enumerate(1)) == [(0,)]
     assert list(xi_enumerate(2)) == [(0, 1), (1, 0)]

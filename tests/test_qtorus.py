@@ -101,9 +101,9 @@ def test_vlaurent_cancellations_leave_no_zero_term():
         lambda: VLaurent({Q(1, 2): 1, 1: 2.0}),
         lambda: VLaurent({0: 1j}),
         lambda: VLaurent.v_power(0.5),
-        lambda: VLaurent.v_power(1, 0.25),
+        lambda: VLaurent.v_power(1).scale(0.25),
         lambda: VLaurent.q_power(0.5),
-        lambda: VLaurent.q_power(1, 1.0),
+        lambda: VLaurent.q_power(1).scale(1.0),
         lambda: VLaurent.one().scale(0.25),
         lambda: VLaurent.one().scale(1.0),
     ],
@@ -118,11 +118,16 @@ def test_scalars_refuse_inexact_numbers(build):
         build()
 
 
+def test_only_a_single_v_power_is_inverted():
+    with pytest.raises(ValueError, match="not a single v-power"):
+        (VLaurent.one() + VLaurent.v_power(1)).inverse()
+
+
 def test_scalars_take_every_exact_number():
     half = VLaurent({Q(1, 2): Q(1, 2)})
-    assert VLaurent({"1/2": "1/2"}) == VLaurent.v_power(Q(1, 2), Q(1, 2)) == half
-    assert VLaurent.q_power(Q(1, 4), Q(1, 2)) == half == VLaurent.v_power(Q(1, 2)).scale(Q(1, 2))
-    assert VLaurent.q_power(1, -3) == VLaurent({2: -3}) == VLaurent.v_power(2).scale(-3)
+    assert VLaurent({"1/2": "1/2"}) == VLaurent.v_power(Q(1, 2)).scale(Q(1, 2)) == half
+    assert VLaurent.q_power(Q(1, 4)).scale(Q(1, 2)) == half
+    assert VLaurent.q_power(1).scale(-3) == VLaurent({2: -3}) == VLaurent.v_power(2).scale(-3)
 
 
 # The bicharacter Omega(f, g) = v^(f^T psi g) is read through its exponent `omega_exp`.
