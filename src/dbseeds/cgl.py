@@ -316,16 +316,17 @@ def xcomm_check(pres: CGLPresentation, f: Sequence[int]) -> bool:
 
 
 def quasi_commutation_scalar(pres: CGLPresentation, a: NFPoly, b: NFPoly) -> VLaurent | None:
-    """The v-power z with a b = z b a, or None when they do not quasi-commute."""
+    """The v-power z with a b = z b a, or None when they do not quasi-commute.
+
+    ab and ba share their leading exponent, the sum of a's and b's, and so
+    vanish together: a rewrite keeps the sorted word with a v-power and adds
+    only lower words.  So z is read off the two leading coefficients.
+    """
     ab = nf_mul(pres, a, b)
     ba = nf_mul(pres, b, a)
-    if ab.is_zero() or ba.is_zero():
-        return VLaurent.one() if ab.is_zero() and ba.is_zero() else None
-    c1, f1 = leading_term(ab)
-    c2, f2 = leading_term(ba)
-    if f1 != f2:
-        return None
-    e = min(c1.terms) - min(c2.terms)
+    if ab.is_zero():
+        return VLaurent.one()
+    e = min(leading_term(ab)[0].terms) - min(leading_term(ba)[0].terms)
     z = VLaurent.v_power(e)
     return z if ab == ba.scale(z) else None
 

@@ -236,17 +236,30 @@ def is_reduced(cartan: CartanData, word: Sequence[int]) -> bool:
 
 
 def enumerate_reduced_words(cartan: CartanData, max_len: int) -> list[Word]:
-    """All reduced words of length <= max_len, shortest first, lexicographic."""
+    """All reduced words of length <= max_len, shortest first, lexicographic.
+
+    Each frontier word w keeps its roots and the images x(alpha_j) that
+    `word_roots` carries for the prefix x = w, so a candidate w + (a,) adds
+    the one root beta = x(alpha_a).  w is reduced, so the candidate is
+    reduced exactly when beta passes `_roots_are_reduced`'s rule beside w's
+    roots: it is positive and not among them.
+    """
+    r = cartan.rank
     out: list[Word] = [()]
-    frontier: list[Word] = [()]
+    frontier = [((), tuple(tuple(_unit(r, j)) for j in range(r)), ())]
     for _ in range(max_len):
-        nxt: list[Word] = []
-        for w in frontier:
-            for letter in range(1, cartan.rank + 1):
-                cand = w + (letter,)
-                if is_reduced(cartan, cand):
-                    nxt.append(cand)
-        out.extend(nxt)
+        nxt = []
+        for w, images, roots in frontier:
+            for i, beta in enumerate(images):
+                if beta in roots or not _roots_are_reduced((beta,)):
+                    continue
+                # x s_i (alpha_j) = x(alpha_j) - c_ij beta
+                moved = tuple(
+                    tuple(map(sub, image, [c * y for y in beta])) if c else image
+                    for image, c in zip(images, cartan.cartan[i])
+                )
+                nxt.append((w + (i + 1,), moved, roots + (beta,)))
+        out.extend(w for w, _, _ in nxt)
         frontier = nxt
     return out
 

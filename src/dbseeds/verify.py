@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import dbc, linalg
 from .coxeter import CartanData, SigmaWord
-from .qtorus import NonIntegralFrame, frame_restrict
+from .qtorus import FrameMatrix, NonIntegralFrame
 from .seedcore import (
-    CheckResult, check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree, mutation_basis,
-    reindex,
+    CheckResult, QuantumSeed, check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree,
+    mutation_basis, reindex,
 )
 
 
@@ -133,6 +135,25 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     return CheckResult("btau-oracle", True)
 
 
+def _opposite_sign_gives(seed: QuantumSeed, k: int, plus: FrameMatrix, other: FrameMatrix) -> bool:
+    """Whether restricting seed's frame along `mutation_basis(seed, k, -1)` gives `other`.
+
+    `plus` is the restriction along `mutation_basis(seed, k, +1)`, which
+    `mutate_seed` has just built.  See `xi_linkage` for the derivation.
+    """
+    minus = mutation_basis(seed, k, -1)
+    changed = [a for a, (p, m) in enumerate(zip(mutation_basis(seed, k, +1), minus)) if p != m]
+    keep = [i for i in range(len(minus)) if i not in changed]
+    unmoved = linalg.gather(keep)
+    if any(unmoved(plus.psi[i]) != unmoved(other.psi[i]) for i in keep):
+        return False
+    for a in changed:
+        r = linalg.combine(seed.frame.psi, minus[a])
+        if other.psi[a] != tuple(sum(map(mul, r, g)) for g in minus):
+            return False
+    return True
+
+
 def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     """One-step linkage between seeds of adjacent interval permutations.
 
@@ -141,13 +162,32 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     different levels, and its mutation at k when they lie on the same level.
     A mutation step must give the same frame with either sign choice.
 
+    The sign choice is tested without a second full restriction.  Let G+
+    and G- be `mutation_basis(seed, k, +1)` and `(seed, k, -1)`, and D the
+    rows where they differ (D = {k} for an honest basis; it is computed, so
+    a fault in another row of G- is seen too).  `mutate_seed` returns the
+    frame G+ psi G+^T, and the test is whether G- psi G-^T equals psi', the
+    frame of seed(sigma'):
+
+    - An entry (i, j) with i and j outside D pairs the same two vectors,
+      G-_i = G+_i and G-_j = G+_j, so there it is the entry of the mutated
+      frame, and only those entries are compared.
+    - For a in D, r = G-_a psi is one sparse row sum (`linalg.combine`), and
+      entry (a, j) is r . G-_j for every j.  Column a needs no test of its
+      own: psi is skew-symmetric, so G- psi G-^T is too, and so is psi'
+      (a `FrameMatrix`), so their columns a are minus their rows a.
+
+    Together these are every entry, so the test holds exactly when the full
+    restriction along G- would equal psi'.  Unlike `frame_restrict`, it does
+    not check G-'s lengths, int entries or independence; `mutation_basis`
+    builds G- from unit rows and one row with -1 at k.
+
     Each link {sigma, sigma'} is checked in full once, from the end that
     comes first in `pres.seeds` order.  The other end needs less:
 
     - Reindexing by a transposition t, with t^2 = 1, compares the same
       integer entries from either end, so nothing is left to check.
-    - For a mutation, let G+ and G- be the basis changes of seed(sigma) at k
-      (`mutation_basis`).  The first end checks psi' = G- psi G-^T =
+    - For a mutation, the first end checks psi' = G- psi G-^T =
       G+ psi G+^T, B' = mu_k(B), the degrees, the symmetrizer d and the
       invertible indices.  Column k of B' is minus column k of B, so the
       bases of seed(sigma') are G+' = G- and G-' = G+.  Row k of either
@@ -184,7 +224,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
                     # the mutated seed already sits in the adjacent order; no
                     # further reindexing (verified against the rank-one algebra)
                     moved = mutate_seed(seed, k)
-                    if frame_restrict(seed.frame, mutation_basis(seed, k, -1)) != other.frame:
+                    if not _opposite_sign_gives(seed, k, moved.frame, other.frame):
                         detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
                         return CheckResult("xi-linkage", False, detail)
                 linked = moved == other

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -198,6 +199,21 @@ def test_nf_mul_matches_the_depth_first_rule_on_random_elements(data):
     name = data.draw(st.sampled_from(["sl2", "a2"]))
     pres = cgl.shipped_presentations()[name][0]
     _check_against_reference(pres, data.draw(pbw_elements(pres.n)), data.draw(pbw_elements(pres.n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_products_in_either_order_share_their_leading_exponent(data):
+    # nonzero PBW elements multiply to a nonzero element whose leading
+    # exponent is the sum of theirs, in either order, and a zero factor gives
+    # zero: so `quasi_commutation_scalar` needs no case for a product that
+    # vanishes alone or for leading exponents that differ
+    name = data.draw(st.sampled_from(["sl2", "a2"]))
+    pres = cgl.shipped_presentations()[name][0]
+    a, b = data.draw(pbw_elements(pres.n)), data.draw(pbw_elements(pres.n))
+    lead = tuple(map(operator.add, leading_term(a)[1], leading_term(b)[1]))
+    assert leading_term(nf_mul(pres, a, b))[1] == lead == leading_term(nf_mul(pres, b, a))[1]
+    assert nf_mul(pres, a, NFPoly()).is_zero() and nf_mul(pres, NFPoly(), a).is_zero()
 
 
 def test_rewrite_rules_are_built_once_per_presentation(a2, monkeypatch):

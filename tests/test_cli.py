@@ -389,9 +389,9 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
 
 
 def test_closed_pipe_exits_quietly_in_a_real_process():
-    # only a real process meets the flush at interpreter exit, which the
-    # dup2 in `main` keeps from failing a second time; the all-xi seeds of
-    # A3 run to megabytes, far past what a pipe holds
+    # only a real process meets the flush at interpreter exit, which must
+    # not fail a second time; the all-xi seeds of A3 run to megabytes, far
+    # past what a pipe holds
     argv = ["seed", "--type", "A3", "--w", "1,2,1,3,2,1", "--u", "1,2,1,3,2,1", "--sigma", "all-xi"]
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -176,6 +176,25 @@ def test_reduced_words_distinct_positive():
             assert all(x >= 0 for x in a)
 
 
+def _filtered_reduced_words(cartan, max_len):
+    """Reference: each candidate w + (a,) kept when `is_reduced` walks all its roots and passes it."""
+    out, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (a,) for w in frontier for a in range(1, cartan.rank + 1) if is_reduced(cartan, w + (a,))]
+        out += frontier
+    return out
+
+
+@pytest.mark.parametrize("name", TYPES + ["E7", "E8"])
+def test_reduced_words_match_the_whole_word_filter(name):
+    # the enumeration adds one root per candidate; its words and their order
+    # are those of the filter.  E7 and E8 stop at length 5 (E8 has 67 035
+    # reduced words of length at most 6)
+    cartan = cartan_init(name[0], int(name[1:]))
+    max_len = 5 if name in ("E7", "E8") else 6
+    assert enumerate_reduced_words(cartan, max_len) == _filtered_reduced_words(cartan, max_len)
+
+
 def test_eta_machinery_a1():
     c = cartan_init("A", 1)
     dwd = eta_machinery(c, (1,), (1,))

@@ -1,10 +1,11 @@
 import dataclasses
+import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
 import pytest
 
-from dbseeds import dbc, seedcore, verify
+from dbseeds import dbc, linalg, seedcore, verify
 from dbseeds.coxeter import (
     CartanData,
     NotAPermutation,
@@ -516,20 +517,73 @@ def test_xi_linkage_fails_when_frame_depends_on_sign_choice(monkeypatch):
     assert "sign choice" in res.detail
 
 
+def _full_restriction_gives(seed, k, plus, other):
+    """Reference sign-choice rule: the whole restriction along the -1 basis, compared with `other`."""
+    return frame_restrict(seed.frame, verify.mutation_basis(seed, k, -1)) == other
+
+
+def _basis_fault(row_of):
+    """`mutation_basis` whose -1 basis has its row `row_of(k)` moved: row k doubled, another row plus row k."""
+    def skewed(seed, k, sign):
+        basis = mutation_basis(seed, k, sign)
+        j = row_of(k)
+        if sign < 0:
+            basis[j] = tuple(x + y for x, y in zip(basis[j], basis[k]))
+        return basis
+
+    return skewed
+
+
+def _frame_fault(pres, sigma, i, j):
+    """pres with seed(sigma)'s frame entry (i, j) raised by one and its skew partner lowered."""
+    seed = pres.seeds[sigma]
+    psi = [list(row) for row in seed.frame.psi]
+    psi[i][j] += 1
+    psi[j][i] -= 1
+    bad = dataclasses.replace(seed, frame=FrameMatrix(tuple(map(tuple, psi))))
+    return SimpleNamespace(dwd=pres.dwd, size=pres.size, seeds={**pres.seeds, sigma: bad})
+
+
+@pytest.mark.parametrize("fault, sigma, k", [
+    ("basis-row-k", (1, 2, 3, 4, 5, 0), 4),
+    ("basis-other-row", (1, 2, 3, 4, 5, 0), 4),
+    ("frame-off-row-k", (1, 2, 3, 0, 4, 5), 2),
+    ("frame-row-k", (1, 2, 3, 0, 4, 5), 2),
+])
+def test_xi_linkage_sign_choice_reports_as_the_full_restriction(monkeypatch, fault, sigma, k):
+    # the moved-row test reads the same entries as the restriction along the
+    # -1 basis: each fault, in that basis or in the neighbour's frame, fails
+    # at the same (sigma, k) with the same detail under either rule.  The
+    # frame faults sit in seed(sigma o (2 3)), which mutation at k = 2 reaches
+    pres = dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))
+    if fault == "basis-row-k":
+        monkeypatch.setattr(verify, "mutation_basis", _basis_fault(lambda k: k))
+    elif fault == "basis-other-row":
+        monkeypatch.setattr(verify, "mutation_basis", _basis_fault(lambda k: k + 1))
+    else:
+        entry = (0, 1) if fault == "frame-off-row-k" else (k, 0)
+        pres = _frame_fault(pres, (1, 2, 0, 3, 4, 5), *entry)
+    got = verify.xi_linkage(pres)
+    monkeypatch.setattr(verify, "_opposite_sign_gives", _full_restriction_gives)
+    assert got == verify.xi_linkage(pres)
+    detail = f"w=(1, 2, 1) u=(1, 2, 1): sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+    assert got == verify.CheckResult("xi-linkage", False, detail)
+
+
 def test_xi_linkage_checks_each_edge_once(monkeypatch):
     # every unordered link {sigma, sigma o (k k+1)} of the interval
     # permutations: a mutation on one level, a reindexing across two; the
     # check from both ends made twice these calls
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))
     members = set(xi_enumerate(pres.size))
-    edges = {"mutate_seed": 0, "reindex": 0, "frame_restrict": 0}
+    edges = {"mutate_seed": 0, "reindex": 0, "combine": 0}
     for sigma in members:
         for k in range(pres.size - 1):
             sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
             if sigma < sigma2 and sigma2 in members:
                 if pres.dwd.eta[sigma[k]] == pres.dwd.eta[sigma[k + 1]]:
                     edges["mutate_seed"] += 1
-                    edges["frame_restrict"] += 1   # the opposite sign choice
+                    edges["combine"] += 1   # the moved row of the opposite sign choice
                 else:
                     edges["reindex"] += 1
     assert edges["mutate_seed"] and edges["reindex"]
@@ -545,8 +599,17 @@ def test_xi_linkage_checks_each_edge_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in ("mutate_seed", "reindex"):
         monkeypatch.setattr(verify, name, counted(name))
+    combine = linalg.combine
+
+    def moved_row(rows, coeffs):
+        # only the sign-choice test's row sums; the oracle's and seedcore's pass
+        if sys._getframe(1).f_code is verify._opposite_sign_gives.__code__:
+            calls["combine"] += 1
+        return combine(rows, coeffs)
+
+    monkeypatch.setattr(linalg, "combine", moved_row)
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results)
     assert calls == edges

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction as Q
 from functools import cache
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 import sympy
@@ -339,6 +340,48 @@ def test_mutation_links_adjacent_seeds_from_either_end(name, data):
     for sigma, k, sigma2, same_level in _adjacent(pres):
         if same_level:
             assert mutate_seed(pres.seeds[sigma2], k) == pres.seeds[sigma]
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_moved_row_sign_test_agrees_with_the_full_restriction(name, data):
+    # the reference is the restriction along the whole -1 basis compared with
+    # the neighbour's frame; on every same-level edge the moved-row test must
+    # answer as it does: on the honest neighbour, on the neighbour with one
+    # frame entry moved (kept skew), and with one row of the -1 basis plus a
+    # multiple of another, which keeps the basis integral and independent
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    n = pres.size
+    for sigma, k, sigma2, same_level in _adjacent(pres):
+        if not same_level:
+            continue
+        seed, other = pres.seeds[sigma], pres.seeds[sigma2]
+        plus = mutate_seed(seed, k).frame
+
+        def agrees(basis, frame):
+            want = frame_restrict(seed.frame, basis(seed, k, -1)) == frame
+            with mock.patch.object(verify, "mutation_basis", basis):
+                assert verify._opposite_sign_gives(seed, k, plus, frame) == want
+            return want
+
+        assert agrees(mutation_basis, other.frame)
+        bad = _corrupt(other, "frame", data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63)))
+        assert not agrees(mutation_basis, bad.frame)
+        j = data.draw(st.integers(0, n - 1))
+        m = data.draw(st.integers(0, n - 2))
+        m += m >= j
+        c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+
+        def skewed(seed, k, sign, j=j, m=m, c=c):
+            basis = mutation_basis(seed, k, sign)
+            if sign < 0:
+                basis[j] = tuple(x + c * y for x, y in zip(basis[j], basis[m]))
+            return basis
+
+        agrees(skewed, other.frame)
 
 
 def _full_elimination_btau(pres):

@@ -129,10 +129,10 @@ def test_double_word_matrix_is_the_one_exchange_rule():
 
 def test_frame_restrict_callers_are_mutation_and_reduction():
     # sigma-frames follow the chain recursion (`dbc.sigma_frame`); the general
-    # restriction rule is left to mutation, its sign-choice oracle and reduction
-    assert sorted(_callers("frame_restrict")) == [
-        "seedcore.py:graded_reduce", "seedcore.py:mutate_seed", "verify.py:xi_linkage",
-    ]
+    # restriction rule is left to mutation and reduction.  The sign-choice
+    # oracle (`verify._opposite_sign_gives`) reads the unmoved entries from
+    # `mutate_seed`'s own restriction and sums each moved row with `combine`
+    assert sorted(_callers("frame_restrict")) == ["seedcore.py:graded_reduce", "seedcore.py:mutate_seed"]
 
 
 def test_trusted_frames_come_only_from_valid_constructions():
@@ -200,6 +200,7 @@ def test_combine_is_the_one_sparse_row_sum_rule():
         "seedcore.py:degree_balance",
         "seedcore.py:exchange_pairings",
         "seedcore.py:mutated_degree",
+        "verify.py:_opposite_sign_gives",
         "verify.py:btau_oracle_equivalence",
     ]
 
