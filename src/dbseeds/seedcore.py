@@ -95,10 +95,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _basis(n: int, k: int) -> tuple[int, ...]:
-    return tuple(1 if i == k else 0 for i in range(n))
-
-
 def degree_balance(seed: QuantumSeed, k: int) -> tuple[int, ...]:
     """Sum_j b^k_j * degrees_j, which must vanish for a graded seed."""
     return linalg.combine(seed.degrees, seed.exchange.column(k))
@@ -135,23 +131,31 @@ def check_compatible(seed: QuantumSeed) -> CompatReport:
 
 
 def mutate_exchange(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k; involutive."""
+    """Matrix mutation in direction k; involutive.
+
+    b'_ij = b_ij + [b_ik]_+ [b_kj]_+ - [-b_ik]_+ [-b_kj]_+ off row and column
+    k, b'_kj = -b_kj, and column k is negated.  Each added term carries the
+    factor [+-b_kj]_+, so a column with b_kj = 0 passes through as the same
+    tuple (its entry k is -0).  Any other column moves at entry k and at the
+    rows i != k where b_ik has the sign of b_kj, by b_ik |b_kj|; those rows
+    are read from column k's nonzeros once per call.
+    """
     col_k = b.column(k)
+    rises = [(i, x) for i, x in enumerate(col_k) if x > 0 and i != k]
+    falls = [(i, x) for i, x in enumerate(col_k) if x < 0 and i != k]
     new_cols = []
-    for idx, j in enumerate(b.ex):
-        col_j = b.cols[idx]
-        if j == k:
-            new_cols.append(tuple(-x for x in col_j))
-            continue
+    for j, col_j in zip(b.ex, b.cols):
         bkj = col_j[k]
-        new = []
-        for i in range(b.n):
-            if i == k:
-                new.append(-col_j[i])
-            else:
-                bik = col_k[i]
-                new.append(col_j[i] + max(bik, 0) * max(bkj, 0) - max(-bik, 0) * max(-bkj, 0))
-        new_cols.append(tuple(new))
+        if j == k:
+            col_j = tuple(-x for x in col_j)
+        elif bkj:
+            new = list(col_j)
+            new[k] = -bkj
+            scale = abs(bkj)
+            for i, bik in rises if bkj > 0 else falls:
+                new[i] += bik * scale
+            col_j = tuple(new)
+        new_cols.append(col_j)
     return ExchangeMatrix(b.n, b.ex, tuple(new_cols))
 
 
@@ -163,9 +167,13 @@ def _mutation_row(seed: QuantumSeed, k: int, sign: int) -> tuple[int, ...]:
 
 
 def mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...]]:
-    """Basis change of mutation at k: e_k -> -e_k + sum [sign b_ik]_+ e_i."""
+    """Basis change of mutation at k: e_k -> -e_k + sum [sign b_ik]_+ e_i.
+
+    Every other row is the unit vector e_j, cut from one row of zeros.
+    """
     n = seed.size
-    return [_mutation_row(seed, k, sign) if j == k else _basis(n, j) for j in range(n)]
+    zeros = (0,) * (n - 1)
+    return [_mutation_row(seed, k, sign) if j == k else zeros[:j] + (1,) + zeros[j:] for j in range(n)]
 
 
 def mutated_degree(seed: QuantumSeed, k: int) -> tuple[int, ...]:

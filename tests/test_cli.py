@@ -364,26 +364,16 @@ def test_seed_rejects_two_seed_kinds(capsys, flags):
     assert "at most one" in json.loads(err)["error"]
 
 
-def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
     class ClosedPipe:
-        def __init__(self, fd):
-            self.fd = fd
-
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
         def flush(self):
             pass
 
-        def fileno(self):
-            return self.fd
-
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-    try:
-        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
-        code = main(["xi-list", "--n", "4"])
-    finally:
-        os.close(fd)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["xi-list", "--n", "4"])
     assert code == cli.EXIT_BROKEN_PIPE == 141
     assert capsys.readouterr().err == ""
 

@@ -116,6 +116,18 @@ def dropped_basis_entry(mp):
     mp.setattr(seedcore, "_mutation_row", row)
 
 
+def exchange_column_kept(mp):
+    """Matrix mutation that also passes through every column with b_kj < 0, not only those with b_kj = 0."""
+    honest = seedcore.mutate_exchange
+
+    def mutate_exchange(b, k):
+        got = honest(b, k)
+        cols = tuple(old if j != k and old[k] < 0 else new for j, old, new in zip(b.ex, b.cols, got.cols))
+        return seedcore.ExchangeMatrix(b.n, b.ex, cols)
+
+    mp.setattr(seedcore, "mutate_exchange", mutate_exchange)
+
+
 def weight_row_scaled(mp):
     """The weight form's first row doubled in every `weight_image`."""
     honest = CartanData.weight_image
@@ -136,6 +148,7 @@ FAULTS = {
     "nu-transposed": nu_transposed,
     "wrong-d": wrong_d,
     "dropped-basis-entry": dropped_basis_entry,
+    "exchange-column-kept": exchange_column_kept,
     "weight-row-scaled": weight_row_scaled,
 }
 

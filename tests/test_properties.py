@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbseeds import dbc, linalg, verify
+from dbseeds import dbc, linalg, seedcore, verify
 from dbseeds.coxeter import cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
@@ -382,6 +382,22 @@ def test_moved_row_sign_test_agrees_with_the_full_restriction(name, data):
             return basis
 
         agrees(skewed, other.frame)
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutation_basis_is_the_identity_but_row_k(name, data):
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    n = pres.size
+    for seed in pres.seeds.values():
+        for k in seed.ex:
+            for sign in (1, -1):
+                want = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+                want[k] = seedcore._mutation_row(seed, k, sign)
+                assert mutation_basis(seed, k, sign) == want
 
 
 def _full_elimination_btau(pres):

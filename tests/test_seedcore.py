@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbseeds.qtorus import DimensionMismatch, FrameMatrix, frame_restrict
 from dbseeds.seedcore import (
@@ -100,6 +102,57 @@ def test_mutate_exchange_involution_bigger():
     b = ExchangeMatrix(3, (0, 1), ((0, -1, 2), (1, 0, -3)))
     for k in (0, 1):
         assert mutate_exchange(mutate_exchange(b, k), k) == b
+
+
+def _four_max_mutation(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Reference: every entry of every column from b_ij + [b_ik]_+ [b_kj]_+ - [-b_ik]_+ [-b_kj]_+."""
+    col_k = b.column(k)
+    cols = []
+    for j, col_j in zip(b.ex, b.cols):
+        if j == k:
+            cols.append(tuple(-x for x in col_j))
+            continue
+        bkj = col_j[k]
+        cols.append(tuple(
+            -col_j[i] if i == k
+            else col_j[i] + max(col_k[i], 0) * max(bkj, 0) - max(-col_k[i], 0) * max(-bkj, 0)
+            for i in range(b.n)
+        ))
+    return ExchangeMatrix(b.n, b.ex, tuple(cols))
+
+
+@st.composite
+def exchange_and_direction(draw):
+    """Any n <= 8 and ex, entries -3..3 (b_kk among them), some columns zero; rows off ex are frozen."""
+    n = draw(st.integers(1, 8))
+    ex = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    entry = st.integers(-3, 3)
+    cols = tuple(
+        (0,) * n if draw(st.integers(0, 4)) == 0 else tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+        for _ in ex
+    )
+    return ExchangeMatrix(n, ex, cols), draw(st.sampled_from(ex))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(exchange_and_direction())
+def test_mutate_exchange_matches_the_four_max_rule(case):
+    b, k = case
+    assert mutate_exchange(b, k) == _four_max_mutation(b, k)
+
+
+def test_mutate_exchange_passes_columns_with_zero_bkj_through():
+    # row 3 is frozen, column 2 is zero, and b_11 != 0
+    b = ExchangeMatrix(5, (0, 1, 2, 4), ((0, 2, 0, -1, 0), (-2, 1, 0, 3, 1), (0,) * 5, (0, -1, 0, 2, 0)))
+    passed = 0
+    for k in b.ex:
+        got = mutate_exchange(b, k)
+        assert got == _four_max_mutation(b, k)
+        for j, before, after in zip(b.ex, b.cols, got.cols):
+            if j != k and before[k] == 0:
+                assert after is before
+                passed += 1
+    assert passed == 2 + 1 + 3 + 2
 
 
 def test_mutate_exchange_requires_exchangeable():
