@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from numbers import Complex, Rational
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -286,6 +287,35 @@ def _peels(vectors: Sequence[tuple]) -> bool:
             if count[c2] == 1:
                 alone.append(c2)
     return left == 0
+
+
+def moved_indices(vectors: Sequence[Sequence]) -> list[int]:
+    """The indices a whose vector is not the unit vector e_a: the rows that restriction moves."""
+    n = len(vectors)
+    return [a for a, v in enumerate(vectors) if v[a] != 1 or v.count(0) != n - 1]
+
+
+def restricted_rows(psi: Sequence[Sequence], vectors: Sequence[Sequence], moved: Sequence[int]) -> list[tuple]:
+    """Rows `moved` of V psi V^T, for a skew-symmetric psi and integer vectors V.
+
+    This is the moved-row rule of restriction.  `moved` must hold every
+    index of `moved_indices(V)`, and may hold more.  Row a is
+    r = V_a psi, one sparse row sum (`linalg.combine`), paired with every
+    V_j: r_j itself where V_j = e_j, and one dot product at each j in
+    `moved`.  The other entries need no sum: where V_i = e_i and V_j = e_j,
+    entry (i, j) pairs two unit vectors and is psi_ij, and column a is
+    minus row a, since (V psi V^T)^T = V psi^T V^T = -V psi V^T.  Unlike
+    `frame_restrict`, it checks neither the vectors' lengths nor their
+    independence.
+    """
+    out = []
+    for a in moved:
+        r = linalg.combine(psi, vectors[a])
+        row = list(r)
+        for b in moved:
+            row[b] = sum(map(mul, r, vectors[b]))
+        out.append(tuple(row))
+    return out
 
 
 def frame_restrict(frame: FrameMatrix, vectors: Sequence[Sequence]) -> FrameMatrix:

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from operator import mul
-
-from . import dbc, linalg
+from . import dbc, linalg, qtorus, seedcore
 from .coxeter import CartanData, SigmaWord
-from .qtorus import FrameMatrix, NonIntegralFrame
-from .seedcore import (
-    CheckResult, QuantumSeed, check_compatible, degree_balance, exchange_pairings, mutate_seed, mutated_degree,
-    mutation_basis, reindex,
-)
+from .qtorus import NonIntegralFrame
+from .seedcore import CheckResult, QuantumSeed, check_compatible, degree_balance, exchange_pairings, reindex
 
 
 def compat_identity(pres: dbc.BowtiePresentation) -> CheckResult:
@@ -135,23 +130,21 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     return CheckResult("btau-oracle", True)
 
 
-def _opposite_sign_gives(seed: QuantumSeed, k: int, plus: FrameMatrix, other: FrameMatrix) -> bool:
-    """Whether restricting seed's frame along `mutation_basis(seed, k, -1)` gives `other`.
+def _restrictions_give(seed: QuantumSeed, k: int, psi: tuple[tuple[int, ...], ...]) -> tuple[bool, bool]:
+    """Whether restricting seed's frame along `mutation_basis(seed, k, -1)`, and along `(seed, k, +1)`, gives `psi`.
 
-    `plus` is the restriction along `mutation_basis(seed, k, +1)`, which
-    `mutate_seed` has just built.  See `xi_linkage` for the derivation.
+    `psi` is a frame's, so skew-symmetric.  See `xi_linkage` for the derivation.
     """
-    minus = mutation_basis(seed, k, -1)
-    changed = [a for a, (p, m) in enumerate(zip(mutation_basis(seed, k, +1), minus)) if p != m]
-    keep = [i for i in range(len(minus)) if i not in changed]
+    bases = [seedcore.mutation_basis(seed, k, sign) for sign in (-1, +1)]
+    moved = sorted({a for basis in bases for a in qtorus.moved_indices(basis)})
+    keep = [i for i in range(seed.size) if i not in moved]
     unmoved = linalg.gather(keep)
-    if any(unmoved(plus.psi[i]) != unmoved(other.psi[i]) for i in keep):
-        return False
-    for a in changed:
-        r = linalg.combine(seed.frame.psi, minus[a])
-        if other.psi[a] != tuple(sum(map(mul, r, g)) for g in minus):
-            return False
-    return True
+    own = seed.frame.psi
+    if any(unmoved(own[i]) != unmoved(psi[i]) for i in keep):
+        return False, False
+    return tuple(
+        all(psi[a] == row for a, row in zip(moved, qtorus.restricted_rows(own, basis, moved))) for basis in bases
+    )
 
 
 def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
@@ -162,25 +155,26 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     different levels, and its mutation at k when they lie on the same level.
     A mutation step must give the same frame with either sign choice.
 
-    The sign choice is tested without a second full restriction.  Let G+
-    and G- be `mutation_basis(seed, k, +1)` and `(seed, k, -1)`, and D the
-    rows where they differ (D = {k} for an honest basis; it is computed, so
-    a fault in another row of G- is seen too).  `mutate_seed` returns the
-    frame G+ psi G+^T, and the test is whether G- psi G-^T equals psi', the
-    frame of seed(sigma'):
+    A mutation link is checked in place: no mutated seed is built, and the
+    frame is never restricted in full.  Let G+ and G- be
+    `mutation_basis(seed, k, +1)` and `(seed, k, -1)`.  Seed(sigma) links to
+    seed(sigma') with frame psi' exactly when psi' = G- psi G-^T (tested
+    first: else the frame mutation depends on the sign choice), psi' =
+    G+ psi G+^T, B' = mu_k(B) (`mutate_exchange`), the degrees are
+    seed(sigma)'s with entry k replaced by `mutated_degree(seed, k)`, and d
+    and the invertible indices are seed(sigma)'s.
 
-    - An entry (i, j) with i and j outside D pairs the same two vectors,
-      G-_i = G+_i and G-_j = G+_j, so there it is the entry of the mutated
-      frame, and only those entries are compared.
-    - For a in D, r = G-_a psi is one sparse row sum (`linalg.combine`), and
-      entry (a, j) is r . G-_j for every j.  Column a needs no test of its
-      own: psi is skew-symmetric, so G- psi G-^T is too, and so is psi'
-      (a `FrameMatrix`), so their columns a are minus their rows a.
-
-    Together these are every entry, so the test holds exactly when the full
-    restriction along G- would equal psi'.  Unlike `frame_restrict`, it does
-    not check G-'s lengths, int entries or independence; `mutation_basis`
-    builds G- from unit rows and one row with -1 at k.
+    Both frame equations are read by the moved-row rule
+    `qtorus.restricted_rows`, derived there.  Let M be the rows of either
+    basis that are not the unit vector e_a (M = {k} for an honest basis; it
+    is computed, so a fault in another row is seen too).  Where row and
+    column both lie outside M, both restrictions are psi itself, so that
+    block of psi' is compared with psi's once per link; each row a in M
+    costs one `linalg.combine` per sign; and columns a follow, since psi' is
+    a `FrameMatrix`, so skew-symmetric.  So each test holds exactly when the
+    full restriction would equal psi'.  Unlike `frame_restrict`, it does
+    not check the bases' lengths, int entries or independence;
+    `mutation_basis` builds each from unit rows and one row with -1 at k.
 
     Each link {sigma, sigma'} is checked in full once, from the end that
     comes first in `pres.seeds` order.  The other end needs less:
@@ -216,18 +210,23 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
             same_level = dwd.eta[sigma[k]] == dwd.eta[sigma[k + 1]]
             if place[sigma2] < place[sigma]:
                 # checked in full from sigma2; only the degree at k is left
-                linked = not same_level or mutated_degree(seed, k) == other.degrees[k]
+                linked = not same_level or seedcore.mutated_degree(seed, k) == other.degrees[k]
+            elif not same_level:
+                linked = reindex(seed, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))) == other
             else:
-                if not same_level:
-                    moved = reindex(seed, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n)))
-                else:
-                    # the mutated seed already sits in the adjacent order; no
-                    # further reindexing (verified against the rank-one algebra)
-                    moved = mutate_seed(seed, k)
-                    if not _opposite_sign_gives(seed, k, moved.frame, other.frame):
-                        detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
-                        return CheckResult("xi-linkage", False, detail)
-                linked = moved == other
+                # the mutated seed would already sit in the adjacent order; no
+                # further reindexing (verified against the rank-one algebra)
+                minus, plus = _restrictions_give(seed, k, other.frame.psi)
+                if not minus:
+                    detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+                    return CheckResult("xi-linkage", False, detail)
+                linked = (
+                    plus
+                    and seedcore.mutate_exchange(seed.exchange, k) == other.exchange
+                    and (*seed.degrees[:k], seedcore.mutated_degree(seed, k), *seed.degrees[k + 1:]) == other.degrees
+                    and seed.d == other.d
+                    and seed.inv == other.inv
+                )
             if not linked:
                 return CheckResult(
                     "xi-linkage", False,

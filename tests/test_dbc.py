@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dbseeds import dbc, linalg, seedcore, verify
+from dbseeds import dbc, linalg, qtorus, seedcore, verify
 from dbseeds.coxeter import (
     CartanData,
     NotAPermutation,
@@ -511,23 +511,23 @@ def test_xi_linkage_fails_when_frame_depends_on_sign_choice(monkeypatch):
 
     pres = dbc.bowtie_build(A1, (1,), (1,))
     assert verify.xi_linkage(pres).ok
-    monkeypatch.setattr(verify, "mutation_basis", skewed)
+    monkeypatch.setattr(seedcore, "mutation_basis", skewed)
     res = verify.xi_linkage(pres)
     assert not res.ok
     assert "sign choice" in res.detail
 
 
-def _full_restriction_gives(seed, k, plus, other):
-    """Reference sign-choice rule: the whole restriction along the -1 basis, compared with `other`."""
-    return frame_restrict(seed.frame, verify.mutation_basis(seed, k, -1)) == other
+def _full_restrictions_give(seed, k, psi):
+    """Reference for both sign choices: the whole restriction along the -1, then the +1 basis, compared with psi."""
+    return tuple(frame_restrict(seed.frame, seedcore.mutation_basis(seed, k, sign)).psi == psi for sign in (-1, 1))
 
 
-def _basis_fault(row_of):
-    """`mutation_basis` whose -1 basis has its row `row_of(k)` moved: row k doubled, another row plus row k."""
+def _basis_fault(row_of, faulty_sign=-1):
+    """`mutation_basis` whose basis of one sign has its row `row_of(k)` moved: row k doubled, another row plus row k."""
     def skewed(seed, k, sign):
         basis = mutation_basis(seed, k, sign)
         j = row_of(k)
-        if sign < 0:
+        if sign == faulty_sign:
             basis[j] = tuple(x + y for x, y in zip(basis[j], basis[k]))
         return basis
 
@@ -549,69 +549,77 @@ def _frame_fault(pres, sigma, i, j):
     ("basis-other-row", (1, 2, 3, 4, 5, 0), 4),
     ("frame-off-row-k", (1, 2, 3, 0, 4, 5), 2),
     ("frame-row-k", (1, 2, 3, 0, 4, 5), 2),
+    ("plus-basis-row-k", (1, 2, 3, 4, 5, 0), 4),
 ])
 def test_xi_linkage_sign_choice_reports_as_the_full_restriction(monkeypatch, fault, sigma, k):
-    # the moved-row test reads the same entries as the restriction along the
-    # -1 basis: each fault, in that basis or in the neighbour's frame, fails
-    # at the same (sigma, k) with the same detail under either rule.  The
+    # the moved-row rule reads the same entries as the restrictions along
+    # the -1 and the +1 basis: each fault, in either basis or in the
+    # neighbour's frame, fails at the same (sigma, k) with the same detail
+    # under either rule.  A fault in the -1 basis or in the frame is a sign
+    # choice; one in the +1 basis alone is a link that does not hold.  The
     # frame faults sit in seed(sigma o (2 3)), which mutation at k = 2 reaches
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))
     if fault == "basis-row-k":
-        monkeypatch.setattr(verify, "mutation_basis", _basis_fault(lambda k: k))
+        monkeypatch.setattr(seedcore, "mutation_basis", _basis_fault(lambda k: k))
     elif fault == "basis-other-row":
-        monkeypatch.setattr(verify, "mutation_basis", _basis_fault(lambda k: k + 1))
+        monkeypatch.setattr(seedcore, "mutation_basis", _basis_fault(lambda k: k + 1))
+    elif fault == "plus-basis-row-k":
+        monkeypatch.setattr(seedcore, "mutation_basis", _basis_fault(lambda k: k, faulty_sign=1))
     else:
         entry = (0, 1) if fault == "frame-off-row-k" else (k, 0)
         pres = _frame_fault(pres, (1, 2, 0, 3, 4, 5), *entry)
     got = verify.xi_linkage(pres)
-    monkeypatch.setattr(verify, "_opposite_sign_gives", _full_restriction_gives)
+    monkeypatch.setattr(verify, "_restrictions_give", _full_restrictions_give)
     assert got == verify.xi_linkage(pres)
-    detail = f"w=(1, 2, 1) u=(1, 2, 1): sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+    if fault == "plus-basis-row-k":
+        detail = f"w=(1, 2, 1) u=(1, 2, 1): sigma={sigma}, k={k} does not link to (1, 2, 3, 4, 0, 5)"
+    else:
+        detail = f"w=(1, 2, 1) u=(1, 2, 1): sigma={sigma}, k={k}: frame mutation depends on the sign choice"
     assert got == verify.CheckResult("xi-linkage", False, detail)
 
 
 def test_xi_linkage_checks_each_edge_once(monkeypatch):
     # every unordered link {sigma, sigma o (k k+1)} of the interval
-    # permutations: a mutation on one level, a reindexing across two; the
-    # check from both ends made twice these calls
+    # permutations: a reindexing across two levels, and on one level one
+    # moved-row sum per sign choice, with no mutated seed and no full
+    # restriction built; the check from both ends made twice these calls
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))
     members = set(xi_enumerate(pres.size))
-    edges = {"mutate_seed": 0, "reindex": 0, "combine": 0}
+    edges = {"mutate_seed": 0, "frame_restrict": 0, "reindex": 0, "combine": 0}
     for sigma in members:
         for k in range(pres.size - 1):
             sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
             if sigma < sigma2 and sigma2 in members:
                 if pres.dwd.eta[sigma[k]] == pres.dwd.eta[sigma[k + 1]]:
-                    edges["mutate_seed"] += 1
-                    edges["combine"] += 1   # the moved row of the opposite sign choice
+                    edges["combine"] += 2   # row k of the -1 and of the +1 restriction
                 else:
                     edges["reindex"] += 1
-    assert edges["mutate_seed"] and edges["reindex"]
+    assert edges["combine"] and edges["reindex"]
 
     calls = dict.fromkeys(edges, 0)
 
-    def counted(name):
-        original = getattr(verify, name)
-
+    def counted(name, original):
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
         return wrapper
 
-    for name in ("mutate_seed", "reindex"):
-        monkeypatch.setattr(verify, name, counted(name))
+    monkeypatch.setattr(verify, "reindex", counted("reindex", verify.reindex))
+    monkeypatch.setattr(seedcore, "mutate_seed", counted("mutate_seed", seedcore.mutate_seed))
+    for module in (seedcore, qtorus):
+        monkeypatch.setattr(module, "frame_restrict", counted("frame_restrict", qtorus.frame_restrict))
     combine = linalg.combine
 
     def moved_row(rows, coeffs):
-        # only the sign-choice test's row sums; the oracle's and seedcore's pass
-        if sys._getframe(1).f_code is verify._opposite_sign_gives.__code__:
+        # only the moved-row rule's row sums; the degree rule's pass
+        if sys._getframe(1).f_code is qtorus.restricted_rows.__code__:
             calls["combine"] += 1
         return combine(rows, coeffs)
 
+    pres.seeds
     monkeypatch.setattr(linalg, "combine", moved_row)
-    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
-    assert all(r.ok for r in results)
+    assert verify.xi_linkage(pres).ok
     assert calls == edges
 
 

@@ -332,13 +332,17 @@ def test_xi_linkage_compares_symmetrizer_and_invertible_indices(field):
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutation_links_adjacent_seeds_from_either_end(name, data):
-    # xi-linkage mutates only from the earlier seed of a same-level link; the
-    # mutation from the later seed back to the earlier one is checked here
+    # xi-linkage reads a same-level link in place and builds no mutated
+    # seed, so the constructor's own oracle is here: `mutate_seed` carries
+    # each seed of the link to the other, from the end that comes first in
+    # `pres.seeds` and from the later one
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
+    place = {sigma: i for i, sigma in enumerate(pres.seeds)}
     for sigma, k, sigma2, same_level in _adjacent(pres):
-        if same_level:
+        if same_level and place[sigma] < place[sigma2]:
+            assert mutate_seed(pres.seeds[sigma], k) == pres.seeds[sigma2]
             assert mutate_seed(pres.seeds[sigma2], k) == pres.seeds[sigma]
 
 
@@ -346,11 +350,12 @@ def test_mutation_links_adjacent_seeds_from_either_end(name, data):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_moved_row_sign_test_agrees_with_the_full_restriction(name, data):
-    # the reference is the restriction along the whole -1 basis compared with
-    # the neighbour's frame; on every same-level edge the moved-row test must
-    # answer as it does: on the honest neighbour, on the neighbour with one
-    # frame entry moved (kept skew), and with one row of the -1 basis plus a
-    # multiple of another, which keeps the basis integral and independent
+    # the reference is the restriction along the whole -1 basis, and along
+    # the whole +1 basis, each compared with the neighbour's frame; on every
+    # same-level edge the moved-row rule must answer as they do: on the
+    # honest neighbour, on the neighbour with one frame entry moved (kept
+    # skew), and with one row of either basis plus a multiple of another,
+    # which keeps the basis integral and independent
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
@@ -359,29 +364,45 @@ def test_moved_row_sign_test_agrees_with_the_full_restriction(name, data):
         if not same_level:
             continue
         seed, other = pres.seeds[sigma], pres.seeds[sigma2]
-        plus = mutate_seed(seed, k).frame
 
         def agrees(basis, frame):
-            want = frame_restrict(seed.frame, basis(seed, k, -1)) == frame
-            with mock.patch.object(verify, "mutation_basis", basis):
-                assert verify._opposite_sign_gives(seed, k, plus, frame) == want
+            want = tuple(frame_restrict(seed.frame, basis(seed, k, sign)) == frame for sign in (-1, 1))
+            with mock.patch.object(seedcore, "mutation_basis", basis):
+                assert verify._restrictions_give(seed, k, frame.psi) == want
             return want
 
-        assert agrees(mutation_basis, other.frame)
+        assert agrees(mutation_basis, other.frame) == (True, True)
         bad = _corrupt(other, "frame", data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63)))
-        assert not agrees(mutation_basis, bad.frame)
+        assert agrees(mutation_basis, bad.frame) == (False, False)
         j = data.draw(st.integers(0, n - 1))
         m = data.draw(st.integers(0, n - 2))
         m += m >= j
         c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        faulty_sign = data.draw(st.sampled_from([-1, 1]))
 
-        def skewed(seed, k, sign, j=j, m=m, c=c):
+        def skewed(seed, k, sign, j=j, m=m, c=c, faulty_sign=faulty_sign):
             basis = mutation_basis(seed, k, sign)
-            if sign < 0:
+            if sign == faulty_sign:
                 basis[j] = tuple(x + c * y for x, y in zip(basis[j], basis[m]))
             return basis
 
         agrees(skewed, other.frame)
+
+
+def test_moved_row_sign_test_reads_one_basis_when_column_k_is_zero():
+    # with column k of B all zero the two bases coincide, G+ = G-, and row k
+    # of each is -e_k: both sign choices must answer as the full restriction
+    pres = dbc.bowtie_build(cartan_init("A", 2), (1, 2, 1), (1, 2, 1))
+    seed = pres.seeds[(0, 1, 2, 3, 4, 5)]
+    cols = seed.exchange.cols
+    for i, k in enumerate(seed.ex):
+        zero = cols[:i] + ((0,) * seed.size,) + cols[i + 1:]
+        flat = replace(seed, exchange=ExchangeMatrix(seed.size, seed.ex, zero))
+        assert mutation_basis(flat, k, 1) == mutation_basis(flat, k, -1)
+        flipped = frame_restrict(flat.frame, mutation_basis(flat, k, 1))
+        for frame in (flipped, seed.frame, _corrupt(flat, "frame", k, 0).frame):
+            want = frame_restrict(flat.frame, mutation_basis(flat, k, -1)) == frame
+            assert verify._restrictions_give(flat, k, frame.psi) == (want, want)
 
 
 @pytest.mark.parametrize("name", TYPES)

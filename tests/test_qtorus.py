@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dbseeds import linalg
@@ -13,6 +13,8 @@ from dbseeds.qtorus import (
     NonIntegralFrame,
     VLaurent,
     frame_restrict,
+    moved_indices,
+    restricted_rows,
     scr,
 )
 
@@ -230,6 +232,56 @@ def test_frame_restrict_takes_a_rank_only_for_vectors_that_do_not_peel(monkeypat
     # both vectors reach both coordinates: the independence test is a rank
     assert frame_restrict(PSI, [(1, 1), (1, -1)]).psi == ((0, -4), (4, 0))
     assert ranks == [((1, 1), (1, -1))]
+
+
+@st.composite
+def frames_and_bases(draw):
+    """A random integer skew psi and an independent integer basis: the identity with some rows replaced.
+
+    A replaced row is -e_a or any small integer row, so two moved rows may
+    reach each other's index.
+    """
+    n = draw(st.integers(1, 6))
+    psi = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            psi[i][j] = draw(st.integers(-4, 4))
+            psi[j][i] = -psi[i][j]
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for a in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        minus_unit = tuple(-int(i == a) for i in range(n))
+        basis[a] = draw(st.just(minus_unit) | st.tuples(*[st.integers(-2, 2)] * n))
+    return tuple(map(tuple, psi)), basis
+
+
+def _restriction_from_rows(psi, basis, moved):
+    """V psi V^T from the moved-row rule: psi off `moved`, the rule's rows at it, minus them as the other columns."""
+    rows = dict(zip(moved, restricted_rows(psi, basis, moved)))
+    out = [list(rows.get(i, psi[i])) for i in range(len(psi))]
+    for a, row in rows.items():
+        for i in range(len(psi)):
+            if i not in rows:
+                out[i][a] = -row[i]
+    return tuple(map(tuple, out))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(frames_and_bases())
+# one row -e_a; two moved rows, each reaching the other's index; nothing moved
+@example((((0, 3, -1), (-3, 0, 2), (1, -2, 0)), [(1, 0, 0), (0, -1, 0), (0, 0, 1)]))
+@example((((0, 3, -1), (-3, 0, 2), (1, -2, 0)), [(1, 0, 0), (2, -1, 1), (0, 1, 1)]))
+@example((((0, 3), (-3, 0)), [(1, 0), (0, 1)]))
+def test_moved_row_rule_gives_the_full_restriction(case):
+    # the rule with psi outside the moved rows gives every entry of
+    # V psi V^T, for any set of moved rows, and a larger `moved` changes nothing
+    psi, basis = case
+    n = len(basis)
+    assume(linalg.rank(basis) == n)
+    moved = moved_indices(basis)
+    assert moved == [a for a, v in enumerate(basis) if v != tuple(int(i == a) for i in range(n))]
+    want = frame_restrict(FrameMatrix(psi), basis).psi
+    assert _restriction_from_rows(psi, basis, moved) == want
+    assert _restriction_from_rows(psi, basis, list(range(n))) == want
 
 
 def test_frame_validation():

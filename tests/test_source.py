@@ -129,10 +129,24 @@ def test_double_word_matrix_is_the_one_exchange_rule():
 
 def test_frame_restrict_callers_are_mutation_and_reduction():
     # sigma-frames follow the chain recursion (`dbc.sigma_frame`); the general
-    # restriction rule is left to mutation and reduction.  The sign-choice
-    # oracle (`verify._opposite_sign_gives`) reads the unmoved entries from
-    # `mutate_seed`'s own restriction and sums each moved row with `combine`
+    # restriction rule is left to mutation and reduction.  The linkage
+    # oracle (`verify._restrictions_give`) reads both sign choices by the
+    # moved-row rule, `qtorus.restricted_rows`, which sums each moved row
+    # with `combine`
     assert sorted(_callers("frame_restrict")) == ["seedcore.py:graded_reduce", "seedcore.py:mutate_seed"]
+    assert _callers("restricted_rows") == ["verify.py:_restrictions_give"]
+
+
+def test_verify_neither_mutates_nor_restricts():
+    # constructors construct and `verify` verifies: the linkage oracle checks
+    # a mutation link in place, so no check builds a mutated seed or a full
+    # restriction; and it reaches the mutation rules through the `seedcore`
+    # module, so a patched rule is the one it reads
+    calls = _callers("mutate_seed") + _callers("frame_restrict")
+    assert [c for c in calls if c.startswith("verify.py:")] == []
+    tree = ast.parse((SRC / "verify.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert imported.isdisjoint({"mutate_seed", "mutate_exchange", "mutation_basis", "mutated_degree", "frame_restrict"})
 
 
 def test_trusted_frames_come_only_from_valid_constructions():
@@ -187,9 +201,9 @@ def test_exchange_pairings_is_the_one_compatibility_rule():
 
 
 def test_mutated_degree_is_the_one_degree_rule():
-    # mutation and the second end of a same-level xi-link read the degree of
-    # the new variable from one rule
-    assert _callers("mutated_degree") == ["seedcore.py:mutate_seed", "verify.py:xi_linkage"]
+    # mutation and both ends of a same-level xi-link read the degree of the
+    # new variable from one rule
+    assert _callers("mutated_degree") == ["seedcore.py:mutate_seed", "verify.py:xi_linkage", "verify.py:xi_linkage"]
 
 
 def test_combine_is_the_one_sparse_row_sum_rule():
@@ -197,10 +211,10 @@ def test_combine_is_the_one_sparse_row_sum_rule():
     assert sorted(_callers("combine")) == [
         "cgl.py:monomial_degree",
         "coxeter.py:prefix_weight_images",
+        "qtorus.py:restricted_rows",
         "seedcore.py:degree_balance",
         "seedcore.py:exchange_pairings",
         "seedcore.py:mutated_degree",
-        "verify.py:_opposite_sign_gives",
         "verify.py:btau_oracle_equivalence",
     ]
 
