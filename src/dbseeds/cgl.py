@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import dbc
 from .coxeter import Walk, cartan_init, walk
 from .linalg import combine
-from .qtorus import VLaurent, scr
+from .qtorus import FrameMatrix, VLaurent, scr
 from .seedcore import mutate_seed
 
 
@@ -120,10 +120,11 @@ class NFPoly:
     def __repr__(self):
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*x^{f}" for f, c in sorted(self._terms.items(), key=lambda t: _revlex_key(t[0])))
+        return " + ".join(f"({c})*x^{f}" for f, c in sorted(self._terms.items(), key=lambda t: revlex_key(t[0])))
 
 
-def _revlex_key(f: Exponent) -> tuple[int, ...]:
+def revlex_key(f: Exponent) -> tuple[int, ...]:
+    """The PBW order: exponents compared from the last generator down; the one sort key of terms."""
     return tuple(reversed(f))
 
 
@@ -131,7 +132,7 @@ def leading_term(a: NFPoly) -> tuple[VLaurent, Exponent]:
     """Maximal term in the order comparing exponents from the last generator down."""
     if a.is_zero():
         raise ValueError("zero element has no leading term")
-    f = max(a._terms, key=_revlex_key)
+    f = max(a._terms, key=revlex_key)
     return a._terms[f], f
 
 
@@ -149,12 +150,10 @@ class CGLPresentation:
         lengths = {len(row) for row in self.lambda_exp} | {len(self.eta), len(self.degrees)}
         if lengths != {n} or len(set(map(len, self.degrees))) > 1:
             raise PresentationError(f"lambda rows, eta and degrees must each have {n} entries, and degrees one width")
-        for i in range(n):
-            if self.lambda_exp[i][i] != 0:
-                raise PresentationError("lambda exponents must vanish on the diagonal")
-            for j in range(i):
-                if self.lambda_exp[i][j] != -self.lambda_exp[j][i]:
-                    raise PresentationError("lambda exponents must be skew-symmetric")
+        try:
+            FrameMatrix(self.lambda_exp)   # int entries, a zero diagonal, skew-symmetric
+        except ValueError as exc:
+            raise PresentationError(f"lambda exponents are not a frame: {exc}") from None
         for (k, j), tail in self.tails.items():
             if not n > k > j >= 0:
                 raise PresentationError(f"tails are indexed by generator pairs k > j, not ({k},{j})")

@@ -5,12 +5,12 @@ Exit codes: 0 success, 1 a verification check failed, 2 validation failure
 written, refused before any work where it can be), 3 a mutation step at a
 frozen index or from an incompatible seed, 141 (128 + SIGPIPE) the reader
 closed stdout before the output was written; nothing is printed then.
-`xi-list --n` is bounded by XI_LIST_MAX_N, since it prints all 2^(n-1)
+`xi-list --n` is bounded by `coxeter.XI_MAX_N`, since it prints all 2^(n-1)
 interval permutations, and the rank of a type by RANK_MAX, since the Cartan
 data of rank r takes r^2 entries and about r^3 steps to build.  The same
-XI_LIST_MAX_N bounds n = |w| + |u| for `verify`, with or without --all-xi,
-and for `seed --sigma all-xi`, which build all 2^(n-1) sigma-seeds; a larger
-n exits 2 before any seed is built.
+bound, read when a command runs, caps n = |w| + |u| for `verify`, with or
+without --all-xi, and for `seed --sigma all-xi`, which build all 2^(n-1)
+sigma-seeds; a larger n exits 2 before any seed is built.
 `cgl-nf --word` is bounded by CGL_NF_MAX_LETTERS, since straightening a
 word costs about exponentially in its length; a longer word exits 2 before
 any product is computed, and so does a product that exhausts the
@@ -28,7 +28,7 @@ import os
 import stat
 import sys
 
-from . import dbc, jsonio, verify
+from . import coxeter, dbc, jsonio, verify
 from .cgl import NFPoly, RewriteBudgetExceeded, nf_mul_all, shipped_presentations
 from .coxeter import (
     InvalidCartanType,
@@ -44,7 +44,6 @@ from .seedcore import NotExchangeable, check_compatible, graded_reduce, mutate_s
 
 
 EXIT_BROKEN_PIPE = 141
-XI_LIST_MAX_N = 16   # 32768 interval permutations: the bound of every command that enumerates them
 RANK_MAX = 64        # Cartan data of rank r takes r^2 entries and about r^3 steps to build
 CGL_NF_MAX_LETTERS = 24   # straightening cost grows about exponentially with the word length
 
@@ -130,9 +129,9 @@ def _parse_pair(args):
 def _bound_xi_sweep(w, u, sweep: str) -> None:
     """Refuse, before any seed is built, a pair whose 2^(n-1) sigma-seeds pass the bound."""
     n = len(w) + len(u)
-    if n > XI_LIST_MAX_N:
+    if n > coxeter.XI_MAX_N:
         raise ValidationFailure(
-            f"|w| + |u| must be at most {XI_LIST_MAX_N}, got {n}; {sweep} all 2^(n-1) interval permutations"
+            f"|w| + |u| must be at most {coxeter.XI_MAX_N}, got {n}; {sweep} all 2^(n-1) interval permutations"
         )
 
 
@@ -227,8 +226,8 @@ def cmd_xi_list(args) -> int:
     n = args.n
     if n < 1:
         raise ValidationFailure("n must be at least 1")
-    if n > XI_LIST_MAX_N:
-        raise ValidationFailure(f"n must be at most {XI_LIST_MAX_N}; xi-list prints all 2^(n-1) permutations")
+    if n > coxeter.XI_MAX_N:
+        raise ValidationFailure(f"n must be at most {coxeter.XI_MAX_N}; xi-list prints all 2^(n-1) permutations")
     perms = [[x + 1 for x in sigma] for sigma in xi_enumerate(n)]
     _emit({"n": n, "count": len(perms), "permutations": perms}, args.out)
     return 0
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_xi = sub.add_parser("xi-list", help="enumerate interval permutations")
-    p_xi.add_argument("--n", type=int, required=True, help=f"permutation size, 1..{XI_LIST_MAX_N}")
+    p_xi.add_argument("--n", type=int, required=True, help=f"permutation size, 1..{coxeter.XI_MAX_N}")
     p_xi.add_argument("--out", default=None)
     p_xi.set_defaults(func=cmd_xi_list)
 

@@ -72,14 +72,14 @@ class CartanData:
 
     def gram_image(self, a: Sequence[int]) -> tuple[int, ...]:
         """The vector gram . a: <x, a> = x . gram_image(a) for x in simple-root coordinates."""
-        return tuple(sum(map(mul, row, a)) for row in self.gram)
+        return linalg.mat_vec(self.gram, a)
 
     def weight_image(self, mu: Sequence[int]) -> tuple[int, ...]:
         """The integer vector weight_form . mu: weight_den <nu, mu> = nu . weight_image(mu)."""
-        return tuple(sum(map(mul, row, mu)) for row in self.weight_form)
+        return linalg.mat_vec(self.weight_form, mu)
 
     def pair_weight(self, mu: Sequence[int], nu: Sequence[int]) -> Q:
-        """<mu, nu> for weights in fundamental-weight coordinates, exactly."""
+        """<mu, nu> of weights in fundamental-weight coordinates.  No library code calls it; `perfbench/` keeps it."""
         return Q(sum(map(mul, mu, self.weight_image(nu))), self.weight_den)
 
 
@@ -191,33 +191,34 @@ def prefix_weight_images(cartan: CartanData, word: Sequence[int]) -> list[tuple[
 def word_roots(cartan: CartanData, word: Sequence[int]) -> list[Root]:
     """Roots beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) of a word, in one pass.
 
-    The pass carries moved[j] = x(alpha_j) for the prefix x = s_{i_1} ...
-    s_{i_{k-1}} and each j that some letter has moved (x(alpha_j) = alpha_j
-    for the others), so beta_k = x(alpha_{i_k}).  Appending the letter i to x
-    moves alpha_j to s_i alpha_j = alpha_j - c_ij alpha_i, so x(alpha_j) loses
-    c_ij beta_k: only the j with c_ij != 0 change, over the support of beta_k,
-    rather than a walk over the whole prefix for every k.
+    The pass carries images[j] = x(alpha_j) for the prefix x = s_{i_1} ...
+    s_{i_{k-1}}, so beta_k = x(alpha_{i_k}), and appends each letter by
+    `_reflect` rather than a walk over the whole prefix for every k.
     """
     r = cartan.rank
-    moved: dict[int, list[int]] = {}
+    images = [_unit(r, j) for j in range(r)]
     roots: list[Root] = []
     for k, letter in enumerate(word, 1):
         if not 1 <= letter <= r:
             raise IndexError(f"letter {letter} out of range 1..{r}")
         i = letter - 1
-        beta = moved.get(i) or _unit(r, i)
-        roots.append(tuple(beta))
-        if k == len(word):
-            break   # no later root reads the last letter's move
-        support = [(t, y) for t, y in enumerate(beta) if y]
-        for j, c in enumerate(cartan.cartan[i]):
-            if c:
-                image = moved.get(j)
-                if image is None:
-                    image = moved[j] = _unit(r, j)
-                for t, y in support:
-                    image[t] -= c * y
+        roots.append(tuple(images[i]))
+        if k < len(word):   # no later root reads the last letter's move
+            _reflect(images, cartan.cartan[i], roots[-1])
     return roots
+
+
+def _reflect(images: list[list[int]], row: Sequence[int], beta: Root) -> None:
+    """images[j] = x(alpha_j) becomes x s_i(alpha_j) = x(alpha_j) - c_ij beta, in place, for beta = x(alpha_i).
+
+    row is the Cartan row c_i.; only the j with c_ij != 0 change, over the support of beta.
+    """
+    support = [(t, y) for t, y in enumerate(beta) if y]
+    for j, c in enumerate(row):
+        if c:
+            image = images[j]
+            for t, y in support:
+                image[t] -= c * y
 
 
 def _unit(r: int, i: int) -> list[int]:
@@ -231,7 +232,7 @@ def _roots_are_reduced(roots: Sequence[Root]) -> bool:
 
 
 def is_reduced(cartan: CartanData, word: Sequence[int]) -> bool:
-    """A word is reduced iff its beta_k are pairwise distinct positive roots."""
+    """Reduced iff the word's beta_k are distinct positive roots.  No library code calls it; `perfbench/` keeps it."""
     return _roots_are_reduced(word_roots(cartan, word))
 
 
@@ -242,22 +243,19 @@ def enumerate_reduced_words(cartan: CartanData, max_len: int) -> list[Word]:
     `word_roots` carries for the prefix x = w, so a candidate w + (a,) adds
     the one root beta = x(alpha_a).  w is reduced, so the candidate is
     reduced exactly when beta passes `_roots_are_reduced`'s rule beside w's
-    roots: it is positive and not among them.
+    roots: it is positive and not among them.  No library code calls it; `perfbench/` keeps it.
     """
     r = cartan.rank
     out: list[Word] = [()]
-    frontier = [((), tuple(tuple(_unit(r, j)) for j in range(r)), ())]
+    frontier = [((), [_unit(r, j) for j in range(r)], ())]
     for _ in range(max_len):
         nxt = []
         for w, images, roots in frontier:
-            for i, beta in enumerate(images):
+            for i, beta in enumerate(map(tuple, images)):
                 if beta in roots or not _roots_are_reduced((beta,)):
                     continue
-                # x s_i (alpha_j) = x(alpha_j) - c_ij beta
-                moved = tuple(
-                    tuple(map(sub, image, [c * y for y in beta])) if c else image
-                    for image, c in zip(images, cartan.cartan[i])
-                )
+                moved = [list(x) for x in images]
+                _reflect(moved, cartan.cartan[i], beta)
                 nxt.append((w + (i + 1,), moved, roots + (beta,)))
         out.extend(w for w, _, _ in nxt)
         frontier = nxt
@@ -415,6 +413,12 @@ def eta_machinery(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[in
 
 Perm = tuple[int, ...]
 
+XI_MAX_N = 16   # 32768 interval permutations: the bound of every sweep over all of them
+
+
+class XiBoundExceeded(ValueError):
+    """A sweep over all 2^(n-1) interval permutations of n > XI_MAX_N positions."""
+
 
 def xi_is_member(perm: Sequence[int]) -> bool:
     """Whether sigma([0,k]) is an integer interval for every k."""
@@ -497,7 +501,7 @@ def sigma_chain(eta: Sequence[int], s: Sequence, sigma: Sequence[int]) -> tuple[
     sigma(k) extends it at the top or at the bottom, so the chain is the
     previous chain of its level with sigma(k) appended or prepended.  Each
     chain must be a contiguous run of its level class: consecutive indices
-    are same-level successors under s.
+    are same-level successors under s.  No library code calls it; `perfbench/` keeps it.
     """
     if not xi_is_member(sigma):
         raise NotIntervalPermutation(f"{tuple(sigma)} fails the interval test")

@@ -17,7 +17,7 @@ from functools import cached_property
 from operator import add, mul
 from typing import Literal, Sequence
 
-from . import linalg
+from . import coxeter, linalg
 from .coxeter import (
     CartanData,
     DoubleWordData,
@@ -72,7 +72,10 @@ class BowtiePresentation:
         """Seed of every interval permutation, in `xi_enumerate` order, each through `seed`.
 
         With no positions the only permutation is (), mapped to the empty seed.
+        Raises XiBoundExceeded, before any seed is built, past `coxeter.XI_MAX_N` positions.
         """
+        if self.size > coxeter.XI_MAX_N:
+            raise coxeter.XiBoundExceeded(f"n = {self.size} positions, past the Xi sweep bound {coxeter.XI_MAX_N}")
         return {sigma: self.seed(sigma) for sigma in (xi_enumerate(self.size) if self.size else [()])}
 
 
@@ -253,7 +256,7 @@ def bfz_matrix(dwd: DoubleWordData) -> ExchangeMatrix:
 
 
 def b_columns(dwd: DoubleWordData) -> ExchangeMatrix:
-    """Exchange matrix of the identity-order seed."""
+    """Exchange matrix of the identity-order seed.  No library code calls it; `perfbench/` keeps it."""
     return btau_columns(dwd, dwd.spell(range(dwd.size)))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .coxeter import CartanData, DoubleWordData, Walk
-from .cgl import NFPoly
+from .cgl import NFPoly, revlex_key
 from .dbc import BZSeedData
 from .qtorus import FrameMatrix, VLaurent
 from .seedcore import ExchangeMatrix, QuantumSeed
@@ -81,7 +81,7 @@ def encode_bz(data: BZSeedData) -> dict:
 
 
 def encode_nfpoly(a: NFPoly) -> dict:
-    items = sorted(a.terms.items(), key=lambda t: tuple(reversed(t[0])))
+    items = sorted(a.terms.items(), key=lambda t: revlex_key(t[0]))
     return {"terms": [{"exp": list(f), "coef": encode_vlaurent(c)} for f, c in items]}
 
 

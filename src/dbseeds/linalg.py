@@ -40,8 +40,9 @@ def gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple(seq[i] for i in index)
 
 
-def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return tuple(sum(x * Q(y) for x, y in zip(row, v)) for row in a)
+def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
+    """The vector a . v, one row sum per row, in the type of the inputs (int rows and v give ints)."""
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def combine(rows: Sequence[Sequence], coeffs: Sequence) -> tuple:

@@ -223,7 +223,7 @@ class FrameMatrix:
         return len(self.psi)
 
     def omega_exp(self, f: Sequence, g: Sequence) -> int:
-        """v-exponent of the bicharacter at (f, g), i.e. f^T psi g."""
+        """v-exponent of the bicharacter at (f, g), i.e. f^T psi g.  No library code calls it; `perfbench/` keeps it."""
         if len(f) != self.size or len(g) != self.size:
             raise DimensionMismatch("vector length does not match frame size")
         return linalg.bilinear(f, self.psi, g)

@@ -186,8 +186,8 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
 
     The frame is restricted along `mutation_basis(seed, k, +1)`; for a
     compatible seed the opposite sign gives the same frame.  Nothing is
-    checked here: `verify.xi_linkage` compares the two signs, and callers
-    run `check_compatible`.
+    checked here: callers run `check_compatible`, and `verify.xi_linkage`,
+    which never calls this, compares the two signs by the moved-row rule.
     """
     if k not in seed.ex:
         raise NotExchangeable(f"index {k} is not exchangeable")

@@ -251,12 +251,28 @@ def test_presentation_rejects_bad_tail_support():
     {"tails": {(1, 0): NFPoly({(0,): VLaurent.one()})}},      # a term with one exponent
     {"lambda_exp": ((1, -4), (4, 0))},                        # a nonzero diagonal
     {"lambda_exp": ((0, -4), (2, 0))},                        # not skew-symmetric
+    {"lambda_exp": ((0, Fraction(-4)), (Fraction(4), 0))},    # integral, but not ints
 ])
 def test_presentation_rejects_a_shape_it_cannot_run(sl2, shape):
     # n is len(lambda_exp); every row, eta, degrees and tail must fit it
     pres, _ = sl2
     with pytest.raises(PresentationError):
         dataclasses.replace(pres, **shape)
+
+
+def test_presentation_checks_lambda_as_a_frame(sl2):
+    # the exponent matrix is validated by `FrameMatrix`, whose reason it names
+    pres, _ = sl2
+    with pytest.raises(PresentationError, match="lambda exponents are not a frame: psi must be skew-symmetric"):
+        dataclasses.replace(pres, lambda_exp=((0, -4), (2, 0)))
+    with pytest.raises(PresentationError, match="lambda exponents are not a frame: psi must vanish on the diagonal"):
+        dataclasses.replace(pres, lambda_exp=((1, -4), (4, 0)))
+
+
+def test_zero_nfpoly_reprs_as_zero():
+    x = NFPoly.generator(2, 0)
+    assert repr(NFPoly()) == "0" and repr(x - x) == "0"
+    assert repr(x + NFPoly.generator(2, 1)) == "(1*v^0)*x^(1, 0) + (1*v^0)*x^(0, 1)"
 
 
 def test_nf_mul_rejects_operands_of_another_size(sl2):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dbseeds import cgl, cli, dbc, verify
+from dbseeds import cgl, cli, coxeter, dbc, verify
 from dbseeds.cli import main
 from dbseeds.coxeter import InvalidCartanType, cartan_init, enumerate_reduced_words
 from dbseeds.qtorus import FrameMatrix
@@ -400,7 +400,7 @@ def test_xi_list_bounds_n_without_enumerating(capsys, monkeypatch):
         pytest.fail("xi_enumerate ran past the bound")
 
     monkeypatch.setattr(cli, "xi_enumerate", refuse)
-    code, out, err = run(capsys, "xi-list", "--n", str(cli.XI_LIST_MAX_N + 1))
+    code, out, err = run(capsys, "xi-list", "--n", str(coxeter.XI_MAX_N + 1))
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "n must be at most 16; xi-list prints all 2^(n-1) permutations"}
 
@@ -410,7 +410,7 @@ def test_xi_sweeps_are_bounded_before_any_seed(capsys, monkeypatch, sweep):
     def refuse(*args):
         pytest.fail("bowtie_build ran past the bound")
 
-    monkeypatch.setattr(cli, "XI_LIST_MAX_N", 3)
+    monkeypatch.setattr(coxeter, "XI_MAX_N", 3)
     monkeypatch.setattr(dbc, "bowtie_build", refuse)
     code, out, err = run(capsys, sweep[0], "--type", "A2", "--w", "1,2", "--u", "2,1", *sweep[1:])
     assert code == 2 and out == ""
@@ -419,10 +419,10 @@ def test_xi_sweeps_are_bounded_before_any_seed(capsys, monkeypatch, sweep):
 
 def test_xi_sweep_bound_spares_single_seeds_and_admits_its_own_value(capsys, monkeypatch):
     pair = ("--type", "A2", "--w", "1,2", "--u", "2,1")
-    monkeypatch.setattr(cli, "XI_LIST_MAX_N", 3)
+    monkeypatch.setattr(coxeter, "XI_MAX_N", 3)
     assert run(capsys, "seed", *pair, "--sigma", "id")[0] == 0
     assert run(capsys, "mutate", *pair, "--sigma", "wN", "--seq", "1")[0] == 0
-    monkeypatch.setattr(cli, "XI_LIST_MAX_N", 4)
+    monkeypatch.setattr(coxeter, "XI_MAX_N", 4)
     assert run(capsys, "verify", *pair, "--all-xi")[0] == 0
     assert run(capsys, "seed", *pair, "--sigma", "all-xi")[0] == 0
 
@@ -487,7 +487,7 @@ def _fuzz_sigma(rng, n):
 def _fuzz_argv(rng):
     command = rng.choice(["seed", "mutate", "verify", "xi-list", "cgl-nf"])
     if command == "xi-list":
-        return [command, "--n", str(rng.choice([-1, 0, 1, 2, 3, 6, cli.XI_LIST_MAX_N + 1]))]
+        return [command, "--n", str(rng.choice([-1, 0, 1, 2, 3, 6, coxeter.XI_MAX_N + 1]))]
     if command == "cgl-nf":
         return [command, "--preset", rng.choice(["sl2", "a2", "nope"]), "--word", _fuzz_word(rng, 4)]
     name = rng.choice(FUZZ_TYPES)

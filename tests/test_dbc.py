@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import time
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
@@ -7,10 +8,13 @@ import pytest
 
 from dbseeds import dbc, linalg, qtorus, seedcore, verify
 from dbseeds.coxeter import (
+    XI_MAX_N,
     CartanData,
     NotAPermutation,
     NotIntervalPermutation,
+    XiBoundExceeded,
     cartan_init,
+    is_reduced,
     sigma_chain,
     xi_enumerate,
 )
@@ -960,6 +964,54 @@ def test_seeds_cover_every_interval_permutation(spellings):
     empty = dbc.bowtie_build(A2, (), ())
     assert list(empty.seeds) == [()]
     assert empty.seeds[()].size == 0
+
+
+def _longest_word(cartan: CartanData) -> tuple[int, ...]:
+    """A reduced word of w0: extend by any letter that keeps the word reduced, until none does."""
+    word: tuple[int, ...] = ()
+    while True:
+        longer = next((word + (i,) for i in range(1, cartan.rank + 1) if is_reduced(cartan, word + (i,))), None)
+        if longer is None:
+            return word
+        word = longer
+
+
+def _refuse_seeds(monkeypatch):
+    """Make building any sigma-seed fail the test at once, rather than start a sweep past the bound."""
+    def refuse(*args):
+        pytest.fail("a sigma-seed was built past the bound")
+
+    monkeypatch.setattr(dbc, "sigma_seed", refuse)
+
+
+def test_an_xi_sweep_past_the_bound_builds_no_seed(monkeypatch):
+    # n = 17 > XI_MAX_N: the sweep, and so verify_pair, refuses before the
+    # first seed; a single seed is not a sweep and is still built
+    a4, w, u = cartan_init("A", 4), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 2, 1, 3, 2, 1, 4)
+    pres = dbc.bowtie_build(a4, w, u)
+    assert pres.size == 17 == XI_MAX_N + 1
+    _refuse_seeds(monkeypatch)
+    with pytest.raises(XiBoundExceeded, match="n = 17 positions, past the Xi sweep bound 16$"):
+        pres.seeds
+    for all_xi in (False, True):
+        with pytest.raises(XiBoundExceeded):
+            verify.verify_pair(a4, w, u, all_xi=all_xi)
+    monkeypatch.undo()
+    seed = pres.seed(range(17))
+    assert seed.size == 17 and check_compatible(seed).ok
+
+
+def test_verify_pair_refuses_e6_longest_words_at_once(monkeypatch):
+    # at E6 w = u = w0 (n = 72) a sweep of 2^71 seeds could never finish;
+    # verify_pair refuses it as soon as the presentation is built
+    e6 = cartan_init("E", 6)
+    w0 = _longest_word(e6)
+    assert len(w0) == 36
+    _refuse_seeds(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(XiBoundExceeded, match="n = 72 positions"):
+        verify.verify_pair(e6, w0, w0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bz_seed_takes_w_then_u():

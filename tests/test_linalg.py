@@ -10,6 +10,17 @@ from hypothesis import strategies as st
 from dbseeds import linalg
 
 
+def test_mat_vec_keeps_the_input_type():
+    # int rows and an int vector give ints, as the Cartan tables' images need;
+    # a Fraction coordinate gives Fractions
+    a = ((1, -2), (0, 3))
+    got = linalg.mat_vec(a, (2, 1))
+    assert got == (0, 3) and all(type(x) is int for x in got)
+    got = linalg.mat_vec(a, (Q(1, 2), 1))
+    assert got == (Q(-3, 2), 3) and all(type(x) is Q for x in got)
+    assert linalg.mat_vec((), (1, 2)) == ()
+
+
 def dense_bilinear(u, a, v):
     return sum(Q(u[i]) * a[i][j] * Q(v[j]) for i in range(len(a)) for j in range(len(a[0])))
 

@@ -31,6 +31,25 @@ def test_vlaurent_arithmetic():
     assert VLaurent.q_power(1) == VLaurent.v_power(2)
 
 
+def test_vlaurent_hash_agrees_with_equality():
+    # equal scalars, built from other exact types, in another term order or
+    # by arithmetic, hash alike, so a set or a dict key treats them as one
+    a = VLaurent({0: 1, Q(1, 2): -3})
+    b = VLaurent({"1/2": -3, Q(0): Q(1)})
+    c = a + VLaurent.v_power(1) - VLaurent.v_power(1)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1 and {a: 1}[b] == 1
+    zero = VLaurent.one() - VLaurent.one()
+    assert zero == VLaurent() and hash(zero) == hash(VLaurent())
+    assert a not in {zero, VLaurent.one()}
+
+
+def test_zero_vlaurent_reprs_as_zero():
+    assert repr(VLaurent()) == "0"
+    assert repr(VLaurent.v_power(1) - VLaurent.v_power(1)) == "0"
+    assert repr(VLaurent({2: -1, 0: 1})) == "1*v^0 + -1*v^2"
+
+
 def test_vlaurent_rational_exponents():
     z = VLaurent.v_power(Q(1, 2))
     assert (z * z) == VLaurent.v_power(1)
