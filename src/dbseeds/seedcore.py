@@ -9,6 +9,7 @@ Cluster-variable values never appear at this level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -160,20 +161,30 @@ def mutate_exchange(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 
 def _mutation_row(seed: QuantumSeed, k: int, sign: int) -> tuple[int, ...]:
-    """Row k of the mutation basis: -e_k + sum over i != k of [sign b_ik]_+ e_i."""
-    g = [max(sign * x, 0) for x in seed.exchange.column(k)]
+    """Row k of the mutation basis: -e_k + sum over i != k of [sign b_ik]_+ e_i, for sign +1 or -1."""
+    col = seed.exchange.column(k)
+    g = [x if x > 0 else 0 for x in col] if sign > 0 else [-x if x < 0 else 0 for x in col]
     g[k] = -1
     return tuple(g)
+
+
+@lru_cache(maxsize=32)
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors e_0..e_{n-1}, cut from one row of zeros once per n and shared by every basis of that size."""
+    zeros = (0,) * (n - 1)
+    return tuple(zeros[:j] + (1,) + zeros[j:] for j in range(n))
 
 
 def mutation_basis(seed: QuantumSeed, k: int, sign: int) -> list[tuple[int, ...]]:
     """Basis change of mutation at k: e_k -> -e_k + sum [sign b_ik]_+ e_i.
 
-    Every other row is the unit vector e_j, cut from one row of zeros.
+    Every other row is the unit vector e_j, shared through `_unit_rows`; the
+    list is new, so a caller may replace its rows.
     """
-    n = seed.size
-    zeros = (0,) * (n - 1)
-    return [_mutation_row(seed, k, sign) if j == k else zeros[:j] + (1,) + zeros[j:] for j in range(n)]
+    row = _mutation_row(seed, k, sign)
+    basis = list(_unit_rows(seed.size))
+    basis[k] = row
+    return basis
 
 
 def mutated_degree(seed: QuantumSeed, k: int) -> tuple[int, ...]:
@@ -203,28 +214,47 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     )
 
 
-def reindex(seed: QuantumSeed, tau: Sequence[int]) -> QuantumSeed:
-    """Right action of a permutation: position j of the result carries tau(j).
+def seed_fields(seed: QuantumSeed) -> tuple:
+    """The values that seed equality compares, in order: psi, the exchange matrix's n, ex and columns, inv, degrees, d."""
+    b = seed.exchange
+    return seed.frame.psi, b.n, b.ex, b.cols, seed.inv, seed.degrees, seed.d
 
-    `FrameMatrix.reindex` first raises ValueError unless tau permutes the ints
-    0..n-1; the exchange columns, degrees and d are then gathered along tau.
+
+def reindex_fields(seed: QuantumSeed, tau: Sequence[int]) -> tuple:
+    """`seed_fields(reindex(seed, tau))`, gathered along tau with no seed, frame or exchange matrix built.
+
+    This is the one gather rule of reindexing.  One `linalg.gather` reads
+    psi's rows and then each row's columns, the degrees and d.  The exchange
+    columns are gathered by it too and keyed by their new index tau^-1(k),
+    then sorted by it: the indices are distinct, so no column is ever
+    compared.  inv is mapped by tau^-1.  tau is not checked; it must permute
+    the ints 0..n-1.
     """
-    new_frame = seed.frame.reindex(tau)
-    inverse = [0] * seed.size
+    n = seed.size
+    inverse = [0] * n
     for j, v in enumerate(tau):
         inverse[v] = j
     at_tau = linalg.gather(tau)
-    # (new index, gathered column) pairs, sorted by the index: the indices are
-    # distinct, so no column is ever compared
-    moved = sorted(zip(map(inverse.__getitem__, seed.ex), map(at_tau, seed.exchange.cols)))
+    b = seed.exchange
+    moved = sorted(zip(map(inverse.__getitem__, b.ex), map(at_tau, b.cols)))
     new_ex, new_cols = zip(*moved) if moved else ((), ())
-    return QuantumSeed(
-        frame=new_frame,
-        exchange=ExchangeMatrix(seed.size, new_ex, new_cols),
-        inv=frozenset(inverse[k] for k in seed.inv),
-        degrees=at_tau(seed.degrees),
-        d=at_tau(seed.d),
+    return (
+        tuple(map(at_tau, at_tau(seed.frame.psi))), n, new_ex, new_cols,
+        frozenset(inverse[k] for k in seed.inv), at_tau(seed.degrees), at_tau(seed.d),
     )
+
+
+def reindex(seed: QuantumSeed, tau: Sequence[int]) -> QuantumSeed:
+    """Right action of a permutation: position j of the result carries tau(j).
+
+    `FrameMatrix.reindex` first raises ValueError unless tau permutes the
+    ints 0..n-1 and gives the checked frame; the other fields are
+    `reindex_fields`', whose unchecked psi is dropped.  No library code
+    calls it; `perfbench/` keeps it.
+    """
+    frame = seed.frame.reindex(tau)
+    _, n, ex, cols, inv, degrees, d = reindex_fields(seed, tau)
+    return QuantumSeed(frame=frame, exchange=ExchangeMatrix(n, ex, cols), inv=inv, degrees=degrees, d=d)
 
 
 def antiiso_transform(seed: QuantumSeed) -> QuantumSeed:

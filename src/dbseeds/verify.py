@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import dbc, linalg, qtorus, seedcore
 from .coxeter import CartanData, SigmaWord
 from .qtorus import NonIntegralFrame
-from .seedcore import CheckResult, QuantumSeed, check_compatible, degree_balance, exchange_pairings, reindex
+from .seedcore import CheckResult, QuantumSeed, check_compatible, degree_balance, exchange_pairings
 
 
 def compat_identity(pres: dbc.BowtiePresentation) -> CheckResult:
@@ -155,8 +155,26 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     different levels, and its mutation at k when they lie on the same level.
     A mutation step must give the same frame with either sign choice.
 
-    A mutation link is checked in place: no mutated seed is built, and the
-    frame is never restricted in full.  Let G+ and G- be
+    The links are found from the signs of sigma's word: no sigma' is built
+    or looked up for a k that is not a link.  For sigma in Xi, sigma' is in Xi exactly
+    when k = 0 or eps[k] != eps[k+1]: its prefixes other than the one of
+    length k+1 are sigma's prefixes as sets, and that one is
+    I + {sigma(k+1)} with I = sigma(0..k-1).  For k = 0 it is one point.
+    For k >= 1, I is an interval [lo, hi] and sigma(k) extends it at one
+    end, say to hi + 1; sigma(k+1) then extends [lo, hi + 1], to hi + 2 or
+    to lo - 1, and only lo - 1 is next to I.  So I + {sigma(k+1)} is an
+    interval exactly when sigma(k) and sigma(k+1) extend on opposite sides,
+    and the sign eps[k] records the side (`coxeter.SigmaWord`).
+
+    A reindexing link is checked in place: sigma' is compared field by
+    field with `seedcore.reindex_fields(seed, t)`, the seed's frame rows and
+    columns, exchange columns, degrees and d gathered along the
+    transposition t with the exchange indices re-sorted and inv mapped, so
+    the test is exactly `reindex(seed, t) == seed(sigma')` with no seed,
+    frame or exchange matrix built.
+
+    A mutation link is checked in place too: no mutated seed is built, and
+    the frame is never restricted in full.  Let G+ and G- be
     `mutation_basis(seed, k, +1)` and `(seed, k, -1)`.  Seed(sigma) links to
     seed(sigma') with frame psi' exactly when psi' = G- psi G-^T (tested
     first: else the frame mutation depends on the sign choice), psi' =
@@ -193,26 +211,31 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
       deg_k, which holds exactly when sum_{i != k} b_ik deg_i = 0: the first
       end does not imply it.
 
-    A failure is reported at the same (sigma, k), with the same detail, as
-    a check of every link from both ends would report it first.
+    The links are visited with sigma in `pres.seeds` order and k
+    ascending, so a failure is reported at the same (sigma, k), with the
+    same detail, as a check of every link from both ends would report it
+    first.
     """
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     n = dwd.size
     seeds = pres.seeds
     place = {sigma: i for i, sigma in enumerate(seeds)}
+    swaps = [tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n)) for k in range(n - 1)]
     for sigma, seed in seeds.items():
+        word = dwd.spell(sigma)
+        eps, letters = word.eps, word.letters
         for k in range(n - 1):
+            if k and eps[k] == eps[k + 1]:
+                continue   # sigma o (k k+1) is not an interval permutation
             sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
-            if sigma2 not in place:
-                continue
             other = seeds[sigma2]
-            same_level = dwd.eta[sigma[k]] == dwd.eta[sigma[k + 1]]
+            same_level = letters[k] == letters[k + 1]
             if place[sigma2] < place[sigma]:
                 # checked in full from sigma2; only the degree at k is left
                 linked = not same_level or seedcore.mutated_degree(seed, k) == other.degrees[k]
             elif not same_level:
-                linked = reindex(seed, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))) == other
+                linked = seedcore.reindex_fields(seed, swaps[k]) == seedcore.seed_fields(other)
             else:
                 # the mutated seed would already sit in the adjacent order; no
                 # further reindexing (verified against the rank-one algebra)

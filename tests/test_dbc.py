@@ -584,12 +584,14 @@ def test_xi_linkage_sign_choice_reports_as_the_full_restriction(monkeypatch, fau
 
 def test_xi_linkage_checks_each_edge_once(monkeypatch):
     # every unordered link {sigma, sigma o (k k+1)} of the interval
-    # permutations: a reindexing across two levels, and on one level one
-    # moved-row sum per sign choice, with no mutated seed and no full
-    # restriction built; the check from both ends made twice these calls
+    # permutations: across two levels one in-place gather along the
+    # transposition, and on one level one moved-row sum per sign choice,
+    # with no reindexed or mutated seed and no full restriction built; the
+    # check from both ends made twice these calls.  Each link is visited
+    # once from either end, and no other (sigma, k) looks up a neighbour
     pres = dbc.bowtie_build(A2, (1, 2, 1), (1, 2, 1))
     members = set(xi_enumerate(pres.size))
-    edges = {"mutate_seed": 0, "frame_restrict": 0, "reindex": 0, "combine": 0}
+    edges = {"mutate_seed": 0, "frame_restrict": 0, "reindex": 0, "reindex_fields": 0, "combine": 0}
     for sigma in members:
         for k in range(pres.size - 1):
             sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
@@ -597,8 +599,9 @@ def test_xi_linkage_checks_each_edge_once(monkeypatch):
                 if pres.dwd.eta[sigma[k]] == pres.dwd.eta[sigma[k + 1]]:
                     edges["combine"] += 2   # row k of the -1 and of the +1 restriction
                 else:
-                    edges["reindex"] += 1
-    assert edges["combine"] and edges["reindex"]
+                    edges["reindex_fields"] += 1
+    assert edges["combine"] and edges["reindex_fields"]
+    links = edges["combine"] // 2 + edges["reindex_fields"]
 
     calls = dict.fromkeys(edges, 0)
 
@@ -609,8 +612,8 @@ def test_xi_linkage_checks_each_edge_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(verify, "reindex", counted("reindex", verify.reindex))
-    monkeypatch.setattr(seedcore, "mutate_seed", counted("mutate_seed", seedcore.mutate_seed))
+    for name in ("reindex", "reindex_fields", "mutate_seed"):
+        monkeypatch.setattr(seedcore, name, counted(name, getattr(seedcore, name)))
     for module in (seedcore, qtorus):
         monkeypatch.setattr(module, "frame_restrict", counted("frame_restrict", qtorus.frame_restrict))
     combine = linalg.combine
@@ -621,10 +624,19 @@ def test_xi_linkage_checks_each_edge_once(monkeypatch):
             calls["combine"] += 1
         return combine(rows, coeffs)
 
-    pres.seeds
+    class Visited(dict):
+        # the neighbour lookups: one per (sigma, k) the check visits
+        visits = 0
+
+        def __getitem__(self, sigma):
+            Visited.visits += 1
+            return super().__getitem__(sigma)
+
+    pres.__dict__["seeds"] = Visited(pres.seeds)
     monkeypatch.setattr(linalg, "combine", moved_row)
     assert verify.xi_linkage(pres).ok
     assert calls == edges
+    assert Visited.visits == 2 * links
 
 
 def test_btau_oracle_fails_on_corrupted_column(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbseeds import dbc, linalg, seedcore, verify
-from dbseeds.coxeter import cartan_init, is_reduced, sigma_chain, xi_enumerate, xi_is_member
+from dbseeds.coxeter import cartan_init, eta_machinery, is_reduced, sigma_chain, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
 from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
 
@@ -211,6 +211,58 @@ def _adjacent(pres):
                 yield sigma, k, sigma2, eta[sigma[k]] == eta[sigma[k + 1]]
 
 
+def test_word_signs_find_exactly_the_xi_links():
+    # the rule `xi_linkage` finds its links by: for sigma in Xi,
+    # sigma o (k k+1) is in Xi exactly when k = 0 or the word's signs at k
+    # and k+1 differ, on every sigma and k up to n = 10 (prefixes of a
+    # reduced word of w0 in A4)
+    cartan = cartan_init("A", 4)
+    w0 = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+    for n in range(1, len(w0) + 1):
+        dwd = eta_machinery(cartan, w0[:n], ())
+        for sigma in xi_enumerate(n):
+            eps = dwd.spell(sigma).eps
+            for k in range(n - 1):
+                swapped = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
+                assert (k == 0 or eps[k] != eps[k + 1]) == xi_is_member(swapped), (sigma, k)
+
+
+def _corrupted(data, seed):
+    """seed with one field changed by `_corrupt`, of a drawn kind (an exchange entry only when there is a column)."""
+    kind = data.draw(st.sampled_from(["frame", "ex", "degree", "d", "inv"] + ["exchange"] * bool(seed.ex)))
+    return _corrupt(seed, kind, data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63)))
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_in_place_reindexing_test_is_reindex_equality(name, data):
+    # `xi_linkage` compares a cross-level neighbour's fields with
+    # `reindex_fields` along the transposition; `reindex` is the reference:
+    # the test must be `reindex(seed, t) == other` on every honest
+    # neighbour, and on one with exactly one field changed, and the check
+    # must answer as the two-end check that builds the reindexed seed
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    n = pres.size
+    links = [(sigma, k, sigma2) for sigma, k, sigma2, same_level in _adjacent(pres) if not same_level]
+    for sigma, k, sigma2 in links:
+        seed = pres.seeds[sigma]
+        tau = tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))
+
+        def agrees(other):
+            got = seedcore.reindex_fields(seed, tau) == seedcore.seed_fields(other)
+            assert got == (reindex(seed, tau) == other)
+            return got
+
+        assert agrees(pres.seeds[sigma2])
+        assert not agrees(_corrupted(data, pres.seeds[sigma2]))
+    if links:
+        sigma, k, sigma2 = data.draw(st.sampled_from(links))
+        assert not _both_rules(pres, {sigma2: _corrupted(data, pres.seeds[sigma2])}).ok
+
+
 def _two_end_xi_linkage(pres):
     """Reference: the linkage check that checks every link from both of its ends."""
     dwd = pres.dwd
@@ -257,8 +309,23 @@ def _both_rules(pres, replaced=None):
 
 
 def _corrupt(seed, kind, a, b):
-    """seed with one entry moved by one: a frame entry (kept skew), an exchange entry or a degree."""
+    """seed with one field changed.
+
+    One entry moved by one: a frame entry (kept skew), an exchange entry, a
+    degree or d; or index a toggled in the exchangeable set (its column
+    dropped, or a zero column added) or in inv.
+    """
     n = seed.size
+    if kind == "ex":
+        cols = dict(zip(seed.ex, seed.exchange.cols))
+        if cols.pop(a % n, None) is None:
+            cols[a % n] = (0,) * n
+        ex = tuple(sorted(cols))
+        return replace(seed, exchange=ExchangeMatrix(n, ex, tuple(map(cols.__getitem__, ex))))
+    if kind == "d":
+        return replace(seed, d=seed.d[: a % n] + (seed.d[a % n] + 1,) + seed.d[a % n + 1:])
+    if kind == "inv":
+        return replace(seed, inv=seed.inv ^ {a % n})
     if kind == "frame":
         i, j = a % n, b % (n - 1)
         j += j >= i

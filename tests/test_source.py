@@ -139,14 +139,18 @@ def test_frame_restrict_callers_are_mutation_and_reduction():
 
 def test_verify_neither_mutates_nor_restricts():
     # constructors construct and `verify` verifies: the linkage oracle checks
-    # a mutation link in place, so no check builds a mutated seed or a full
-    # restriction; and it reaches the mutation rules through the `seedcore`
-    # module, so a patched rule is the one it reads
-    calls = _callers("mutate_seed") + _callers("frame_restrict")
+    # a mutation link and a reindexing link in place, so no check builds a
+    # mutated or reindexed seed or a full restriction; and it reaches the
+    # mutation and gather rules through the `seedcore` module, so a patched
+    # rule is the one it reads
+    calls = _callers("mutate_seed") + _callers("frame_restrict") + _callers("reindex")
     assert [c for c in calls if c.startswith("verify.py:")] == []
     tree = ast.parse((SRC / "verify.py").read_text())
     imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert imported.isdisjoint({"mutate_seed", "mutate_exchange", "mutation_basis", "mutated_degree", "frame_restrict"})
+    assert imported.isdisjoint({
+        "mutate_seed", "mutate_exchange", "mutation_basis", "mutated_degree", "frame_restrict", "reindex",
+        "reindex_fields", "seed_fields",
+    })
 
 
 def test_trusted_frames_come_only_from_valid_constructions():
@@ -364,12 +368,15 @@ ACCEPTANCE_ONLY = {
 
 
 # Library names that no library code calls and `perfbench/` keeps, by its
-# traced layers or a `lib.*` read; each docstring says so.  The list can
-# only shrink: a name that loses its last library caller fails the caller
-# guard below.
+# traced layers or a `lib.*` read; each docstring says so.  A name joins
+# only when its last library caller goes while the benchmark still reads it:
+# `seedcore.reindex`, since the linkage check compares each reindexing link
+# in place through `seedcore.reindex_fields`, the gather rule that
+# `reindex` is built from.  Any other name that loses its last library
+# caller fails the caller guard below.
 PERFBENCH_ONLY = {
     "coxeter.CartanData.pair_weight", "coxeter.enumerate_reduced_words", "coxeter.is_reduced",
-    "coxeter.sigma_chain", "dbc.b_columns", "qtorus.FrameMatrix.omega_exp",
+    "coxeter.sigma_chain", "dbc.b_columns", "qtorus.FrameMatrix.omega_exp", "seedcore.reindex",
 }
 
 
