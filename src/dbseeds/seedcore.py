@@ -221,14 +221,12 @@ def seed_fields(seed: QuantumSeed) -> tuple:
 
 
 def reindex_fields(seed: QuantumSeed, tau: Sequence[int]) -> tuple:
-    """`seed_fields(reindex(seed, tau))`, gathered along tau with no seed, frame or exchange matrix built.
+    """`seed_fields(reindex(seed, tau))` with no seed, frame or exchange matrix built: the one gather rule of reindexing.
 
-    This is the one gather rule of reindexing.  One `linalg.gather` reads
-    psi's rows and then each row's columns, the degrees and d.  The exchange
-    columns are gathered by it too and keyed by their new index tau^-1(k),
-    then sorted by it: the indices are distinct, so no column is ever
-    compared.  inv is mapped by tau^-1.  tau is not checked; it must permute
-    the ints 0..n-1.
+    One `linalg.gather` reads psi's rows and then each row's columns, the
+    exchange columns, the degrees and d.  The columns are sorted by their
+    new index tau^-1(k); the indices are distinct, so no column is ever
+    compared.  inv is mapped by tau^-1.  tau must permute 0..n-1 (unchecked).
     """
     n = seed.size
     inverse = [0] * n

@@ -166,12 +166,10 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     interval exactly when sigma(k) and sigma(k+1) extend on opposite sides,
     and the sign eps[k] records the side (`coxeter.SigmaWord`).
 
-    A reindexing link is checked in place: sigma' is compared field by
-    field with `seedcore.reindex_fields(seed, t)`, the seed's frame rows and
-    columns, exchange columns, degrees and d gathered along the
-    transposition t with the exchange indices re-sorted and inv mapped, so
-    the test is exactly `reindex(seed, t) == seed(sigma')` with no seed,
-    frame or exchange matrix built.
+    A reindexing link is checked in place: seed(sigma')'s fields must equal
+    `seedcore.reindex_fields(seed, t)`, the seed's gathered along the
+    transposition t, which is exactly `reindex(seed, t) == seed(sigma')`
+    with no seed built.
 
     A mutation link is checked in place too: no mutated seed is built, and
     the frame is never restricted in full.  Let G+ and G- be

@@ -263,6 +263,19 @@ def test_in_place_reindexing_test_is_reindex_equality(name, data):
         assert not _both_rules(pres, {sigma2: _corrupted(data, pres.seeds[sigma2])}).ok
 
 
+def test_in_place_reindexing_test_reads_the_exchange_height():
+    # with no exchangeable index, only the exchange matrix's n tells a
+    # neighbour whose matrix has another height apart, as `reindex` does
+    pres = dbc.bowtie_build(cartan_init("A", 2), (1,), (2,))
+    seed, other = pres.seeds[(0, 1)], pres.seeds[(1, 0)]
+    assert seed.ex == ()
+    taller = replace(other, exchange=ExchangeMatrix(3, (), ()))
+    for neighbour, want in ((other, True), (taller, False)):
+        assert (seedcore.reindex_fields(seed, (1, 0)) == seedcore.seed_fields(neighbour)) == want
+        assert (reindex(seed, (1, 0)) == neighbour) == want
+        assert _both_rules(pres, {(1, 0): neighbour}).ok == want
+
+
 def _two_end_xi_linkage(pres):
     """Reference: the linkage check that checks every link from both of its ends."""
     dwd = pres.dwd
