@@ -41,10 +41,11 @@ PAIRS = [
 # types whose every sigma-seed is pinned through `seed --sigma all-xi`
 ALL_XI_SEEDS = ("A2", "B2", "G2")
 
-# the xi-linkage failure bytes of one pair under two census faults: wrong-d
-# first fails at a cross-level link (k = 0), exchange-column-kept at a
-# same-level one
-XI_LINKAGE_FAULTS = ("A3", ("wrong-d", "exchange-column-kept"))
+# the all-xi failure bytes of one pair under three census faults: wrong-d
+# first fails xi-linkage at a cross-level link (k = 0), exchange-column-kept
+# at a same-level one, and predecessor-off-by-one gives wrong sigma-frames,
+# which fail every check but bz-compat
+ALL_XI_FAULTS = ("A3", ("wrong-d", "exchange-column-kept", "predecessor-off-by-one"))
 
 # one input per documented CLI error path (exit 2, or 3 for a frozen mutation step)
 ERRORS = {
@@ -80,8 +81,8 @@ def cases() -> dict[str, list[str]]:
         out[f"{name}-verify-all-xi"] = ["verify", *pair, "--all-xi"]
         out[f"{name}-verify-fault"] = ["verify", *pair, MARK + "frame-bump"]
         out[f"{name}-mutate"] = ["mutate", *pair, "--sigma", "wN", "--seq", seq]
-        if name == XI_LINKAGE_FAULTS[0]:
-            for fault in XI_LINKAGE_FAULTS[1]:
+        if name == ALL_XI_FAULTS[0]:
+            for fault in ALL_XI_FAULTS[1]:
                 out[f"{name}-verify-all-xi-fault-{fault}"] = ["verify", *pair, "--all-xi", MARK + fault]
     return out
 
