@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, mul
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from . import coxeter, linalg
 from .coxeter import (
@@ -46,6 +46,8 @@ class BowtiePresentation:
     nu: FrameMatrix                           # v-exponents of lambda, halved
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
     _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # "sweep": the sigmas of `seeds`; "chains", "supports": its tables for the frame and its oracle
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -71,12 +73,16 @@ class BowtiePresentation:
     def seeds(self) -> dict[Perm, QuantumSeed]:
         """Seed of every interval permutation, in `xi_enumerate` order, each through `seed`.
 
-        With no positions the only permutation is (), mapped to the empty seed.
+        The sweep's sigmas and its one `ChainTable` are kept before the first
+        seed, which gathers its frame and degrees from that table.  With no
+        positions the only permutation is (), mapped to the empty seed.
         Raises XiBoundExceeded, before any seed is built, past `coxeter.XI_MAX_N` positions.
         """
         if self.size > coxeter.XI_MAX_N:
             raise coxeter.XiBoundExceeded(f"n = {self.size} positions, past the Xi sweep bound {coxeter.XI_MAX_N}")
-        return {sigma: self.seed(sigma) for sigma in (xi_enumerate(self.size) if self.size else [()])}
+        sigmas = self._tables["sweep"] = tuple(xi_enumerate(self.size)) if self.size else ((),)
+        self._tables["chains"] = ChainTable(self, map(self.dwd.spell, sigmas))
+        return {sigma: self.seed(sigma) for sigma in sigmas}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -121,31 +127,82 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
     return tuple(range(nw - 1, -1, -1)) + tuple(range(nw, n))
 
 
-def _chain_sums(table, word: SigmaWord) -> list[tuple[int, ...]]:
-    """Row k is the sum of table[i] over chain(k), as row p(k) + table[sigma(k)].
+def _chain_sums(table, steps: Sequence[tuple[int, int | None]]) -> list[tuple[int, ...]]:
+    """Row c is the sum of table[i] over chain c, as row p + table[x] for steps[c] = (x, p).
 
-    p(k) is `word.walk.pred[k]`; a missing one is the empty chain, a zero row.
+    Each p comes before c; a missing one is the empty chain, a zero row.
     """
     zero = (0,) * (len(table[0]) if table else 0)
     rows: list[tuple[int, ...]] = []
-    for x, p in zip(word.sigma, word.walk.pred):
+    for x, p in steps:
         rows.append(tuple(map(add, zero if p is None else rows[p], table[x])))
     return rows
+
+
+class ChainTable:
+    """The distinct chains of some sigma-words, each summed once however many words share it.
+
+    chain(k), the positions of sigma(k)'s level among sigma(0..k), is
+    chain(p(k)) + {sigma(k)}, p(k) = `word.walk.pred[k]`, since no position
+    between p(k) and k has that level.  So position k is looked up by the
+    key (chain of p(k), sigma(k)), and a new key names that set, as a new
+    chain or a known one.  chains[c] lists chain c's positions in
+    increasing order; ids[sigma][k] is the chain of position k.  The keys
+    follow the walk as it is and a chain's rows are sums over its set, so a
+    gathered frame is the one the recursion would sum per word.  frame
+    (chain_c^T nu chain_e) and degrees are summed on first read.
+    """
+
+    def __init__(self, pres: BowtiePresentation, words: Iterable[SigmaWord]):
+        keys: dict[tuple[int | None, int], int] = {}   # (chain of p(k), sigma(k)) -> chain
+        index: dict[tuple[int, ...], int] = {}          # positions, increasing -> chain
+        chains: list[tuple[int, ...]] = []
+        self._steps: list[tuple[int, int | None]] = []  # per chain, (sigma(k), chain of p(k)) of its first key
+        self.ids: dict[Perm, tuple[int, ...]] = {}
+        for word in words:
+            at: list[int] = []
+            for x, p in zip(word.sigma, word.walk.pred):
+                parent = None if p is None else at[p]
+                c = keys.get((parent, x))
+                if c is None:
+                    chain = tuple(sorted((() if parent is None else chains[parent]) + (x,)))
+                    c = keys[parent, x] = index.setdefault(chain, len(chains))
+                    if c == len(chains):
+                        chains.append(chain)
+                        self._steps.append((x, parent))
+                at.append(c)
+            self.ids[word.sigma] = tuple(at)
+        self.chains = tuple(chains)
+        self._nu, self._degrees = pres.nu.psi, pres.degrees
+
+    @cached_property
+    def frame(self) -> FrameMatrix:
+        """C nu C^T, C the 0/1 matrix of the chains: integral, so it takes the trusted path (see `FrameMatrix`)."""
+        rows = _chain_sums(self._nu, self._steps)
+        return FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), self._steps))))
+
+    @cached_property
+    def degrees(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_chain_sums(self._degrees, self._steps))
+
+
+def _chains(pres: BowtiePresentation, word: SigmaWord) -> ChainTable:
+    """The sweep's chain table once `pres.seeds` has built it, else the table of the word's own n chains."""
+    return pres._tables.get("chains") or ChainTable(pres, [word])
 
 
 def sigma_frame(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:
     """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
 
-    chain(k), the positions of sigma(k)'s level among sigma(0..k), is
-    chain(p(k)) + {sigma(k)}, p(k) the last earlier position of that level,
-    since no position between p(k) and k has it.  So the rows
-    R_k = chain(k)^T nu follow R_k = R_p(k) + nu[sigma(k)], and the columns
-    of psi follow psi[.][b] = psi[.][p(b)] + R[.][sigma(b)], a missing p
-    adding 0: two passes over sigma (`_chain_sums`), with no pairing and no rank.
-    psi = C nu C^T with C integral, so it takes the trusted path (see `FrameMatrix`).
+    Every chain is a run of its level: sigma(0..k) is an interval of
+    positions, and chain(k) is the part of sigma(k)'s level inside it.  A
+    level with m positions has m(m+1)/2 runs, so the whole Xi family has
+    few chains (`ChainTable`).  With T[c][e] = chain_c^T nu chain_e,
+    psi[a][b] = T[id(a)][id(b)]: psi is the principal submatrix of T at
+    sigma's chain ids, one gather (`FrameMatrix.principal`) and no sum.
     """
-    rows = _chain_sums(pres.nu.psi, word)
-    return FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), word))))
+    table = _chains(pres, word)
+    return table.frame.principal(table.ids[word.sigma])
 
 
 def _support_sums(table, supports) -> list[tuple[int, ...]]:
@@ -165,29 +222,45 @@ def sigma_frame_product(pres: BowtiePresentation, word: SigmaWord) -> FrameMatri
     psi_kj = sum of nu_il over i in S_k and l in S_j, where the support S_k
     is the set of positions of sigma(k)'s level among sigma(0..k).  The
     supports are grouped by level from eta and sigma (`word.sigma`, the only
-    field read) alone, not through `_chain_sums` or the word's walk.  Each
-    is summed in full, twice: R_k = sum over S_k of the rows nu_i, then
-    column j of psi is the sum over S_j of the columns of R.  The frame
-    takes the validating constructor.
+    field read) alone, not through `_chain_sums`, a walk or the chain table.
+    As sigma(0..k) is an interval, sigma(k) lies below every earlier
+    position exactly when sigma(k) < sigma(0), so S_k is kept in increasing
+    order and equal supports are equal keys.  The distinct supports of the
+    sweep (`pres.seeds`), or of this sigma when no sweep was asked for, are
+    each summed in full, twice: R = the rows nu_i summed over each support,
+    then the columns of R.  That table P takes the validating constructor
+    once, and psi is its principal submatrix at sigma's supports.
     """
-    eta = pres.dwd.eta
-    level: dict[int, tuple[int, ...]] = {}
-    supports = []
-    for x in word.sigma:
-        support = level[eta[x]] = level.get(eta[x], ()) + (x,)
-        supports.append(support)
-    rows = _support_sums(pres.nu.psi, supports)
-    return FrameMatrix(tuple(zip(*_support_sums(tuple(zip(*rows)), supports))))
+    table = pres._tables.get("supports")
+    if table is None:
+        eta = pres.dwd.eta
+        index: dict[tuple[int, ...], int] = {}   # support -> its row of P
+        ids = {}
+        for sigma in pres._tables.get("sweep", (word.sigma,)):
+            level: dict[int, tuple[int, ...]] = {}
+            at = []
+            for x in sigma:
+                prev = level.get(eta[x], ())
+                support = level[eta[x]] = (x,) + prev if x < sigma[0] else prev + (x,)
+                at.append(index.setdefault(support, len(index)))
+            ids[sigma] = tuple(at)
+        supports = list(index)
+        rows = _support_sums(pres.nu.psi, supports)
+        table = ids, FrameMatrix(tuple(zip(*_support_sums(tuple(zip(*rows)), supports))))
+        if "sweep" in pres._tables:
+            pres._tables["supports"] = table
+    ids, frame = table
+    return frame.principal(ids[word.sigma])
 
 
 def sigma_degrees(pres: BowtiePresentation, word: SigmaWord) -> tuple[tuple[int, ...], ...]:
     """Root-lattice degree of each permuted cluster variable: the sum over its chain.
 
-    chain(k) = chain(p(k)) + {sigma(k)} (see `sigma_frame`), so
-    deg_k = deg_p(k) + D[sigma(k)] (`_chain_sums`), with D the generator
-    degrees and a missing p giving 0.
+    Each distinct chain is summed once (`ChainTable.degrees`), and sigma's
+    degrees are the rows at its chain ids, as in `sigma_frame`.
     """
-    return tuple(_chain_sums(pres.degrees, word))
+    table = _chains(pres, word)
+    return linalg.gather(table.ids[word.sigma])(table.degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,12 @@ class FrameMatrix:
     `FrameMatrix(psi)` checks that psi is square with int entries and is
     skew-symmetric with a zero diagonal.  `_trusted` skips these checks; its
     only callers build from a valid psi what keeps them by construction:
-    `reindex` permutes rows and columns alike by a permutation of the ints
-    0..n-1 (checked), which keeps skew-symmetry; `negate` gives -psi; and
-    `frame_restrict` (int vectors of length n, checked) and `dbc.sigma_frame`
-    (sums of unit vectors) give V psi V^T with V integral, skew-symmetric in
-    integers with a zero diagonal since (V psi V^T)^T = V psi^T V^T.
+    `principal` gathers the same indices for rows and columns, which keeps
+    skew-symmetry and the zero diagonal (`reindex` is its case at a checked
+    permutation); `negate` gives -psi; and `frame_restrict` (int vectors of
+    length n, checked) and `dbc.ChainTable.frame` (sums of unit vectors) give
+    V psi V^T with V integral, skew-symmetric in integers with a zero
+    diagonal since (V psi V^T)^T = V psi^T V^T.
     """
 
     psi: tuple[tuple[int, ...], ...]
@@ -228,12 +229,21 @@ class FrameMatrix:
             raise DimensionMismatch("vector length does not match frame size")
         return linalg.bilinear(f, self.psi, g)
 
+    def principal(self, index: Sequence[int]) -> "FrameMatrix":
+        """psi'_{jk} = psi_{index(j), index(k)}: the principal submatrix at `index`, one gather.
+
+        This is the one gather rule of frames.  psi'_{kj} =
+        psi_{index(k), index(j)} = -psi'_{jk} and psi'_{jj} = 0, so any index
+        sequence that the gather can read gives a frame.
+        """
+        at = linalg.gather(index)
+        return FrameMatrix._trusted(tuple(map(at, at(self.psi))))
+
     def reindex(self, tau: Sequence[int]) -> "FrameMatrix":
-        """psi'_{jk} = psi_{tau(j), tau(k)}; tau must be a permutation of the ints 0..n-1."""
+        """psi'_{jk} = psi_{tau(j), tau(k)}: `principal` at tau, which must be a permutation of the ints 0..n-1."""
         if not (all(type(x) is int for x in tau) and sorted(tau) == list(range(self.size))):
             raise ValueError("tau must be a permutation of 0..n-1")
-        at_tau = linalg.gather(tau)
-        return FrameMatrix._trusted(tuple(map(at_tau, at_tau(self.psi))))
+        return self.principal(tau)
 
     def negate(self) -> "FrameMatrix":
         return FrameMatrix._trusted(tuple(tuple(-x for x in row) for row in self.psi))

@@ -221,12 +221,13 @@ def seed_fields(seed: QuantumSeed) -> tuple:
 
 
 def reindex_fields(seed: QuantumSeed, tau: Sequence[int]) -> tuple:
-    """`seed_fields(reindex(seed, tau))` with no seed, frame or exchange matrix built: the one gather rule of reindexing.
+    """`seed_fields(reindex(seed, tau))` with no seed or exchange matrix built: the one gather rule of reindexing.
 
-    One `linalg.gather` reads psi's rows and then each row's columns, the
-    exchange columns, the degrees and d.  The columns are sorted by their
-    new index tau^-1(k); the indices are distinct, so no column is ever
-    compared.  inv is mapped by tau^-1.  tau must permute 0..n-1 (unchecked).
+    psi is the frame's principal submatrix at tau (`FrameMatrix.principal`),
+    and one `linalg.gather` reads the exchange columns, the degrees and d.
+    The columns are sorted by their new index tau^-1(k); the indices are
+    distinct, so no column is ever compared.  inv is mapped by tau^-1.  tau
+    must permute 0..n-1 (unchecked).
     """
     n = seed.size
     inverse = [0] * n
@@ -237,7 +238,7 @@ def reindex_fields(seed: QuantumSeed, tau: Sequence[int]) -> tuple:
     moved = sorted(zip(map(inverse.__getitem__, b.ex), map(at_tau, b.cols)))
     new_ex, new_cols = zip(*moved) if moved else ((), ())
     return (
-        tuple(map(at_tau, at_tau(seed.frame.psi))), n, new_ex, new_cols,
+        seed.frame.principal(tau).psi, n, new_ex, new_cols,
         frozenset(inverse[k] for k in seed.inv), at_tau(seed.degrees), at_tau(seed.d),
     )
 

@@ -806,6 +806,70 @@ def test_verify_pair_builds_each_sigma_seed_once(monkeypatch):
     assert calls["sigma_frame_product"] == 2 ** (6 - 1)
 
 
+# the greedy lexicographic reduced word of the longest element of E8 (120 letters)
+E8_W0 = tuple(map(int, (
+    "1,2,3,1,4,2,3,1,4,3,5,4,2,3,1,4,3,5,4,2,6,5,4,2,3,1,4,3,5,4,2,6,5,4,3,1,7,6,5,4,"
+    "2,3,1,4,3,5,4,2,6,5,4,3,1,7,6,5,4,2,3,4,5,6,7,8,7,6,5,4,2,3,1,4,3,5,4,2,6,5,4,3,"
+    "1,7,6,5,4,2,3,4,5,6,7,8,7,6,5,4,2,3,1,4,3,5,4,2,6,5,4,3,1,7,6,5,4,2,3,4,5,6,7,8"
+).split(",")))
+
+
+def _chain_tables_built(monkeypatch) -> list:
+    """Every `dbc.ChainTable` built while the patch holds, in order."""
+    built = []
+
+    class Counted(dbc.ChainTable):
+        def __init__(self, pres, words):
+            super().__init__(pres, words)
+            built.append(self)
+
+    monkeypatch.setattr(dbc, "ChainTable", Counted)
+    return built
+
+
+def test_verify_pair_builds_one_chain_table_and_one_product_table(monkeypatch):
+    # each sigma-frame is a principal submatrix of one table per presentation:
+    # the chain table, built by `pres.seeds` before the first seed, with one
+    # row per run of a level (A2 with eta = 1,2,1,1,2,1: 10 + 3 runs), and the
+    # product oracle's support table, summed by two `_support_sums` passes
+    # and validated once by the `FrameMatrix` constructor.  A sigma-seed and
+    # a product frame are still asked for once per sigma
+    built = _chain_tables_built(monkeypatch)
+    calls = _count_calls(monkeypatch, "sigma_seed", "sigma_frame_product", "_support_sums")
+    validated = []
+    honest = FrameMatrix.__post_init__
+
+    def post_init(self):
+        validated.append(sys._getframe(2).f_code.co_name)   # the caller of the generated __init__
+        honest(self)
+
+    monkeypatch.setattr(FrameMatrix, "__post_init__", post_init)
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results)
+    assert len(built) == 1 and len(built[0].ids) == 2 ** (6 - 1) and len(built[0].chains) == 13
+    assert calls == {"sigma_seed": 2 ** (6 - 1), "sigma_frame_product": 2 ** (6 - 1), "_support_sums": 2}
+    assert validated.count("sigma_frame_product") == 1
+
+
+def test_lone_seed_looks_up_only_its_own_chains(monkeypatch):
+    # E8 at w = u = w0 (n = 240) has 4488 runs of its levels; its reversed-w
+    # seed, asked for alone, builds tables of its own 240 chains, one per
+    # position and each reached by one key, and no sweep
+    assert len(E8_W0) == 120 and is_reduced(cartan_init("E", 8), E8_W0)
+    pres = dbc.bowtie_build(cartan_init("E", 8), E8_W0, E8_W0)
+    eta = pres.dwd.eta
+    assert sum(m * (m + 1) // 2 for m in map(eta.count, set(eta))) == 4488
+    built = _chain_tables_built(monkeypatch)
+    seed = pres.seed(dbc.w0_permutation(pres.dwd))
+    word = pres.dwd.spell(dbc.w0_permutation(pres.dwd))
+    assert seed.size == 240 and built
+    for table in built:
+        ids = table.ids[word.sigma]
+        keys = {(None if p is None else ids[p], x) for x, p in zip(word.sigma, word.walk.pred)}
+        assert len(table.chains) == len(keys) == 240
+    assert "sweep" not in pres._tables
+
+
 def test_verify_pair_builds_each_pair_level_seed_once(monkeypatch):
     # one word validation and one minor-labelled frame per pair; the reversed-w
     # matrix is the reversed-w seed's own, not built apart from it.  Each word's

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as Q
 from functools import cache
+from operator import add
 from types import SimpleNamespace
 from unittest import mock
 
@@ -97,6 +98,63 @@ def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
         assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, word)
         sums = tuple(tuple(map(sum, zip(*(pres.degrees[i] for i in chain)))) for chain in chains)
         assert dbc.sigma_degrees(pres, word) == sums
+
+
+def _chain_recursion(pres, word):
+    """Reference: frame and degrees of one word by the predecessor recursion, summed afresh for every word.
+
+    Row k is row p(k) plus the table's row at sigma(k), p(k) the word's walk
+    predecessor and a missing one the zero row: once over nu's rows, once
+    over the columns of the result, and once over the generator degrees.
+    """
+    def sums(table):
+        zero = (0,) * (len(table[0]) if table else 0)
+        rows = []
+        for x, p in zip(word.sigma, word.walk.pred):
+            rows.append(tuple(map(add, zero if p is None else rows[p], table[x])))
+        return rows
+
+    rows = sums(pres.nu.psi)
+    return tuple(zip(*sums(tuple(zip(*rows))))), tuple(sums(pres.degrees))
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sigma_frames_are_gathered_from_one_chain_table(name, data):
+    # the sweep's chain table names exactly the chains of `sigma_chain`: one
+    # row per run of a level, sum m(m+1)/2 over the levels, each reached by
+    # a key from at most its two ends.  Every frame and degree table gathered
+    # from it is the per-word recursion's, and a lone `pres.seed(sigma)`,
+    # which looks up its own chains only, gives the sweep's seed
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan, max_size=10))
+    sweep, lone = dbc.bowtie_build(cartan, w, u), dbc.bowtie_build(cartan, w, u)
+    seeds = sweep.seeds
+    table = sweep._tables["chains"]
+    eta, succ = sweep.dwd.eta, sweep.dwd.walk.succ
+    runs = set()
+    for level in set(eta):
+        at = [i for i, a in enumerate(eta) if a == level]
+        runs |= {tuple(at[i:j]) for i in range(len(at)) for j in range(i + 1, len(at) + 1)}
+    assert len(runs) == sum(m * (m + 1) // 2 for m in map(eta.count, set(eta)))
+    assert sorted(table.chains) == sorted(runs)
+    reached = {}
+    for sigma, seed in seeds.items():
+        word = sweep.dwd.spell(sigma)
+        ids = table.ids[sigma]
+        assert tuple(table.chains[c] for c in ids) == sigma_chain(eta, succ, sigma)
+        for x, p, c in zip(sigma, word.walk.pred, ids):
+            reached.setdefault(c, set()).add((None if p is None else ids[p], x))
+        assert (seed.frame.psi, seed.degrees) == _chain_recursion(sweep, word)
+        assert lone.seed(sigma) == seed
+    assert "sweep" not in lone._tables
+    for c, keys in reached.items():
+        chain = table.chains[c]
+        assert len(keys) <= len({chain[0], chain[-1]})
+        for parent, x in keys:
+            assert x in (chain[0], chain[-1])
+            assert (() if parent is None else table.chains[parent]) == tuple(i for i in chain if i != x)
 
 
 def _product_formula(pres, sigma):

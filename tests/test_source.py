@@ -156,9 +156,16 @@ def test_verify_neither_mutates_nor_restricts():
 def test_trusted_frames_come_only_from_valid_constructions():
     # `FrameMatrix._trusted` skips the frame checks, so only the builders whose
     # construction guarantees them may call it; no oracle builds the value it
-    # checks that way, and input frames keep the validating constructor
+    # checks that way, and input frames keep the validating constructor.  A
+    # principal submatrix is the one gather rule: `reindex` is its case at a
+    # checked permutation, reindexing a seed's fields reads it too, and each
+    # sigma-frame (chain congruence and product oracle alike) is a gather
+    # from its presentation's table
     callers = sorted(_callers("_trusted"))
-    assert callers == ["dbc.py:sigma_frame", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:reindex"]
+    assert callers == ["dbc.py:frame", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:principal"]
+    assert sorted(_callers("principal")) == [
+        "dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "qtorus.py:reindex", "seedcore.py:reindex_fields",
+    ]
     barred = ("verify.py:", "dbc.py:sigma_frame_product", "dbc.py:bowtie_build", "qtorus.py:from_rows")
     assert [c for c in callers if c.startswith(barred)] == []
     assert "_trusted" not in (SRC / "verify.py").read_text()
