@@ -46,7 +46,8 @@ class BowtiePresentation:
     nu: FrameMatrix                           # v-exponents of lambda, halved
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
     _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # "sweep": the sigmas of `seeds`; "chains", "supports": its tables for the frame and its oracle
+    # "sweep": the sigmas of `seeds`; "chains", "supports": its tables for the frame and its
+    # oracle; "lone": the chain table of the last seed built without a sweep
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -149,15 +150,17 @@ class ChainTable:
     chain or a known one.  chains[c] lists chain c's positions in
     increasing order; ids[sigma][k] is the chain of position k.  The keys
     follow the walk as it is and a chain's rows are sums over its set, so a
-    gathered frame is the one the recursion would sum per word.  frame
-    (chain_c^T nu chain_e) and degrees are summed on first read.
+    gathered frame is the one the recursion would sum per word.  Each chain
+    is summed as its first key: frame[c][e] = chain_c^T nu chain_e by two
+    passes of `_chain_sums`, so C nu C^T with C integral, which takes the
+    trusted path (see `FrameMatrix`), and the degrees by one.
     """
 
     def __init__(self, pres: BowtiePresentation, words: Iterable[SigmaWord]):
         keys: dict[tuple[int | None, int], int] = {}   # (chain of p(k), sigma(k)) -> chain
         index: dict[tuple[int, ...], int] = {}          # positions, increasing -> chain
         chains: list[tuple[int, ...]] = []
-        self._steps: list[tuple[int, int | None]] = []  # per chain, (sigma(k), chain of p(k)) of its first key
+        steps: list[tuple[int, int | None]] = []        # per chain, (sigma(k), chain of p(k)) of its first key
         self.ids: dict[Perm, tuple[int, ...]] = {}
         for word in words:
             at: list[int] = []
@@ -169,26 +172,25 @@ class ChainTable:
                     c = keys[parent, x] = index.setdefault(chain, len(chains))
                     if c == len(chains):
                         chains.append(chain)
-                        self._steps.append((x, parent))
+                        steps.append((x, parent))
                 at.append(c)
             self.ids[word.sigma] = tuple(at)
         self.chains = tuple(chains)
-        self._nu, self._degrees = pres.nu.psi, pres.degrees
-
-    @cached_property
-    def frame(self) -> FrameMatrix:
-        """C nu C^T, C the 0/1 matrix of the chains: integral, so it takes the trusted path (see `FrameMatrix`)."""
-        rows = _chain_sums(self._nu, self._steps)
-        return FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), self._steps))))
-
-    @cached_property
-    def degrees(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_chain_sums(self._degrees, self._steps))
+        rows = _chain_sums(pres.nu.psi, steps)
+        self.frame = FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), steps))))
+        self.degrees = tuple(_chain_sums(pres.degrees, steps))
 
 
 def _chains(pres: BowtiePresentation, word: SigmaWord) -> ChainTable:
-    """The sweep's chain table once `pres.seeds` has built it, else the table of the word's own n chains."""
-    return pres._tables.get("chains") or ChainTable(pres, [word])
+    """The sweep's chain table once `pres.seeds` has built it, else a table of the word's own n chains.
+
+    A lone word's table is kept until another lone word's, so the frame and
+    the degrees of one seed share it.
+    """
+    table = pres._tables.get("chains") or pres._tables.get("lone")
+    if table is None or word.sigma not in table.ids:
+        table = pres._tables["lone"] = ChainTable(pres, [word])
+    return table
 
 
 def sigma_frame(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:

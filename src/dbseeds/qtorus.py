@@ -177,7 +177,7 @@ class FrameMatrix:
     `principal` gathers the same indices for rows and columns, which keeps
     skew-symmetry and the zero diagonal (`reindex` is its case at a checked
     permutation); `negate` gives -psi; and `frame_restrict` (int vectors of
-    length n, checked) and `dbc.ChainTable.frame` (sums of unit vectors) give
+    length n, checked) and `dbc.ChainTable` (sums of unit vectors) give
     V psi V^T with V integral, skew-symmetric in integers with a zero
     diagonal since (V psi V^T)^T = V psi^T V^T.
     """

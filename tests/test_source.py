@@ -162,7 +162,7 @@ def test_trusted_frames_come_only_from_valid_constructions():
     # sigma-frame (chain congruence and product oracle alike) is a gather
     # from its presentation's table
     callers = sorted(_callers("_trusted"))
-    assert callers == ["dbc.py:frame", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:principal"]
+    assert callers == ["dbc.py:__init__", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:principal"]
     assert sorted(_callers("principal")) == [
         "dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "qtorus.py:reindex", "seedcore.py:reindex_fields",
     ]
