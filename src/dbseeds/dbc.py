@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, mul
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from . import coxeter, linalg
 from .coxeter import (
@@ -46,9 +46,8 @@ class BowtiePresentation:
     nu: FrameMatrix                           # v-exponents of lambda, halved
     degrees: tuple[tuple[int, ...], ...]      # root-lattice degree per generator
     _seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # "sweep": the sigmas of `seeds`; "chains", "supports": its tables for the frame and its
-    # oracle; "lone": the chain table of the last seed built without a sweep
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # `sigma_frame_product`'s level-run table, (run -> row, frame), set on its first call
+    _runs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -59,11 +58,17 @@ class BowtiePresentation:
         """Plain and modified minor-labelled seeds, built once per presentation."""
         return bz_seed(self)
 
+    @cached_property
+    def chains(self) -> ChainTable:
+        """The one chain table of this presentation, grown by every sigma-frame and degree table asked for."""
+        return ChainTable(self)
+
     def seed(self, sigma: Sequence[int]) -> QuantumSeed:
         """Seed of one interval permutation, built on first use and kept.
 
         A sigma boundary: `dwd.spell` validates sigma, and the cache is keyed
         by the sigma of the word it returns, so only a validated sigma is a key.
+        A seed asked for alone grows the same `chains` as the sweep, by at most n chains.
         """
         key = self.dwd.spell(sigma).sigma
         if key not in self._seeds:
@@ -74,16 +79,14 @@ class BowtiePresentation:
     def seeds(self) -> dict[Perm, QuantumSeed]:
         """Seed of every interval permutation, in `xi_enumerate` order, each through `seed`.
 
-        The sweep's sigmas and its one `ChainTable` are kept before the first
-        seed, which gathers its frame and degrees from that table.  With no
-        positions the only permutation is (), mapped to the empty seed.
-        Raises XiBoundExceeded, before any seed is built, past `coxeter.XI_MAX_N` positions.
+        Each seed grows `chains` as it is built, so the table then holds
+        exactly the runs of the levels.  With no positions the only
+        permutation is (), mapped to the empty seed.  Raises XiBoundExceeded,
+        before any seed is built, past `coxeter.XI_MAX_N` positions.
         """
         if self.size > coxeter.XI_MAX_N:
             raise coxeter.XiBoundExceeded(f"n = {self.size} positions, past the Xi sweep bound {coxeter.XI_MAX_N}")
-        sigmas = self._tables["sweep"] = tuple(xi_enumerate(self.size)) if self.size else ((),)
-        self._tables["chains"] = ChainTable(self, map(self.dwd.spell, sigmas))
-        return {sigma: self.seed(sigma) for sigma in sigmas}
+        return {sigma: self.seed(sigma) for sigma in (xi_enumerate(self.size) if self.size else ((),))}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -128,83 +131,80 @@ def w0_permutation(dwd: DoubleWordData) -> Perm:
     return tuple(range(nw - 1, -1, -1)) + tuple(range(nw, n))
 
 
-def _chain_sums(table, steps: Sequence[tuple[int, int | None]]) -> list[tuple[int, ...]]:
-    """Row c is the sum of table[i] over chain c, as row p + table[x] for steps[c] = (x, p).
-
-    Each p comes before c; a missing one is the empty chain, a zero row.
-    """
-    zero = (0,) * (len(table[0]) if table else 0)
-    rows: list[tuple[int, ...]] = []
-    for x, p in steps:
-        rows.append(tuple(map(add, zero if p is None else rows[p], table[x])))
-    return rows
-
-
 class ChainTable:
-    """The distinct chains of some sigma-words, each summed once however many words share it.
+    """The chains of a presentation's sigma-words, each added once, by the first word to reach it.
 
     chain(k), the positions of sigma(k)'s level among sigma(0..k), is
-    chain(p(k)) + {sigma(k)}, p(k) = `word.walk.pred[k]`, since no position
-    between p(k) and k has that level.  So position k is looked up by the
-    key (chain of p(k), sigma(k)), and a new key names that set, as a new
-    chain or a known one.  chains[c] lists chain c's positions in
-    increasing order; ids[sigma][k] is the chain of position k.  The keys
-    follow the walk as it is and a chain's rows are sums over its set, so a
-    gathered frame is the one the recursion would sum per word.  Each chain
-    is summed as its first key: frame[c][e] = chain_c^T nu chain_e by two
-    passes of `_chain_sums`, so C nu C^T with C integral, which takes the
-    trusted path (see `FrameMatrix`), and the degrees by one.
+    chain(p(k)) + {sigma(k)}, p(k) = `word.walk.pred[k]`.  So `ids` looks
+    position k up by the key (chain of p(k), sigma(k)), which names that
+    set, kept increasing in `chains`, as a known chain or a new one; the
+    keys follow the walk as it is, and a row depends on the set only.
+
+    A new chain c = p + {x} extends frame[c][e] = chain_c^T nu chain_e with
+    no sum over its set: with R_e = sum of nu_i over i in e, kept per chain,
+    frame[c][e] = frame[p][e] + sum_{j in e} nu_xj = frame[p][e] - R_e[x]
+    for each chain e present (nu is skew-symmetric), frame[e][c] =
+    -frame[c][e], frame[c][c] = 0, R_c = R_p + nu_x and degrees[c] =
+    degrees[p] + degree_x, the empty chain p having zero rows.  So frame is
+    C nu C^T with C integral, which takes the trusted path (`FrameMatrix`).
+    Every chain is a run of its level, as sigma(0..k) is an interval: with
+    an honest walk the table never holds more than the sum of m(m+1)/2 over
+    the levels (m positions each), and a word adds at most n.
     """
 
-    def __init__(self, pres: BowtiePresentation, words: Iterable[SigmaWord]):
-        keys: dict[tuple[int | None, int], int] = {}   # (chain of p(k), sigma(k)) -> chain
-        index: dict[tuple[int, ...], int] = {}          # positions, increasing -> chain
-        chains: list[tuple[int, ...]] = []
-        steps: list[tuple[int, int | None]] = []        # per chain, (sigma(k), chain of p(k)) of its first key
-        self.ids: dict[Perm, tuple[int, ...]] = {}
-        for word in words:
-            at: list[int] = []
-            for x, p in zip(word.sigma, word.walk.pred):
-                parent = None if p is None else at[p]
-                c = keys.get((parent, x))
-                if c is None:
-                    chain = tuple(sorted((() if parent is None else chains[parent]) + (x,)))
-                    c = keys[parent, x] = index.setdefault(chain, len(chains))
-                    if c == len(chains):
-                        chains.append(chain)
-                        steps.append((x, parent))
-                at.append(c)
-            self.ids[word.sigma] = tuple(at)
-        self.chains = tuple(chains)
-        rows = _chain_sums(pres.nu.psi, steps)
-        self.frame = FrameMatrix._trusted(tuple(zip(*_chain_sums(tuple(zip(*rows)), steps))))
-        self.degrees = tuple(_chain_sums(pres.degrees, steps))
+    def __init__(self, pres: BowtiePresentation):
+        self._nu = pres.nu.psi
+        self._degree = pres.degrees
+        self._keys: dict[tuple[int | None, int], int] = {}   # (chain of p(k), sigma(k)) -> chain
+        self._index: dict[tuple[int, ...], int] = {}          # positions, increasing -> chain
+        self._sums: list[tuple[int, ...]] = []                # R_c per chain
+        self.chains: list[tuple[int, ...]] = []
+        self.frame: list[list[int]] = []                      # grown in place, a row and a column per chain
+        self.degrees: list[tuple[int, ...]] = []
 
+    def ids(self, word: SigmaWord) -> tuple[int, ...]:
+        """The chain of each position of `word`, adding the chains it is the first to reach."""
+        at: list[int] = []
+        for x, p in zip(word.sigma, word.walk.pred):
+            parent = None if p is None else at[p]
+            c = self._keys.get((parent, x))
+            if c is None:
+                c = self._keys[parent, x] = self._extend(parent, x)
+            at.append(c)
+        return tuple(at)
 
-def _chains(pres: BowtiePresentation, word: SigmaWord) -> ChainTable:
-    """The sweep's chain table once `pres.seeds` has built it, else a table of the word's own n chains.
-
-    A lone word's table is kept until another lone word's, so the frame and
-    the degrees of one seed share it.
-    """
-    table = pres._tables.get("chains") or pres._tables.get("lone")
-    if table is None or word.sigma not in table.ids:
-        table = pres._tables["lone"] = ChainTable(pres, [word])
-    return table
+    def _extend(self, parent: int | None, x: int) -> int:
+        """The chain of chain(parent) + {x}, added by the extension rule unless the set is known."""
+        chain = tuple(sorted((() if parent is None else self.chains[parent]) + (x,)))
+        c = self._index.setdefault(chain, len(self.chains))
+        if c < len(self.chains):
+            return c
+        nu_x, sums = self._nu[x], self._sums
+        if parent is None:
+            row = [-r[x] for r in sums]
+            sums.append(nu_x)
+            self.degrees.append(self._degree[x])
+        else:
+            row = [t - r[x] for t, r in zip(self.frame[parent], sums)]
+            sums.append(tuple(map(add, sums[parent], nu_x)))
+            self.degrees.append(tuple(map(add, self.degrees[parent], self._degree[x])))
+        for r, t in zip(self.frame, row):
+            r.append(-t)
+        self.frame.append(row + [0])
+        self.chains.append(chain)
+        return c
 
 
 def sigma_frame(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:
     """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
 
-    Every chain is a run of its level: sigma(0..k) is an interval of
-    positions, and chain(k) is the part of sigma(k)'s level inside it.  A
-    level with m positions has m(m+1)/2 runs, so the whole Xi family has
-    few chains (`ChainTable`).  With T[c][e] = chain_c^T nu chain_e,
-    psi[a][b] = T[id(a)][id(b)]: psi is the principal submatrix of T at
-    sigma's chain ids, one gather (`FrameMatrix.principal`) and no sum.
+    With T = `pres.chains.frame`, T[c][e] = chain_c^T nu chain_e, psi is the
+    principal submatrix of T at sigma's chain ids: one gather
+    (`FrameMatrix.principal`), no sum.  T is C nu C^T, wrapped trusted for
+    this gather only.
     """
-    table = _chains(pres, word)
-    return table.frame.principal(table.ids[word.sigma])
+    ids = pres.chains.ids(word)
+    return FrameMatrix._trusted(pres.chains.frame).principal(ids)
 
 
 def _support_sums(table, supports) -> list[tuple[int, ...]]:
@@ -222,47 +222,45 @@ def sigma_frame_product(pres: BowtiePresentation, word: SigmaWord) -> FrameMatri
     """Same frame through the raw double-product formula, as an independent path.
 
     psi_kj = sum of nu_il over i in S_k and l in S_j, where the support S_k
-    is the set of positions of sigma(k)'s level among sigma(0..k).  The
-    supports are grouped by level from eta and sigma (`word.sigma`, the only
-    field read) alone, not through `_chain_sums`, a walk or the chain table.
-    As sigma(0..k) is an interval, sigma(k) lies below every earlier
-    position exactly when sigma(k) < sigma(0), so S_k is kept in increasing
-    order and equal supports are equal keys.  The distinct supports of the
-    sweep (`pres.seeds`), or of this sigma when no sweep was asked for, are
-    each summed in full, twice: R = the rows nu_i summed over each support,
-    then the columns of R.  That table P takes the validating constructor
-    once, and psi is its principal submatrix at sigma's supports.
+    is the set of positions of sigma(k)'s level among sigma(0..k): a run of
+    that level, grouped from eta and sigma alone (`word.sigma` is the only
+    field read), not through the chain table or a walk.  sigma(k) lies below
+    every earlier position exactly when sigma(k) < sigma(0), so S_k is kept
+    increasing and equal supports are equal keys.  The first call per
+    presentation sums every level run of eta in full, twice (R = the rows
+    nu_i over each run, then the columns of R), and validates that table P
+    once by the `FrameMatrix` constructor; psi is its principal submatrix at
+    sigma's supports.  Raises XiBoundExceeded past `coxeter.XI_MAX_N`
+    positions before building anything (E8 at w = u = w0 has 4488 runs).
     """
-    table = pres._tables.get("supports")
-    if table is None:
-        eta = pres.dwd.eta
-        index: dict[tuple[int, ...], int] = {}   # support -> its row of P
-        ids = {}
-        for sigma in pres._tables.get("sweep", (word.sigma,)):
-            level: dict[int, tuple[int, ...]] = {}
-            at = []
-            for x in sigma:
-                prev = level.get(eta[x], ())
-                support = level[eta[x]] = (x,) + prev if x < sigma[0] else prev + (x,)
-                at.append(index.setdefault(support, len(index)))
-            ids[sigma] = tuple(at)
-        supports = list(index)
-        rows = _support_sums(pres.nu.psi, supports)
-        table = ids, FrameMatrix(tuple(zip(*_support_sums(tuple(zip(*rows)), supports))))
-        if "sweep" in pres._tables:
-            pres._tables["supports"] = table
-    ids, frame = table
-    return frame.principal(ids[word.sigma])
+    eta = pres.dwd.eta
+    if pres._runs is None:
+        if pres.size > coxeter.XI_MAX_N:
+            raise coxeter.XiBoundExceeded(f"n = {pres.size} positions, past the Xi sweep bound {coxeter.XI_MAX_N}")
+        levels = [[i for i, b in enumerate(eta) if b == a] for a in sorted(set(eta))]
+        runs = [tuple(at[i:j]) for at in levels for i in range(len(at)) for j in range(i + 1, len(at) + 1)]
+        rows = _support_sums(pres.nu.psi, runs)
+        frame = FrameMatrix(tuple(zip(*_support_sums(tuple(zip(*rows)), runs))))
+        object.__setattr__(pres, "_runs", ({run: c for c, run in enumerate(runs)}, frame))
+    index, frame = pres._runs
+    sigma = word.sigma
+    level: dict[int, tuple[int, ...]] = {}
+    at = []
+    for x in sigma:
+        prev = level.get(eta[x], ())
+        support = level[eta[x]] = (x,) + prev if x < sigma[0] else prev + (x,)
+        at.append(index[support])
+    return frame.principal(at)
 
 
 def sigma_degrees(pres: BowtiePresentation, word: SigmaWord) -> tuple[tuple[int, ...], ...]:
     """Root-lattice degree of each permuted cluster variable: the sum over its chain.
 
-    Each distinct chain is summed once (`ChainTable.degrees`), and sigma's
-    degrees are the rows at its chain ids, as in `sigma_frame`.
+    Each chain is summed once, when `pres.chains` adds it
+    (`ChainTable.degrees`), and sigma's degrees are the rows at its chain
+    ids, as in `sigma_frame`.
     """
-    table = _chains(pres, word)
-    return linalg.gather(table.ids[word.sigma])(table.degrees)
+    return linalg.gather(pres.chains.ids(word))(pres.chains.degrees)
 
 
 # ---------------------------------------------------------------------------

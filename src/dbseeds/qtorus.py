@@ -177,9 +177,9 @@ class FrameMatrix:
     `principal` gathers the same indices for rows and columns, which keeps
     skew-symmetry and the zero diagonal (`reindex` is its case at a checked
     permutation); `negate` gives -psi; and `frame_restrict` (int vectors of
-    length n, checked) and `dbc.ChainTable` (sums of unit vectors) give
-    V psi V^T with V integral, skew-symmetric in integers with a zero
-    diagonal since (V psi V^T)^T = V psi^T V^T.
+    length n, checked) and `dbc.sigma_frame` (the growing `dbc.ChainTable`,
+    wrapped for one gather, never kept) give V psi V^T with V integral, so
+    skew-symmetric in integers with a zero diagonal: (V psi V^T)^T = V psi^T V^T.
     """
 
     psi: tuple[tuple[int, ...], ...]

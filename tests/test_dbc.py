@@ -10,6 +10,7 @@ from dbseeds import dbc, linalg, qtorus, seedcore, verify
 from dbseeds.coxeter import (
     XI_MAX_N,
     CartanData,
+    DoubleWordData,
     NotAPermutation,
     NotIntervalPermutation,
     XiBoundExceeded,
@@ -27,6 +28,7 @@ from dbseeds.seedcore import (
     mutate_seed,
     mutation_basis,
 )
+from test_properties import _level_runs
 
 A1 = cartan_init("A", 1)
 A2 = cartan_init("A", 2)
@@ -819,23 +821,16 @@ def _chain_tables_built(monkeypatch) -> list:
     built = []
 
     class Counted(dbc.ChainTable):
-        def __init__(self, pres, words):
-            super().__init__(pres, words)
+        def __init__(self, pres):
+            super().__init__(pres)
             built.append(self)
 
     monkeypatch.setattr(dbc, "ChainTable", Counted)
     return built
 
 
-def test_verify_pair_builds_one_chain_table_and_one_product_table(monkeypatch):
-    # each sigma-frame is a principal submatrix of one table per presentation:
-    # the chain table, built by `pres.seeds` before the first seed, with one
-    # row per run of a level (A2 with eta = 1,2,1,1,2,1: 10 + 3 runs), and the
-    # product oracle's support table, summed by two `_support_sums` passes
-    # and validated once by the `FrameMatrix` constructor.  A sigma-seed and
-    # a product frame are still asked for once per sigma
-    built = _chain_tables_built(monkeypatch)
-    calls = _count_calls(monkeypatch, "sigma_seed", "sigma_frame_product", "_support_sums")
+def _frames_validated(monkeypatch) -> list:
+    """The caller of every validating `FrameMatrix` construction while the patch holds."""
     validated = []
     honest = FrameMatrix.__post_init__
 
@@ -844,16 +839,64 @@ def test_verify_pair_builds_one_chain_table_and_one_product_table(monkeypatch):
         honest(self)
 
     monkeypatch.setattr(FrameMatrix, "__post_init__", post_init)
+    return validated
+
+
+def test_verify_pair_builds_one_chain_table_and_one_product_table(monkeypatch):
+    # each sigma-frame is a principal submatrix of one table per presentation:
+    # the chain table `pres.chains`, which the seeds of the sweep grow to one
+    # row per run of a level (A2 with eta = 1,2,1,1,2,1: 10 + 3 runs) and
+    # which then holds every sigma's chains, and the product oracle's
+    # level-run table, summed by two `_support_sums` passes and validated
+    # once by the `FrameMatrix` constructor.  A sigma-seed and a product
+    # frame are still asked for once per sigma
+    built = _chain_tables_built(monkeypatch)
+    calls = _count_calls(monkeypatch, "sigma_seed", "sigma_frame_product", "_support_sums")
+    honest_build = dbc.bowtie_build
+    presentations = []
+
+    def build(*args):
+        presentations.append(honest_build(*args))
+        return presentations[-1]
+
+    monkeypatch.setattr(dbc, "bowtie_build", build)
+    validated = _frames_validated(monkeypatch)
     results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
     assert all(r.ok for r in results)
-    assert len(built) == 1 and len(built[0].ids) == 2 ** (6 - 1) and len(built[0].chains) == 13
+    (pres,) = presentations
+    assert len(built) == 1 and pres.chains is built[0]
+    assert len(pres.chains.chains) == 13 and set(pres.chains.chains) == _level_runs(pres.dwd.eta)
+    for sigma in xi_enumerate(pres.size):
+        pres.chains.ids(pres.dwd.spell(sigma))
+    assert len(pres.chains.chains) == 13 and len(pres.seeds) == 2 ** (6 - 1)
     assert calls == {"sigma_seed": 2 ** (6 - 1), "sigma_frame_product": 2 ** (6 - 1), "_support_sums": 2}
     assert validated.count("sigma_frame_product") == 1
 
 
+def test_lone_calls_share_the_sweeps_tables(monkeypatch):
+    # lone seeds and lone product frames read the same two tables as a
+    # sweep: one chain table, grown by each lone seed by the chains it is
+    # the first to reach, and one product table, validated once
+    pres = dbc.bowtie_build(B2, (1, 2, 1), (2, 1, 2))
+    built = _chain_tables_built(monkeypatch)
+    calls = _count_calls(monkeypatch, "_support_sums")
+    validated = _frames_validated(monkeypatch)
+    sigmas = list(xi_enumerate(pres.size))
+    for sigma in (sigmas[0], sigmas[-1]):
+        pres.seed(sigma)
+        dbc.sigma_frame_product(pres, pres.dwd.spell(sigma))
+    lone = len(pres.chains.chains)
+    assert "seeds" not in pres.__dict__ and lone <= 2 * pres.size
+    assert len(pres.seeds) == len(sigmas) and len(built) == 1
+    assert set(pres.chains.chains) == _level_runs(pres.dwd.eta) and lone < len(pres.chains.chains)
+    for sigma in sigmas:
+        assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == pres.seeds[sigma].frame
+    assert calls == {"_support_sums": 2} and validated.count("sigma_frame_product") == 1
+
+
 def test_lone_seed_looks_up_only_its_own_chains(monkeypatch):
     # E8 at w = u = w0 (n = 240) has 4488 runs of its levels; its reversed-w
-    # seed, asked for alone, builds tables of its own 240 chains, one per
+    # seed, asked for alone, builds one table of its own 240 chains, one per
     # position and each reached by one key, and no sweep
     assert len(E8_W0) == 120 and is_reduced(cartan_init("E", 8), E8_W0)
     pres = dbc.bowtie_build(cartan_init("E", 8), E8_W0, E8_W0)
@@ -862,12 +905,50 @@ def test_lone_seed_looks_up_only_its_own_chains(monkeypatch):
     built = _chain_tables_built(monkeypatch)
     seed = pres.seed(dbc.w0_permutation(pres.dwd))
     word = pres.dwd.spell(dbc.w0_permutation(pres.dwd))
-    assert seed.size == 240 and built
-    for table in built:
-        ids = table.ids[word.sigma]
-        keys = {(None if p is None else ids[p], x) for x, p in zip(word.sigma, word.walk.pred)}
-        assert len(table.chains) == len(keys) == 240
-    assert "sweep" not in pres._tables
+    assert seed.size == 240 and built == [pres.chains]
+    ids = pres.chains.ids(word)
+    keys = {(None if p is None else ids[p], x) for x, p in zip(word.sigma, word.walk.pred)}
+    assert len(pres.chains.chains) == len(keys) == len(set(ids)) == 240
+    assert "seeds" not in pres.__dict__ and pres._runs is None
+
+
+def test_product_table_is_bounded_and_holds_every_level_run(monkeypatch):
+    # the product oracle tables every run of every level on its first call,
+    # so past the Xi bound it refuses at once, before a row of E8's 4488
+    # runs is summed; at the bound, an n = 16 pair's table has one row per run
+    pres = dbc.bowtie_build(cartan_init("E", 8), E8_W0, E8_W0)
+    word = pres.dwd.spell(dbc.w0_permutation(pres.dwd))
+    calls = _count_calls(monkeypatch, "_support_sums")
+    with pytest.raises(XiBoundExceeded):
+        dbc.sigma_frame_product(pres, word)
+    assert calls == {"_support_sums": 0} and pres._runs is None
+    pres = dbc.bowtie_build(cartan_init("A", 4), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 2, 1, 3, 2, 1))
+    eta = pres.dwd.eta
+    assert pres.size == XI_MAX_N == 16
+    sigma = dbc.w0_permutation(pres.dwd)
+    assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == dbc.sigma_frame(pres, pres.dwd.spell(sigma))
+    index, frame = pres._runs
+    assert len(frame.psi) == len(index) == sum(m * (m + 1) // 2 for m in map(eta.count, set(eta)))
+    assert set(index) == _level_runs(eta)
+
+
+def test_verify_pair_spells_each_sigma_five_times(monkeypatch):
+    # `spell` is the sigma boundary: per sigma of the sweep, `pres.seed`,
+    # `sigma_seed`, `btau_oracle_equivalence`, `xi_linkage` and
+    # `sigma_skew_symmetrizable` each spell it once, and the reversed-w seed
+    # is asked for three more times (compat-identity, grading-identity,
+    # connections); a spell more per sigma shows here
+    spelled = []
+    honest = DoubleWordData.spell
+
+    def spell(self, sigma):
+        spelled.append(sigma)
+        return honest(self, sigma)
+
+    monkeypatch.setattr(DoubleWordData, "spell", spell)
+    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
+    assert all(r.ok for r in results)
+    assert len(spelled) == 5 * 2 ** (6 - 1) + 3
 
 
 def test_verify_pair_builds_each_pair_level_seed_once(monkeypatch):

@@ -118,43 +118,79 @@ def _chain_recursion(pres, word):
     return tuple(zip(*sums(tuple(zip(*rows))))), tuple(sums(pres.degrees))
 
 
-@pytest.mark.parametrize("name", TYPES)
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_sigma_frames_are_gathered_from_one_chain_table(name, data):
-    # the sweep's chain table names exactly the chains of `sigma_chain`: one
-    # row per run of a level, sum m(m+1)/2 over the levels, each reached by
-    # a key from at most its two ends.  Every frame and degree table gathered
-    # from it is the per-word recursion's, and a lone `pres.seed(sigma)`,
-    # which looks up its own chains only, gives the sweep's seed
-    cartan = cartan_init(name[0], int(name[1:]))
-    w, u = data.draw(word_pairs(cartan, max_size=10))
-    sweep, lone = dbc.bowtie_build(cartan, w, u), dbc.bowtie_build(cartan, w, u)
-    seeds = sweep.seeds
-    table = sweep._tables["chains"]
-    eta, succ = sweep.dwd.eta, sweep.dwd.walk.succ
+def _level_runs(eta) -> set:
+    """Every run of consecutive same-level positions of eta, each in increasing order."""
     runs = set()
     for level in set(eta):
         at = [i for i, a in enumerate(eta) if a == level]
         runs |= {tuple(at[i:j]) for i in range(len(at)) for j in range(i + 1, len(at) + 1)}
+    return runs
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sigma_frames_are_gathered_from_one_chain_table(name, data):
+    # after the sweep, the chain table `pres.chains` names exactly the chains
+    # of `sigma_chain`: one row per run of a level, sum m(m+1)/2 over the
+    # levels, each reached by a key from at most its two ends.  Every frame
+    # and degree table gathered from it is the per-word recursion's, and
+    # lone `pres.seed(sigma)` calls, which grow their presentation's one
+    # table, give the sweep's seeds and, all of Xi asked for, the same chains
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan, max_size=10))
+    sweep, lone = dbc.bowtie_build(cartan, w, u), dbc.bowtie_build(cartan, w, u)
+    seeds = sweep.seeds
+    table = sweep.chains
+    eta, succ = sweep.dwd.eta, sweep.dwd.walk.succ
+    runs = _level_runs(eta)
     assert len(runs) == sum(m * (m + 1) // 2 for m in map(eta.count, set(eta)))
     assert sorted(table.chains) == sorted(runs)
     reached = {}
     for sigma, seed in seeds.items():
         word = sweep.dwd.spell(sigma)
-        ids = table.ids[sigma]
+        ids = table.ids(word)
         assert tuple(table.chains[c] for c in ids) == sigma_chain(eta, succ, sigma)
         for x, p, c in zip(sigma, word.walk.pred, ids):
             reached.setdefault(c, set()).add((None if p is None else ids[p], x))
         assert (seed.frame.psi, seed.degrees) == _chain_recursion(sweep, word)
         assert lone.seed(sigma) == seed
-    assert "sweep" not in lone._tables
+    assert len(table.chains) == len(runs)
+    assert "seeds" not in lone.__dict__ and sorted(lone.chains.chains) == sorted(runs)
     for c, keys in reached.items():
         chain = table.chains[c]
         assert len(keys) <= len({chain[0], chain[-1]})
         for parent, x in keys:
             assert x in (chain[0], chain[-1])
             assert (() if parent is None else table.chains[parent]) == tuple(i for i in chain if i != x)
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seeds_do_not_depend_on_the_order_they_are_asked_for(name, data):
+    # lone seeds for a random subset of Xi, asked for in a random order,
+    # then the sweep: the chain table grows in another order, so its chain
+    # ids differ, but every seed equals a fresh presentation's sweep, seed
+    # for seed and in `xi_enumerate` order, and the table never holds more
+    # than the runs of the levels.  A lone product frame asked for before
+    # the sweep equals the one asked for after it
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan, max_size=10))
+    pres, fresh = dbc.bowtie_build(cartan, w, u), dbc.bowtie_build(cartan, w, u)
+    sigmas = list(xi_enumerate(pres.size)) if pres.size else [()]
+    first = data.draw(st.lists(st.sampled_from(sigmas), max_size=8))
+    runs = _level_runs(pres.dwd.eta)
+    before = {}
+    for sigma in first:
+        pres.seed(sigma)
+        before[sigma] = dbc.sigma_frame_product(pres, pres.dwd.spell(sigma))
+        assert len(pres.chains.chains) <= len(runs)
+    assert list(pres.seeds.items()) == list(fresh.seeds.items())
+    assert list(pres.seeds) == sigmas
+    assert sorted(pres.chains.chains) == sorted(runs)
+    for sigma, frame in before.items():
+        assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == frame == fresh.seeds[sigma].frame
 
 
 def _product_formula(pres, sigma):

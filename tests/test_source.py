@@ -160,9 +160,10 @@ def test_trusted_frames_come_only_from_valid_constructions():
     # principal submatrix is the one gather rule: `reindex` is its case at a
     # checked permutation, reindexing a seed's fields reads it too, and each
     # sigma-frame (chain congruence and product oracle alike) is a gather
-    # from its presentation's table
+    # from its presentation's table; the chain congruence wraps its growing
+    # table C nu C^T trusted for that gather only
     callers = sorted(_callers("_trusted"))
-    assert callers == ["dbc.py:__init__", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:principal"]
+    assert callers == ["dbc.py:sigma_frame", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:principal"]
     assert sorted(_callers("principal")) == [
         "dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "qtorus.py:reindex", "seedcore.py:reindex_fields",
     ]
