@@ -70,23 +70,37 @@ class BowtiePresentation:
         by the sigma of the word it returns, so only a validated sigma is a key.
         A seed asked for alone grows the same `chains` as the sweep, by at most n chains.
         """
-        key = self.dwd.spell(sigma).sigma
-        if key not in self._seeds:
-            self._seeds[key] = sigma_seed(self, key).seed
-        return self._seeds[key]
+        return self._seed(self.dwd.spell(sigma))
+
+    def _seed(self, word: SigmaWord) -> QuantumSeed:
+        """The kept seed of the word `spell` returned, built by `sigma_seed` on a miss."""
+        seed = self._seeds.get(word.sigma)
+        if seed is None:
+            seed = self._seeds[word.sigma] = sigma_seed(self, word.sigma).seed
+        return seed
 
     @cached_property
-    def seeds(self) -> dict[Perm, QuantumSeed]:
-        """Seed of every interval permutation, in `xi_enumerate` order, each through `seed`.
+    def sweep(self) -> tuple[tuple[SigmaWord, QuantumSeed], ...]:
+        """(word, seed) of every interval permutation, in `xi_enumerate` order.
 
-        Each seed grows `chains` as it is built, so the table then holds
-        exactly the runs of the levels.  With no positions the only
-        permutation is (), mapped to the empty seed.  Raises XiBoundExceeded,
-        before any seed is built, past `coxeter.XI_MAX_N` positions.
+        Each sigma is spelled here once, and its seed found or built as in
+        `seed`, so the checks of `verify` read the word with the seed and
+        never spell again; the place of sigma in the sweep is its code in
+        `xi_enumerate`.  Each seed grows `chains` as it is built, so the
+        table then holds exactly the runs of the levels.  With no positions
+        the only permutation is (), mapped to the empty seed.  Raises
+        XiBoundExceeded, before any seed is built, past `coxeter.XI_MAX_N`
+        positions.
         """
         if self.size > coxeter.XI_MAX_N:
             raise coxeter.XiBoundExceeded(f"n = {self.size} positions, past the Xi sweep bound {coxeter.XI_MAX_N}")
-        return {sigma: self.seed(sigma) for sigma in (xi_enumerate(self.size) if self.size else ((),))}
+        words = map(self.dwd.spell, xi_enumerate(self.size) if self.size else ((),))
+        return tuple((word, self._seed(word)) for word in words)
+
+    @cached_property
+    def seeds(self) -> dict[Perm, QuantumSeed]:
+        """Seed of every interval permutation, keyed by sigma in `xi_enumerate` order: `sweep` as a dict."""
+        return {word.sigma: seed for word, seed in self.sweep}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:
@@ -195,15 +209,15 @@ class ChainTable:
         return c
 
 
-def sigma_frame(pres: BowtiePresentation, word: SigmaWord) -> FrameMatrix:
+def sigma_frame(pres: BowtiePresentation, ids: Sequence[int]) -> FrameMatrix:
     """Frame of the seed attached to sigma: psi[a][b] = chain(a)^T nu chain(b).
 
-    With T = `pres.chains.frame`, T[c][e] = chain_c^T nu chain_e, psi is the
-    principal submatrix of T at sigma's chain ids: one gather
+    `ids` are sigma's chain ids, `pres.chains.ids(word)`.  With T =
+    `pres.chains.frame`, T[c][e] = chain_c^T nu chain_e, psi is the
+    principal submatrix of T at the ids: one gather
     (`FrameMatrix.principal`), no sum.  T is C nu C^T, wrapped trusted for
     this gather only.
     """
-    ids = pres.chains.ids(word)
     return FrameMatrix._trusted(pres.chains.frame).principal(ids)
 
 
@@ -253,14 +267,14 @@ def sigma_frame_product(pres: BowtiePresentation, word: SigmaWord) -> FrameMatri
     return frame.principal(at)
 
 
-def sigma_degrees(pres: BowtiePresentation, word: SigmaWord) -> tuple[tuple[int, ...], ...]:
+def sigma_degrees(pres: BowtiePresentation, ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Root-lattice degree of each permuted cluster variable: the sum over its chain.
 
     Each chain is summed once, when `pres.chains` adds it
     (`ChainTable.degrees`), and sigma's degrees are the rows at its chain
     ids, as in `sigma_frame`.
     """
-    return linalg.gather(pres.chains.ids(word))(pres.chains.degrees)
+    return linalg.gather(ids)(pres.chains.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +296,8 @@ def double_word_matrix(
     eps_j c_{jk} under the same conditions with j and k exchanged.  A
     missing successor reads as n, past every position.  Every other entry
     is 0, so a column visits only the positions whose level meets its own
-    in the Cartan matrix, c_{jk} != 0.
+    in the Cartan matrix, c_{jk} != 0.  Each column is made of length n, one
+    per index of ex, so the matrix takes the trusted path (`ExchangeMatrix`).
     """
     n = len(letters)
     pred = walk.pred
@@ -308,7 +323,7 @@ def double_word_matrix(
         if sk < n:
             col[sk] = eps[sk]
         cols.append(tuple(col))
-    return ExchangeMatrix(n, tuple(ex), tuple(cols))
+    return ExchangeMatrix._trusted(n, tuple(ex), tuple(cols))
 
 
 def btau_columns(dwd: DoubleWordData, word: SigmaWord) -> ExchangeMatrix:
@@ -382,15 +397,18 @@ def sigma_seed(pres: BowtiePresentation, sigma: Sequence[int]) -> SigmaSeedData:
     """Full seed (frame, exchange, degrees) attached to an interval permutation.
 
     A sigma boundary: sigma is spelled once, and every part reads its word.
-    The frame is the chain congruence `sigma_frame`;
-    `verify.sigma_skew_symmetrizable` compares it with the product formula.
+    Its chain ids are looked up once, and the frame (the chain congruence
+    `sigma_frame`) and the degrees are both gathered at them;
+    `verify.sigma_skew_symmetrizable` compares the frame with the product
+    formula.
     """
     word = pres.dwd.spell(sigma)
+    ids = pres.chains.ids(word)
     seed = QuantumSeed(
-        frame=sigma_frame(pres, word),
+        frame=sigma_frame(pres, ids),
         exchange=btau_columns(pres.dwd, word),
         inv=frozenset(),
-        degrees=sigma_degrees(pres, word),
+        degrees=sigma_degrees(pres, ids),
         d=tuple(pres.cartan.d[x - 1] for x in word.letters),
     )
     return SigmaSeedData(seed)

@@ -26,7 +26,14 @@ class ReductionError(ValueError):
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Integer n x |ex| matrix whose columns are keyed by exchangeable indices."""
+    """Integer n x |ex| matrix whose columns are keyed by exchangeable indices.
+
+    The constructor checks one column per exchangeable index, each of
+    length n.  `_trusted` skips these checks; its only callers build columns
+    that keep them by construction: `dbc.double_word_matrix` makes one
+    column of length n = len(letters) per index of ex, and `mutate_exchange`
+    keeps b's n and ex and moves entries of b's columns in place.
+    """
 
     n: int
     ex: tuple[int, ...]                       # ordered, 0-based
@@ -40,6 +47,16 @@ class ExchangeMatrix:
             if len(c) != self.n:
                 raise ValueError("column length must equal n")
         object.__setattr__(self, "_pos", {k: i for i, k in enumerate(self.ex)})
+
+    @classmethod
+    def _trusted(cls, n: int, ex: tuple[int, ...], cols: tuple[tuple[int, ...], ...]) -> "ExchangeMatrix":
+        """Exchange matrix whose construction gives one column of length n per index of ex; no check is run."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "n", n)
+        object.__setattr__(b, "ex", ex)
+        object.__setattr__(b, "cols", cols)
+        object.__setattr__(b, "_pos", {k: i for i, k in enumerate(ex)})
+        return b
 
     def column(self, k: int) -> tuple[int, ...]:
         try:
@@ -157,7 +174,7 @@ def mutate_exchange(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 new[i] += bik * scale
             col_j = tuple(new)
         new_cols.append(col_j)
-    return ExchangeMatrix(b.n, b.ex, tuple(new_cols))
+    return ExchangeMatrix._trusted(b.n, b.ex, tuple(new_cols))
 
 
 def _mutation_row(seed: QuantumSeed, k: int, sign: int) -> tuple[int, ...]:

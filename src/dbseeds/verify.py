@@ -29,7 +29,7 @@ def compat_identity(pres: dbc.BowtiePresentation) -> CheckResult:
 def grading_identity(pres: dbc.BowtiePresentation) -> CheckResult:
     """Degree balance of every reversed-w exchange column.
 
-    Builds only the reversed-w seed, not the whole `pres.seeds` sweep.
+    Builds only the reversed-w seed, not the whole `pres.sweep`.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
     seed = pres.seed(dbc.w0_permutation(pres.dwd))
@@ -52,8 +52,9 @@ def _block_rank_is_full(pres: dbc.BowtiePresentation, word: SigmaWord, ex, rows,
         if not want[l] or want.count(0) != len(want) - 1:
             return False
     starts = sorted((j for j, p in enumerate(word.walk.pred) if p is None), key=word.letters.__getitem__)
+    at_starts = linalg.gather(starts)
     skip = set(ex)
-    block = tuple(sorted(tuple(row[j] for j in starts) for i, row in enumerate(rows) if i not in skip))
+    block = tuple(sorted(at_starts(row) for i, row in enumerate(rows) if i not in skip))
     r = ranks.get(block)
     if r is None:
         r = ranks[block] = linalg.rank(block)
@@ -107,8 +108,8 @@ def btau_oracle_equivalence(pres: dbc.BowtiePresentation) -> CheckResult:
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
     ranks: dict = {}
-    for sigma, seed in pres.seeds.items():
-        word = pres.dwd.spell(sigma)
+    for word, seed in pres.sweep:
+        sigma = word.sigma
         rows, rhs = dbc.oracle_system(pres.cartan, word, seed)
         cols = tuple(zip(*rows))
         miss = next((l for l in seed.ex if linalg.combine(cols, seed.exchange.column(l)) != rhs.get(l)), None)
@@ -147,6 +148,11 @@ def _restrictions_give(seed: QuantumSeed, k: int, psi: tuple[tuple[int, ...], ..
     )
 
 
+def _partner_masks(n: int) -> list[int]:
+    """m_k, with code(sigma o (k k+1)) = code(sigma) ^ m_k on every link at k (derived in `xi_linkage`)."""
+    return [(1 if k == 0 else 3) << (n - 2 - k) for k in range(n - 1)]
+
+
 def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     """One-step linkage between seeds of adjacent interval permutations.
 
@@ -155,16 +161,33 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     different levels, and its mutation at k when they lie on the same level.
     A mutation step must give the same frame with either sign choice.
 
-    The links are found from the signs of sigma's word: no sigma' is built
-    or looked up for a k that is not a link.  For sigma in Xi, sigma' is in Xi exactly
-    when k = 0 or eps[k] != eps[k+1]: its prefixes other than the one of
-    length k+1 are sigma's prefixes as sets, and that one is
-    I + {sigma(k+1)} with I = sigma(0..k-1).  For k = 0 it is one point.
-    For k >= 1, I is an interval [lo, hi] and sigma(k) extends it at one
-    end, say to hi + 1; sigma(k+1) then extends [lo, hi + 1], to hi + 2 or
-    to lo - 1, and only lo - 1 is next to I.  So I + {sigma(k+1)} is an
-    interval exactly when sigma(k) and sigma(k+1) extend on opposite sides,
-    and the sign eps[k] records the side (`coxeter.SigmaWord`).
+    Each sigma is read from the sweep (`pres.sweep`) with its word, spelled
+    once there.  The links are found from the signs of sigma's word: no
+    sigma' is built or looked up for a k that is not a link.  For sigma in
+    Xi, sigma' is in Xi exactly when k = 0 or eps[k] != eps[k+1]: its
+    prefixes other than the one of length k+1 are sigma's prefixes as sets,
+    and that one is I + {sigma(k+1)} with I = sigma(0..k-1).  For k = 0 it
+    is one point.  For k >= 1, I is an interval [lo, hi] and sigma(k)
+    extends it at one end, say to hi + 1; sigma(k+1) then extends
+    [lo, hi + 1], to hi + 2 or to lo - 1, and only lo - 1 is next to I.  So
+    I + {sigma(k+1)} is an interval exactly when sigma(k) and sigma(k+1)
+    extend on opposite sides, and the sign eps[k] records the side
+    (`coxeter.SigmaWord`).
+
+    The other end of a link is found by its code, with no sigma' built.
+    The place of sigma in the sweep is its code in `xi_enumerate`, whose
+    bit n-1-j (j >= 1) is 0 when sigma(j) extends sigma(0..j-1) upward and
+    1 when downward, so eps[j] = +1 exactly when that bit is 0.  Every
+    prefix interval of sigma' other than sigma'(0..k) is sigma's, so every
+    bit but those of steps k and k+1 is sigma's.  For k = 0, sigma'(1) =
+    sigma(0) lies on the other side of sigma'(0) = sigma(1) than sigma(1)
+    of sigma(0): bit n-2 flips, and sigma' has code code ^ (1 << (n-2)).
+    For k >= 1, sigma'(k) = sigma(k+1) and sigma'(k+1) = sigma(k) extend
+    the same intervals on the sides sigma(k+1) and sigma(k) took, so bits
+    n-1-k and n-2-k swap; on a link eps[k] != eps[k+1], so they differ and
+    the swap is the flip of both, code ^ (3 << (n-2-k))
+    (`_partner_masks`).  sigma' itself is built only for a failure's
+    detail.
 
     A reindexing link is checked in place: seed(sigma')'s fields must equal
     `seedcore.reindex_fields(seed, t)`, the seed's gathered along the
@@ -193,7 +216,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     `mutation_basis` builds each from unit rows and one row with -1 at k.
 
     Each link {sigma, sigma'} is checked in full once, from the end that
-    comes first in `pres.seeds` order.  The other end needs less:
+    comes first in the sweep, the end of the lower code.  The other end needs less:
 
     - Reindexing by a transposition t, with t^2 = 1, compares the same
       integer entries from either end, so nothing is left to check.
@@ -209,7 +232,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
       deg_k, which holds exactly when sum_{i != k} b_ik deg_i = 0: the first
       end does not imply it.
 
-    The links are visited with sigma in `pres.seeds` order and k
+    The links are visited with sigma in the sweep's order and k
     ascending, so a failure is reported at the same (sigma, k), with the
     same detail, as a check of every link from both ends would report it
     first.
@@ -217,20 +240,19 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     n = dwd.size
-    seeds = pres.seeds
-    place = {sigma: i for i, sigma in enumerate(seeds)}
+    sweep = pres.sweep
+    masks = _partner_masks(n)
     swaps = [tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n)) for k in range(n - 1)]
-    for sigma, seed in seeds.items():
-        word = dwd.spell(sigma)
+    for code, (word, seed) in enumerate(sweep):
         eps, letters = word.eps, word.letters
         for k in range(n - 1):
             if k and eps[k] == eps[k + 1]:
                 continue   # sigma o (k k+1) is not an interval permutation
-            sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
-            other = seeds[sigma2]
+            partner = code ^ masks[k]
+            other = sweep[partner][1]
             same_level = letters[k] == letters[k + 1]
-            if place[sigma2] < place[sigma]:
-                # checked in full from sigma2; only the degree at k is left
+            if partner < code:
+                # checked in full from the partner; only the degree at k is left
                 linked = not same_level or seedcore.mutated_degree(seed, k) == other.degrees[k]
             elif not same_level:
                 linked = seedcore.reindex_fields(seed, swaps[k]) == seedcore.seed_fields(other)
@@ -239,7 +261,7 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
                 # further reindexing (verified against the rank-one algebra)
                 minus, plus = _restrictions_give(seed, k, other.frame.psi)
                 if not minus:
-                    detail = f"w={w} u={u}: sigma={sigma}, k={k}: frame mutation depends on the sign choice"
+                    detail = f"w={w} u={u}: sigma={word.sigma}, k={k}: frame mutation depends on the sign choice"
                     return CheckResult("xi-linkage", False, detail)
                 linked = (
                     plus
@@ -249,6 +271,8 @@ def xi_linkage(pres: dbc.BowtiePresentation) -> CheckResult:
                     and seed.inv == other.inv
                 )
             if not linked:
+                sigma = word.sigma
+                sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
                 return CheckResult(
                     "xi-linkage", False,
                     f"w={w} u={u}: sigma={sigma}, k={k} does not link to {sigma2}",
@@ -260,15 +284,15 @@ def sigma_skew_symmetrizable(pres: dbc.BowtiePresentation) -> CheckResult:
     """Principal parts of all permuted exchange matrices are skew-symmetrizable.
 
     Each seed's frame, the chain congruence, is also compared with the
-    product formula `dbc.sigma_frame_product`.
+    product formula `dbc.sigma_frame_product`, which reads the sweep's word.
     """
     w, u = pres.dwd.w_word, pres.dwd.u_word
-    for sigma, seed in pres.seeds.items():
-        if seed.frame != dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)):
-            detail = f"w={w} u={u} sigma={sigma}: chain congruence and product formula disagree"
+    for word, seed in pres.sweep:
+        if seed.frame != dbc.sigma_frame_product(pres, word):
+            detail = f"w={w} u={u} sigma={word.sigma}: chain congruence and product formula disagree"
             return CheckResult("sigma-symmetrizable", False, detail)
         if not seed.exchange.is_skew_symmetrizable(seed.d):
-            return CheckResult("sigma-symmetrizable", False, f"w={w} u={u} sigma={sigma}")
+            return CheckResult("sigma-symmetrizable", False, f"w={w} u={u} sigma={word.sigma}")
     return CheckResult("sigma-symmetrizable", True)
 
 
@@ -300,10 +324,12 @@ def verify_pair(cartan: CartanData, w, u, all_xi: bool = False) -> list[CheckRes
     """The named checks for one word pair, in a fixed order, on one presentation.
 
     Every sigma-seed is built before the first check, so that no check's
-    time includes seed construction.
+    time includes seed construction.  The sweep (`pres.sweep`) spells each
+    sigma once and hands its word to the checks over all sigmas with its
+    seed; `xi_linkage` finds each link's other end by its code.
     """
     pres = dbc.bowtie_build(cartan, w, u)
-    pres.seeds
+    pres.sweep
     out = [compat_identity(pres), grading_identity(pres)]
     if all_xi:
         out += [btau_oracle_equivalence(pres), xi_linkage(pres)]

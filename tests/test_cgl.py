@@ -417,6 +417,18 @@ def test_interval_y_rejects_bad_chain_inputs(sl2):
         interval_y(pres, 0, 1, {(0, 1): NFPoly({(1, 1): VLaurent({0: 2})})})
 
 
+def test_interval_y_names_the_last_position_of_a_longer_chain():
+    # three commuting generators of one level and equal degree: the chain
+    # of 0 with m = 2 is 0, 1, 2, and an error names the interval [0, 2]
+    # by its last position, not by the second
+    pres = CGLPresentation(lambda_exp=((0,) * 3,) * 3, tails={}, eta=(1, 1, 1), degrees=((1,),) * 3)
+    x0 = NFPoly.monomial((1, 0, 0))
+    with pytest.raises(PresentationError, match=r"^chain element \[0,2\] has wrong degree$"):
+        interval_y(pres, 0, 2, {(0, 1): NFPoly(), (0, 2): NFPoly.monomial((1, 1, 1)) - x0})
+    with pytest.raises(PresentationError, match=r"^chain element \[0,2\] has wrong leading term$"):
+        interval_y(pres, 0, 2, {(0, 1): NFPoly(), (0, 2): NFPoly({(1, 1, 1): VLaurent({0: 2})})})
+
+
 def test_y_elements_reject_an_element_that_does_not_normalize(sl2):
     # with c = 0, y_2 = x1 x2, and x1 x2 x1 = q^2 x1^2 x2 + (1 - q^2) x1
     pres, _ = sl2

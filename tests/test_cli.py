@@ -231,6 +231,13 @@ def test_xi_list(capsys):
     assert json.loads(out)["count"] == 16
 
 
+def test_xi_list_of_one_position(capsys):
+    # the one permutation of one position, 1-based, is an interval permutation
+    code, out, _ = run(capsys, "xi-list", "--n", "1")
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "count": 1, "permutations": [[1]]}
+
+
 def test_cgl_nf(capsys):
     code, out, _ = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,1")
     assert code == 0
@@ -252,6 +259,16 @@ def test_cgl_nf_bounds_the_word_before_any_product(capsys, monkeypatch):
     code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1,1")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "--word takes at most 3 letters, got 4"}
+
+
+def test_cgl_nf_takes_a_word_of_exactly_the_bound(capsys, monkeypatch):
+    # the bound is inclusive: a word of CGL_NF_MAX_LETTERS letters is
+    # multiplied out, to the same bytes as under the default bound
+    monkeypatch.setattr(cli, "CGL_NF_MAX_LETTERS", 3)
+    code, out, err = run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1")
+    assert code == 0 and err == ""
+    monkeypatch.undo()
+    assert run(capsys, "cgl-nf", "--preset", "sl2", "--word", "2,2,1") == (0, out, "")
 
 
 def test_cgl_nf_checks_every_letter_before_any_product(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from dbseeds import dbc, linalg, qtorus, seedcore, verify
 from dbseeds.coxeter import (
     XI_MAX_N,
     CartanData,
-    DoubleWordData,
     NotAPermutation,
     NotIntervalPermutation,
     XiBoundExceeded,
@@ -73,14 +72,14 @@ def test_bowtie_a2_blocks():
 
 def test_sigma_frame_a1_identity():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    frame = dbc.sigma_frame(pres, pres.dwd.spell((0, 1)))
+    frame = dbc.sigma_frame(pres, pres.chains.ids(pres.dwd.spell((0, 1))))
     assert frame.psi[1][0] == 2
 
 
 def test_sigma_frame_product_formula_agreement():
     pres = dbc.bowtie_build(A2, (1, 2), (1,))
     for sigma in xi_enumerate(3):
-        a = dbc.sigma_frame(pres, pres.dwd.spell(sigma))
+        a = dbc.sigma_frame(pres, pres.chains.ids(pres.dwd.spell(sigma)))
         b = dbc.sigma_frame_product(pres, pres.dwd.spell(sigma))
         assert a.psi == b.psi
 
@@ -119,9 +118,9 @@ def test_chain_matrices_unimodular():
     [
         lambda pres, sigma: dbc.sigma_seed(pres, sigma),
         lambda pres, sigma: pres.seed(sigma),
-        lambda pres, sigma: dbc.sigma_frame(pres, pres.dwd.spell(sigma)),
+        lambda pres, sigma: dbc.sigma_frame(pres, pres.chains.ids(pres.dwd.spell(sigma))),
         lambda pres, sigma: dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)),
-        lambda pres, sigma: dbc.sigma_degrees(pres, pres.dwd.spell(sigma)),
+        lambda pres, sigma: dbc.sigma_degrees(pres, pres.chains.ids(pres.dwd.spell(sigma))),
         lambda pres, sigma: dbc.btau_columns(pres.dwd, pres.dwd.spell(sigma)),
         lambda pres, sigma: pres.dwd.spell(sigma),
         lambda pres, sigma: dbc.oracle_system(pres.cartan, pres.dwd.spell(sigma), pres.seed(sigma)),
@@ -228,7 +227,7 @@ def test_oracle_value_exponent():
     dwd = pres.dwd
     for sigma in xi_enumerate(dwd.size):
         word = dwd.spell(sigma)
-        frame = dbc.sigma_frame(pres, word)
+        frame = dbc.sigma_frame(pres, pres.chains.ids(word))
         for l in word.ex:
             b = dbc.solve_b_oracle(pres, sigma, l)
             n = dwd.size
@@ -241,8 +240,9 @@ def test_oracle_rejects_perturbed_system():
     from dbseeds import linalg
 
     word = pres.dwd.spell((0, 1))
-    frame = dbc.sigma_frame(pres, word)
-    degrees = dbc.sigma_degrees(pres, word)
+    ids = pres.chains.ids(word)
+    frame = dbc.sigma_frame(pres, ids)
+    degrees = dbc.sigma_degrees(pres, ids)
     rows = [list(frame.psi[j]) for j in range(2)]
     rows.append([Q(degrees[j][0]) for j in range(2)])
     rhs = [Q(-2), Q(0), Q(1)]   # degree row made inconsistent
@@ -275,8 +275,8 @@ def test_sigma_seed_oracle_column_source():
 
 def test_sigma_degrees_a1():
     pres = dbc.bowtie_build(A1, (1,), (1,))
-    assert dbc.sigma_degrees(pres, pres.dwd.spell((0, 1))) == ((-1,), (0,))
-    assert dbc.sigma_degrees(pres, pres.dwd.spell((1, 0))) == ((1,), (0,))
+    assert dbc.sigma_degrees(pres, pres.chains.ids(pres.dwd.spell((0, 1)))) == ((-1,), (0,))
+    assert dbc.sigma_degrees(pres, pres.chains.ids(pres.dwd.spell((1, 0)))) == ((1,), (0,))
 
 
 def test_bz_seed_a1():
@@ -547,7 +547,8 @@ def _frame_fault(pres, sigma, i, j):
     psi[i][j] += 1
     psi[j][i] -= 1
     bad = dataclasses.replace(seed, frame=FrameMatrix(tuple(map(tuple, psi))))
-    return SimpleNamespace(dwd=pres.dwd, size=pres.size, seeds={**pres.seeds, sigma: bad})
+    sweep = tuple((word, bad if word.sigma == sigma else other) for word, other in pres.sweep)
+    return SimpleNamespace(dwd=pres.dwd, size=pres.size, sweep=sweep)
 
 
 @pytest.mark.parametrize("fault, sigma, k", [
@@ -626,15 +627,15 @@ def test_xi_linkage_checks_each_edge_once(monkeypatch):
             calls["combine"] += 1
         return combine(rows, coeffs)
 
-    class Visited(dict):
-        # the neighbour lookups: one per (sigma, k) the check visits
+    class Visited(tuple):
+        # the neighbour lookups, by place in the sweep: one per (sigma, k) the check visits
         visits = 0
 
-        def __getitem__(self, sigma):
+        def __getitem__(self, code):
             Visited.visits += 1
-            return super().__getitem__(sigma)
+            return super().__getitem__(code)
 
-    pres.__dict__["seeds"] = Visited(pres.seeds)
+    pres.__dict__["sweep"] = Visited(pres.sweep)
     monkeypatch.setattr(linalg, "combine", moved_row)
     assert verify.xi_linkage(pres).ok
     assert calls == edges
@@ -660,7 +661,7 @@ def test_btau_oracle_fails_on_corrupted_column(monkeypatch):
 def test_btau_oracle_fails_on_rank_deficient_system(monkeypatch):
     # zero degrees leave the odd-sized skew frame alone, which is singular;
     # every closed-form column still solves the system, so only the rank fails
-    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, word: ((0,) * pres.cartan.rank,) * pres.size)
+    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, ids: ((0,) * pres.cartan.rank,) * pres.size)
     res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1, 2)))
     assert not res.ok
     assert res.detail == "w=(1, 2, 1) u=(1, 2) sigma=(0, 1, 2, 3, 4): oracle system has rank 4, not 5"
@@ -668,7 +669,7 @@ def test_btau_oracle_fails_on_rank_deficient_system(monkeypatch):
 
 def test_btau_oracle_fails_when_the_solver_finds_no_column(monkeypatch):
     # all-one degrees make some degree row inconsistent with the frame rows
-    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, word: ((1,) * pres.cartan.rank,) * pres.size)
+    monkeypatch.setattr(dbc, "sigma_degrees", lambda pres, ids: ((1,) * pres.cartan.rank,) * pres.size)
     res = verify.btau_oracle_equivalence(dbc.bowtie_build(A2, (1, 2, 1), (1,)))
     assert not res.ok
     assert res.detail == (
@@ -733,7 +734,8 @@ def test_btau_oracle_reads_a_repeated_block_from_its_own_seed():
     sigma = (1, 2, 3, 0, 4)
     assert order.index(sigma) == 2 and order[1] == (1, 2, 3, 4, 0)
     seed = pres.seeds[sigma]
-    pres.seeds[sigma] = pres._seeds[sigma] = dataclasses.replace(seed, degrees=((0, 0),) * 5)
+    bad = pres.seeds[sigma] = pres._seeds[sigma] = dataclasses.replace(seed, degrees=((0, 0),) * 5)
+    pres.__dict__["sweep"] = tuple((word, bad if word.sigma == sigma else other) for word, other in pres.sweep)
     res = verify.btau_oracle_equivalence(pres)
     assert res == verify.CheckResult(
         "btau-oracle", False, "w=(1, 2, 1) u=(2, 1) sigma=(1, 2, 3, 0, 4): oracle system has rank 4, not 5"
@@ -757,7 +759,7 @@ def test_btau_oracle_needs_a_nonzero_right_hand_side_to_certify():
     )
     seeds = {sigma: cleared}
     view = SimpleNamespace(
-        dwd=pres.dwd, size=2, cartan=SimpleNamespace(rank=1, d=(0,)), seeds=seeds,
+        dwd=pres.dwd, size=2, cartan=SimpleNamespace(rank=1, d=(0,)), sweep=((pres.dwd.spell(sigma), cleared),),
         seed=lambda sigma: seeds[pres.dwd.spell(sigma).sigma],
     )
     res = verify.btau_oracle_equivalence(view)
@@ -926,29 +928,11 @@ def test_product_table_is_bounded_and_holds_every_level_run(monkeypatch):
     eta = pres.dwd.eta
     assert pres.size == XI_MAX_N == 16
     sigma = dbc.w0_permutation(pres.dwd)
-    assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == dbc.sigma_frame(pres, pres.dwd.spell(sigma))
+    word = pres.dwd.spell(sigma)
+    assert dbc.sigma_frame_product(pres, word) == dbc.sigma_frame(pres, pres.chains.ids(word))
     index, frame = pres._runs
     assert len(frame.psi) == len(index) == sum(m * (m + 1) // 2 for m in map(eta.count, set(eta)))
     assert set(index) == _level_runs(eta)
-
-
-def test_verify_pair_spells_each_sigma_five_times(monkeypatch):
-    # `spell` is the sigma boundary: per sigma of the sweep, `pres.seed`,
-    # `sigma_seed`, `btau_oracle_equivalence`, `xi_linkage` and
-    # `sigma_skew_symmetrizable` each spell it once, and the reversed-w seed
-    # is asked for three more times (compat-identity, grading-identity,
-    # connections); a spell more per sigma shows here
-    spelled = []
-    honest = DoubleWordData.spell
-
-    def spell(self, sigma):
-        spelled.append(sigma)
-        return honest(self, sigma)
-
-    monkeypatch.setattr(DoubleWordData, "spell", spell)
-    results = verify.verify_pair(A2, (1, 2, 1), (1, 2, 1), all_xi=True)
-    assert all(r.ok for r in results)
-    assert len(spelled) == 5 * 2 ** (6 - 1) + 3
 
 
 def test_verify_pair_builds_each_pair_level_seed_once(monkeypatch):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dbseeds import dbc, linalg, seedcore, verify
 from dbseeds.coxeter import cartan_init, eta_machinery, is_reduced, sigma_chain, xi_enumerate, xi_is_member
 from dbseeds.qtorus import FrameMatrix, frame_restrict
-from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_seed, mutation_basis, reindex
+from dbseeds.seedcore import ExchangeMatrix, graded_reduce, mutate_exchange, mutate_seed, mutation_basis, reindex
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
 EVERY_TYPE = (
@@ -94,10 +94,11 @@ def test_sigma_frame_recursion_is_the_chain_congruence(name, data):
         chains = sigma_chain(pres.dwd.eta, pres.dwd.walk.succ, sigma)
         vectors = [tuple(int(j in chain) for j in range(n)) for chain in chains]
         word = pres.dwd.spell(sigma)
-        frame = dbc.sigma_frame(pres, word)
+        ids = pres.chains.ids(word)
+        frame = dbc.sigma_frame(pres, ids)
         assert frame == frame_restrict(pres.nu, vectors) == dbc.sigma_frame_product(pres, word)
         sums = tuple(tuple(map(sum, zip(*(pres.degrees[i] for i in chain)))) for chain in chains)
-        assert dbc.sigma_degrees(pres, word) == sums
+        assert dbc.sigma_degrees(pres, ids) == sums
 
 
 def _chain_recursion(pres, word):
@@ -409,7 +410,8 @@ def _two_end_xi_linkage(pres):
 def _both_rules(pres, replaced=None):
     """Result of the one-end check, asserted equal to the two-end check's, with some seeds replaced."""
     if replaced:
-        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, seeds={**pres.seeds, **replaced})
+        sweep = tuple((word, replaced.get(word.sigma, seed)) for word, seed in pres.sweep)
+        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, seeds={**pres.seeds, **replaced}, sweep=sweep)
     got = verify.xi_linkage(pres)
     assert got == _two_end_xi_linkage(pres)
     return got
@@ -627,8 +629,10 @@ def _both_oracle_rules(pres, replaced=None):
     if replaced:
         seeds = {**pres.seeds, **replaced}
         dwd = pres.dwd
+        sweep = tuple((word, seeds[word.sigma]) for word, _ in pres.sweep)
         pres = SimpleNamespace(
-            dwd=dwd, size=pres.size, cartan=pres.cartan, seeds=seeds, seed=lambda sigma: seeds[dwd.spell(sigma).sigma],
+            dwd=dwd, size=pres.size, cartan=pres.cartan, seeds=seeds, sweep=sweep,
+            seed=lambda sigma: seeds[dwd.spell(sigma).sigma],
         )
     got = verify.btau_oracle_equivalence(pres)
     with pytest.MonkeyPatch.context() as mp:
@@ -725,6 +729,43 @@ def test_trusted_frames_equal_their_validated_rebuild(name, data):
     frames.append(graded_reduce(pres.bz["modified"].seed, cartan.rank).frame)
     for frame in frames:
         assert FrameMatrix(frame.psi) == frame
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trusted_exchange_matrices_equal_their_validated_rebuild(name, data):
+    # every exchange matrix built through the trusted path (each sigma-seed's
+    # and each minor-labelled seed's double-word matrix, and each mutation of
+    # them) passes the public constructor's checks and is rebuilt equal by it
+    cartan = cartan_init(name[0], int(name[1:]))
+    w, u = data.draw(word_pairs(cartan))
+    pres = dbc.bowtie_build(cartan, w, u)
+    seeds = [bz.seed for bz in pres.bz.values()] + list(pres.seeds.values())
+    matrices = []
+    for seed in seeds:
+        matrices.append(seed.exchange)
+        matrices += [mutate_exchange(seed.exchange, k) for k in seed.ex]
+    for b in matrices:
+        assert ExchangeMatrix(b.n, b.ex, b.cols) == b
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_xi_link_partner_codes_are_the_transposition(n):
+    # on every link {sigma, sigma o (k k+1)} of Xi_n, the partner's place in
+    # `xi_enumerate` order is sigma's code XOR the link's mask
+    order = list(xi_enumerate(n))
+    place = {sigma: code for code, sigma in enumerate(order)}
+    masks = verify._partner_masks(n)
+    links = 0
+    for code, sigma in enumerate(order):
+        for k in range(n - 1):
+            sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
+            if sigma2 in place:
+                assert place[sigma2] == code ^ masks[k]
+                links += 1
+    # every sigma links at k = 0, and half of them, eps[k] != eps[k+1], at each k >= 1
+    assert links == (n * 2 ** (n - 2) if n >= 2 else 0)
 
 
 @cache

@@ -59,8 +59,8 @@ def test_seed_modules_do_not_import_fractions():
     assert found == []
 
 
-def _callers(name: str) -> list[str]:
-    """`module:function` of every function in the library that calls `name` or `x.name` directly."""
+def _callers(name: str, owner: str | None = None) -> list[str]:
+    """`module:function` of every function in the library that calls `name` or `x.name` directly, x = `owner` if given."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -69,7 +69,7 @@ def _callers(name: str) -> list[str]:
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)
-                    ):
+                    ) and owner in (None, getattr(getattr(node.func, "value", None), "id", None)):
                         callers.append(f"{path.name}:{fn.name}")
     return callers
 
@@ -123,7 +123,8 @@ def test_eta_machinery_has_one_caller():
 def test_double_word_matrix_is_the_one_exchange_rule():
     # every sigma-seed's exchange matrix is the double-word matrix of the word
     # sigma spells (`btau_columns`); the minor-labelled seeds use the same rule
-    assert [c for c in _callers("ExchangeMatrix") if c.startswith("dbc.py:")] == ["dbc.py:double_word_matrix"]
+    built = _callers("ExchangeMatrix") + _callers("_trusted", "ExchangeMatrix")
+    assert [c for c in built if c.startswith("dbc.py:")] == ["dbc.py:double_word_matrix"]
     assert _callers("double_word_matrix") == ["dbc.py:btau_columns", "dbc.py:bz_seed"]
 
 
@@ -162,7 +163,7 @@ def test_trusted_frames_come_only_from_valid_constructions():
     # sigma-frame (chain congruence and product oracle alike) is a gather
     # from its presentation's table; the chain congruence wraps its growing
     # table C nu C^T trusted for that gather only
-    callers = sorted(_callers("_trusted"))
+    callers = sorted(_callers("_trusted", "FrameMatrix"))
     assert callers == ["dbc.py:sigma_frame", "qtorus.py:frame_restrict", "qtorus.py:negate", "qtorus.py:principal"]
     assert sorted(_callers("principal")) == [
         "dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "qtorus.py:reindex", "seedcore.py:reindex_fields",
@@ -170,6 +171,21 @@ def test_trusted_frames_come_only_from_valid_constructions():
     barred = ("verify.py:", "dbc.py:sigma_frame_product", "dbc.py:bowtie_build", "qtorus.py:from_rows")
     assert [c for c in callers if c.startswith(barred)] == []
     assert "_trusted" not in (SRC / "verify.py").read_text()
+
+
+def test_trusted_exchange_matrices_come_only_from_valid_constructions():
+    # `ExchangeMatrix._trusted` skips the column checks, so only the two
+    # builders whose construction gives one column of length n per
+    # exchangeable index may call it: the double-word matrix and matrix
+    # mutation.  Every other exchange matrix (reindexing, reduction,
+    # negation, input and faults) keeps the validating constructor, and no
+    # check builds the value it checks that way: `verify.py` names no
+    # `_trusted` at all.  Every `_trusted` call is a frame's or an exchange
+    # matrix's
+    callers = sorted(_callers("_trusted", "ExchangeMatrix"))
+    assert callers == ["dbc.py:double_word_matrix", "seedcore.py:mutate_exchange"]
+    assert "_trusted" not in (SRC / "verify.py").read_text()
+    assert sorted(_callers("_trusted")) == sorted(_callers("_trusted", "FrameMatrix") + callers)
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:
@@ -282,12 +298,13 @@ def test_revlex_key_is_the_one_pbw_order():
 
 def test_builders_behind_the_sigma_boundary_take_the_word():
     # `spell` is the one way from a sigma to its word, and it validates and
-    # caches: the boundary (`pres.seed`, which caches seeds, `sigma_seed`,
-    # `solve_b_oracle`, `bfz_matrix`, `b_columns`, the sweeps of `verify`
-    # over `pres.seeds` and the CLI) calls it, and the builders behind it
-    # take the word it returned
+    # caches: the boundary (`pres.seed`, which caches seeds, `pres.sweep`,
+    # `sigma_seed`, `solve_b_oracle`, `bfz_matrix`, `b_columns` and the CLI)
+    # calls it, and the builders behind it take the word it returned, as do
+    # the checks of `verify` over all sigmas, which read the sweep's words
     builders = ("dbc.py:sigma_frame", "dbc.py:sigma_frame_product", "dbc.py:sigma_degrees",
-                "dbc.py:btau_columns", "dbc.py:oracle_system", "verify.py:_block_rank_is_full")
+                "dbc.py:btau_columns", "dbc.py:oracle_system", "verify.py:_block_rank_is_full",
+                "verify.py:btau_oracle_equivalence", "verify.py:xi_linkage", "verify.py:sigma_skew_symmetrizable")
     assert [c for c in _callers("spell") if c in builders] == []
     # and no parameter takes either a sigma or its word
     unions = []
