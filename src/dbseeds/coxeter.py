@@ -227,8 +227,8 @@ def _unit(r: int, i: int) -> list[int]:
 
 
 def _roots_are_reduced(roots: Sequence[Root]) -> bool:
-    """Whether a word's beta_k are pairwise distinct positive roots, the test of reducedness."""
-    return len(set(roots)) == len(roots) and all(min(a) >= 0 and max(a) > 0 for a in roots)
+    """Whether a word's beta_k are pairwise distinct positive roots, the test of reducedness; a root is never zero."""
+    return len(set(roots)) == len(roots) and all(min(a) >= 0 for a in roots)
 
 
 def is_reduced(cartan: CartanData, word: Sequence[int]) -> bool:

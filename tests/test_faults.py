@@ -139,6 +139,17 @@ def weight_row_scaled(mp):
     mp.setattr(CartanData, "weight_image", weight_image)
 
 
+def principal_index_swapped(mp):
+    """Every `FrameMatrix.principal` gather reads its first two indices swapped."""
+    honest = FrameMatrix.principal
+
+    def principal(self, index):
+        index = tuple(index)
+        return honest(self, index[1::-1] + index[2:])
+
+    mp.setattr(FrameMatrix, "principal", principal)
+
+
 FAULTS = {
     "frame-bump": frame_bump,
     "block-sign": block_sign,
@@ -150,6 +161,7 @@ FAULTS = {
     "dropped-basis-entry": dropped_basis_entry,
     "exchange-column-kept": exchange_column_kept,
     "weight-row-scaled": weight_row_scaled,
+    "principal-index-swapped": principal_index_swapped,
 }
 
 
