@@ -168,7 +168,7 @@ def cmd_seed(args) -> int:
             return {**jsonio.encode_seed(seed), "sigma": [x + 1 for x in sigma]}
 
         if sigma_text == "all-xi":
-            payload["seeds"] = [entry(sigma, seed) for sigma, seed in pres.seeds.items()]
+            payload["seeds"] = [entry(word.sigma, seed) for word, seed in pres.sweep]
         else:
             sigma = _parse_sigma("id" if sigma_text is None else sigma_text, dwd).sigma
             payload["seed"] = entry(sigma, pres.seed(sigma))

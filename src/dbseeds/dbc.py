@@ -64,10 +64,11 @@ class BowtiePresentation:
         return ChainTable(self)
 
     def seed(self, sigma: Sequence[int]) -> QuantumSeed:
-        """Seed of one interval permutation, built on first use and kept.
+        """Seed of one interval permutation, built on first use and kept: the one lookup by sigma.
 
         A sigma boundary: `dwd.spell` validates sigma, and the cache is keyed
         by the sigma of the word it returns, so only a validated sigma is a key.
+        The seed is the object `sweep` holds for sigma, whichever asked first.
         A seed asked for alone grows the same `chains` as the sweep, by at most n chains.
         """
         return self._seed(self.dwd.spell(sigma))
@@ -81,26 +82,21 @@ class BowtiePresentation:
 
     @cached_property
     def sweep(self) -> tuple[tuple[SigmaWord, QuantumSeed], ...]:
-        """(word, seed) of every interval permutation, in `xi_enumerate` order.
+        """(word, seed) of every interval permutation, in `xi_enumerate` order: the one all-sigma view.
 
         Each sigma is spelled here once, and its seed found or built as in
-        `seed`, so the checks of `verify` read the word with the seed and
-        never spell again; the place of sigma in the sweep is its code in
-        `xi_enumerate`.  Each seed grows `chains` as it is built, so the
-        table then holds exactly the runs of the levels.  With no positions
-        the only permutation is (), mapped to the empty seed.  Raises
-        XiBoundExceeded, before any seed is built, past `coxeter.XI_MAX_N`
-        positions.
+        `seed`, so the checks of `verify` and `dbseeds seed --sigma all-xi`
+        read the word with the seed and never spell again; the place of
+        sigma in the sweep is its code in `xi_enumerate`.  Each seed grows
+        `chains` as it is built, so the table then holds exactly the runs
+        of the levels.  With no positions the only permutation is (), mapped
+        to the empty seed.  Raises XiBoundExceeded, before any seed is
+        built, past `coxeter.XI_MAX_N` positions.
         """
         if self.size > coxeter.XI_MAX_N:
             raise coxeter.XiBoundExceeded(f"n = {self.size} positions, past the Xi sweep bound {coxeter.XI_MAX_N}")
         words = map(self.dwd.spell, xi_enumerate(self.size) if self.size else ((),))
         return tuple((word, self._seed(word)) for word in words)
-
-    @cached_property
-    def seeds(self) -> dict[Perm, QuantumSeed]:
-        """Seed of every interval permutation, keyed by sigma in `xi_enumerate` order: `sweep` as a dict."""
-        return {word.sigma: seed for word, seed in self.sweep}
 
 
 def bowtie_build(cartan: CartanData, w_word: Sequence[int], u_word: Sequence[int]) -> BowtiePresentation:

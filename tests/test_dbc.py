@@ -542,7 +542,7 @@ def _basis_fault(row_of, faulty_sign=-1):
 
 def _frame_fault(pres, sigma, i, j):
     """pres with seed(sigma)'s frame entry (i, j) raised by one and its skew partner lowered."""
-    seed = pres.seeds[sigma]
+    seed = pres.seed(sigma)
     psi = [list(row) for row in seed.frame.psi]
     psi[i][j] += 1
     psi[j][i] -= 1
@@ -691,7 +691,7 @@ def _count_btau_ranks(monkeypatch):
         return honest_rank(a)
 
     def marked_check(pres):
-        pres.seeds   # build the seeds before counting
+        pres.sweep   # build the seeds before counting
         in_check.append(True)
         try:
             return honest_check(pres)
@@ -730,11 +730,11 @@ def test_btau_oracle_reads_a_repeated_block_from_its_own_seed():
     # checked before it; with its degrees cleared the products still hold,
     # but its own block, and the system, lose rank (the frame has rank 4)
     pres = dbc.bowtie_build(A2, (1, 2, 1), (2, 1))
-    order = list(pres.seeds)
+    order = [word.sigma for word, _ in pres.sweep]
     sigma = (1, 2, 3, 0, 4)
     assert order.index(sigma) == 2 and order[1] == (1, 2, 3, 4, 0)
-    seed = pres.seeds[sigma]
-    bad = pres.seeds[sigma] = pres._seeds[sigma] = dataclasses.replace(seed, degrees=((0, 0),) * 5)
+    seed = pres.seed(sigma)
+    bad = pres._seeds[sigma] = dataclasses.replace(seed, degrees=((0, 0),) * 5)
     pres.__dict__["sweep"] = tuple((word, bad if word.sigma == sigma else other) for word, other in pres.sweep)
     res = verify.btau_oracle_equivalence(pres)
     assert res == verify.CheckResult(
@@ -749,7 +749,7 @@ def test_btau_oracle_needs_a_nonzero_right_hand_side_to_certify():
     # has full rank, so only the nonzero-diagonal condition stops the shortcut
     pres = dbc.bowtie_build(A1, (1,), (1,))
     sigma = (0, 1)
-    seed = pres.seeds[sigma]
+    seed = pres.seed(sigma)
     assert pres.dwd.eta == (1, 1)
     cleared = dataclasses.replace(
         seed,
@@ -870,7 +870,7 @@ def test_verify_pair_builds_one_chain_table_and_one_product_table(monkeypatch):
     assert len(pres.chains.chains) == 13 and set(pres.chains.chains) == _level_runs(pres.dwd.eta)
     for sigma in xi_enumerate(pres.size):
         pres.chains.ids(pres.dwd.spell(sigma))
-    assert len(pres.chains.chains) == 13 and len(pres.seeds) == 2 ** (6 - 1)
+    assert len(pres.chains.chains) == 13 and len(pres.sweep) == 2 ** (6 - 1)
     assert calls == {"sigma_seed": 2 ** (6 - 1), "sigma_frame_product": 2 ** (6 - 1), "_support_sums": 2}
     assert validated.count("sigma_frame_product") == 1
 
@@ -888,11 +888,11 @@ def test_lone_calls_share_the_sweeps_tables(monkeypatch):
         pres.seed(sigma)
         dbc.sigma_frame_product(pres, pres.dwd.spell(sigma))
     lone = len(pres.chains.chains)
-    assert "seeds" not in pres.__dict__ and lone <= 2 * pres.size
-    assert len(pres.seeds) == len(sigmas) and len(built) == 1
+    assert "sweep" not in pres.__dict__ and lone <= 2 * pres.size
+    assert len(pres.sweep) == len(sigmas) and len(built) == 1
     assert set(pres.chains.chains) == _level_runs(pres.dwd.eta) and lone < len(pres.chains.chains)
     for sigma in sigmas:
-        assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == pres.seeds[sigma].frame
+        assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == pres.seed(sigma).frame
     assert calls == {"_support_sums": 2} and validated.count("sigma_frame_product") == 1
 
 
@@ -911,7 +911,7 @@ def test_lone_seed_looks_up_only_its_own_chains(monkeypatch):
     ids = pres.chains.ids(word)
     keys = {(None if p is None else ids[p], x) for x, p in zip(word.sigma, word.walk.pred)}
     assert len(pres.chains.chains) == len(keys) == len(set(ids)) == 240
-    assert "seeds" not in pres.__dict__ and pres._runs is None
+    assert "sweep" not in pres.__dict__ and pres._runs is None
 
 
 def test_product_table_is_bounded_and_holds_every_level_run(monkeypatch):
@@ -973,7 +973,7 @@ def test_solve_b_oracle_spells_sigma_once(spellings):
     sigma = (1, 2, 3, 0, 4)
     column = dbc.solve_b_oracle(pres, sigma, 1)
     assert spellings.tested == spellings.built == [sigma]
-    assert column == pres.seeds[sigma].exchange.column(1)
+    assert column == pres.seed(sigma).exchange.column(1)
 
 
 def test_a_seed_cache_miss_spells_sigma_once(spellings):
@@ -1008,7 +1008,7 @@ def test_seeds_spell_each_sigma_once(monkeypatch):
     monkeypatch.setattr(coxeter, "xi_is_member", lambda sigma: calls.append(sigma) or honest(sigma))
     pres = dbc.bowtie_build(A2, (1, 2, 1), (2, 1))
     assert calls == []
-    assert list(pres.seeds) == calls == list(xi_enumerate(5))
+    assert [word.sigma for word, _ in pres.sweep] == calls == list(xi_enumerate(5))
 
 
 def test_all_xi_verify_spells_each_sigma_once(spellings):
@@ -1087,11 +1087,11 @@ def test_seed_cache_hits_are_not_spelled_again(monkeypatch):
 
 def test_seeds_cover_every_interval_permutation(spellings):
     pres = dbc.bowtie_build(A2, (1, 2), (1,))
-    assert list(pres.seeds) == list(xi_enumerate(3))
-    for sigma, seed in pres.seeds.items():
-        assert seed == dbc.sigma_seed(pres, sigma).seed
-        assert seed is pres.seed(sigma)
-    assert pres.seeds is pres.seeds
+    assert [word.sigma for word, _ in pres.sweep] == list(xi_enumerate(3))
+    for word, seed in pres.sweep:
+        assert seed == dbc.sigma_seed(pres, word.sigma).seed
+        assert seed is pres.seed(word.sigma)
+    assert pres.sweep is pres.sweep
     # seeds built before the sweep are reused, each sigma is tested once, and
     # the order stays that of `xi_enumerate`: `xi_linkage` checks each link
     # in full from the end that comes first in it
@@ -1099,12 +1099,12 @@ def test_seeds_cover_every_interval_permutation(spellings):
     spellings.tested.clear()
     early = {sigma: pres.seed(sigma) for sigma in (dbc.w0_permutation(pres.dwd), (3, 2, 1, 0))}
     assert list(early) == [(1, 0, 2, 3), (3, 2, 1, 0)]
-    assert list(pres.seeds) == list(xi_enumerate(4))
-    assert all(pres.seeds[sigma] is seed for sigma, seed in early.items())
+    swept = {word.sigma: seed for word, seed in pres.sweep}
+    assert list(swept) == list(xi_enumerate(4))
+    assert all(swept[sigma] is seed for sigma, seed in early.items())
     assert sorted(spellings.tested) == sorted(xi_enumerate(4))
     empty = dbc.bowtie_build(A2, (), ())
-    assert list(empty.seeds) == [()]
-    assert empty.seeds[()].size == 0
+    assert [(word.sigma, seed.size) for word, seed in empty.sweep] == [((), 0)]
 
 
 def _longest_word(cartan: CartanData) -> tuple[int, ...]:
@@ -1133,7 +1133,7 @@ def test_an_xi_sweep_past_the_bound_builds_no_seed(monkeypatch):
     assert pres.size == 17 == XI_MAX_N + 1
     _refuse_seeds(monkeypatch)
     with pytest.raises(XiBoundExceeded, match="n = 17 positions, past the Xi sweep bound 16$"):
-        pres.seeds
+        pres.sweep
     for all_xi in (False, True):
         with pytest.raises(XiBoundExceeded):
             verify.verify_pair(a4, w, u, all_xi=all_xi)

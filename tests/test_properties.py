@@ -69,7 +69,7 @@ def test_frames_are_integer_and_pairs_verify(name, data):
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
-    for seed in pres.seeds.values():
+    for _, seed in pres.sweep:
         assert _all_int(seed.frame)
         if seed.ex:
             assert _all_int(mutate_seed(seed, seed.ex[0]).frame)
@@ -141,15 +141,15 @@ def test_sigma_frames_are_gathered_from_one_chain_table(name, data):
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan, max_size=10))
     sweep, lone = dbc.bowtie_build(cartan, w, u), dbc.bowtie_build(cartan, w, u)
-    seeds = sweep.seeds
+    seeds = sweep.sweep
     table = sweep.chains
     eta, succ = sweep.dwd.eta, sweep.dwd.walk.succ
     runs = _level_runs(eta)
     assert len(runs) == sum(m * (m + 1) // 2 for m in map(eta.count, set(eta)))
     assert sorted(table.chains) == sorted(runs)
     reached = {}
-    for sigma, seed in seeds.items():
-        word = sweep.dwd.spell(sigma)
+    for word, seed in seeds:
+        sigma = word.sigma
         ids = table.ids(word)
         assert tuple(table.chains[c] for c in ids) == sigma_chain(eta, succ, sigma)
         for x, p, c in zip(sigma, word.walk.pred, ids):
@@ -157,7 +157,7 @@ def test_sigma_frames_are_gathered_from_one_chain_table(name, data):
         assert (seed.frame.psi, seed.degrees) == _chain_recursion(sweep, word)
         assert lone.seed(sigma) == seed
     assert len(table.chains) == len(runs)
-    assert "seeds" not in lone.__dict__ and sorted(lone.chains.chains) == sorted(runs)
+    assert "sweep" not in lone.__dict__ and sorted(lone.chains.chains) == sorted(runs)
     for c, keys in reached.items():
         chain = table.chains[c]
         assert len(keys) <= len({chain[0], chain[-1]})
@@ -187,11 +187,11 @@ def test_seeds_do_not_depend_on_the_order_they_are_asked_for(name, data):
         pres.seed(sigma)
         before[sigma] = dbc.sigma_frame_product(pres, pres.dwd.spell(sigma))
         assert len(pres.chains.chains) <= len(runs)
-    assert list(pres.seeds.items()) == list(fresh.seeds.items())
-    assert list(pres.seeds) == sigmas
+    assert [(word.sigma, seed) for word, seed in pres.sweep] == [(word.sigma, seed) for word, seed in fresh.sweep]
+    assert [word.sigma for word, _ in pres.sweep] == sigmas
     assert sorted(pres.chains.chains) == sorted(runs)
     for sigma, frame in before.items():
-        assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == frame == fresh.seeds[sigma].frame
+        assert dbc.sigma_frame_product(pres, pres.dwd.spell(sigma)) == frame == fresh.seed(sigma).frame
 
 
 def _product_formula(pres, sigma):
@@ -260,8 +260,8 @@ def _assert_kernels_match_their_references(pres, rng):
             assert got == _entrywise_reindex(seed, tau)
             assert moved.frame == seed.frame.reindex(tau)
 
-    for sigma, seed in pres.seeds.items():
-        word = pres.dwd.spell(sigma)
+    for word, seed in pres.sweep:
+        sigma = word.sigma
         assert seed.frame.psi == dbc.sigma_frame_product(pres, word).psi == _product_formula(pres, sigma)
         want = _entrywise_double_word_columns(cartan, word.letters, word.eps, word.walk, word.ex)
         assert seed.exchange.cols == dbc.btau_columns(pres.dwd, word).cols == want
@@ -299,10 +299,12 @@ def test_sweep_kernels_match_their_entrywise_references_on_the_smallest_words(na
 def _adjacent(pres):
     """(sigma, k, sigma o (k k+1), same level) for every ordered pair of adjacent seeds."""
     n, eta = pres.size, pres.dwd.eta
-    for sigma in pres.seeds:
+    sigmas = [word.sigma for word, _ in pres.sweep]
+    members = set(sigmas)
+    for sigma in sigmas:
         for k in range(n - 1):
             sigma2 = sigma[:k] + (sigma[k + 1], sigma[k]) + sigma[k + 2:]
-            if sigma2 in pres.seeds:
+            if sigma2 in members:
                 yield sigma, k, sigma2, eta[sigma[k]] == eta[sigma[k + 1]]
 
 
@@ -343,7 +345,7 @@ def test_in_place_reindexing_test_is_reindex_equality(name, data):
     n = pres.size
     links = [(sigma, k, sigma2) for sigma, k, sigma2, same_level in _adjacent(pres) if not same_level]
     for sigma, k, sigma2 in links:
-        seed = pres.seeds[sigma]
+        seed = pres.seed(sigma)
         tau = tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))
 
         def agrees(other):
@@ -351,18 +353,18 @@ def test_in_place_reindexing_test_is_reindex_equality(name, data):
             assert got == (reindex(seed, tau) == other)
             return got
 
-        assert agrees(pres.seeds[sigma2])
-        assert not agrees(_corrupted(data, pres.seeds[sigma2]))
+        assert agrees(pres.seed(sigma2))
+        assert not agrees(_corrupted(data, pres.seed(sigma2)))
     if links:
         sigma, k, sigma2 = data.draw(st.sampled_from(links))
-        assert not _both_rules(pres, {sigma2: _corrupted(data, pres.seeds[sigma2])}).ok
+        assert not _both_rules(pres, {sigma2: _corrupted(data, pres.seed(sigma2))}).ok
 
 
 def test_in_place_reindexing_test_reads_the_exchange_height():
     # with no exchangeable index, only the exchange matrix's n tells a
     # neighbour whose matrix has another height apart, as `reindex` does
     pres = dbc.bowtie_build(cartan_init("A", 2), (1,), (2,))
-    seed, other = pres.seeds[(0, 1)], pres.seeds[(1, 0)]
+    seed, other = pres.seed((0, 1)), pres.seed((1, 0))
     assert seed.ex == ()
     taller = replace(other, exchange=ExchangeMatrix(3, (), ()))
     for neighbour, want in ((other, True), (taller, False)):
@@ -376,7 +378,7 @@ def _two_end_xi_linkage(pres):
     dwd = pres.dwd
     w, u = dwd.w_word, dwd.u_word
     n = dwd.size
-    seeds = pres.seeds
+    seeds = {word.sigma: seed for word, seed in pres.sweep}
     for sigma, seed in seeds.items():
         for k in range(n - 1):
             tau = list(range(n))
@@ -411,7 +413,7 @@ def _both_rules(pres, replaced=None):
     """Result of the one-end check, asserted equal to the two-end check's, with some seeds replaced."""
     if replaced:
         sweep = tuple((word, replaced.get(word.sigma, seed)) for word, seed in pres.sweep)
-        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, seeds={**pres.seeds, **replaced}, sweep=sweep)
+        pres = SimpleNamespace(dwd=pres.dwd, size=pres.size, sweep=sweep)
     got = verify.xi_linkage(pres)
     assert got == _two_end_xi_linkage(pres)
     return got
@@ -462,10 +464,10 @@ def test_one_end_xi_linkage_matches_the_two_end_check(name, data):
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
     assert _both_rules(pres) == verify.CheckResult("xi-linkage", True)
-    perms = list(pres.seeds)
+    perms = [word.sigma for word, _ in pres.sweep]
     for _ in range(3 if pres.size >= 2 else 0):   # smaller seeds have no links
         sigma = data.draw(st.sampled_from(perms))
-        seed = pres.seeds[sigma]
+        seed = pres.seed(sigma)
         kind = data.draw(st.sampled_from(["degree", "frame"] + ["exchange"] * bool(seed.ex)))
         a, b = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
         assert not _both_rules(pres, {sigma: _corrupt(seed, kind, a, b)}).ok
@@ -473,10 +475,10 @@ def test_one_end_xi_linkage_matches_the_two_end_check(name, data):
     # later seed: a fault that only the second end of that link can see
     place = {sigma: i for i, sigma in enumerate(perms)}
     for sigma, k, sigma2, same_level in _adjacent(pres):
-        column = pres.seeds[sigma].exchange.column(k) if same_level else ()
+        column = pres.seed(sigma).exchange.column(k) if same_level else ()
         off_k = [i for i, x in enumerate(column) if x and i != k]
         if place[sigma] < place[sigma2] and off_k:
-            seed = _corrupt(pres.seeds[sigma], "degree", off_k[0], 0)
+            seed = _corrupt(pres.seed(sigma), "degree", off_k[0], 0)
             assert not _both_rules(pres, {sigma: seed, sigma2: mutate_seed(seed, k)}).ok
             break
 
@@ -485,8 +487,8 @@ def test_one_end_xi_linkage_reports_an_ungraded_column_from_the_second_end():
     # seed(0, 1) with a degree off balance at exchange column 0, and its exact
     # mutation as seed(1, 0): the first end agrees, only the second end fails
     pres = dbc.bowtie_build(cartan_init("A", 1), (1,), (1,))
-    low, high = pres.seeds
-    seed = _corrupt(pres.seeds[low], "degree", 1, 0)
+    low, high = (word.sigma for word, _ in pres.sweep)
+    seed = _corrupt(pres.seed(low), "degree", 1, 0)
     want = verify.CheckResult("xi-linkage", False, f"w=(1,) u=(1,): sigma={high}, k=0 does not link to {low}")
     assert _both_rules(pres, {low: seed, high: mutate_seed(seed, 0)}) == want
 
@@ -497,7 +499,7 @@ def test_xi_linkage_compares_symmetrizer_and_invertible_indices(field):
     # d is reversed, or which claims an invertible index, does not link
     pres = dbc.bowtie_build(cartan_init("B", 2), (1, 2), (2, 1))
     sigma = (0, 1, 2, 3)
-    seed = pres.seeds[sigma]
+    seed = pres.seed(sigma)
     bad = replace(seed, d=seed.d[::-1]) if field == "d" else replace(seed, inv=frozenset({0}))
     assert bad != seed
     want = verify.CheckResult("xi-linkage", False, f"w=(1, 2) u=(2, 1): sigma={sigma}, k=0 does not link to (1, 0, 2, 3)")
@@ -511,15 +513,15 @@ def test_mutation_links_adjacent_seeds_from_either_end(name, data):
     # xi-linkage reads a same-level link in place and builds no mutated
     # seed, so the constructor's own oracle is here: `mutate_seed` carries
     # each seed of the link to the other, from the end that comes first in
-    # `pres.seeds` and from the later one
+    # `pres.sweep` and from the later one
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
-    place = {sigma: i for i, sigma in enumerate(pres.seeds)}
+    place = {word.sigma: i for i, (word, _) in enumerate(pres.sweep)}
     for sigma, k, sigma2, same_level in _adjacent(pres):
         if same_level and place[sigma] < place[sigma2]:
-            assert mutate_seed(pres.seeds[sigma], k) == pres.seeds[sigma2]
-            assert mutate_seed(pres.seeds[sigma2], k) == pres.seeds[sigma]
+            assert mutate_seed(pres.seed(sigma), k) == pres.seed(sigma2)
+            assert mutate_seed(pres.seed(sigma2), k) == pres.seed(sigma)
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -539,7 +541,7 @@ def test_moved_row_sign_test_agrees_with_the_full_restriction(name, data):
     for sigma, k, sigma2, same_level in _adjacent(pres):
         if not same_level:
             continue
-        seed, other = pres.seeds[sigma], pres.seeds[sigma2]
+        seed, other = pres.seed(sigma), pres.seed(sigma2)
 
         def agrees(basis, frame):
             want = tuple(frame_restrict(seed.frame, basis(seed, k, sign)) == frame for sign in (-1, 1))
@@ -569,7 +571,7 @@ def test_moved_row_sign_test_reads_one_basis_when_column_k_is_zero():
     # with column k of B all zero the two bases coincide, G+ = G-, and row k
     # of each is -e_k: both sign choices must answer as the full restriction
     pres = dbc.bowtie_build(cartan_init("A", 2), (1, 2, 1), (1, 2, 1))
-    seed = pres.seeds[(0, 1, 2, 3, 4, 5)]
+    seed = pres.seed((0, 1, 2, 3, 4, 5))
     cols = seed.exchange.cols
     for i, k in enumerate(seed.ex):
         zero = cols[:i] + ((0,) * seed.size,) + cols[i + 1:]
@@ -589,7 +591,7 @@ def test_mutation_basis_is_the_identity_but_row_k(name, data):
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
     n = pres.size
-    for seed in pres.seeds.values():
+    for _, seed in pres.sweep:
         for k in seed.ex:
             for sign in (1, -1):
                 want = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -601,8 +603,9 @@ def _full_elimination_btau(pres):
     """Reference: one n-column integer rank of the oracle system per sigma, then one dense product per column."""
     w, u = pres.dwd.w_word, pres.dwd.u_word
     n = pres.size
-    for sigma, seed in pres.seeds.items():
-        rows, rhs = dbc.oracle_system(pres.cartan, pres.dwd.spell(sigma), seed)
+    for word, seed in pres.sweep:
+        sigma = word.sigma
+        rows, rhs = dbc.oracle_system(pres.cartan, word, seed)
         r = linalg.rank(rows)
         if r != n:
             return verify.CheckResult("btau-oracle", False, f"w={w} u={u} sigma={sigma}: oracle system has rank {r}, not {n}")
@@ -627,11 +630,11 @@ def _both_oracle_rules(pres, replaced=None):
     sigma takes the long way.
     """
     if replaced:
-        seeds = {**pres.seeds, **replaced}
         dwd = pres.dwd
-        sweep = tuple((word, seeds[word.sigma]) for word, _ in pres.sweep)
+        sweep = tuple((word, replaced.get(word.sigma, seed)) for word, seed in pres.sweep)
+        seeds = {word.sigma: seed for word, seed in sweep}
         pres = SimpleNamespace(
-            dwd=dwd, size=pres.size, cartan=pres.cartan, seeds=seeds, sweep=sweep,
+            dwd=dwd, size=pres.size, cartan=pres.cartan, sweep=sweep,
             seed=lambda sigma: seeds[dwd.spell(sigma).sigma],
         )
     got = verify.btau_oracle_equivalence(pres)
@@ -653,15 +656,15 @@ def test_btau_block_rank_matches_full_elimination(name, data):
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
     assert _both_oracle_rules(pres) == verify.CheckResult("btau-oracle", True)
-    perms = list(pres.seeds)
+    perms = [word.sigma for word, _ in pres.sweep]
     for _ in range(3 if pres.size >= 2 else 0):
         sigma = data.draw(st.sampled_from(perms))
-        seed = pres.seeds[sigma]
+        seed = pres.seed(sigma)
         kind = data.draw(st.sampled_from(["degree", "frame"] + ["exchange"] * bool(seed.ex)))
         a, b = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
         _both_oracle_rules(pres, {sigma: _corrupt(seed, kind, a, b)})
     flat = (0,) * cartan.rank
-    _both_oracle_rules(pres, {sigma: replace(seed, degrees=(flat,) * pres.size) for sigma, seed in pres.seeds.items()})
+    _both_oracle_rules(pres, {word.sigma: replace(seed, degrees=(flat,) * pres.size) for word, seed in pres.sweep})
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -694,14 +697,14 @@ def test_mutation_and_reduction_restrict_frames_without_a_rank(name, data):
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
-    seeds, bz = pres.seeds, pres.bz["modified"].seed
+    seeds, bz = pres.sweep, pres.bz["modified"].seed
 
     def refuse(a):
         raise AssertionError("frame_restrict took a rank")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "rank", refuse)
-        for seed in seeds.values():
+        for _, seed in seeds:
             for k in seed.ex:
                 frame_restrict(seed.frame, mutation_basis(seed, k, -1))
                 mutate_seed(seed, k)
@@ -720,7 +723,7 @@ def test_trusted_frames_equal_their_validated_rebuild(name, data):
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
     frames = []
-    for sigma, seed in pres.seeds.items():
+    for _, seed in pres.sweep:
         frames += [seed.frame, seed.frame.negate()]   # the sigma-frame and its negative
         for k in seed.ex:
             frames += [frame_restrict(seed.frame, mutation_basis(seed, k, sign)) for sign in (1, -1)]
@@ -741,7 +744,7 @@ def test_trusted_exchange_matrices_equal_their_validated_rebuild(name, data):
     cartan = cartan_init(name[0], int(name[1:]))
     w, u = data.draw(word_pairs(cartan))
     pres = dbc.bowtie_build(cartan, w, u)
-    seeds = [bz.seed for bz in pres.bz.values()] + list(pres.seeds.values())
+    seeds = [bz.seed for bz in pres.bz.values()] + [seed for _, seed in pres.sweep]
     matrices = []
     for seed in seeds:
         matrices.append(seed.exchange)
